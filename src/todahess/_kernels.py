@@ -1,4 +1,4 @@
-"""Hot series kernels for the weighted Gram blocks.
+"""Hot series kernel for the weighted Gram blocks.
 
 Every entry of a Gram block is a sum over m of
 
@@ -9,48 +9,21 @@ zeta_c^{-m}, so terms are carried exclusively through multiplicative ratio
 updates; neither factor is ever formed on its own.  Near the threshold the
 terms behave like eta^{2m}/m with eta = zeta/zeta_c and the required number
 of terms scales like 1/(1 - eta^2) -- about 1e6 at eta = 0.99999 -- which is
-why these loops are the package's hot path.
-
-Two implementations are provided:
-
-* a scalar-recurrence loop compiled with numba (parallel over block entries),
-* a chunked numpy fallback that vectorizes the per-step ratios and uses
-  cumulative products within chunks.
-
-Selection: the numba path is used when numba imports successfully and the
-environment variable TODAHESS_NUMBA is not set to 0/false/off; otherwise the
-numpy fallback runs.  `benchmarks/bench_kernels.py` compares the two.
+why this loop is the package's hot path.  It vectorizes the per-step ratios
+and uses cumulative products within chunks.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("TODAHESS_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "off", "no")
+from .errors import DivergenceError
+from .raney import raney_step
 
-try:
-    if not _WANT_NUMBA:
-        raise ImportError("numba disabled via TODAHESS_NUMBA")
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # pass-through decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
+#: read by perfbench/one_pass.py's environment record; the kernel is numpy only
+HAS_NUMBA = False
 
 #: hard cap on series length; reached only beyond eta ~ 0.999999
 M_MAX_DEFAULT = 50_000_000
@@ -58,71 +31,22 @@ M_MAX_DEFAULT = 50_000_000
 _MIN_TERMS = 8
 
 
-@njit(cache=True)
-def _raney_step(s, p, m):
-    """R_{s,p}(m+1) / R_{s,p}(m) in float64."""
-    num = 1.0
-    for k in range(s):
-        num *= s * m + p + k
-    den = m + 1.0
-    for l in range(1, s):
-        den *= (s - 1) * m + p + l
-    return num / den
-
-
-@njit(cache=True)
-def _log_raney_zeta(s, p, delta, zeta):
-    """log( R_{s,p}(delta) * zeta^delta ), by ratio steps (no overflow)."""
-    acc = 0.0
-    for m in range(delta):
-        acc += math.log(_raney_step(s, p, m) * zeta)
-    return acc
-
-
-@njit(cache=True)
-def _gram_series_nb(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max):
-    """Scalar-loop kernel: returns (value, n_terms, tail_bound).
+def _gram_series_np(
+    s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max=M_MAX_DEFAULT
+):
+    """Chunked-cumprod series kernel: returns (value, n_terms, tail_bound).
 
     value = exp(log_pref) * sum_m (pb+sm)^2 R_{s,pa}(m+delta) R_{s,pb}(m)
             zeta^(2m+delta)
 
     tol is relative to the accumulated sum; ratio_limit = (zeta/zeta_c)^2
     caps the geometric tail estimate (the true term ratio approaches it from
-    below like 1 - 1/m).
+    below like 1 - 1/m).  tail_bound is -1 when m_max terms were summed
+    before the bound fired.
     """
-    log_t0 = log_pref + 2.0 * math.log(pb) + _log_raney_zeta(s, pa, delta, zeta)
-    t = math.exp(log_t0)
-    acc = t
-    zeta2 = zeta * zeta
-    m = 0
-    tail = 0.0
-    while m < m_max:
-        grow = (pb + s * (m + 1.0)) / (pb + s * m)
-        ratio = (
-            grow * grow * _raney_step(s, pa, m + delta) * _raney_step(s, pb, m) * zeta2
-        )
-        t *= ratio
-        acc += t
-        m += 1
-        if m >= _MIN_TERMS:
-            rb = ratio if ratio > ratio_limit else ratio_limit
-            if rb < 1.0:
-                tail = t * rb / (1.0 - rb)
-                if tail <= tol * acc:
-                    return acc, m, tail
-    return acc, m, -1.0  # tail bound not reached within m_max
-
-
-def _gram_series_np(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max):
-    """Chunked-cumprod numpy fallback with the same contract as the nb path."""
     log_t0 = log_pref + 2.0 * math.log(pb)
     for m in range(delta):
-        num = 1.0
-        for k in range(s):
-            num *= s * m + pa + k
-        den = m + 1.0
-        for l in range(1, s):
-            den *= (s - 1) * m + pa + l
+        num, den = raney_step(s, pa, float(m))
         log_t0 += math.log((num / den) * zeta)
     t = math.exp(log_t0)
     acc = t
@@ -133,22 +57,8 @@ def _gram_series_np(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max):
         chunk = min(chunk, m_max - m0)
         marr = np.arange(m0, m0 + chunk, dtype=np.float64)
         grow = (pb + s * (marr + 1.0)) / (pb + s * marr)
-
-        ma = marr + delta
-        num_a = np.ones_like(marr)
-        for k in range(s):
-            num_a *= s * ma + pa + k
-        den_a = ma + 1.0
-        for l in range(1, s):
-            den_a *= (s - 1) * ma + pa + l
-
-        num_b = np.ones_like(marr)
-        for k in range(s):
-            num_b *= s * marr + pb + k
-        den_b = marr + 1.0
-        for l in range(1, s):
-            den_b *= (s - 1) * marr + pb + l
-
+        num_a, den_a = raney_step(s, pa, marr + delta)
+        num_b, den_b = raney_step(s, pb, marr)
         ratios = grow * grow * (num_a / den_a) * (num_b / den_b) * zeta2
         terms = t * np.cumprod(ratios)
         acc += terms.sum()
@@ -164,67 +74,36 @@ def _gram_series_np(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max):
     return acc, m0, -1.0  # budget exhausted before the tail bound fired
 
 
-def gram_series(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max=M_MAX_DEFAULT):
-    """Dispatch to the numba kernel or the numpy fallback."""
-    if HAS_NUMBA:
-        return _gram_series_nb(
-            s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max
-        )
-    return _gram_series_np(s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max)
+def block_series(s, q, beta, zeta, tol, ratio_limit, j1, j2, m_max=M_MAX_DEFAULT):
+    """Entry (j1, j2), j1 <= j2, of the weighted block in sector q.
 
-
-@njit(cache=True, parallel=True)
-def _block_matrix_nb(s, q, beta, zeta, tol, log_m_big, ratio_limit, n, m_max):
-    """Assemble the weighted N x N block in parallel over entries.
-
-    log_m_big = log(s/(s-1)).  Entry (j1, j2), j1 <= j2:
-    (1/(w_j1 w_j2 sqrt(p_j1 p_j2))) * series, w_j = p_j^(3/2+beta) M^p_j.
+    (1/(w_j1 w_j2 sqrt(p_j1 p_j2))) * series with w_j = p_j^(3/2+beta) M^p_j,
+    M = s/(s-1).  Raises DivergenceError when the tail bound never fired.
     """
-    out = np.empty((n, n), dtype=np.float64)
-    npairs = n * (n + 1) // 2
-    for idx in prange(npairs):
-        j2 = int((math.sqrt(8.0 * idx + 1.0) - 1.0) / 2.0)
-        # guard against float rounding at triangle boundaries
-        while (j2 + 1) * (j2 + 2) // 2 <= idx:
-            j2 += 1
-        while j2 * (j2 + 1) // 2 > idx:
-            j2 -= 1
-        j1 = idx - j2 * (j2 + 1) // 2
-        pa = q + j1 * s
-        pb = q + j2 * s
-        log_pref = (
-            -(1.5 + beta) * (math.log(pa) + math.log(pb))
-            - (pa + pb) * log_m_big
-            - 0.5 * (math.log(pa) + math.log(pb))
+    pa = q + j1 * s
+    pb = q + j2 * s
+    log_pref = (
+        -(1.5 + beta) * (math.log(pa) + math.log(pb))
+        - (pa + pb) * math.log(s / (s - 1.0))
+        - 0.5 * (math.log(pa) + math.log(pb))
+    )
+    val, _, tail = _gram_series_np(
+        s, pa, pb, j2 - j1, zeta, tol, log_pref, ratio_limit, m_max
+    )
+    if tail < 0:
+        raise DivergenceError(
+            f"block entry ({j1}, {j2}) series did not reach tolerance {tol} "
+            f"within {m_max} terms"
         )
-        val, _, _ = _gram_series_nb(
-            s, pa, pb, j2 - j1, zeta, tol, log_pref, ratio_limit, m_max
-        )
-        out[j1, j2] = val
-        out[j2, j1] = val
-    return out
+    return val
 
 
 def block_matrix(s, q, beta, zeta, tol, ratio_limit, n, m_max=M_MAX_DEFAULT):
-    """Weighted block Gram matrix; numba-parallel when available."""
-    log_m_big = math.log(s / (s - 1.0))
-    if HAS_NUMBA:
-        return _block_matrix_nb(
-            s, q, float(beta), zeta, tol, log_m_big, ratio_limit, n, m_max
-        )
+    """Weighted block Gram matrix, one series per upper-triangle entry."""
     out = np.empty((n, n), dtype=np.float64)
     for j2 in range(n):
         for j1 in range(j2 + 1):
-            pa = q + j1 * s
-            pb = q + j2 * s
-            log_pref = (
-                -(1.5 + beta) * (math.log(pa) + math.log(pb))
-                - (pa + pb) * log_m_big
-                - 0.5 * (math.log(pa) + math.log(pb))
-            )
-            val, _, _ = _gram_series_np(
-                s, pa, pb, j2 - j1, zeta, tol, log_pref, ratio_limit, m_max
-            )
+            val = block_series(s, q, beta, zeta, tol, ratio_limit, j1, j2, m_max)
             out[j1, j2] = val
             out[j2, j1] = val
     return out

@@ -3,7 +3,7 @@ suite and the CLI selftest.
 
 Each criterion pins its tolerance here, carries its measured values in the
 result record, and never recomputes what a sibling criterion already built
-(block eigen-decompositions are cached per parameter set).
+(block eigen-decompositions come from the memoized spectra.block_spectrum).
 
 Criterion 7's two-point Cauchy sub-check on the raw soft eigenvalues is
 known to be unattainable (the soft branches converge like 1/L, so any two
@@ -18,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,14 +47,6 @@ class CriterionResult:
 
     def line(self) -> str:
         return f"criterion {self.cid:02d} [{self.status}] {self.title} ({self.elapsed:.1f}s)"
-
-
-@lru_cache(maxsize=256)
-def _block_eig(s, q, beta, n, ratio):
-    zc = float(maps.thresholds(s).zeta_c)
-    blk = gram.weighted_block(s, ratio * zc, q, beta, n)
-    dec = spectra.sym_eig(blk.matrix)
-    return blk, dec
 
 
 # --------------------------------------------------------------------------
@@ -181,23 +172,12 @@ def crit_06_stiff_slope():
     info = {}
     for s in (3, 5):
         zc = float(maps.thresholds(s).zeta_c)
-        ls, mu1 = [], []
-        for ratio in STIFF_GRID:
-            _, dec = _block_eig(s, 1, 1.0, 30, ratio)
-            ls.append(spectra.log_scale(ratio * zc, zc))
-            mu1.append(dec.eigenvalues[0])
-        ls, mu1 = np.array(ls), np.array(mu1)
-        mask = ls >= 0.5 * (ls.min() + ls.max())
-        slope, intercept = np.polyfit(ls[mask], mu1[mask], 1)
-        gamma = gram.spike_vector(s, 1, 1.0, 30).gamma_truncated
-        resid = float(
-            np.sqrt(np.mean((slope * ls[mask] + intercept - mu1[mask]) ** 2))
-            / (mu1[mask].max() - mu1[mask].min())
-        )
-        rel = abs(slope - gamma) / gamma
-        info[s] = {"slope": float(slope), "gamma_truncated": gamma,
-                   "rel_dev": rel, "fit_residual": resid}
-        ok &= rel <= 0.15 and resid <= 0.02
+        fit = spectra.stiff_trajectory(s, 1, 1.0, 30, [r * zc for r in STIFF_GRID])
+        gamma = fit.gamma_truncated
+        rel = abs(fit.slope - gamma) / gamma
+        info[s] = {"slope": fit.slope, "gamma_truncated": gamma,
+                   "rel_dev": rel, "fit_residual": fit.residual}
+        ok &= rel <= 0.15 and fit.residual <= 0.02
     return ok, info
 
 
@@ -218,18 +198,14 @@ def crit_07_soft():
     raw = {}
     comp = {}
     for ratio in SOFT_GRID:
-        blk, dec = _block_eig(s, q, beta, n, ratio)
-        raw[ratio] = dec.eigenvalues[1:6].copy()
-        d = gram.spike_vector(s, q, beta, n).entries
-        dhat = d / np.linalg.norm(d)
-        ctil = blk.matrix - spectra.log_scale(ratio * zc, zc) * np.outer(d, d)
-        basis = spectra._complement_basis(dhat)
-        cdec = spectra.sym_eig(basis.T @ ctil @ basis)
-        comp[ratio] = cdec.eigenvalues[:5].copy()
+        _, dec = spectra.block_spectrum(s, q, beta, n, ratio * zc)
+        raw[ratio] = dec.eigenvalues[1:6]
+        _, cdec = spectra.compressed_remainder(s, q, beta, n, ratio * zc)
+        comp[ratio] = cdec.eigenvalues[:5]
     finite = all(np.all(np.isfinite(v)) for v in raw.values())
     raw_trend = np.abs(raw[0.9999] - raw[0.999]) / np.abs(raw[0.9999])
     cauchy_ok = bool(np.all(raw_trend < 0.05))
-    _, dec_last = _block_eig(s, q, beta, n, SOFT_GRID[-1])
+    _, dec_last = spectra.block_spectrum(s, q, beta, n, SOFT_GRID[-1] * zc)
     ratio_gap = dec_last.eigenvalues[1] / dec_last.eigenvalues[0]
     gap_ok = ratio_gap < 0.05
     comp_trend = np.abs(comp[0.9999] - comp[0.999]) / np.abs(comp[0.9999])
@@ -257,7 +233,7 @@ def crit_08_alignment():
     dhat = d / np.linalg.norm(d)
     vals = []
     for ratio in ALIGN_GRID:
-        _, dec = _block_eig(s, q, beta, n, ratio)
+        _, dec = spectra.block_spectrum(s, q, beta, n, ratio * zc)
         align = abs(float(dec.eigenvectors[:, 0] @ dhat))
         vals.append((1.0 - align) * spectra.log_scale(ratio * zc, zc))
     vals = np.array(vals)
@@ -479,12 +455,7 @@ def crit_20_nodal():
     info = {}
     for s in (3, 5):
         zc = float(maps.thresholds(s).zeta_c)
-        blk, _ = _block_eig(s, 1, 1.0, 40, 0.9999)
-        d = gram.spike_vector(s, 1, 1.0, 40).entries
-        dhat = d / np.linalg.norm(d)
-        ctil = blk.matrix - spectra.log_scale(0.9999 * zc, zc) * np.outer(d, d)
-        basis = spectra._complement_basis(dhat)
-        dec = spectra.sym_eig(basis.T @ ctil @ basis)
+        basis, dec = spectra.compressed_remainder(s, 1, 1.0, 40, 0.9999 * zc)
         counts = [
             spectra.nodal_count(basis @ dec.eigenvectors[:, k]) for k in range(4)
         ]
@@ -576,7 +547,7 @@ def convergence_in_n(s=3, q=1, beta=1.0, ratio=0.999, n_values=(20, 40, 80)):
     zc = float(maps.thresholds(s).zeta_c)
     out = {}
     for n in n_values:
-        _, dec = _block_eig(s, q, beta, n, ratio)
+        _, dec = spectra.block_spectrum(s, q, beta, n, ratio * zc)
         gamma = gram.spike_vector(s, q, beta, n).gamma_truncated
         out[n] = {
             "mu1": float(dec.eigenvalues[0]),

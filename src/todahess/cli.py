@@ -222,8 +222,7 @@ def _cmd_spectrum(res):
     n = int(res.get("n", 30))
     k = int(res.get("k", 6))
     zeta = _zeta_from(res, s, 0.999)
-    blk = gram.weighted_block(s, zeta, q, beta, n)
-    dec = spectra.sym_eig(blk.matrix)
+    _, dec = spectra.block_spectrum(s, q, beta, n, zeta)
     tab = Table(
         "todahess.spectrum.v1", ["s", "q", "beta", "N", "zeta", "k", "mu_k"]
     )
@@ -560,7 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("csv", "svg", "json"))
         sp.add_argument("--precision", choices=("double", "extended"))
-        sp.add_argument("--threads", type=int)
         if name == "figure":
             sp.add_argument("--id", choices=figures.FIGURE_IDS)
         if name == "selftest":
@@ -573,14 +571,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = _read_config(args.config) if args.config else {}
     res = _Resolver(args, config)
-    threads = res.get("threads", cast=int)
-    if threads:
-        try:
-            import numba
-
-            numba.set_num_threads(threads)
-        except ImportError:
-            pass
     try:
         handler = _COMMANDS[args.command]
         if args.command == "selftest":

@@ -35,7 +35,7 @@ from .errors import (
     StiffnessError,
 )
 from .maps import thresholds
-from .raney import _validate_sp
+from .raney import _validate_sp, raney_step
 
 #: default exclusion radius around xi = 1 (relative to zeta_c^2 units)
 EXCLUSION_RADIUS = 1e-4
@@ -97,12 +97,7 @@ def hyp_params(s: int, p: int) -> HypParams:
 
 def _coeff_ratio_exact(s: int, p: int, m: int) -> Fraction:
     """a_{m+1}/a_m for a_m = R_{s,p}(m)^2 zeta_c^{2m} (exact)."""
-    num = 1
-    for k in range(s):
-        num *= s * m + p + k
-    den = m + 1
-    for l in range(1, s):
-        den *= (s - 1) * m + p + l
+    num, den = raney_step(s, p, m)
     return Fraction(num**2 * (s - 1) ** (2 * s - 2), den**2 * s ** (2 * s))
 
 
@@ -121,12 +116,7 @@ def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
     r_geo = abs(xi)
     m = 0
     while True:
-        num = 1.0
-        for k in range(s):
-            num *= s * m + p + k
-        den = m + 1.0
-        for l in range(1, s):
-            den *= (s - 1) * m + p + l
+        num, den = raney_step(s, p, float(m))
         ratio = (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s)
         term *= ratio * xi
         acc += term
@@ -222,12 +212,7 @@ def _seed_state(s: int, p: int, d: int) -> np.ndarray:
                 contrib = max(contrib, abs(val))
             ff *= m - j
         m += 1
-        num = 1.0
-        for k in range(s):
-            num *= s * (m - 1) + p + k
-        den = m
-        for l in range(1, s):
-            den *= (s - 1) * (m - 1) + p + l
+        num, den = raney_step(s, p, float(m - 1))
         t *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s) * xi0
         if m > 8 * d and contrib < 1e-19 * max(abs(y[0]), 1.0):
             break
@@ -420,12 +405,7 @@ def _gp_xi_mp(s: int, p: int, xi, tail: float = None):
     acc = mp.mpf(1)
     m = 0
     while True:
-        num = 1
-        for k in range(s):
-            num *= s * m + p + k
-        den = m + 1
-        for l in range(1, s):
-            den *= (s - 1) * m + p + l
+        num, den = raney_step(s, p, m)
         term = term * (num * num * (s - 1) ** (2 * s - 2)) * xi
         term = term / (den * den * s ** (2 * s))
         acc += term
@@ -463,7 +443,7 @@ def resonant_fit(
     if eps_grid is None:
         eps_grid = np.geomspace(1.5e-3, 6e-2, 24)
     eps_grid = sorted(float(e) for e in eps_grid)
-    if not 1e-4 < eps_grid[0] and eps_grid[-1] < 1e-1:
+    if not (1e-4 < eps_grid[0] and eps_grid[-1] < 1e-1):
         raise DomainError("eps_grid must lie inside (1e-4, 1e-1)")
     if eps_grid[-1] / eps_grid[0] < 4.0:
         raise ConditioningError("eps_grid spans less than a factor 4; fit is "

@@ -18,9 +18,9 @@ import numpy as np
 from . import svg
 from .continuation import cut_trace, edge_density_closed, sigma_from_state
 from .errors import DomainError
-from .gram import sigma_p, spike_vector, weighted_block
+from .gram import sigma_p
 from .maps import thresholds
-from .spectra import _complement_basis, log_scale, sym_eig
+from .spectra import block_spectrum, compressed_remainder, log_scale
 from .tables import Table
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
@@ -54,12 +54,6 @@ def recipe(figure_id: str) -> FigureRecipe:
     raise DomainError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
 
 
-def _block_eigs(s, q, beta, n, ratio, tol=1e-12):
-    zc = float(thresholds(s).zeta_c)
-    blk = weighted_block(s, ratio * zc, q, beta, n, tol)
-    return sym_eig(blk.matrix)
-
-
 def build_fig1(rec: FigureRecipe):
     """Stiff eigenvalue trajectories: mu_1..mu_6 against L(zeta)."""
     tab = Table(
@@ -70,7 +64,7 @@ def build_fig1(rec: FigureRecipe):
     for s in rec.s_values:
         zc = float(thresholds(s).zeta_c)
         for ratio in rec.ratio_grid:
-            dec = _block_eigs(s, rec.q, rec.beta, rec.n, ratio)
+            _, dec = block_spectrum(s, rec.q, rec.beta, rec.n, ratio * zc)
             lval = log_scale(ratio * zc, zc)
             tab.add(
                 s, rec.q, rec.beta, rec.n, float(ratio), lval,
@@ -113,14 +107,14 @@ def build_fig2(rec: FigureRecipe):
     for s in rec.s_values:
         zc = float(thresholds(s).zeta_c)
         for ratio in rec.ratio_grid:
-            dec = _block_eigs(s, rec.q, rec.beta, rec.n, ratio)
+            _, dec = block_spectrum(s, rec.q, rec.beta, rec.n, ratio * zc)
             lval = log_scale(ratio * zc, zc)
             top.add(
                 s, rec.q, rec.beta, rec.n, float(ratio), 1.0 / lval,
                 *[float(dec.eigenvalues[k]) for k in range(1, 6)],
             )
         for q in range(1, s + 1):
-            dec = _block_eigs(s, q, rec.beta, rec.n, rec.snapshot_ratio)
+            _, dec = block_spectrum(s, q, rec.beta, rec.n, rec.snapshot_ratio * zc)
             for k in range(2, 7):
                 bottom.add(
                     s, q, rec.beta, rec.n, rec.snapshot_ratio, k,
@@ -212,14 +206,9 @@ def build_fig4(rec: FigureRecipe):
     )
     for s in rec.s_values:
         zc = float(thresholds(s).zeta_c)
-        zeta = rec.snapshot_ratio * zc
-        blk = weighted_block(s, zeta, rec.q, rec.beta, rec.n)
-        d = spike_vector(s, rec.q, rec.beta, rec.n).entries
-        dhat = d / np.linalg.norm(d)
-        ctil = blk.matrix - log_scale(zeta, zc) * np.outer(d, d)
-        basis = _complement_basis(dhat)
-        comp = basis.T @ ctil @ basis
-        dec = sym_eig(0.5 * (comp + comp.T))
+        basis, dec = compressed_remainder(
+            s, rec.q, rec.beta, rec.n, rec.snapshot_ratio * zc
+        )
         for k in range(2, 6):
             vec = basis @ dec.eigenvectors[:, k - 2]
             # Sign convention: largest-v-magnitude component positive.

@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import DivergenceError, DomainError
 from .maps import thresholds
-from .raney import raney_table
+from .raney import raney_step
 
 DEFAULT_TOL = 1e-12
 
@@ -50,12 +50,7 @@ def raney_zeta(s: int, p: int, k: int, zeta: float) -> float:
     """R_{s,p}(k) * zeta^k via ratio steps (safe for k with R ~ zeta_c^{-k})."""
     val = 1.0
     for m in range(k):
-        num = 1.0
-        for i in range(s):
-            num *= s * m + p + i
-        den = m + 1.0
-        for l in range(1, s):
-            den *= (s - 1) * m + p + l
+        num, den = raney_step(s, p, float(m))
         val *= (num / den) * zeta
     return val
 
@@ -72,7 +67,7 @@ def sigma_p(s: int, p: int, zeta: float, tol: float = DEFAULT_TOL) -> float:
     """
     zc = _check_subcritical(s, zeta)
     ratio_limit = (zeta / zc) ** 2
-    val, _, tail = _kernels.gram_series(
+    val, _, tail = _kernels._gram_series_np(
         s, p, p, 0, zeta, tol, -math.log(p), ratio_limit
     )
     if tail < 0:
@@ -105,12 +100,7 @@ def gram_vector(s: int, p: int, zeta: float, k_max: int) -> GramVector:
     rz = 1.0
     for k in range(k_max + 1):
         vals[k] = (p + k * s) / math.sqrt(p) * rz
-        num = 1.0
-        for i in range(s):
-            num *= s * k + p + i
-        den = k + 1.0
-        for l in range(1, s):
-            den *= (s - 1) * k + p + l
+        num, den = raney_step(s, p, float(k))
         rz *= (num / den) * zeta
     return GramVector(s=s, p=p, zeta=zeta, values=vals)
 
@@ -175,21 +165,9 @@ def block_entry(
     if j1 < 0 or j2 < 0:
         raise DomainError("block indices must be >= 0")
     zc = _check_subcritical(s, zeta)
-    ja, jb = min(j1, j2), max(j1, j2)
-    pa = q + ja * s
-    pb = q + jb * s
-    log_m_big = math.log(s / (s - 1.0))
-    log_pref = (
-        -(1.5 + beta) * (math.log(pa) + math.log(pb))
-        - (pa + pb) * log_m_big
-        - 0.5 * (math.log(pa) + math.log(pb))
+    return _kernels.block_series(
+        s, q, beta, zeta, tol, (zeta / zc) ** 2, min(j1, j2), max(j1, j2)
     )
-    val, _, tail = _kernels.gram_series(
-        s, pa, pb, jb - ja, zeta, tol, log_pref, (zeta / zc) ** 2
-    )
-    if tail < 0:
-        raise DivergenceError("block entry series did not reach tolerance")
-    return val
 
 
 @dataclass(frozen=True)
@@ -215,7 +193,11 @@ def weighted_block(
     n: int,
     tol: float = DEFAULT_TOL,
 ) -> WeightedBlock:
-    """Truncated N x N weighted block; entries via the series kernel."""
+    """Truncated N x N weighted block; entries via the series kernel.
+
+    Raises DivergenceError when an entry's tail bound has not fired within
+    the kernel's term cap, instead of returning a truncated block.
+    """
     if not 1 <= q <= s:
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if n < 2:
@@ -290,11 +272,6 @@ def synthesis_matrix(
         for i in range(j, n_rows):
             k = i - j
             out[i, j] = (q + i * s) / math.sqrt(p) * rz / wj
-            num = 1.0
-            for a in range(s):
-                num *= s * k + p + a
-            den = k + 1.0
-            for l in range(1, s):
-                den *= (s - 1) * k + p + l
+            num, den = raney_step(s, p, float(k))
             rz *= (num / den) * zeta
     return out

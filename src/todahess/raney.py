@@ -37,15 +37,25 @@ def raney(s: int, p: int, n: int) -> int:
     return q
 
 
-def raney_ratio(s: int, p: int, n: int) -> Fraction:
-    """Exact step ratio R_{s,p}(n+1) / R_{s,p}(n)."""
+def raney_step(s: int, p: int, m):
+    """(num, den) with num / den = R_{s,p}(m+1) / R_{s,p}(m).
+
+    num = prod_{k<s} (sm+p+k), den = (m+1) prod_{1<=l<s} ((s-1)m+p+l).  The
+    arithmetic follows the type of m: a Python int gives exact integers, a
+    float gives float64 products and a numpy array gives elementwise ones.
+    """
     num = 1
     for k in range(s):
-        num *= s * n + p + k
-    den = n + 1
+        num = num * (s * m + p + k)
+    den = m + 1
     for l in range(1, s):
-        den *= (s - 1) * n + p + l
-    return Fraction(num, den)
+        den = den * ((s - 1) * m + p + l)
+    return num, den
+
+
+def raney_ratio(s: int, p: int, n: int) -> Fraction:
+    """Exact step ratio R_{s,p}(n+1) / R_{s,p}(n)."""
+    return Fraction(*raney_step(s, p, n))
 
 
 @dataclass(frozen=True)
@@ -71,13 +81,8 @@ def raney_table(s: int, p: int, n_max: int) -> RaneyTable:
     vals = [1]
     r = 1
     for n in range(n_max):
-        num = r
-        for k in range(s):
-            num *= s * n + p + k
-        den = n + 1
-        for l in range(1, s):
-            den *= (s - 1) * n + p + l
-        q, rem = divmod(num, den)
+        num, den = raney_step(s, p, n)
+        q, rem = divmod(r * num, den)
         if rem:
             raise ArithmeticError("ratio recurrence left a remainder")
         r = q
@@ -162,12 +167,7 @@ def scaled_raney_seq(s: int, p: int, m_max: int) -> list:
     r_scaled = float(raney(s, p, 1)) * zc
     out = [r_scaled]  # m = 1, before the m^{3/2} factor
     for m in range(1, m_max):
-        num = 1.0
-        for k in range(s):
-            num *= s * m + p + k
-        den = m + 1.0
-        for l in range(1, s):
-            den *= (s - 1) * m + p + l
+        num, den = raney_step(s, p, float(m))
         r_scaled *= (num / den) * zc
         out.append(r_scaled)
     return [out[m - 1] * m**1.5 for m in range(1, m_max + 1)]

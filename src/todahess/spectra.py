@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, FitError, AccuracyError
-from .gram import spike_vector, weighted_block
+from .gram import DEFAULT_TOL, WeightedBlock, spike_vector, weighted_block
 from .maps import thresholds
 
 #: relative gap below which the top eigenvalue is reported as degenerate
@@ -58,6 +59,28 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def block_spectrum(
+    s: int, q: int, beta: float, n: int, zeta: float, tol: float = DEFAULT_TOL
+) -> tuple[WeightedBlock, EigenDecomposition]:
+    """The weighted block at (s, q, beta, N, zeta) and its decomposition.
+
+    Memoized: every spectral quantity at one point shares one block build and
+    one eigen-decomposition.  The cached arrays are read-only, because every
+    caller receives the same objects.  All arguments reach the cache
+    positionally, so a default tol and an explicit one share one entry.
+    """
+    return _block_spectrum(s, q, beta, n, zeta, tol)
+
+
+@lru_cache(maxsize=256)
+def _block_spectrum(s, q, beta, n, zeta, tol):
+    blk = weighted_block(s, zeta, q, beta, n, tol)
+    dec = sym_eig(blk.matrix)
+    for arr in (blk.matrix, blk.weights, dec.eigenvalues, dec.eigenvectors):
+        arr.flags.writeable = False
+    return blk, dec
+
+
 def log_scale(zeta: float, zeta_c: float) -> float:
     """L(zeta) = log(1/(1 - zeta^2/zeta_c^2)), the stiff eigenvalue scale."""
     if not 0 < zeta < zeta_c:
@@ -88,10 +111,9 @@ def stiff_trajectory(s, q, beta, n, zeta_grid, tol=1e-12) -> StiffFit:
     if zetas.size < 2:
         raise FitError("stiff_trajectory needs at least 2 grid points")
     ls = np.array([log_scale(z, zc) for z in zetas])
-    mu1 = np.empty_like(ls)
-    for i, z in enumerate(zetas):
-        blk = weighted_block(s, z, q, beta, n, tol)
-        mu1[i] = sym_eig(blk.matrix).eigenvalues[0]
+    mu1 = np.array(
+        [block_spectrum(s, q, beta, n, z, tol)[1].eigenvalues[0] for z in zetas]
+    )
     cut = 0.5 * (ls.min() + ls.max())
     mask = ls >= cut
     if mask.sum() < 2:
@@ -127,8 +149,7 @@ def eigvec_alignment(s, q, beta, n, zeta, tol=1e-12) -> AlignmentResult:
     Flags degeneracy when mu_1 - mu_2 < 1e-10 mu_1 (alignment is then
     basis-dependent and should not be trusted).
     """
-    blk = weighted_block(s, zeta, q, beta, n, tol)
-    dec = sym_eig(blk.matrix)
+    _, dec = block_spectrum(s, q, beta, n, zeta, tol)
     d = spike_vector(s, q, beta, n).entries
     dhat = d / np.linalg.norm(d)
     val = abs(float(dec.eigenvectors[:, 0] @ dhat))
@@ -165,32 +186,37 @@ def soft_spectrum(s, q, beta, n, zeta, k, tol=1e-12) -> SoftSpectrum:
         raise DomainError(f"k = {k} exceeds truncation N = {n}")
     if k < 2:
         raise DomainError("k must be >= 2 (soft spectrum starts at mu_2)")
-    blk = weighted_block(s, zeta, q, beta, n, tol)
-    dec = sym_eig(blk.matrix)
-    zc = float(thresholds(s).zeta_c)
-    lval = log_scale(zeta, zc)
-    d = spike_vector(s, q, beta, n).entries
-    dhat = d / np.linalg.norm(d)
-    ctilde = blk.matrix - lval * np.outer(d, d)
-    basis = _complement_basis(dhat)
-    compressed = basis.T @ ctilde @ basis
-    comp_eigs = sym_eig(0.5 * (compressed + compressed.T)).eigenvalues
+    _, dec = block_spectrum(s, q, beta, n, zeta, tol)
+    _, comp = compressed_remainder(s, q, beta, n, zeta, tol)
     return SoftSpectrum(
         s=s,
         q=q,
         beta=float(beta),
         zeta=zeta,
         values=dec.eigenvalues[1:k],
-        compressed_limit=comp_eigs,
+        compressed_limit=comp.eigenvalues,
     )
 
 
 def rank_one_remainder(s, q, beta, n, zeta, tol=1e-12) -> np.ndarray:
     """C~(zeta) = G~(zeta) - L(zeta) d~ d~^T, truncated to N."""
-    blk = weighted_block(s, zeta, q, beta, n, tol)
+    blk, _ = block_spectrum(s, q, beta, n, zeta, tol)
     zc = float(thresholds(s).zeta_c)
     d = spike_vector(s, q, beta, n).entries
     return blk.matrix - log_scale(zeta, zc) * np.outer(d, d)
+
+
+def compressed_remainder(s, q, beta, n, zeta, tol=1e-12):
+    """Q C~ Q on the complement of d-hat: (basis, decomposition).
+
+    basis is the N x (N-1) orthonormal complement of d-hat, and the
+    decomposition is that of basis^T C~ basis; basis @ eigenvector gives a
+    soft mode in block coordinates.
+    """
+    d = spike_vector(s, q, beta, n).entries
+    basis = _complement_basis(d / np.linalg.norm(d))
+    compressed = basis.T @ rank_one_remainder(s, q, beta, n, zeta, tol) @ basis
+    return basis, sym_eig(0.5 * (compressed + compressed.T))
 
 
 def toeplitz_hs_norm(s, q, beta, n, eta) -> float:

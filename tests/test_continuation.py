@@ -184,6 +184,11 @@ def test_resonant_fit_narrow_grid_rejected():
         cont.resonant_fit(2, 1, eps_grid=np.geomspace(1e-2, 2e-2, 6))
 
 
+def test_resonant_fit_grid_outside_window_rejected():
+    with pytest.raises(DomainError):
+        cont.resonant_fit(3, 2, eps_grid=np.geomspace(1e-2, 0.5, 8))
+
+
 def test_disc_density_positive_near_edge():
     u = ZC2_2 * 1.01
     rho = cont.disc_density_rho(2, 1, u)

@@ -1,12 +1,13 @@
-"""The numba kernel and the numpy fallback must agree; both must match an
-exact-integer brute-force oracle."""
+"""The series kernel against an exact-integer brute-force oracle and, near
+the threshold, against the ODE-continued Gram weight."""
 
 import math
 
 import numpy as np
 import pytest
 
-from todahess import _kernels
+from todahess import _kernels, continuation, gram
+from todahess.errors import DivergenceError
 from todahess.maps import thresholds
 from todahess.raney import raney_table
 
@@ -37,34 +38,22 @@ def brute(s, pa, pb, delta, zeta, terms=200):
 def test_kernel_against_exact_oracle(s, pa, pb, delta, ratio):
     zeta = ratio * float(thresholds(s).zeta_c)
     want = brute(s, pa, pb, delta, zeta)
-    val, n_terms, tail = _kernels.gram_series(
+    val, n_terms, tail = _kernels._gram_series_np(
         s, pa, pb, delta, zeta, 1e-13, 0.0, ratio**2
     )
     assert tail >= 0
     assert abs(val - want) < 5e-12 * want
 
 
-@pytest.mark.parametrize("s,pa,pb,delta,ratio", CASES)
-def test_numba_and_numpy_paths_agree(s, pa, pb, delta, ratio):
-    zeta = ratio * float(thresholds(s).zeta_c)
-    args = (s, pa, pb, delta, zeta, 1e-13, -1.25, ratio**2, 10_000_000)
-    v_np, _, _ = _kernels._gram_series_np(*args)
-    if _kernels.HAS_NUMBA:
-        v_nb, _, _ = _kernels._gram_series_nb(*args)
-    else:
-        v_nb = v_np
-    assert abs(v_nb - v_np) <= 1e-11 * abs(v_np)
-
-
-def test_paths_agree_near_threshold():
-    s = 3
-    zeta = 0.999 * float(thresholds(s).zeta_c)
-    args = (s, 1, 4, 1, zeta, 1e-12, 0.0, 0.999**2, 50_000_000)
-    v_np, n_np, _ = _kernels._gram_series_np(*args)
-    if _kernels.HAS_NUMBA:
-        v_nb, n_nb, _ = _kernels._gram_series_nb(*args)
-        assert abs(v_nb - v_np) <= 1e-9 * abs(v_np)
-        assert n_nb > 1000  # genuinely long series here
+@pytest.mark.parametrize("eta", [0.999, 0.9999])
+def test_block_entry_matches_continuation_near_threshold(eta):
+    # Diagonal entry (0,0) is sigma_q / w_0^2; sigma_cont reaches the same
+    # value by ODE transport, sharing no code with the series kernel.
+    s, q, beta = 3, 1, 1.0
+    zeta = eta * float(thresholds(s).zeta_c)
+    series = gram.block_entry(s, zeta, q, beta, 0, 0) * gram.weight(s, q, beta, 0) ** 2
+    ode = continuation.sigma_cont(s, q, zeta * zeta).real
+    assert abs(series - ode) <= 1e-9 * abs(ode)
 
 
 def test_block_matrix_matches_entry_kernel():
@@ -81,7 +70,7 @@ def test_block_matrix_matches_entry_kernel():
             - (pa + pb) * log_m
             - 0.5 * (math.log(pa) + math.log(pb))
         )
-        val, _, _ = _kernels.gram_series(
+        val, _, _ = _kernels._gram_series_np(
             s, pa, pb, j2 - j1, zeta, 1e-12, log_pref, 0.49
         )
         assert abs(mat[j1, j2] - val) <= 1e-12 * abs(val)
@@ -89,5 +78,11 @@ def test_block_matrix_matches_entry_kernel():
 
 def test_mmax_exhaustion_reports_negative_tail():
     zeta = 0.99 * float(thresholds(2).zeta_c)
-    val, n, tail = _kernels.gram_series(2, 1, 1, 0, zeta, 1e-13, 0.0, 0.99**2, 50)
+    val, n, tail = _kernels._gram_series_np(2, 1, 1, 0, zeta, 1e-13, 0.0, 0.99**2, 50)
     assert n == 50 and tail < 0
+
+
+def test_block_matrix_raises_when_tail_never_fires():
+    zeta = 0.99 * float(thresholds(2).zeta_c)
+    with pytest.raises(DivergenceError):
+        _kernels.block_matrix(2, 1, 1.0, zeta, 1e-13, 0.99**2, 3, m_max=50)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,25 @@ def test_errors():
         raney.raney(1, 1, 3)
     with pytest.raises(DomainError):
         raney.raney(2, 1, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2000),
+)
+def test_raney_step_matches_closed_form(s, p, m):
+    num, den = raney.raney_step(s, p, m)
+    assert isinstance(num, int) and isinstance(den, int)
+    closed = Fraction(raney.raney(s, p, m + 1), raney.raney(s, p, m))
+    assert Fraction(num, den) == closed
+    # The float and array forms are the same arithmetic on float64.
+    marr = np.arange(max(0, m - 3), m + 4, dtype=np.float64)
+    num_a, den_a = raney.raney_step(s, p, marr)
+    for i, mf in enumerate(marr):
+        num_f, den_f = raney.raney_step(s, p, float(mf))
+        assert num_a[i] == num_f and den_a[i] == den_f
 
 
 def test_table_matches_closed_form():

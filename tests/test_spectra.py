@@ -118,6 +118,29 @@ def test_rank_one_remainder_reconstruction():
     assert np.allclose(c + lval * np.outer(d, d), blk.matrix, rtol=0, atol=1e-14)
 
 
+def test_soft_calls_at_one_point_build_one_block(monkeypatch):
+    calls = []
+
+    def counting_block(*args, **kwargs):
+        calls.append(args)
+        return weighted_block(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "weighted_block", counting_block)
+    spectra._block_spectrum.cache_clear()
+    zeta = 0.97 * ZC3
+    spectra.soft_spectrum(3, 2, 1.0, 12, zeta, 4)
+    spectra.eigvec_alignment(3, 2, 1.0, 12, zeta)
+    spectra.rank_one_remainder(3, 2, 1.0, 12, zeta)
+    assert len(calls) == 1
+
+
+def test_cached_block_is_read_only():
+    blk, dec = spectra.block_spectrum(3, 1, 1.0, 12, 0.97 * ZC3)
+    for arr in (blk.matrix, blk.weights, dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_rank_one_remainder_stabilizes():
     norms = []
     for ratio in (0.9, 0.99, 0.999, 0.9999):
