@@ -229,12 +229,9 @@ def crit_08_alignment():
     """(1 - |<psi_1, d-hat>|) * L has coefficient of variation < 30%."""
     s, q, beta, n = 3, 1, 1.0, 40
     zc = float(maps.thresholds(s).zeta_c)
-    d = gram.spike_vector(s, q, beta, n).entries
-    dhat = d / np.linalg.norm(d)
     vals = []
     for ratio in ALIGN_GRID:
-        _, dec = spectra.block_spectrum(s, q, beta, n, ratio * zc)
-        align = abs(float(dec.eigenvectors[:, 0] @ dhat))
+        align = spectra.eigvec_alignment(s, q, beta, n, ratio * zc).value
         vals.append((1.0 - align) * spectra.log_scale(ratio * zc, zc))
     vals = np.array(vals)
     cv = float(vals.std() / vals.mean())

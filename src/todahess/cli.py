@@ -2,7 +2,8 @@
 
 Commands: thresholds, raney, sigma, hessian, block, spectrum, stiff-fit,
 soft, align, continue, rho, resonant-fit, jacobi, weyl, density, figure,
-selftest.  Parameter precedence is flags > config file (key=value lines) >
+selftest.  Each command accepts only the flags it reads (the _COMMANDS
+table).  Parameter precedence is flags > config file (key=value lines) >
 defaults, where the defaults mirror the figure captions.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error, 3 acceptance
@@ -62,49 +63,25 @@ def _read_config(path: str) -> dict:
     return out
 
 
-class _Resolver:
-    """flags > config > defaults."""
-
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config
-
-    def get(self, key, default=None, cast=None):
-        val = getattr(self.args, key, None)
-        if val is None:
-            raw = self.config.get(key)
-            if raw is None:
-                val = default
-            elif cast is np.ndarray:
-                val = _parse_grid(raw)
-            elif cast is bool:
-                val = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                val = (cast or str)(raw)
-        return val
-
-    def require(self, key, default=None, cast=None):
-        val = self.get(key, default, cast)
-        if val is None:
-            raise SystemExit(
-                f"error: missing required parameter --{key.replace('_', '-')}"
-            )
-        return val
+def _parse_orders(spec: str) -> list:
+    """Parse a symmetry order 's' or an inclusive range 'a..b'."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        return list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad symmetry order {spec!r}") from None
 
 
-def _zeta_from(res: _Resolver, s: int, default_ratio=None) -> float:
-    zeta = res.get("zeta", cast=float)
-    if zeta is not None:
-        return zeta
-    ratio = res.get("zeta_ratio", default_ratio, cast=float)
-    if ratio is None:
-        raise SystemExit("error: pass --zeta or --zeta-ratio")
-    return ratio * float(maps.thresholds(s).zeta_c)
+def _zeta_from(args) -> float:
+    if args.zeta is not None:
+        return args.zeta
+    if args.zeta_ratio is None:
+        raise DomainError("pass --zeta, --zeta-ratio or --grid")
+    return args.zeta_ratio * float(maps.thresholds(args.s).zeta_c)
 
 
-def _emit(tabs, svgs, res: _Resolver) -> None:
-    out = res.get("out")
-    fmt = res.get("format", "csv")
+def _emit(tabs, svgs, args) -> None:
+    out, fmt = args.out, args.format
     if out is None:
         for name, tab in tabs.items():
             if len(tabs) > 1:
@@ -141,28 +118,20 @@ def _emit(tabs, svgs, res: _Resolver) -> None:
 # command implementations
 
 
-def _cmd_thresholds(res):
-    spec = str(res.require("s", 3))
-    svals = (
-        list(range(int(spec.split("..")[0]), int(spec.split("..")[1]) + 1))
-        if ".." in spec
-        else [int(spec)]
-    )
+def _cmd_thresholds(args):
     tab = Table(
         "todahess.thresholds.v1",
         ["s", "zeta_c", "zeta_univ", "ratio", "zeta_c_float", "zeta_univ_float"],
     )
-    for s in svals:
+    for s in args.s:
         th = maps.thresholds(s)
         tab.add(s, str(th.zeta_c), str(th.zeta_univ), str(th.ratio),
                 float(th.zeta_c), float(th.zeta_univ))
     return {"thresholds": tab}, {}
 
 
-def _cmd_raney(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    n = int(res.get("n", 10))
+def _cmd_raney(args):
+    s, p, n = args.s, args.p, args.n
     tbl = raney.raney_table(s, p, n)
     tab = Table("todahess.raney.v1", ["s", "p", "n", "R"])
     for i in range(n + 1):
@@ -170,24 +139,20 @@ def _cmd_raney(res):
     return {"raney": tab}, {}
 
 
-def _cmd_sigma(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    tol = res.get("tol", 1e-12, cast=float)
+def _cmd_sigma(args):
+    s, p = args.s, args.p
     zc = float(maps.thresholds(s).zeta_c)
-    grid = res.get("grid", cast=np.ndarray)
-    ratios = grid if grid is not None else [_zeta_from(res, s) / zc]
+    ratios = args.grid if args.grid is not None else [_zeta_from(args) / zc]
     tab = Table("todahess.sigma.v1", ["s", "p", "zeta_ratio", "zeta", "sigma"])
     for r in ratios:
         z = float(r) * zc
-        tab.add(s, p, float(r), z, gram.sigma_p(s, p, z, tol))
+        tab.add(s, p, float(r), z, gram.sigma_p(s, p, z, args.tol))
     return {"sigma": tab}, {}
 
 
-def _cmd_hessian(res):
-    s = int(res.require("s"))
-    zeta = _zeta_from(res, s, 0.5)
-    n = int(res.get("n", 12))
+def _cmd_hessian(args):
+    s, n = args.s, args.n
+    zeta = _zeta_from(args)
     tab = Table("todahess.hessian.v1", ["s", "zeta", "m", "n", "H"])
     for m in range(1, n + 1):
         for nn in range(m, n + 1):
@@ -197,14 +162,10 @@ def _cmd_hessian(res):
     return {"hessian": tab}, {}
 
 
-def _cmd_block(res):
-    s = int(res.require("s"))
-    q = int(res.get("q", 1))
-    beta = res.get("beta", 1.0, cast=float)
-    n = int(res.get("n", 10))
-    tol = res.get("tol", 1e-12, cast=float)
-    zeta = _zeta_from(res, s, 0.999)
-    blk = gram.weighted_block(s, zeta, q, beta, n, tol)
+def _cmd_block(args):
+    s, q, beta, n = args.s, args.q, args.beta, args.n
+    zeta = _zeta_from(args)
+    blk = gram.weighted_block(s, zeta, q, beta, n, args.tol)
     tab = Table(
         "todahess.block.v1",
         ["s", "q", "beta", "N", "zeta", "j1", "j2", "value"],
@@ -215,13 +176,9 @@ def _cmd_block(res):
     return {"block": tab}, {}
 
 
-def _cmd_spectrum(res):
-    s = int(res.require("s"))
-    q = int(res.get("q", 1))
-    beta = res.get("beta", 1.0, cast=float)
-    n = int(res.get("n", 30))
-    k = int(res.get("k", 6))
-    zeta = _zeta_from(res, s, 0.999)
+def _cmd_spectrum(args):
+    s, q, beta, n, k = args.s, args.q, args.beta, args.n, args.k
+    zeta = _zeta_from(args)
     _, dec = spectra.block_spectrum(s, q, beta, n, zeta)
     tab = Table(
         "todahess.spectrum.v1", ["s", "q", "beta", "N", "zeta", "k", "mu_k"]
@@ -231,14 +188,8 @@ def _cmd_spectrum(res):
     return {"spectrum": tab}, {}
 
 
-def _cmd_stiff_fit(res):
-    s = int(res.require("s"))
-    q = int(res.get("q", 1))
-    beta = res.get("beta", 1.0, cast=float)
-    n = int(res.get("n", 30))
-    grid = res.get("grid", cast=np.ndarray)
-    if grid is None:
-        grid = 1.0 - np.geomspace(1e-2, 1e-5, 10)
+def _cmd_stiff_fit(args):
+    s, q, beta, n, grid = args.s, args.q, args.beta, args.n, args.grid
     zc = float(maps.thresholds(s).zeta_c)
     fit = spectra.stiff_trajectory(s, q, beta, n, [r * zc for r in grid])
     summary = Table(
@@ -270,13 +221,9 @@ def _line_svg(x, y, xlabel, ylabel, title):
     )
 
 
-def _cmd_soft(res):
-    s = int(res.require("s"))
-    q = int(res.get("q", 1))
-    beta = res.get("beta", 1.0, cast=float)
-    n = int(res.get("n", 40))
-    k = int(res.get("k", 6))
-    zeta = _zeta_from(res, s, 0.9999)
+def _cmd_soft(args):
+    s, q, beta, n, k = args.s, args.q, args.beta, args.n, args.k
+    zeta = _zeta_from(args)
     soft = spectra.soft_spectrum(s, q, beta, n, zeta, k)
     tab = Table(
         "todahess.soft.v1",
@@ -288,14 +235,8 @@ def _cmd_soft(res):
     return {"soft": tab}, {}
 
 
-def _cmd_align(res):
-    s = int(res.require("s"))
-    q = int(res.get("q", 1))
-    beta = res.get("beta", 1.0, cast=float)
-    n = int(res.get("n", 40))
-    grid = res.get("grid", cast=np.ndarray)
-    if grid is None:
-        grid = 1.0 - np.geomspace(1e-2, 1e-4, 8)
+def _cmd_align(args):
+    s, q, beta, n, grid = args.s, args.q, args.beta, args.n, args.grid
     zc = float(maps.thresholds(s).zeta_c)
     tab = Table(
         "todahess.align.v1",
@@ -311,14 +252,10 @@ def _cmd_align(res):
     return {"align": tab}, {}
 
 
-def _cmd_continue(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    side = res.get("side", "none")
-    tol = res.get("tol", 1e-12, cast=float)
-    u_ratio = res.require("u_ratio", cast=float)
+def _cmd_continue(args):
+    s, p, u_ratio = args.s, args.p, args.u_ratio
     zc2 = float(maps.thresholds(s).zeta_c) ** 2
-    st = cont.gp_continue(s, p, u_ratio * zc2, side, tol)
+    st = cont.gp_continue(s, p, u_ratio * zc2, args.side, args.tol)
     sc = cont.sigma_from_state(st)
     hp = cont.hyp_params(s, p)
     tab = Table(
@@ -338,12 +275,8 @@ def _cmd_continue(res):
     return {"continue": tab}, {}
 
 
-def _cmd_rho(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    grid = res.get("grid", cast=np.ndarray)
-    if grid is None:
-        grid = np.geomspace(1.002, 4.0, 40)
+def _cmd_rho(args):
+    s, p, grid = args.s, args.p, args.grid
     zc2 = float(maps.thresholds(s).zeta_c) ** 2
     states = cont.cut_trace(s, p, grid, side="above")
     tab = Table(
@@ -360,11 +293,9 @@ def _cmd_rho(res):
     return {"rho": tab}, svgs
 
 
-def _cmd_resonant_fit(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    precision = res.get("precision", "extended")
-    dps = 40 if precision == "extended" else 17
+def _cmd_resonant_fit(args):
+    s, p = args.s, args.p
+    dps = 40 if args.precision == "extended" else 17
     fit = cont.resonant_fit(s, p, dps=dps)
     closed = cont.B_closed_form(s, p)
     tab = Table(
@@ -381,10 +312,8 @@ def _cmd_resonant_fit(res):
     return {"resonant_fit": tab}, {}
 
 
-def _cmd_jacobi(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    n = int(res.get("n", 12))
+def _cmd_jacobi(args):
+    s, p, n = args.s, args.p, args.n
     mseq = stieltjes.moments(s, p, 2 * n + 1)
     jac = stieltjes.jacobi_coefficients(mseq, n)
     tab = Table(
@@ -402,11 +331,8 @@ def _cmd_jacobi(res):
     return {"jacobi": tab}, {}
 
 
-def _cmd_weyl(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    n = int(res.get("n", 40))
-    u_ratio = res.require("u_ratio", cast=float)
+def _cmd_weyl(args):
+    s, p, n, u_ratio = args.s, args.p, args.n, args.u_ratio
     zc2 = float(maps.thresholds(s).zeta_c) ** 2
     u = u_ratio * zc2
     jac = stieltjes.jacobi_coefficients(stieltjes.moments(s, p, 2 * n + 5), n)
@@ -424,18 +350,14 @@ def _cmd_weyl(res):
     return {"weyl": tab}, {}
 
 
-def _cmd_density(res):
-    s = int(res.require("s"))
-    p = int(res.get("p", 1))
-    grid = res.get("grid", cast=np.ndarray)
+def _cmd_density(args):
+    s, p = args.s, args.p
     zc2 = float(maps.thresholds(s).zeta_c) ** 2
     tmax = 1.0 / zc2
-    if grid is None:
-        grid = np.linspace(0.02, 0.98, 40)
     tab = Table(
         "todahess.density.v1", ["s", "p", "t_ratio", "t", "varrho"]
     )
-    xi_nodes = sorted(1.0 / float(r) for r in grid)
+    xi_nodes = sorted(1.0 / float(r) for r in args.grid)
     states = cont.cut_trace(s, p, xi_nodes, side="above")
     for xi, st in zip(xi_nodes, states):
         t = tmax / xi
@@ -450,16 +372,12 @@ def _cmd_density(res):
     return {"density": tab, "mass": summary}, svgs
 
 
-def _cmd_figure(res):
-    fid = res.require("id")
-    tabs, svgs = figures.build_figure(fid)
-    return tabs, svgs
+def _cmd_figure(args):
+    return figures.build_figure(args.id)
 
 
-def _cmd_selftest(res):
-    level = res.get("level", "quick")
-    if level not in ("quick", "full"):
-        raise SystemExit(f"error: selftest level must be quick or full, got {level}")
+def _cmd_selftest(args):
+    level = args.level
     results = acceptance.run_quick() if level == "quick" else acceptance.run_full()
     report = {
         "version": __version__,
@@ -482,11 +400,10 @@ def _cmd_selftest(res):
         report["convergence_in_N"] = _jsonable(acceptance.convergence_in_n())
     for r in results:
         print(r.line())
-    out = res.get("out")
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(report, indent=1, sort_keys=True),
-                             encoding="utf-8")
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True),
+                                  encoding="utf-8")
     hard_failures = [r for r in results if not r.passed and not r.warn_only]
     n_expected = sum(1 for r in hard_failures if r.expected_fail)
     n_warn = sum(1 for r in results if not r.passed and r.warn_only)
@@ -510,28 +427,78 @@ def _jsonable(obj):
     return obj
 
 
+#: flag -> add_argument keywords, shared by every command that reads the flag
+_FLAGS = {
+    "s": dict(type=int, help="symmetry order"),
+    "p": dict(type=int, help="index p of the Raney family / G_p"),
+    "q": dict(type=int, help="sector, 1 <= q <= s"),
+    "beta": dict(type=float, help="weight exponent"),
+    "n": dict(type=int, help="truncation / depth / max index"),
+    "k": dict(type=int, help="number of eigenvalues"),
+    "zeta": dict(type=float, help="map parameter; wins over --zeta-ratio"),
+    "zeta_ratio": dict(type=float, help="zeta / zeta_c"),
+    "u_ratio": dict(type=float, help="u / zeta_c^2"),
+    "side": dict(choices=("above", "below", "none"), help="side of the cut"),
+    "grid": dict(type=_parse_grid, help='"a:b:n[,log|log1m]"'),
+    "tol": dict(type=float, help="series tolerance"),
+    "precision": dict(choices=("double", "extended")),
+    "id": dict(choices=figures.FIGURE_IDS),
+    "level": dict(choices=("quick", "full")),
+    "out": dict(help="output path; stdout when absent"),
+    "format": dict(choices=("csv", "svg", "json")),
+}
+#: thresholds --s also takes a range a..b
+_THRESHOLD_ORDERS = dict(type=_parse_orders, help="symmetry order or range a..b")
+
+_OUT = {"out": None, "format": "csv"}
+#: command -> (handler, {flag: default}); a ... default marks a required value
 _COMMANDS = {
-    "thresholds": _cmd_thresholds,
-    "raney": _cmd_raney,
-    "sigma": _cmd_sigma,
-    "hessian": _cmd_hessian,
-    "block": _cmd_block,
-    "spectrum": _cmd_spectrum,
-    "stiff-fit": _cmd_stiff_fit,
-    "soft": _cmd_soft,
-    "align": _cmd_align,
-    "continue": _cmd_continue,
-    "rho": _cmd_rho,
-    "resonant-fit": _cmd_resonant_fit,
-    "jacobi": _cmd_jacobi,
-    "weyl": _cmd_weyl,
-    "density": _cmd_density,
-    "figure": _cmd_figure,
-    "selftest": _cmd_selftest,
+    "thresholds": (_cmd_thresholds, {"s": "3", **_OUT}),
+    "raney": (_cmd_raney, {"s": ..., "p": 1, "n": 10, **_OUT}),
+    "sigma": (_cmd_sigma, {
+        "s": ..., "p": 1, "zeta": None, "zeta_ratio": None, "grid": None,
+        "tol": gram.DEFAULT_TOL, **_OUT}),
+    "hessian": (_cmd_hessian, {
+        "s": ..., "zeta": None, "zeta_ratio": 0.5, "n": 12, **_OUT}),
+    "block": (_cmd_block, {
+        "s": ..., "q": 1, "beta": 1.0, "n": 10, "zeta": None, "zeta_ratio": 0.999,
+        "tol": gram.DEFAULT_TOL, **_OUT}),
+    "spectrum": (_cmd_spectrum, {
+        "s": ..., "q": 1, "beta": 1.0, "n": 30, "k": 6, "zeta": None,
+        "zeta_ratio": 0.999, **_OUT}),
+    "stiff-fit": (_cmd_stiff_fit, {
+        "s": ..., "q": 1, "beta": 1.0, "n": 30,
+        "grid": 1.0 - np.geomspace(1e-2, 1e-5, 10), **_OUT}),
+    "soft": (_cmd_soft, {
+        "s": ..., "q": 1, "beta": 1.0, "n": 40, "k": 6, "zeta": None,
+        "zeta_ratio": 0.9999, **_OUT}),
+    "align": (_cmd_align, {
+        "s": ..., "q": 1, "beta": 1.0, "n": 40,
+        "grid": 1.0 - np.geomspace(1e-2, 1e-4, 8), **_OUT}),
+    "continue": (_cmd_continue, {
+        "s": ..., "p": 1, "u_ratio": ..., "side": "none", "tol": gram.DEFAULT_TOL,
+        **_OUT}),
+    "rho": (_cmd_rho, {
+        "s": ..., "p": 1, "grid": np.geomspace(1.002, 4.0, 40), **_OUT}),
+    "resonant-fit": (_cmd_resonant_fit, {
+        "s": ..., "p": 1, "precision": "extended", **_OUT}),
+    "jacobi": (_cmd_jacobi, {"s": ..., "p": 1, "n": 12, **_OUT}),
+    "weyl": (_cmd_weyl, {"s": ..., "p": 1, "n": 40, "u_ratio": ..., **_OUT}),
+    "density": (_cmd_density, {
+        "s": ..., "p": 1, "grid": np.linspace(0.02, 0.98, 40), **_OUT}),
+    "figure": (_cmd_figure, {"id": ..., **_OUT}),
+    "selftest": (_cmd_selftest, {"level": "quick", "out": None}),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI parser; config (key -> string) overrides the table defaults.
+
+    argparse casts string defaults with the flag's type, so config values
+    are checked like flags.  A required flag that the config supplies is no
+    longer required on the command line.
+    """
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="todahess",
         description="Mixed Toda-Hessian spectra for s-fold symmetric "
@@ -539,47 +506,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value parameter file")
+    for key, value in config.items():
+        if key not in _FLAGS:
+            parser.error(f"config key {key!r} names no flag")
+        choices = _FLAGS[key].get("choices")
+        if choices and value not in choices:
+            parser.error(f"config {key} = {value!r}: choose from {', '.join(choices)}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--s", help="symmetry order (or a..b range for thresholds)")
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--n", type=int, help="truncation / depth / max index")
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--zeta", type=float)
-        sp.add_argument("--zeta-ratio", dest="zeta_ratio", type=float)
-        sp.add_argument("--u-ratio", dest="u_ratio", type=float,
-                        help="u / zeta_c^2")
-        sp.add_argument("--side", choices=("above", "below", "none"))
-        sp.add_argument("--grid", type=_parse_grid,
-                        help='"a:b:n[,log|log1m]"')
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "svg", "json"))
-        sp.add_argument("--precision", choices=("double", "extended"))
-        if name == "figure":
-            sp.add_argument("--id", choices=figures.FIGURE_IDS)
-        if name == "selftest":
-            sp.add_argument("--level", choices=("quick", "full"))
+        for flag, default in flags.items():
+            spec = _FLAGS[flag]
+            if (name, flag) == ("thresholds", "s"):
+                spec = _THRESHOLD_ORDERS
+            default = config.get(flag, default)
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            default=None if default is ... else default,
+                            required=default is ..., **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _read_config(args.config) if args.config else {}
-    res = _Resolver(args, config)
+    pre = argparse.ArgumentParser(prog="todahess", add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     try:
-        handler = _COMMANDS[args.command]
+        config = _read_config(config_path) if config_path else {}
+    except (OSError, ValueError) as exc:
+        pre.error(f"config: {exc}")
+    args = _build_parser(config).parse_args(argv)
+    try:
+        handler = _COMMANDS[args.command][0]
         if args.command == "selftest":
-            return handler(res)
-        tabs, svgs = handler(res)
-        _emit(tabs, svgs, res)
+            return handler(args)
+        tabs, svgs = handler(args)
+        _emit(tabs, svgs, args)
         return 0
-    except SystemExit:
-        raise
     except DomainError as exc:  # parameter outside its domain = usage error
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -60,21 +60,22 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
 
 
 def block_spectrum(
-    s: int, q: int, beta: float, n: int, zeta: float, tol: float = DEFAULT_TOL
+    s: int, q: int, beta: float, n: int, zeta: float
 ) -> tuple[WeightedBlock, EigenDecomposition]:
     """The weighted block at (s, q, beta, N, zeta) and its decomposition.
 
     Memoized: every spectral quantity at one point shares one block build and
     one eigen-decomposition.  The cached arrays are read-only, because every
     caller receives the same objects.  All arguments reach the cache
-    positionally, so a default tol and an explicit one share one entry.
+    positionally, so keyword and positional calls share one entry.  The
+    series are summed to gram.DEFAULT_TOL.
     """
-    return _block_spectrum(s, q, beta, n, zeta, tol)
+    return _block_spectrum(s, q, beta, n, zeta)
 
 
 @lru_cache(maxsize=256)
-def _block_spectrum(s, q, beta, n, zeta, tol):
-    blk = weighted_block(s, zeta, q, beta, n, tol)
+def _block_spectrum(s, q, beta, n, zeta):
+    blk = weighted_block(s, zeta, q, beta, n, DEFAULT_TOL)
     dec = sym_eig(blk.matrix)
     for arr in (blk.matrix, blk.weights, dec.eigenvalues, dec.eigenvectors):
         arr.flags.writeable = False
@@ -98,7 +99,7 @@ class StiffFit:
     gamma_truncated: float
 
 
-def stiff_trajectory(s, q, beta, n, zeta_grid, tol=1e-12) -> StiffFit:
+def stiff_trajectory(s, q, beta, n, zeta_grid) -> StiffFit:
     """Affine fit of mu_1 against L(zeta) over the tail half of the grid.
 
     The slope targets the truncated Gamma = sum_{j<N} d~_j^2 (truncation caps
@@ -112,7 +113,7 @@ def stiff_trajectory(s, q, beta, n, zeta_grid, tol=1e-12) -> StiffFit:
         raise FitError("stiff_trajectory needs at least 2 grid points")
     ls = np.array([log_scale(z, zc) for z in zetas])
     mu1 = np.array(
-        [block_spectrum(s, q, beta, n, z, tol)[1].eigenvalues[0] for z in zetas]
+        [block_spectrum(s, q, beta, n, z)[1].eigenvalues[0] for z in zetas]
     )
     cut = 0.5 * (ls.min() + ls.max())
     mask = ls >= cut
@@ -143,13 +144,13 @@ class AlignmentResult:
         return self.value
 
 
-def eigvec_alignment(s, q, beta, n, zeta, tol=1e-12) -> AlignmentResult:
+def eigvec_alignment(s, q, beta, n, zeta) -> AlignmentResult:
     """|<psi_1, d-hat>| with the phase convention <psi_1, d~> >= 0.
 
     Flags degeneracy when mu_1 - mu_2 < 1e-10 mu_1 (alignment is then
     basis-dependent and should not be trusted).
     """
-    _, dec = block_spectrum(s, q, beta, n, zeta, tol)
+    _, dec = block_spectrum(s, q, beta, n, zeta)
     d = spike_vector(s, q, beta, n).entries
     dhat = d / np.linalg.norm(d)
     val = abs(float(dec.eigenvectors[:, 0] @ dhat))
@@ -179,15 +180,15 @@ class SoftSpectrum:
     compressed_limit: np.ndarray  # spectrum of Q C~ Q on the complement
 
 
-def soft_spectrum(s, q, beta, n, zeta, k, tol=1e-12) -> SoftSpectrum:
+def soft_spectrum(s, q, beta, n, zeta, k) -> SoftSpectrum:
     """mu_2..mu_k plus the compressed-remainder spectrum (finite-N surrogate
     of the limiting soft operator)."""
     if k > n:
         raise DomainError(f"k = {k} exceeds truncation N = {n}")
     if k < 2:
         raise DomainError("k must be >= 2 (soft spectrum starts at mu_2)")
-    _, dec = block_spectrum(s, q, beta, n, zeta, tol)
-    _, comp = compressed_remainder(s, q, beta, n, zeta, tol)
+    _, dec = block_spectrum(s, q, beta, n, zeta)
+    _, comp = compressed_remainder(s, q, beta, n, zeta)
     return SoftSpectrum(
         s=s,
         q=q,
@@ -198,15 +199,15 @@ def soft_spectrum(s, q, beta, n, zeta, k, tol=1e-12) -> SoftSpectrum:
     )
 
 
-def rank_one_remainder(s, q, beta, n, zeta, tol=1e-12) -> np.ndarray:
+def rank_one_remainder(s, q, beta, n, zeta) -> np.ndarray:
     """C~(zeta) = G~(zeta) - L(zeta) d~ d~^T, truncated to N."""
-    blk, _ = block_spectrum(s, q, beta, n, zeta, tol)
+    blk, _ = block_spectrum(s, q, beta, n, zeta)
     zc = float(thresholds(s).zeta_c)
     d = spike_vector(s, q, beta, n).entries
     return blk.matrix - log_scale(zeta, zc) * np.outer(d, d)
 
 
-def compressed_remainder(s, q, beta, n, zeta, tol=1e-12):
+def compressed_remainder(s, q, beta, n, zeta):
     """Q C~ Q on the complement of d-hat: (basis, decomposition).
 
     basis is the N x (N-1) orthonormal complement of d-hat, and the
@@ -215,7 +216,7 @@ def compressed_remainder(s, q, beta, n, zeta, tol=1e-12):
     """
     d = spike_vector(s, q, beta, n).entries
     basis = _complement_basis(d / np.linalg.norm(d))
-    compressed = basis.T @ rank_one_remainder(s, q, beta, n, zeta, tol) @ basis
+    compressed = basis.T @ rank_one_remainder(s, q, beta, n, zeta) @ basis
     return basis, sym_eig(0.5 * (compressed + compressed.T))
 
 

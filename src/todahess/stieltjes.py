@@ -40,8 +40,7 @@ class MomentSequence:
         return len(self.moments) - 1
 
     def unscaled(self, n: int) -> int:
-        zc2 = Fraction((self.s - 1) ** (self.s - 1), self.s**self.s) ** 2
-        val = self.moments[n] / zc2**n
+        val = self.moments[n] / (thresholds(self.s).zeta_c ** 2) ** n
         assert val.denominator == 1
         return val.numerator
 
@@ -51,7 +50,7 @@ def moments(s: int, p: int, n_max: int) -> MomentSequence:
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     tbl = raney_table(s, p, n_max)
-    zc2 = Fraction((s - 1) ** (s - 1), s**s) ** 2
+    zc2 = thresholds(s).zeta_c ** 2
     ms = tuple(Fraction(tbl[n] ** 2) * zc2**n for n in range(n_max + 1))
     return MomentSequence(s=s, p=p, moments=ms)
 
@@ -119,9 +118,7 @@ class JacobiData:
         return len(self.b_exact)
 
     def tridiagonal(self, rescaled: bool = True) -> np.ndarray:
-        scale = 1.0 if rescaled else 1.0 / float(
-            Fraction((self.s - 1) ** (self.s - 1), self.s**self.s) ** 2
-        )
+        scale = 1.0 if rescaled else 1.0 / float(thresholds(self.s).zeta_c ** 2)
         n = self.n
         mat = np.zeros((n, n))
         for i in range(n):
@@ -193,7 +190,7 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
     is the same fraction evaluated at x = u / zeta_c^2.  Converges to G_p(u)
     as the depth grows, for u off [zeta_c^2, inf).
     """
-    zc2 = float(Fraction((jac.s - 1) ** (jac.s - 1), jac.s**jac.s) ** 2)
+    zc2 = float(thresholds(jac.s).zeta_c ** 2)
     x = complex(u) / zc2
     b = jac.b
     a2 = [float(v) for v in jac.a_sq_exact]
@@ -209,7 +206,7 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
         if abs(den) < 1e-8:
             raise ConditioningError("continued fraction hit a near-pole")
         f = 1.0 / den
-    return f if isinstance(u, complex) and u.imag else complex(f).real + 0j
+    return complex(f)
 
 
 def perron_density(s: int, p: int, t: float, tol: float = 1e-9) -> float:

@@ -1,13 +1,25 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from todahess import cli
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(args):
     return cli.main(args)
+
+
+def exit_code(args):
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return run(args)
+    except SystemExit as err:
+        return err.code
 
 
 def test_thresholds_stdout(capsys):
@@ -88,6 +100,52 @@ def test_config_precedence(tmp_path):
     assert len(lines) == 2 + 5  # schema + header + n=0..4
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    ["s = 2\nsigma = 3\n", "s = abc\n", "s = 2\nformat = xml\n", "s 2\n"],
+    ids=["key-names-no-flag", "malformed-value", "bad-choice", "no-equals"],
+)
+def test_bad_config_is_usage_error(tmp_path, cfg):
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    assert exit_code(["--config", str(path), "raney"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a flag the command does not read
+        ["spectrum", "--s", "3", "--n", "10", "--zeta-ratio", "0.99", "--tol", "1e-3"],
+        ["figure"],
+        ["spectrum", "--n", "4"],
+        ["sigma", "--s", "3"],
+        ["continue", "--s", "2"],
+        ["spectrum", "--s", "abc"],
+        ["thresholds", "--s", "2..x"],
+    ],
+    ids=["unread-flag", "no-id", "no-s", "no-zeta", "no-u-ratio", "bad-int",
+         "bad-range"],
+)
+def test_usage_errors_exit_2(args):
+    assert exit_code(args) == 2
+
+
+def test_readme_documents_the_parser():
+    text = README.read_text(encoding="utf-8")
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    listed = re.search(r"Commands: `([^`]*)`", text).group(1).split()
+    assert listed == list(sub.choices)
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", text, re.M))
+    assert set(rows) == set(sub.choices)
+    for name, sp in sub.choices.items():
+        required, optional = (re.findall(r"--[a-z-]+", cell)
+                              for cell in rows[name].split("|"))
+        flags = [a for a in sp._actions if a.option_strings != ["-h", "--help"]]
+        assert required == [a.option_strings[0] for a in flags if a.required]
+        assert optional == [a.option_strings[0] for a in flags if not a.required]
+
+
 def test_bad_grid_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run(["sigma", "--s", "2", "--grid", "nonsense"])
@@ -97,6 +155,11 @@ def test_bad_grid_is_usage_error():
 def test_block_and_spectrum_commands(capsys):
     assert run(["block", "--s", "3", "--n", "4", "--zeta-ratio", "0.9"]) == 0
     capsys.readouterr()
+    near = ["block", "--s", "3", "--n", "4", "--zeta-ratio", "0.99"]
+    assert run(near) == 0
+    default_tol = capsys.readouterr().out
+    assert run(near + ["--tol", "1e-3"]) == 0
+    assert capsys.readouterr().out != default_tol
     assert run(
         ["spectrum", "--s", "3", "--n", "12", "--zeta-ratio", "0.99", "--k", "3"]
     ) == 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from todahess import continuation as cont
 from todahess import stieltjes as st
@@ -104,6 +106,27 @@ def test_weyl_matches_continuation_off_disk():
     w = st.weyl_function(jac, -1.0)
     g = cont.gp_continue(2, 1, -1.0, "none").value
     assert abs(complex(w) - g) < 1e-8
+
+
+_JACOBI = {(s, p): st.jacobi_coefficients(st.moments(s, p, 25), 12)
+           for s in (2, 3) for p in (1, 2)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=hst.sampled_from(sorted(_JACOBI)), ratio=hst.floats(-50.0, 0.9))
+def test_weyl_real_axis_is_real(key, ratio):
+    u = ratio * float(thresholds(key[0]).zeta_c) ** 2
+    w = st.weyl_function(_JACOBI[key], u)
+    assert isinstance(w, complex) and w.imag == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=hst.sampled_from(sorted(_JACOBI)), re=hst.floats(-5.0, 5.0),
+       im=hst.floats(1e-3, 5.0))
+def test_weyl_schwarz_symmetry(key, re, im):
+    u = complex(re, im)
+    jac = _JACOBI[key]
+    assert st.weyl_function(jac, u.conjugate()) == st.weyl_function(jac, u).conjugate()
 
 
 def test_weyl_near_pole_errors():
