@@ -542,9 +542,11 @@ def run_full():
 def convergence_in_n(s=3, q=1, beta=1.0, ratio=0.999, n_values=(20, 40, 80)):
     """Convergence-in-N companion data for the spectral surrogates."""
     zc = float(maps.thresholds(s).zeta_c)
+    # entries do not depend on N: each block is a leading submatrix of the largest
+    blk, _ = spectra.block_spectrum(s, q, beta, max(n_values), ratio * zc)
     out = {}
     for n in n_values:
-        _, dec = spectra.block_spectrum(s, q, beta, n, ratio * zc)
+        dec = spectra.sym_eig(blk.matrix[:n, :n])
         gamma = gram.spike_vector(s, q, beta, n).gamma_truncated
         out[n] = {
             "mu1": float(dec.eigenvalues[0]),

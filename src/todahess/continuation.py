@@ -95,10 +95,50 @@ def hyp_params(s: int, p: int) -> HypParams:
     )
 
 
+def _coeff_step(s: int, p: int, m: int):
+    """(num, den), integers, with num/den = a_{m+1}/a_m for
+    a_m = R_{s,p}(m)^2 zeta_c^{2m}."""
+    num, den = raney_step(s, p, m)
+    return num**2 * (s - 1) ** (2 * s - 2), den**2 * s ** (2 * s)
+
+
 def _coeff_ratio_exact(s: int, p: int, m: int) -> Fraction:
     """a_{m+1}/a_m for a_m = R_{s,p}(m)^2 zeta_c^{2m} (exact)."""
-    num, den = raney_step(s, p, m)
-    return Fraction(num**2 * (s - 1) ** (2 * s - 2), den**2 * s ** (2 * s))
+    return Fraction(*_coeff_step(s, p, m))
+
+
+def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
+    """[y, y', ..., y^(d-1)] of y(xi) = G_p(zeta_c^2 xi) for |xi| < 1
+    (xi = 0 only with d = 1), from the differentiated power series
+
+        y^(j) = sum_m a_m m!/(m-j)! xi^(m-j).
+
+    Stops once every component's geometric tail, with term ratio
+    |xi| (m+1)/(m+1-j), is below tol relative to its partial sum.
+    """
+    r = abs(xi)
+    term = 1.0 + 0.0j  # a_m xi^m
+    acc = [term] + [0j] * (d - 1)
+    m = 0
+    while True:
+        num, den = raney_step(s, p, float(m))
+        term *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s) * xi
+        m += 1
+        contrib = [term]
+        ff = 1.0
+        for j in range(1, d):
+            ff *= m - j + 1
+            contrib.append(term * ff / xi**j)
+        for j in range(d):
+            acc[j] += contrib[j]
+        ratios = (r * (1.0 + j / (m + 1 - j)) for j in range(d))
+        if m >= 4 * d and all(
+            q < 1.0 and abs(c) * q / (1.0 - q + 1e-300) <= tol * max(abs(a), 1e-300)
+            for c, a, q in zip(contrib, acc, ratios)
+        ):
+            return acc
+        if m > 200000:
+            raise DivergenceError("G_p power series failed to reach tolerance")
 
 
 def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
@@ -110,23 +150,7 @@ def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
             f"|u| = {abs(u):.3g} beyond 0.98 * zeta_c^2 = {0.98*zc2:.3g}; "
             "use gp_continue for the slit-plane continuation"
         )
-    xi = complex(u) / zc2
-    term = 1.0 + 0.0j
-    acc = term
-    r_geo = abs(xi)
-    m = 0
-    while True:
-        num, den = raney_step(s, p, float(m))
-        ratio = (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s)
-        term *= ratio * xi
-        acc += term
-        m += 1
-        if m >= 4 and abs(term) * r_geo / (1.0 - r_geo + 1e-300) <= tol * max(
-            abs(acc), 1e-300
-        ):
-            break
-        if m > 200000:
-            raise DivergenceError("gp_series failed to reach tolerance")
+    acc = _gp_derivs(s, p, complex(u) / zc2, 1, tol)[0]
     return acc.real if complex(u).imag == 0.0 else acc
 
 
@@ -194,33 +218,6 @@ def _ode_data(s: int, p: int) -> _OdeData:
     return _OdeData(d=d, c=c, e=e)
 
 
-def _seed_state(s: int, p: int, d: int) -> np.ndarray:
-    """(y, y', ..., y^(d-1)) at xi = XI_SEED from the differentiated series."""
-    xi0 = XI_SEED
-    y = np.zeros(d, dtype=np.complex128)
-    a_m = 1.0  # a_m * xi0^m carried jointly
-    t = 1.0
-    m = 0
-    while True:
-        ff = 1.0
-        contrib = 0.0
-        for j in range(d):
-            # term of y^(j): a_m m!/(m-j)! xi0^(m-j)
-            if m >= j:
-                val = t * ff / xi0**j
-                y[j] += val
-                contrib = max(contrib, abs(val))
-            ff *= m - j
-        m += 1
-        num, den = raney_step(s, p, float(m - 1))
-        t *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s) * xi0
-        if m > 8 * d and contrib < 1e-19 * max(abs(y[0]), 1.0):
-            break
-        if m > 5000:
-            raise AccuracyError("seed series did not converge")
-    return y
-
-
 def _rhs_factory(data: _OdeData):
     d, c, e = data.d, data.c, data.e
 
@@ -239,15 +236,23 @@ def _rhs_factory(data: _OdeData):
     return rhs
 
 
-def _transport_segment(data: _OdeData, z0, xi_a: complex, xi_b: complex, tol: float):
-    if xi_a == xi_b:
-        return z0
-    rhs = _rhs_factory(data)
+def _integrate(data: _OdeData, z0, xi_a: complex, xi_b: complex, tol: float,
+               xi_eval=None):
+    """DOP853 on the companion system along the segment xi_a -> xi_b.
+
+    Returns the state vector at xi_b or, given xi_eval (points of the
+    segment ordered from xi_a to xi_b), an array whose columns are the
+    states at those points.
+    """
     span = xi_b - xi_a
+    if span == 0:
+        return z0 if xi_eval is None else np.tile(z0[:, None], len(xi_eval))
+    rhs = _rhs_factory(data)
 
     def f(tau, z):
         return span * rhs(xi_a + span * tau, z)
 
+    t_eval = None if xi_eval is None else ((np.asarray(xi_eval) - xi_a) / span).real
     atol = np.maximum(np.abs(z0), 1.0) * tol * 1e-2
     sol = solve_ivp(
         f,
@@ -256,12 +261,13 @@ def _transport_segment(data: _OdeData, z0, xi_a: complex, xi_b: complex, tol: fl
         method="DOP853",
         rtol=max(tol, 1e-13),
         atol=atol,
+        t_eval=t_eval,
     )
     if not sol.success:
         raise StiffnessError(
             f"ODE transport failed on segment {xi_a} -> {xi_b}: {sol.message}"
         )
-    return sol.y[:, -1]
+    return sol.y[:, -1] if xi_eval is None else sol.y
 
 
 def _waypoints(xi_t: complex, side: str, h: float):
@@ -303,6 +309,13 @@ class ContinuationState:
         return self.derivs[0]
 
 
+def _state(s: int, p: int, u: complex, side: str, z, path) -> ContinuationState:
+    """State at u from the xi-derivatives z of y(xi) = G_p(zeta_c^2 xi)."""
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    derivs = tuple(z[j] / zc2**j for j in range(len(z)))
+    return ContinuationState(s=s, p=p, u=u, side=side, derivs=derivs, path=path)
+
+
 def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
     """Low-level: carry the solution vector along explicit xi waypoints.
 
@@ -312,9 +325,10 @@ def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
     data = _ode_data(s, p)
     if complex(waypoints[0]) != complex(XI_SEED):
         raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
-    z = _seed_state(s, p, data.d)
+    # terms below 1e-17 relative no longer change a float64 partial sum
+    z = np.array(_gp_derivs(s, p, XI_SEED, data.d, 1e-17), dtype=np.complex128)
     for a, b in zip(waypoints, waypoints[1:]):
-        z = _transport_segment(data, z, complex(a), complex(b), tol)
+        z = _integrate(data, z, complex(a), complex(b), tol)
     return z
 
 
@@ -345,11 +359,7 @@ def gp_continue(
     if abs(xi_t - 1.0) < exclusion:
         return _local_model_state(s, p, uc, side)
     pts = _waypoints(xi_t, side, detour)
-    z = transport(s, p, pts, tol)
-    derivs = tuple(z[j] / zc2**j for j in range(len(z)))
-    return ContinuationState(
-        s=s, p=p, u=uc, side=side, derivs=derivs, path=tuple(pts)
-    )
+    return _state(s, p, uc, side, transport(s, p, pts, tol), tuple(pts))
 
 
 def sigma_cont(
@@ -405,9 +415,9 @@ def _gp_xi_mp(s: int, p: int, xi, tail: float = None):
     acc = mp.mpf(1)
     m = 0
     while True:
-        num, den = raney_step(s, p, m)
-        term = term * (num * num * (s - 1) ** (2 * s - 2)) * xi
-        term = term / (den * den * s ** (2 * s))
+        num, den = _coeff_step(s, p, m)
+        term = term * num * xi
+        term = term / den
         acc += term
         m += 1
         if m >= 8 and term * xi / (1 - xi) < tail_tol * acc:
@@ -551,10 +561,13 @@ def disc_density_rho(s: int, p: int, u: float, tol: float = 1e-6) -> float:
 
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
-    """States along the cut at the given xi nodes (all > 1), one transport.
+    """States along the cut at the given xi nodes (all > 1), in ascending xi.
 
-    Transports to the smallest node via the detour, then integrates along the
-    real axis with dense output.  Returns a list of ContinuationState.
+    Transports via the detour to xi_0 = 1 + DETOUR_OFFSET on the cut, then
+    integrates along the real axis inward to the nodes below xi_0 and
+    outward to the rest, one leg each with dense output.  Starting a detour
+    height away from the branch point keeps the large high derivatives near
+    xi = 1 out of the initial state of the legs.
     """
     nodes = sorted(float(x) for x in xi_nodes)
     if nodes[0] < 1.0 + EXCLUSION_RADIUS:
@@ -564,31 +577,12 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
         )
     data = _ode_data(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
-    pts = _waypoints(complex(nodes[0]), side, DETOUR_OFFSET)
-    z = transport(s, p, pts, tol)
-    states = []
-
-    def mkstate(xi, zvec):
-        derivs = tuple(zvec[j] / zc2**j for j in range(len(zvec)))
-        return ContinuationState(
-            s=s, p=p, u=xi * zc2, side=side, derivs=derivs, path=(xi,)
-        )
-
-    states.append(mkstate(nodes[0], z))
-    if len(nodes) > 1:
-        rhs = _rhs_factory(data)
-        atol = np.maximum(np.abs(z), 1.0) * tol * 1e-2
-        sol = solve_ivp(
-            rhs,
-            (nodes[0], nodes[-1]),
-            z,
-            method="DOP853",
-            rtol=max(tol, 1e-13),
-            atol=atol,
-            t_eval=np.asarray(nodes[1:]),
-        )
-        if not sol.success:
-            raise StiffnessError(f"cut trace failed: {sol.message}")
-        for i, xi in enumerate(nodes[1:]):
-            states.append(mkstate(xi, sol.y[:, i]))
-    return states
+    xi0 = 1.0 + DETOUR_OFFSET
+    pts = tuple(_waypoints(complex(xi0), side, DETOUR_OFFSET))
+    z0 = transport(s, p, pts, tol)
+    inner = sorted({x for x in nodes if x < xi0}, reverse=True)
+    outer = sorted({x for x in nodes if x >= xi0})
+    z_in = _integrate(data, z0, xi0, inner[-1] if inner else xi0, tol, inner)
+    z_out = _integrate(data, z0, xi0, outer[-1] if outer else xi0, tol, outer)
+    col = dict(zip(inner + outer, np.concatenate([z_in, z_out], axis=1).T))
+    return [_state(s, p, xi * zc2, side, col[xi], (*pts, xi)) for xi in nodes]

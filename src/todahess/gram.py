@@ -265,13 +265,7 @@ def synthesis_matrix(
     """
     _check_subcritical(s, zeta)
     out = np.zeros((n_rows, n_cols))
-    for j in range(n_cols):
-        p = q + j * s
-        wj = weight(s, q, beta, j)
-        rz = 1.0
-        for i in range(j, n_rows):
-            k = i - j
-            out[i, j] = (q + i * s) / math.sqrt(p) * rz / wj
-            num, den = raney_step(s, p, float(k))
-            rz *= (num / den) * zeta
+    for j in range(min(n_cols, n_rows)):
+        col = gram_vector(s, q + j * s, zeta, n_rows - 1 - j).values
+        out[j:, j] = col / weight(s, q, beta, j)
     return out

@@ -130,53 +130,43 @@ class JacobiData:
 
 
 def jacobi_coefficients(mseq: MomentSequence, n: int) -> JacobiData:
-    """(a_k, b_k) by the Stieltjes procedure in exact rationals.
+    """(a_k, b_k) by Chebyshev's algorithm in exact rationals.
 
     Computes b_0..b_{n-1} and a_1^2..a_{n-1}^2 (enough for the n x n
-    truncation).  Raises PositivityError when some L[P_k^2] <= 0, which
+    truncation) from the moments m_0..m_{2n-1} through the mixed moments
+    sigma_{k,l} = L[P_k t^l] (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982):
+
+        sigma_{k,l} = sigma_{k-1,l+1} - b_{k-1} sigma_{k-1,l}
+                      - a_{k-1}^2 sigma_{k-2,l},
+        a_k^2 = sigma_{k,k} / sigma_{k-1,k-1},
+        b_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}.
+
+    Raises PositivityError when some L[P_k^2] = sigma_{k,k} <= 0, which
     signals p outside the guaranteed range 1 <= p <= s or too few moments.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if 2 * n + 1 > mseq.n_max + 1:
         raise DomainError(f"need moments up to 2n = {2*n}, have {mseq.n_max}")
-    big = [mseq.moments[k] for k in range(mseq.n_max + 1)]
-
-    def functional(poly):
-        return sum(c * big[i] for i, c in enumerate(poly) if c)
-
-    def polymul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-
-    p_prev = [Fraction(1)]
-    h_prev = functional(p_prev)  # m_0
-    if h_prev <= 0:
+    old = list(mseq.moments[: 2 * n])  # sigma_{k-1, l}
+    if old[0] <= 0:
         raise PositivityError("m_0 <= 0")
-    b_list = [functional([Fraction(0)] + p_prev) / h_prev]
-    a_sq = []
-    p_cur = [-b_list[0], Fraction(1)]
+    older = [Fraction(0)] * (2 * n)  # sigma_{k-2, l}
+    # a_sq[0] = 0 stands in for a_0^2, which multiplies sigma_{-1, l} = 0
+    a_sq, b_list = [Fraction(0)], [old[1] / old[0]]
     for k in range(1, n):
-        pk2 = polymul(p_cur, p_cur)
-        h_cur = functional(pk2)
-        if h_cur <= 0:
-            raise PositivityError(f"L[P_{k}^2] = {h_cur} <= 0")
-        a_sq.append(h_cur / h_prev)
-        b_list.append(functional([Fraction(0)] + pk2) / h_cur)
-        nxt = [Fraction(0)] + p_cur  # t P_k
-        for i, ci in enumerate(p_cur):
-            nxt[i] -= b_list[-1] * ci
-        for i, ci in enumerate(p_prev):
-            nxt[i] -= a_sq[-1] * ci
-        p_prev, p_cur, h_prev = p_cur, nxt, h_cur
+        row = [Fraction(0)] * (2 * n)
+        for l in range(k, 2 * n - k):
+            row[l] = old[l + 1] - b_list[-1] * old[l] - a_sq[-1] * older[l]
+        if row[k] <= 0:
+            raise PositivityError(f"L[P_{k}^2] = {row[k]} <= 0")
+        a_sq.append(row[k] / old[k - 1])
+        b_list.append(row[k + 1] / row[k] - old[k] / old[k - 1])
+        older, old = old, row
     return JacobiData(
         s=mseq.s,
         p=mseq.p,
-        a_sq_exact=tuple(a_sq),
+        a_sq_exact=tuple(a_sq[1:]),
         b_exact=tuple(b_list),
         source=mseq,
         precision="exact",

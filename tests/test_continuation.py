@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from todahess import continuation as cont
 from todahess.errors import ConditioningError, DivergenceError, DomainError, PathError
@@ -103,8 +105,48 @@ def test_cut_is_real():
 def test_monodromy_trivial_off_cut():
     wp = [0.5, 0.5 + 0.4j, 0.9 + 0.4j, 0.9, 0.9 - 0.4j, 0.5 - 0.4j, 0.5]
     z = cont.transport(2, 1, wp, tol=1e-12)
-    z0 = cont._seed_state(2, 1, cont._ode_data(2, 1).d)
+    z0 = cont._gp_derivs(2, 1, cont.XI_SEED, cont._ode_data(2, 1).d, 1e-17)
     assert np.max(np.abs(z - z0)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=hst.integers(2, 8), data=hst.data(),
+       r=hst.floats(0.1, 0.9), theta=hst.floats(-math.pi, math.pi))
+def test_continue_equals_series_off_cut(s, data, r, theta):
+    # transport towards the singular point xi = 0 loses digits as s and p
+    # grow: up to 8e-10 measured for p <= s here, but 4e-8 at s = 7, p = 13
+    # and 1.8e-6 at s = 8, p = 16, xi = -0.1, so p > s is left out
+    p = data.draw(hst.integers(1, s))
+    u = cmath.rect(r, theta) * float(thresholds(s).zeta_c) ** 2
+    g = cont.gp_series(s, p, u)
+    assert abs(cont.gp_continue(s, p, u, "none").value - g) < 1e-8 * abs(g)
+
+
+def test_cut_trace_matches_gp_continue_on_fig3_grid():
+    # fig3's s = 5 densities; the legs along the cut start a detour height
+    # away from the branch point, where the high derivatives stay moderate
+    zc2 = float(thresholds(5).zeta_c) ** 2
+    sup = np.geomspace(1.002, 4.0, 40)
+    for p in (1, 2, 5, 10):
+        states = cont.cut_trace(5, p, sup, side="above")
+        for xi, st in list(zip(sup, states))[::3]:
+            ref = cont.sigma_from_state(cont.gp_continue(5, p, xi * zc2, "above"))
+            assert abs(cont.sigma_from_state(st) - ref) < 1e-9 * abs(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=hst.integers(2, 8), data=hst.data(),
+       xis=hst.lists(hst.floats(1.01, 6.0), min_size=1, max_size=3))
+def test_cut_trace_matches_gp_continue(s, data, xis):
+    # the two paths of the order-2s equation differ by up to 3.4e-7 at
+    # s = 8, p = 15, xi = 6; legs started at the smallest node instead of a
+    # detour height from xi = 1 were off by up to 3e-2 on this domain
+    p = data.draw(hst.integers(1, 2 * s))
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    states = cont.cut_trace(s, p, xis, side="above")
+    for xi, st in zip(sorted(xis), states):
+        ref = cont.gp_continue(s, p, xi * zc2, "above").value
+        assert abs(st.value - ref) < 1e-5 * abs(ref)
 
 
 def test_path_errors():
@@ -233,7 +275,6 @@ def test_ode_transport_vs_mpmath_hypergeometric():
     # reduced parameter lists, evaluated well outside the disk
     import mpmath as mp
 
-    mp.mp.dps = 25
     cases = [
         (2, 1, -3.0, "none"),
         (2, 1, -48.0, "none"),
@@ -243,9 +284,10 @@ def test_ode_transport_vs_mpmath_hypergeometric():
     ]
     for s, p, xi, side in cases:
         hp = cont.hyp_params(s, p)
-        a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
-        b_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_lower]
-        ref = complex(mp.hyper(a_list, b_list, xi))
+        with mp.workdps(25):
+            a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
+            b_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_lower]
+            ref = complex(mp.hyper(a_list, b_list, xi))
         zc2 = float(thresholds(s).zeta_c) ** 2
         st = cont.gp_continue(s, p, complex(xi) * zc2, side)
         assert abs(st.value - ref) < 1e-11 * max(1.0, abs(ref))

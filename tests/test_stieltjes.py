@@ -81,6 +81,25 @@ def test_jacobi_requires_moment_depth():
         st.jacobi_coefficients(st.moments(2, 1, 5), 4)
 
 
+@settings(max_examples=30, deadline=None)
+@given(s=hst.integers(2, 5), data=hst.data(), n=hst.integers(1, 12))
+def test_jacobi_reproduces_moments(s, data, n):
+    # e_0^T J^k e_0 = m_k for k <= 2n-1, exactly, on the monic tridiagonal
+    # (b_k on the diagonal, 1 above it, a_{k+1}^2 below it)
+    p = data.draw(hst.integers(1, s))
+    ms = st.moments(s, p, 2 * n)
+    jac = st.jacobi_coefficients(ms, n)
+    v = [Fraction(1)] + [Fraction(0)] * (n - 1)  # J^k e_0
+    for k in range(2 * n):
+        assert v[0] == ms.moments[k]
+        v = [
+            (jac.a_sq_exact[i - 1] * v[i - 1] if i else 0)
+            + jac.b_exact[i] * v[i]
+            + (v[i + 1] if i + 1 < n else 0)
+            for i in range(n)
+        ]
+
+
 def test_weyl_at_zero():
     jac = st.jacobi_coefficients(st.moments(2, 1, 20), 8)
     assert st.weyl_function(jac, 0.0) == 1.0
