@@ -1,109 +1,92 @@
 """Hot series kernel for the weighted Gram blocks.
 
-Every entry of a Gram block is a sum over m of
+The block of sector q is V^T V for the unweighted synthesis factor
 
-    (pb + s m)^2 * R_{s,pa}(m + delta) * R_{s,pb}(m) * zeta^(2m + delta)
+    V[i, j] = ((q + i s) / sqrt(p_j)) R_{s,p_j}(i - j) zeta^(i - j),  i >= j,
 
-(optionally times a constant prefactor).  The Raney numbers grow like
-zeta_c^{-m}, so terms are carried exclusively through multiplicative ratio
-updates; neither factor is ever formed on its own.  Near the threshold the
-terms behave like eta^{2m}/m with eta = zeta/zeta_c and the required number
-of terms scales like 1/(1 - eta^2) -- about 1e6 at eta = 0.99999 -- which is
-why this loop is the package's hot path.  It vectorizes the per-step ratios
-and uses cumulative products within chunks.
+with p_j = q + j s and V[i, j] = 0 for i < j; the weighted block divides
+entry (j1, j2) by w_j1 w_j2.  The Raney numbers grow like zeta_c^{-m}, so
+each column is carried exclusively through multiplicative ratio updates;
+neither factor is ever formed on its own.  Near the threshold the row
+products behave like eta^{2i}/i with eta = zeta/zeta_c and the required
+number of rows scales like 1/(1 - eta^2) -- about 1e6 at eta = 0.99999 --
+which is why this loop is the package's hot path.  It builds V in chunks of
+rows, by cumulative products down the columns, and accumulates V^T V.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DivergenceError
 from .raney import raney_step
 
 #: read by perfbench/one_pass.py's environment record; the kernel is numpy only
 HAS_NUMBA = False
 
-#: hard cap on series length; reached only beyond eta ~ 0.999999
+#: hard cap on the number of rows; reached only beyond eta ~ 0.999999
 M_MAX_DEFAULT = 50_000_000
-#: minimum number of terms before the geometric tail bound may fire
+#: minimum number of rows per entry before the geometric tail bound may fire
 _MIN_TERMS = 8
+#: cap on rows x N of one chunk; larger chunks raise the peak memory
+#: (measured on the benchmark) without saving time
+CHUNK_ELEMS = 8_192
 
 
-def _gram_series_np(
-    s, pa, pb, delta, zeta, tol, log_pref, ratio_limit, m_max=M_MAX_DEFAULT
-):
-    """Chunked-cumprod series kernel: returns (value, n_terms, tail_bound).
+def synthesis_rows(s, q, n, zeta, m_max):
+    """Yield (V[i0:i1], r) for consecutive row chunks of rows 0 .. m_max-1.
 
-    value = exp(log_pref) * sum_m (pb+sm)^2 R_{s,pa}(m+delta) R_{s,pb}(m)
-            zeta^(2m+delta)
-
-    tol is relative to the accumulated sum; ratio_limit = (zeta/zeta_c)^2
-    caps the geometric tail estimate (the true term ratio approaches it from
-    below like 1 - 1/m).  tail_bound is -1 when m_max terms were summed
-    before the bound fired.
+    r[j] = V[i1, j] / V[i1-1, j] is the ratio into the first row after the
+    chunk.  The first chunk holds the n x n triangular head and _MIN_TERMS
+    more rows; later chunks double up to CHUNK_ELEMS // n rows.
     """
-    log_t0 = log_pref + 2.0 * math.log(pb)
-    for m in range(delta):
-        num, den = raney_step(s, pa, float(m))
-        log_t0 += math.log((num / den) * zeta)
-    t = math.exp(log_t0)
-    acc = t
-    zeta2 = zeta * zeta
-    m0 = 0
-    chunk = 1024
-    while m0 < m_max:
-        chunk = min(chunk, m_max - m0)
-        marr = np.arange(m0, m0 + chunk, dtype=np.float64)
-        grow = (pb + s * (marr + 1.0)) / (pb + s * marr)
-        num_a, den_a = raney_step(s, pa, marr + delta)
-        num_b, den_b = raney_step(s, pb, marr)
-        ratios = grow * grow * (num_a / den_a) * (num_b / den_b) * zeta2
-        terms = t * np.cumprod(ratios)
-        acc += terms.sum()
-        t = terms[-1]
-        m0 += chunk
-        if m0 >= _MIN_TERMS:
-            rb = max(ratios[-1], ratio_limit)
-            if rb < 1.0:
-                tail = t * rb / (1.0 - rb)
-                if tail <= tol * acc:
-                    return acc, m0, tail
-        chunk = min(chunk * 2, 262144)
-    return acc, m0, -1.0  # budget exhausted before the tail bound fired
+    p = q + s * np.arange(n, dtype=np.float64)
+    col = np.arange(n, dtype=np.float64)
+    inv_sqrt_p = 1.0 / np.sqrt(p)
+    # R_{s,p_j}(i - j) zeta^(i - j) at the chunk's first row i; 1 while i <= j
+    u = np.ones(n)
+    i0 = 0
+    chunk = n + _MIN_TERMS
+    while i0 < m_max:
+        c = min(chunk, m_max - i0)
+        i = np.arange(i0, i0 + c, dtype=np.float64)[:, None]
+        m = i - col
+        num, den = raney_step(s, p, np.maximum(m, 0.0))
+        ratio = np.where(m >= 0.0, (num / den) * zeta, 1.0)
+        cum = np.cumprod(ratio, axis=0)
+        rows = np.empty((c, n))
+        rows[0] = u
+        np.multiply(u, cum[:-1], out=rows[1:])
+        u = u * cum[-1]
+        rows *= (q + s * i) * inv_sqrt_p
+        rows[m < 0.0] = 0.0
+        i0 += c
+        yield rows, ratio[-1] * ((q + s * i0) / (q + s * (i0 - 1)))
+        chunk = min(2 * chunk, max(CHUNK_ELEMS // n, 1))
 
 
-def block_series(s, q, beta, zeta, tol, ratio_limit, j1, j2, m_max=M_MAX_DEFAULT):
-    """Entry (j1, j2), j1 <= j2, of the weighted block in sector q.
+def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT):
+    """V^T V over rows 0, 1, ... of sector q: returns (matrix, rows, tail).
 
-    (1/(w_j1 w_j2 sqrt(p_j1 p_j2))) * series with w_j = p_j^(3/2+beta) M^p_j,
-    M = s/(s-1).  Raises DivergenceError when the tail bound never fired.
+    Summation stops once every entry's geometric tail bound t r_b / (1 - r_b)
+    is at most tol times the entry, where t is the entry's last row product
+    V[i, j1] V[i, j2] and r_b = max(r_j1 r_j2, ratio_limit).  ratio_limit =
+    (zeta/zeta_c)^2 caps the estimate, since the true ratio approaches it
+    from below like 1 - 1/i.  tail is the largest entry's bound, or -1 when
+    m_max rows were summed before every bound fired.  The matrix is exactly
+    symmetric.
     """
-    pa = q + j1 * s
-    pb = q + j2 * s
-    log_pref = (
-        -(1.5 + beta) * (math.log(pa) + math.log(pb))
-        - (pa + pb) * math.log(s / (s - 1.0))
-        - 0.5 * (math.log(pa) + math.log(pb))
-    )
-    val, _, tail = _gram_series_np(
-        s, pa, pb, j2 - j1, zeta, tol, log_pref, ratio_limit, m_max
-    )
-    if tail < 0:
-        raise DivergenceError(
-            f"block entry ({j1}, {j2}) series did not reach tolerance {tol} "
-            f"within {m_max} terms"
-        )
-    return val
-
-
-def block_matrix(s, q, beta, zeta, tol, ratio_limit, n, m_max=M_MAX_DEFAULT):
-    """Weighted block Gram matrix, one series per upper-triangle entry."""
-    out = np.empty((n, n), dtype=np.float64)
-    for j2 in range(n):
-        for j1 in range(j2 + 1):
-            val = block_series(s, q, beta, zeta, tol, ratio_limit, j1, j2, m_max)
-            out[j1, j2] = val
-            out[j2, j1] = val
-    return out
+    acc = np.zeros((n, n))
+    rows = 0
+    tail = -1.0
+    for v, r in synthesis_rows(s, q, n, zeta, m_max):
+        acc += v.T @ v
+        rows += len(v)
+        if rows < n + _MIN_TERMS:
+            continue
+        rb = np.maximum(np.outer(r, r), ratio_limit)
+        if rb.max() < 1.0:
+            bound = np.outer(v[-1], v[-1]) * rb / (1.0 - rb)
+            if np.all(bound <= tol * acc):
+                tail = float(bound.max())
+                break
+    return np.triu(acc) + np.triu(acc, 1).T, rows, tail

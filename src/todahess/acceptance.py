@@ -394,10 +394,7 @@ def crit_17_weyl():
         jac = stieltjes.jacobi_coefficients(stieltjes.moments(s, p, 85), 40)
         for tag, u in (("0.1zc2", 0.1 * zc2), ("0.3zc2", 0.3 * zc2), ("-1", -1.0)):
             w = stieltjes.weyl_function(jac, u)
-            if u > 0:
-                g = cont.gp_series(s, p, u)
-            else:
-                g = cont.gp_continue(s, p, u, "none").value
+            g = cont.gp_continue(s, p, u, "none").value
             diff = abs(complex(w) - complex(g))
             info[f"{s},{p}:{tag}"] = diff
             ok &= diff < 1e-8

@@ -337,10 +337,7 @@ def _cmd_weyl(args):
     u = u_ratio * zc2
     jac = stieltjes.jacobi_coefficients(stieltjes.moments(s, p, 2 * n + 5), n)
     w = stieltjes.weyl_function(jac, u)
-    if 0 < u <= 0.98 * zc2:
-        g = complex(cont.gp_series(s, p, u))
-    else:
-        g = cont.gp_continue(s, p, u, "none").value
+    g = cont.gp_continue(s, p, u, "none").value
     tab = Table(
         "todahess.weyl.v1",
         ["s", "p", "n", "u_ratio", "u", "weyl", "G_p", "abs_diff"],

@@ -43,6 +43,10 @@ EXCLUSION_RADIUS = 1e-4
 DETOUR_OFFSET = 0.3
 #: seed point of all transports
 XI_SEED = 0.5
+#: gp_continue sums the power series itself for |xi| up to this radius
+SERIES_RADIUS = 0.9
+#: terms below this relative size no longer change a float64 partial sum
+_SERIES_TOL = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,8 @@ def _coeff_ratio_exact(s: int, p: int, m: int) -> Fraction:
 
 
 def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
-    """[y, y', ..., y^(d-1)] of y(xi) = G_p(zeta_c^2 xi) for |xi| < 1
-    (xi = 0 only with d = 1), from the differentiated power series
+    """[y, y', ..., y^(d-1)] of y(xi) = G_p(zeta_c^2 xi) for |xi| < 1,
+    from the differentiated power series
 
         y^(j) = sum_m a_m m!/(m-j)! xi^(m-j).
 
@@ -117,20 +121,21 @@ def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
     |xi| (m+1)/(m+1-j), is below tol relative to its partial sum.
     """
     r = abs(xi)
-    term = 1.0 + 0.0j  # a_m xi^m
-    acc = [term] + [0j] * (d - 1)
+    coef = 1.0  # a_m
+    pw = [1.0 + 0.0j]  # xi^0, ..., xi^m; no division by xi, which may underflow
+    acc = [pw[0]] + [0j] * (d - 1)
     m = 0
     while True:
         num, den = raney_step(s, p, float(m))
-        term *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s) * xi
+        coef *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s)
+        pw.append(pw[-1] * xi)
         m += 1
-        contrib = [term]
-        ff = 1.0
-        for j in range(1, d):
-            ff *= m - j + 1
-            contrib.append(term * ff / xi**j)
-        for j in range(d):
+        contrib = [0j] * d
+        ff = 1.0  # m!/(m-j)!
+        for j in range(min(d, m + 1)):
+            contrib[j] = coef * ff * pw[m - j]
             acc[j] += contrib[j]
+            ff *= m - j
         ratios = (r * (1.0 + j / (m + 1 - j)) for j in range(d))
         if m >= 4 * d and all(
             q < 1.0 and abs(c) * q / (1.0 - q + 1e-300) <= tol * max(abs(a), 1e-300)
@@ -325,8 +330,7 @@ def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
     data = _ode_data(s, p)
     if complex(waypoints[0]) != complex(XI_SEED):
         raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
-    # terms below 1e-17 relative no longer change a float64 partial sum
-    z = np.array(_gp_derivs(s, p, XI_SEED, data.d, 1e-17), dtype=np.complex128)
+    z = np.array(_gp_derivs(s, p, XI_SEED, data.d, _SERIES_TOL), dtype=np.complex128)
     for a, b in zip(waypoints, waypoints[1:]):
         z = _integrate(data, z, complex(a), complex(b), tol)
     return z
@@ -344,9 +348,11 @@ def gp_continue(
     """Continue G_p to u on the slit plane along a detour path.
 
     side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
-    'none' is for targets off the cut.  Inside the exclusion disk around
-    zeta_c^2 the ODE is too stiff and the value is reported from the fitted
-    resonant local model instead.
+    'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
+    the state is summed from the power series at u, because transport
+    towards the singular point u = 0 loses digits.  Inside the exclusion
+    disk around zeta_c^2 the ODE is too stiff and the value is reported from
+    the fitted resonant local model instead.
     """
     _validate_sp(s, p)
     side = side or "none"
@@ -359,6 +365,9 @@ def gp_continue(
     if abs(xi_t - 1.0) < exclusion:
         return _local_model_state(s, p, uc, side)
     pts = _waypoints(xi_t, side, detour)
+    if abs(xi_t) <= SERIES_RADIUS:
+        z = _gp_derivs(s, p, xi_t, _ode_data(s, p).d, _SERIES_TOL)
+        return _state(s, p, uc, side, z, (xi_t,))
     return _state(s, p, uc, side, transport(s, p, pts, tol), tuple(pts))
 
 

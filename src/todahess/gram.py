@@ -26,8 +26,8 @@ DEFAULT_TOL = 1e-12
 def _check_subcritical(s: int, zeta: float) -> float:
     """Exact zeta < zeta_c check; returns float(zeta_c)."""
     zc = thresholds(s).zeta_c
-    if not zeta > 0:
-        raise DomainError(f"zeta must be > 0, got {zeta}")
+    if not (zeta > 0 and math.isfinite(zeta)):
+        raise DomainError(f"zeta must be finite and > 0, got {zeta}")
     if Fraction(zeta) >= zc:
         raise DivergenceError(
             f"zeta = {zeta!r} >= zeta_c = {float(zc):.9g}: Gram series diverges"
@@ -35,8 +35,34 @@ def _check_subcritical(s: int, zeta: float) -> float:
     return float(zc)
 
 
-def weight(s: int, q: int, beta: float, j: int) -> float:
-    """w_j = p_j^(3/2+beta) M^(p_j) with p_j = q + j s, M = s/(s-1)."""
+def _gram_product(s: int, q: int, n: int, zeta: float, tol: float) -> np.ndarray:
+    """Unweighted V^T V of sector q, N = n columns, summed to tol.
+
+    Raises DivergenceError when the kernel's tail bound has not fired within
+    its row cap, instead of returning a truncated sum.
+    """
+    zc = _check_subcritical(s, zeta)
+    m_max = _kernels.M_MAX_DEFAULT
+    mat, _, tail = _kernels._gram_series_np(s, q, n, zeta, tol, (zeta / zc) ** 2, m_max)
+    if tail < 0:
+        raise DivergenceError(f"Gram series missed tolerance {tol} within {m_max} rows")
+    return mat
+
+
+def _unweighted_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int):
+    """Rows 0 .. n_rows-1 of the unweighted synthesis factor V of sector q."""
+    if n_cols < 1 or n_rows < 1:
+        raise DomainError(f"V needs >= 1 row and column, got {n_rows} x {n_cols}")
+    _check_subcritical(s, zeta)
+    rows = _kernels.synthesis_rows(s, q, n_cols, zeta, n_rows)
+    return np.concatenate([v for v, _ in rows])
+
+
+def weight(s: int, q: int, beta: float, j):
+    """w_j = p_j^(3/2+beta) M^(p_j) with p_j = q + j s, M = s/(s-1).
+
+    Elementwise when j is a numpy array.
+    """
     p = q + j * s
     return p ** (1.5 + beta) * (s / (s - 1.0)) ** p
 
@@ -62,17 +88,11 @@ def raney_zeta(s: int, p: int, k: int, zeta: float) -> float:
 def sigma_p(s: int, p: int, zeta: float, tol: float = DEFAULT_TOL) -> float:
     """sigma_p(zeta) = sum_m ((p+ms)^2 / p) R_{s,p}(m)^2 zeta^{2m}.
 
-    Raises DivergenceError at or beyond zeta_c; the truncation tail is kept
-    below tol (relative) by the geometric bound on the term ratios.
+    It is the one-column Gram product of sector p.  Raises DivergenceError
+    at or beyond zeta_c; the truncation tail is kept below tol (relative) by
+    the geometric bound on the term ratios.
     """
-    zc = _check_subcritical(s, zeta)
-    ratio_limit = (zeta / zc) ** 2
-    val, _, tail = _kernels._gram_series_np(
-        s, p, p, 0, zeta, tol, -math.log(p), ratio_limit
-    )
-    if tail < 0:
-        raise DivergenceError(f"sigma_{p} series did not reach tolerance {tol}")
-    return val
+    return _gram_product(s, p, 1, zeta, tol)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -95,13 +115,7 @@ class GramVector:
 
 
 def gram_vector(s: int, p: int, zeta: float, k_max: int) -> GramVector:
-    _check_subcritical(s, zeta)
-    vals = np.empty(k_max + 1)
-    rz = 1.0
-    for k in range(k_max + 1):
-        vals[k] = (p + k * s) / math.sqrt(p) * rz
-        num, den = raney_step(s, p, float(k))
-        rz *= (num / den) * zeta
+    vals = _unweighted_rows(s, p, 1, zeta, k_max + 1)[:, 0]
     return GramVector(s=s, p=p, zeta=zeta, values=vals)
 
 
@@ -164,10 +178,8 @@ def block_entry(
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if j1 < 0 or j2 < 0:
         raise DomainError("block indices must be >= 0")
-    zc = _check_subcritical(s, zeta)
-    return _kernels.block_series(
-        s, q, beta, zeta, tol, (zeta / zc) ** 2, min(j1, j2), max(j1, j2)
-    )
+    mat = _gram_product(s, q, max(j1, j2) + 1, zeta, tol)
+    return mat[j1, j2] / (weight(s, q, beta, j1) * weight(s, q, beta, j2))
 
 
 @dataclass(frozen=True)
@@ -193,18 +205,17 @@ def weighted_block(
     n: int,
     tol: float = DEFAULT_TOL,
 ) -> WeightedBlock:
-    """Truncated N x N weighted block; entries via the series kernel.
+    """Truncated N x N weighted block V~^T V~ from the Gram-product kernel.
 
     Raises DivergenceError when an entry's tail bound has not fired within
-    the kernel's term cap, instead of returning a truncated block.
+    the kernel's row cap, instead of returning a truncated block.
     """
     if not 1 <= q <= s:
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if n < 2:
         raise DomainError(f"truncation N must be >= 2, got {n}")
-    zc = _check_subcritical(s, zeta)
-    mat = _kernels.block_matrix(s, q, float(beta), zeta, tol, (zeta / zc) ** 2, n)
-    w = np.array([weight(s, q, beta, j) for j in range(n)])
+    w = weight(s, q, beta, np.arange(n))
+    mat = _gram_product(s, q, n, zeta, tol) / np.outer(w, w)
     return WeightedBlock(s=s, q=q, beta=float(beta), zeta=zeta, n=n, matrix=mat, weights=w)
 
 
@@ -263,9 +274,5 @@ def synthesis_matrix(
     (lower triangular); then G~ = V~^T V~ up to row truncation, and V~ V~^T
     has the same nonzero spectrum exactly.
     """
-    _check_subcritical(s, zeta)
-    out = np.zeros((n_rows, n_cols))
-    for j in range(min(n_cols, n_rows)):
-        col = gram_vector(s, q + j * s, zeta, n_rows - 1 - j).values
-        out[j:, j] = col / weight(s, q, beta, j)
-    return out
+    w = weight(s, q, beta, np.arange(n_cols))
+    return _unweighted_rows(s, q, n_cols, zeta, n_rows) / w

@@ -32,8 +32,8 @@ class MapConfig:
     def __post_init__(self):
         if self.s < 2:
             raise DomainError(f"s must be >= 2, got {self.s}")
-        if not self.zeta > 0:
-            raise DomainError(f"zeta must be > 0, got {self.zeta}")
+        if not (self.zeta > 0 and math.isfinite(self.zeta)):
+            raise DomainError(f"zeta must be finite and > 0, got {self.zeta}")
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,16 @@ def raney_step(s: int, p: int, m):
 
     num = prod_{k<s} (sm+p+k), den = (m+1) prod_{1<=l<s} ((s-1)m+p+l).  The
     arithmetic follows the type of m: a Python int gives exact integers, a
-    float gives float64 products and a numpy array gives elementwise ones.
+    float gives float64 products and a numpy array gives elementwise ones
+    (p may then be an array too; the two broadcast).
     """
+    a, b = s * m + p, (s - 1) * m + p
     num = 1
     for k in range(s):
-        num = num * (s * m + p + k)
+        num = num * (a + k)
     den = m + 1
     for l in range(1, s):
-        den = den * ((s - 1) * m + p + l)
+        den = den * (b + l)
     return num, den
 
 

@@ -122,9 +122,10 @@ def test_bad_config_is_usage_error(tmp_path, cfg):
         ["continue", "--s", "2"],
         ["spectrum", "--s", "abc"],
         ["thresholds", "--s", "2..x"],
+        ["block", "--s", "3", "--zeta-ratio", "inf"],
     ],
     ids=["unread-flag", "no-id", "no-s", "no-zeta", "no-u-ratio", "bad-int",
-         "bad-range"],
+         "bad-range", "inf-zeta"],
 )
 def test_usage_errors_exit_2(args):
     assert exit_code(args) == 2

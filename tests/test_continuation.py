@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from todahess import continuation as cont
@@ -111,15 +111,30 @@ def test_monodromy_trivial_off_cut():
 
 @settings(max_examples=40, deadline=None)
 @given(s=hst.integers(2, 8), data=hst.data(),
-       r=hst.floats(0.1, 0.9), theta=hst.floats(-math.pi, math.pi))
+       r=hst.floats(cont.SERIES_RADIUS, 0.979, exclude_min=True),
+       theta=hst.floats(-math.pi, math.pi))
 def test_continue_equals_series_off_cut(s, data, r, theta):
-    # transport towards the singular point xi = 0 loses digits as s and p
-    # grow: up to 8e-10 measured for p <= s here, but 4e-8 at s = 7, p = 13
-    # and 1.8e-6 at s = 8, p = 16, xi = -0.1, so p > s is left out
+    # the annulus where gp_continue still transports; p > s is left out,
+    # because there the transport is off by up to 9.2e-9 (s = 8)
     p = data.draw(hst.integers(1, s))
     u = cmath.rect(r, theta) * float(thresholds(s).zeta_c) ** 2
     g = cont.gp_series(s, p, u)
     assert abs(cont.gp_continue(s, p, u, "none").value - g) < 1e-8 * abs(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15),
+       r=hst.floats(0.01, cont.SERIES_RADIUS), theta=hst.floats(-math.pi, math.pi))
+# transported from XI_SEED these were off by 3.0e-4, 1.8e-6 and 2.5e-11
+@example(s=8, k=15, r=0.03, theta=math.pi)
+@example(s=8, k=15, r=0.1, theta=math.pi)
+@example(s=2, k=3, r=0.055, theta=0.0)
+@example(s=8, k=15, r=1e-30, theta=1.0)  # xi^15 underflows
+def test_continue_inside_disk_meets_tol(s, k, r, theta):
+    p = 1 + k % (2 * s)
+    u = cmath.rect(r, theta) * float(thresholds(s).zeta_c) ** 2
+    g = cont.gp_series(s, p, u)
+    assert abs(cont.gp_continue(s, p, u, "none").value - g) <= 1e-12 * abs(g)
 
 
 def test_cut_trace_matches_gp_continue_on_fig3_grid():

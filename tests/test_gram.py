@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from todahess import gram
 from todahess.errors import DivergenceError, DomainError
@@ -39,6 +42,30 @@ def test_sigma_divergence_error():
         gram.sigma_p(2, 1, 0.25)
     with pytest.raises(DivergenceError):
         gram.sigma_p(2, 1, 0.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: gram.sigma_p(3, 1, z),
+        lambda z: gram.weighted_block(3, z, 1, 1.0, 4),
+        lambda z: gram.block_entry(3, z, 1, 1.0, 0, 1),
+        lambda z: gram.gram_vector(3, 1, z, 5),
+        lambda z: gram.synthesis_matrix(3, 1, 1.0, z, 4, 8),
+    ],
+    ids=["sigma_p", "weighted_block", "block_entry", "gram_vector", "synthesis"],
+)
+def test_nonfinite_zeta_is_domain_error(call):
+    for zeta in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            call(zeta)
+
+
+def test_empty_synthesis_is_domain_error():
+    with pytest.raises(DomainError):
+        gram.gram_vector(3, 1, 0.05, -1)
+    with pytest.raises(DomainError):
+        gram.synthesis_matrix(3, 1, 1.0, 0.05, 4, 0)
 
 
 def test_hessian_selection_rule():
@@ -243,3 +270,59 @@ def test_synthesis_matches_block_as_rows_grow():
     vmat = gram.synthesis_matrix(3, 1, 1.0, 0.55 * ZC3, 5, 400)
     blk = gram.weighted_block(3, 0.55 * ZC3, 1, 1.0, 5)
     assert np.max(np.abs(vmat.T @ vmat - blk.matrix)) < 1e-10
+
+
+def exact_block_entry(s, q, beta, zeta, j1, j2):
+    """Entry (j1, j2) of the weighted block from exact Raney integers and the
+    exact rational zeta; the series is cut where eta^(2m) < 1e-17 eta^200 and
+    only the final prefactor is rounded."""
+    pa, pb, delta = q + j1 * s, q + j2 * s, j2 - j1
+    eta2 = (zeta / float(thresholds(s).zeta_c)) ** 2
+    terms = math.ceil(math.log(1e-17) / math.log(eta2)) + 100
+    ta = raney_table(s, pa, terms + delta)
+    tb = raney_table(s, pb, terms)
+    z = Fraction(zeta)
+    acc = Fraction(0)
+    for m in range(terms, -1, -1):  # Horner in z^2
+        acc = acc * z * z + (pb + s * m) ** 2 * ta[m + delta] * tb[m]
+    series = float(acc * z**delta)
+    wa, wb = gram.weight(s, q, beta, j1), gram.weight(s, q, beta, j2)
+    return series / (math.sqrt(pa * pb) * wa * wb)
+
+
+def _sector(data):
+    s = data.draw(hst.integers(2, 6), label="s")
+    return s, data.draw(hst.integers(1, s), label="q")
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=hst.data(), n=hst.integers(2, 6), beta=hst.floats(0.25, 2.0),
+       eta=hst.floats(0.1, 0.9))
+def test_block_matches_exact_oracle(data, n, beta, eta):
+    s, q = _sector(data)
+    zeta = eta * float(thresholds(s).zeta_c)
+    mat = gram.weighted_block(s, zeta, q, beta, n).matrix
+    for j2 in range(n):
+        for j1 in range(j2 + 1):
+            want = exact_block_entry(s, q, beta, zeta, j1, j2)
+            assert abs(mat[j1, j2] - want) <= 5e-12 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(2, 6), beta=hst.floats(0.25, 2.0),
+       eta=hst.floats(0.1, 0.9))
+def test_block_is_symmetric_psd(data, n, beta, eta):
+    s, q = _sector(data)
+    mat = gram.weighted_block(s, eta * float(thresholds(s).zeta_c), q, beta, n).matrix
+    assert np.array_equal(mat, mat.T)
+    ev = np.linalg.eigvalsh(mat)
+    assert ev[0] >= -1e-12 * ev[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), eta=hst.floats(0.1, 0.899))
+def test_sigma_increases_with_zeta(data, eta):
+    s, p = _sector(data)
+    eta2 = data.draw(hst.floats(eta + 1e-3, 0.9), label="eta2")
+    zc = float(thresholds(s).zeta_c)
+    assert gram.sigma_p(s, p, eta * zc) < gram.sigma_p(s, p, eta2 * zc)

@@ -12,7 +12,8 @@ from todahess.maps import thresholds
 from todahess.raney import raney_table
 
 CASES = [
-    # (s, pa, pb, delta, ratio_of_zeta_c)
+    # (s, pa, pb, delta, ratio_of_zeta_c); pa = q and pb = q + delta s, so
+    # the series is entry (0, delta) of sector q times sqrt(pa pb)
     (2, 1, 1, 0, 0.40),
     (2, 1, 3, 1, 0.82),
     (3, 2, 8, 2, 0.60),
@@ -38,10 +39,11 @@ def brute(s, pa, pb, delta, zeta, terms=200):
 def test_kernel_against_exact_oracle(s, pa, pb, delta, ratio):
     zeta = ratio * float(thresholds(s).zeta_c)
     want = brute(s, pa, pb, delta, zeta)
-    val, n_terms, tail = _kernels._gram_series_np(
-        s, pa, pb, delta, zeta, 1e-13, 0.0, ratio**2
+    mat, rows, tail = _kernels._gram_series_np(
+        s, pa, delta + 1, zeta, 1e-13, ratio**2
     )
     assert tail >= 0
+    val = mat[0, delta] * math.sqrt(pa * pb)
     assert abs(val - want) < 5e-12 * want
 
 
@@ -57,32 +59,26 @@ def test_block_entry_matches_continuation_near_threshold(eta):
 
 
 def test_block_matrix_matches_entry_kernel():
+    # each entry of the weighted block is the same entry of the smallest
+    # block that contains it
     s, q, beta = 3, 2, 0.8
     zeta = 0.7 * float(thresholds(s).zeta_c)
     n = 6
-    mat = _kernels.block_matrix(s, q, beta, zeta, 1e-12, 0.49, n)
+    mat = gram.weighted_block(s, zeta, q, beta, n, 1e-12).matrix
     assert np.array_equal(mat, mat.T)
-    log_m = math.log(s / (s - 1.0))
     for j1, j2 in ((0, 0), (1, 4), (2, 5)):
-        pa, pb = q + j1 * s, q + j2 * s
-        log_pref = (
-            -(1.5 + beta) * (math.log(pa) + math.log(pb))
-            - (pa + pb) * log_m
-            - 0.5 * (math.log(pa) + math.log(pb))
-        )
-        val, _, _ = _kernels._gram_series_np(
-            s, pa, pb, j2 - j1, zeta, 1e-12, log_pref, 0.49
-        )
+        val = gram.block_entry(s, zeta, q, beta, j1, j2, 1e-12)
         assert abs(mat[j1, j2] - val) <= 1e-12 * abs(val)
 
 
 def test_mmax_exhaustion_reports_negative_tail():
     zeta = 0.99 * float(thresholds(2).zeta_c)
-    val, n, tail = _kernels._gram_series_np(2, 1, 1, 0, zeta, 1e-13, 0.0, 0.99**2, 50)
-    assert n == 50 and tail < 0
+    mat, rows, tail = _kernels._gram_series_np(2, 1, 1, zeta, 1e-13, 0.99**2, 50)
+    assert rows == 50 and tail < 0
 
 
-def test_block_matrix_raises_when_tail_never_fires():
+def test_block_matrix_raises_when_tail_never_fires(monkeypatch):
     zeta = 0.99 * float(thresholds(2).zeta_c)
+    monkeypatch.setattr(_kernels, "M_MAX_DEFAULT", 50)
     with pytest.raises(DivergenceError):
-        _kernels.block_matrix(2, 1, 1.0, zeta, 1e-13, 0.99**2, 3, m_max=50)
+        gram.weighted_block(2, zeta, 1, 1.0, 3, 1e-13)

@@ -35,6 +35,12 @@ def test_thresholds_domain_error():
         maps.branch_point_data(1)
 
 
+@pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -0.1])
+def test_map_config_rejects_nonfinite_zeta(zeta):
+    with pytest.raises(DomainError):
+        maps.MapConfig(3, zeta)
+
+
 def test_branch_point_data():
     bp = maps.branch_point_data(2)
     assert bp.U_c == 2 and bp.kappa == 2.0
