@@ -4,10 +4,10 @@ The block of sector q is V^T V for the unweighted synthesis factor
 
     V[i, j] = ((q + i s) / sqrt(p_j)) R_{s,p_j}(i - j) zeta^(i - j),  i >= j,
 
-with p_j = q + j s and V[i, j] = 0 for i < j; the weighted block divides
-entry (j1, j2) by w_j1 w_j2.  The Raney numbers grow like zeta_c^{-m}, so
-each column is carried exclusively through multiplicative ratio updates;
-neither factor is ever formed on its own.  Near the threshold the row
+with p_j = q + j s and V[i, j] = 0 for i < j.  Column j peaks near
+M^(p_j), past the double range at p_j ~ 500 for s = 2, so the weighted
+block's 1/w_j enters at the column's first row, and the Raney numbers
+(~ zeta_c^{-m}) only through ratio updates.  Near the threshold the row
 products behave like eta^{2i}/i with eta = zeta/zeta_c and the required
 number of rows scales like 1/(1 - eta^2) -- about 1e6 at eta = 0.99999 --
 which is why this loop is the package's hot path.  It builds V in chunks of
@@ -32,18 +32,19 @@ _MIN_TERMS = 8
 CHUNK_ELEMS = 8_192
 
 
-def synthesis_rows(s, q, n, zeta, m_max):
-    """Yield (V[i0:i1], r) for consecutive row chunks of rows 0 .. m_max-1.
+def synthesis_rows(s, q, n, zeta, m_max, scale=None):
+    """Yield (V[i0:i1] D, r) for consecutive row chunks of rows 0 .. m_max-1.
 
-    r[j] = V[i1, j] / V[i1-1, j] is the ratio into the first row after the
-    chunk.  The first chunk holds the n x n triangular head and _MIN_TERMS
-    more rows; later chunks double up to CHUNK_ELEMS // n rows.
+    D = diag(scale), the identity by default.  r[j] = V[i1, j] / V[i1-1, j]
+    is the ratio into the first row after the chunk.  The first chunk holds
+    the n x n triangular head and _MIN_TERMS more rows; later chunks double
+    up to CHUNK_ELEMS // n rows.
     """
     p = q + s * np.arange(n, dtype=np.float64)
     col = np.arange(n, dtype=np.float64)
     inv_sqrt_p = 1.0 / np.sqrt(p)
-    # R_{s,p_j}(i - j) zeta^(i - j) at the chunk's first row i; 1 while i <= j
-    u = np.ones(n)
+    # scale_j R_{s,p_j}(m) zeta^m, m = max(i - j, 0), at the chunk's first row i
+    u = np.ones(n) if scale is None else np.array(scale, dtype=np.float64)
     i0 = 0
     chunk = n + _MIN_TERMS
     while i0 < m_max:
@@ -64,21 +65,21 @@ def synthesis_rows(s, q, n, zeta, m_max):
         chunk = min(2 * chunk, max(CHUNK_ELEMS // n, 1))
 
 
-def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT):
-    """V^T V over rows 0, 1, ... of sector q: returns (matrix, rows, tail).
+def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=None):
+    """(V D)^T (V D) over rows 0, 1, ... of sector q: returns (matrix, rows, tail).
 
-    Summation stops once every entry's geometric tail bound t r_b / (1 - r_b)
-    is at most tol times the entry, where t is the entry's last row product
-    V[i, j1] V[i, j2] and r_b = max(r_j1 r_j2, ratio_limit).  ratio_limit =
-    (zeta/zeta_c)^2 caps the estimate, since the true ratio approaches it
-    from below like 1 - 1/i.  tail is the largest entry's bound, or -1 when
-    m_max rows were summed before every bound fired.  The matrix is exactly
-    symmetric.
+    D = diag(scale), the identity by default.  Summation stops once every
+    entry's geometric tail bound t r_b / (1 - r_b) is at most tol times the
+    entry, where t is the entry's last row product and r_b = max(r_j1 r_j2,
+    ratio_limit).  ratio_limit = (zeta/zeta_c)^2 caps the estimate, since
+    the true ratio approaches it from below like 1 - 1/i.  tail is the
+    largest entry's bound, or -1 when m_max rows were summed before every
+    bound fired.  The matrix is exactly symmetric.
     """
     acc = np.zeros((n, n))
     rows = 0
     tail = -1.0
-    for v, r in synthesis_rows(s, q, n, zeta, m_max):
+    for v, r in synthesis_rows(s, q, n, zeta, m_max, scale):
         acc += v.T @ v
         rows += len(v)
         if rows < n + _MIN_TERMS:

@@ -35,36 +35,40 @@ def _check_subcritical(s: int, zeta: float) -> float:
     return float(zc)
 
 
-def _gram_product(s: int, q: int, n: int, zeta: float, tol: float) -> np.ndarray:
-    """Unweighted V^T V of sector q, N = n columns, summed to tol.
+def _gram_product(s: int, q: int, n: int, zeta: float, tol: float, scale=None):
+    """(V D)^T (V D) of sector q, N = n columns, D = diag(scale) or identity.
 
     Raises DivergenceError when the kernel's tail bound has not fired within
     its row cap, instead of returning a truncated sum.
     """
-    zc = _check_subcritical(s, zeta)
+    eta2 = (zeta / _check_subcritical(s, zeta)) ** 2
     m_max = _kernels.M_MAX_DEFAULT
-    mat, _, tail = _kernels._gram_series_np(s, q, n, zeta, tol, (zeta / zc) ** 2, m_max)
+    mat, _, tail = _kernels._gram_series_np(s, q, n, zeta, tol, eta2, m_max, scale)
     if tail < 0:
         raise DivergenceError(f"Gram series missed tolerance {tol} within {m_max} rows")
     return mat
 
 
-def _unweighted_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int):
-    """Rows 0 .. n_rows-1 of the unweighted synthesis factor V of sector q."""
+def _synthesis_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int, scale=None):
+    """Rows 0 .. n_rows-1 of V D for sector q, D = diag(scale) or the identity."""
     if n_cols < 1 or n_rows < 1:
         raise DomainError(f"V needs >= 1 row and column, got {n_rows} x {n_cols}")
     _check_subcritical(s, zeta)
-    rows = _kernels.synthesis_rows(s, q, n_cols, zeta, n_rows)
+    rows = _kernels.synthesis_rows(s, q, n_cols, zeta, n_rows, scale)
     return np.concatenate([v for v, _ in rows])
 
 
 def weight(s: int, q: int, beta: float, j):
     """w_j = p_j^(3/2+beta) M^(p_j) with p_j = q + j s, M = s/(s-1).
 
-    Elementwise when j is a numpy array.
+    Elementwise when j is a numpy array; DomainError once w_j overflows.
     """
     p = q + j * s
-    return p ** (1.5 + beta) * (s / (s - 1.0)) ** p
+    with np.errstate(over="ignore"):
+        w = p ** (1.5 + beta) * np.float64(s / (s - 1.0)) ** p
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"w_j overflows a double for some j <= {np.max(j)}")
+    return w
 
 
 def spike_constant(s: int) -> float:
@@ -115,7 +119,7 @@ class GramVector:
 
 
 def gram_vector(s: int, p: int, zeta: float, k_max: int) -> GramVector:
-    vals = _unweighted_rows(s, p, 1, zeta, k_max + 1)[:, 0]
+    vals = _synthesis_rows(s, p, 1, zeta, k_max + 1)[:, 0]
     return GramVector(s=s, p=p, zeta=zeta, values=vals)
 
 
@@ -178,8 +182,8 @@ def block_entry(
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if j1 < 0 or j2 < 0:
         raise DomainError("block indices must be >= 0")
-    mat = _gram_product(s, q, max(j1, j2) + 1, zeta, tol)
-    return mat[j1, j2] / (weight(s, q, beta, j1) * weight(s, q, beta, j2))
+    scale = 1.0 / weight(s, q, beta, np.arange(max(j1, j2) + 1))
+    return _gram_product(s, q, len(scale), zeta, tol, scale)[j1, j2]
 
 
 @dataclass(frozen=True)
@@ -208,14 +212,15 @@ def weighted_block(
     """Truncated N x N weighted block V~^T V~ from the Gram-product kernel.
 
     Raises DivergenceError when an entry's tail bound has not fired within
-    the kernel's row cap, instead of returning a truncated block.
+    the kernel's row cap, instead of returning a truncated block, and
+    DomainError when w_{N-1} overflows a double.
     """
     if not 1 <= q <= s:
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if n < 2:
         raise DomainError(f"truncation N must be >= 2, got {n}")
     w = weight(s, q, beta, np.arange(n))
-    mat = _gram_product(s, q, n, zeta, tol) / np.outer(w, w)
+    mat = _gram_product(s, q, n, zeta, tol, 1.0 / w)
     return WeightedBlock(s=s, q=q, beta=float(beta), zeta=zeta, n=n, matrix=mat, weights=w)
 
 
@@ -274,5 +279,5 @@ def synthesis_matrix(
     (lower triangular); then G~ = V~^T V~ up to row truncation, and V~ V~^T
     has the same nonzero spectrum exactly.
     """
-    w = weight(s, q, beta, np.arange(n_cols))
-    return _unweighted_rows(s, q, n_cols, zeta, n_rows) / w
+    scale = 1.0 / weight(s, q, beta, np.arange(n_cols))
+    return _synthesis_rows(s, q, n_cols, zeta, n_rows, scale)

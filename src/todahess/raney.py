@@ -55,11 +55,6 @@ def raney_step(s: int, p: int, m):
     return num, den
 
 
-def raney_ratio(s: int, p: int, n: int) -> Fraction:
-    """Exact step ratio R_{s,p}(n+1) / R_{s,p}(n)."""
-    return Fraction(*raney_step(s, p, n))
-
-
 @dataclass(frozen=True)
 class RaneyTable:
     """Exact values R_{s,p}(0..n_max) built by the integer ratio recurrence."""

@@ -131,10 +131,19 @@ def test_continue_equals_series_off_cut(s, data, r, theta):
 @example(s=2, k=3, r=0.055, theta=0.0)
 @example(s=8, k=15, r=1e-30, theta=1.0)  # xi^15 underflows
 def test_continue_inside_disk_meets_tol(s, k, r, theta):
+    # oracle: mpmath's hypergeometric series at 30 digits, as in
+    # test_ode_transport_vs_mpmath_hypergeometric
+    import mpmath as mp
+
     p = 1 + k % (2 * s)
-    u = cmath.rect(r, theta) * float(thresholds(s).zeta_c) ** 2
-    g = cont.gp_series(s, p, u)
-    assert abs(cont.gp_continue(s, p, u, "none").value - g) <= 1e-12 * abs(g)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = cmath.rect(r, theta) * zc2
+    hp = cont.hyp_params(s, p)
+    with mp.workdps(30):
+        a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
+        b_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_lower]
+        ref = complex(mp.hyper(a_list, b_list, mp.mpc(u) / zc2))
+    assert abs(cont.gp_continue(s, p, u, "none").value - ref) <= 1e-12 * abs(ref)
 
 
 def test_cut_trace_matches_gp_continue_on_fig3_grid():

@@ -326,3 +326,51 @@ def test_sigma_increases_with_zeta(data, eta):
     eta2 = data.draw(hst.floats(eta + 1e-3, 0.9), label="eta2")
     zc = float(thresholds(s).zeta_c)
     assert gram.sigma_p(s, p, eta * zc) < gram.sigma_p(s, p, eta2 * zc)
+
+
+def mp_diagonal_entry(s, q, beta, zeta, j):
+    """Entry (j, j) of the weighted block at 30 digits: sum_m p C(ms+p, m)^2
+    zeta^(2m) / w_j^2 with p = q + js, the binomials by an integer ratio
+    recurrence and the tail closed geometrically at eta^2."""
+    import mpmath as mp
+
+    p = q + j * s
+    with mp.workdps(30):
+        z2 = mp.mpf(zeta) ** 2
+        eta2 = mp.mpf(zeta / float(thresholds(s).zeta_c)) ** 2
+        b, acc, m = mp.mpf(1), mp.mpf(0), 0
+        while True:
+            term = p * b * b * z2**m
+            acc += term
+            if m > p and term < 1e-20 * acc:
+                break
+            big = m * s + p
+            num = math.prod(range(big + 1, big + s + 1))
+            den = (m + 1) * math.prod(range(big - m + 1, big - m + s))
+            b = b * num / den
+            m += 1
+        acc += term * eta2 / (1 - eta2)
+        w = mp.mpf(p) ** (1.5 + beta) * (mp.mpf(s) / (s - 1)) ** p
+        return float(acc / w**2)
+
+
+def test_large_block_stays_finite():
+    # column j of the unweighted V peaks near M^(p_j) = 2^519 here, and its
+    # square leaves the double range: the weights must scale inside the sum
+    s, q, beta, n = 2, 1, 1.0, 260
+    zeta = 0.999 * ZC2
+    mat = gram.weighted_block(s, zeta, q, beta, n).matrix
+    assert np.all(np.isfinite(mat))
+    want = mp_diagonal_entry(s, q, beta, zeta, n - 1)
+    assert abs(mat[-1, -1] - want) <= 1e-10 * want
+    want0 = mp_diagonal_entry(s, q, beta, zeta, 0)
+    assert abs(mat[0, 0] - want0) <= 1e-10 * want0
+
+
+def test_weight_overflow_is_domain_error():
+    # w_j = p_j^2.5 2^p_j passes the double range near p_j = 1000
+    zeta = 0.5 * ZC2
+    with pytest.raises(DomainError, match="overflows"):
+        gram.weighted_block(2, zeta, 1, 1.0, 520)
+    with pytest.raises(DomainError, match="overflows"):
+        gram.synthesis_matrix(2, 1, 1.0, zeta, 520, 600)

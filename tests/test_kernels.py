@@ -59,16 +59,20 @@ def test_block_entry_matches_continuation_near_threshold(eta):
 
 
 def test_block_matrix_matches_entry_kernel():
-    # each entry of the weighted block is the same entry of the smallest
-    # block that contains it
+    # weighted_block and block_entry against the exact-integer oracle with
+    # its own prefactor 1 / (sqrt(pa pb) w_a w_b), w_j = p_j^(3/2+beta) M^p_j
     s, q, beta = 3, 2, 0.8
     zeta = 0.7 * float(thresholds(s).zeta_c)
     n = 6
     mat = gram.weighted_block(s, zeta, q, beta, n, 1e-12).matrix
     assert np.array_equal(mat, mat.T)
     for j1, j2 in ((0, 0), (1, 4), (2, 5)):
+        pa, pb = q + j1 * s, q + j2 * s
+        w = [p ** (1.5 + beta) * 1.5**p for p in (pa, pb)]
+        want = brute(s, pa, pb, j2 - j1, zeta) / (math.sqrt(pa * pb) * w[0] * w[1])
         val = gram.block_entry(s, zeta, q, beta, j1, j2, 1e-12)
-        assert abs(mat[j1, j2] - val) <= 1e-12 * abs(val)
+        assert abs(mat[j1, j2] - want) <= 1e-12 * want
+        assert abs(val - want) <= 1e-12 * want
 
 
 def test_mmax_exhaustion_reports_negative_tail():
