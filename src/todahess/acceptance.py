@@ -14,7 +14,6 @@ content is demonstrated alongside on the compressed-remainder spectrum.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +52,9 @@ class CriterionResult:
 
 
 def crit_01_thresholds():
-    """Threshold exactness for s in [2, 12], zero tolerance."""
+    """Threshold exactness for s in [2, 12], zero tolerance, and the
+    square-root branch point at zeta_c: the residual of U_c - kappa sqrt(eps)
+    is O(eps) (residual/eps within a factor 2) for s in {2, 3, 5}."""
     ok = True
     rows = {}
     for s in range(2, 13):
@@ -64,7 +65,13 @@ def crit_01_thresholds():
         ok &= th.zeta_c < th.zeta_univ
         ok &= th.ratio == th.zeta_c / th.zeta_univ
         rows[s] = (str(th.zeta_c), str(th.zeta_univ), str(th.ratio))
-    return ok, {"values": rows}
+    spread = {}
+    for s in (2, 3, 5):
+        ratios = [maps.local_expansion_check(s, e) / e for e in (1e-2, 1e-3, 1e-4)]
+        spread[s] = max(ratios) / min(ratios)
+        ok &= spread[s] < 2.0
+    return ok, {"values": rows, "branch_residual_over_eps_spread": spread,
+                "spread_tolerance": 2.0}
 
 
 def _u_power_series(s: int, n_max: int):
@@ -140,26 +147,18 @@ def crit_04_asymptotic():
 
 
 def crit_05_gram_hessian():
-    """Gram representation equals Hessian entries to 1e-12 relative."""
+    """Gram representation equals Hessian entries to 1e-12 relative, and
+    H_{mn} vanishes exactly when m != n (mod s)."""
     ok = True
     worst = 0.0
     for s in (2, 3):
         zeta = 0.5 * float(maps.thresholds(s).zeta_c)
-        vecs = {p: gram.gram_vector(s, p, zeta, 32) for p in range(1, 31)}
         for m in range(1, 31):
             for n in range(m, 31):
-                h = gram.hessian_entry(s, zeta, m, n)
-                tot = 0.0
-                for p in range(1, min(m, n) + 1):
-                    if (m - p) % s == 0 and (n - p) % s == 0:
-                        tot += vecs[p].entry(m) * vecs[p].entry(n)
-                scale = max(abs(h), abs(tot))
-                if scale > 0:
-                    rel = abs(h - tot) / scale
-                    worst = max(worst, rel)
-                    ok &= rel <= 1e-12
-                else:
-                    ok &= (m - n) % s != 0
+                rel = gram.gram_consistency(s, zeta, m, n)
+                worst = max(worst, rel)
+                ok &= rel <= 1e-12
+                ok &= (gram.hessian_entry(s, zeta, m, n) == 0.0) == bool((m - n) % s)
     return ok, {"max_rel_error": worst, "tolerance": 1e-12}
 
 

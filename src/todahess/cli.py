@@ -81,12 +81,15 @@ def _zeta_from(args) -> float:
 
 
 def _emit(tabs, svgs, args) -> None:
+    """Write the tables to --out (csv unless --format says otherwise) or to
+    stdout (the text table unless --format is csv or json)."""
     out, fmt = args.out, args.format
     if out is None:
+        render = {None: Table.to_text, "csv": Table.to_csv, "json": Table.to_json}[fmt]
         for name, tab in tabs.items():
             if len(tabs) > 1:
                 sys.stdout.write(f"== {name}\n")
-            sys.stdout.write(tab.to_text())
+            sys.stdout.write(render(tab))
         return
     base = Path(out)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -97,7 +100,7 @@ def _emit(tabs, svgs, args) -> None:
             return base.parent / f"{stem}.{ext}"
         return base.parent / f"{stem}_{name}.{ext}"
 
-    if fmt in ("csv", "svg"):
+    if fmt in (None, "csv", "svg"):
         for name, tab in tabs.items():
             path_for(name, "csv", len(tabs) == 1).write_text(
                 tab.to_csv(), encoding="utf-8"
@@ -354,11 +357,10 @@ def _cmd_density(args):
     tab = Table(
         "todahess.density.v1", ["s", "p", "t_ratio", "t", "varrho"]
     )
-    xi_nodes = sorted(1.0 / float(r) for r in args.grid)
-    states = cont.cut_trace(s, p, xi_nodes, side="above")
-    for xi, st in zip(xi_nodes, states):
-        t = tmax / xi
-        tab.add(s, p, t / tmax, t, st.value.imag / (math.pi * t))
+    ratios = sorted(map(float, args.grid), reverse=True)  # ascending xi = 1/t_ratio
+    for r, rho in zip(ratios, stieltjes.perron_density(s, p, ratios)):
+        t = tmax / (1.0 / r)
+        tab.add(s, p, t / tmax, t, float(rho))
     mass = stieltjes.perron_integrals(s, p, delta_rel=1e-12, n_panels=120)[0]
     summary = Table("todahess.density-mass.v1", ["s", "p", "delta_rel", "mass"])
     summary.add(s, p, 1e-12, mass)
@@ -442,12 +444,13 @@ _FLAGS = {
     "id": dict(choices=figures.FIGURE_IDS),
     "level": dict(choices=("quick", "full")),
     "out": dict(help="output path; stdout when absent"),
-    "format": dict(choices=("csv", "svg", "json")),
+    "format": dict(choices=("csv", "svg", "json"),
+                   help="csv under --out and text on stdout when absent"),
 }
 #: thresholds --s also takes a range a..b
 _THRESHOLD_ORDERS = dict(type=_parse_orders, help="symmetry order or range a..b")
 
-_OUT = {"out": None, "format": "csv"}
+_OUT = {"out": None, "format": None}
 #: command -> (handler, {flag: default}); a ... default marks a required value
 _COMMANDS = {
     "thresholds": (_cmd_thresholds, {"s": "3", **_OUT}),
@@ -531,7 +534,10 @@ def main(argv=None) -> int:
         config = _read_config(config_path) if config_path else {}
     except (OSError, ValueError) as exc:
         pre.error(f"config: {exc}")
-    args = _build_parser(config).parse_args(argv)
+    parser = _build_parser(config)
+    args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "svg" and args.out is None:
+        parser.error("--format svg writes files: pass --out")
     try:
         handler = _COMMANDS[args.command][0]
         if args.command == "selftest":

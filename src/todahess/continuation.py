@@ -44,7 +44,7 @@ DETOUR_OFFSET = 0.3
 #: seed point of all transports
 XI_SEED = 0.5
 #: gp_continue sums the power series itself for |xi| up to this radius
-SERIES_RADIUS = 0.9
+SERIES_RADIUS = 0.98
 #: terms below this relative size no longer change a float64 partial sum
 _SERIES_TOL = 1e-17
 
@@ -106,11 +106,6 @@ def _coeff_step(s: int, p: int, m: int):
     return num**2 * (s - 1) ** (2 * s - 2), den**2 * s ** (2 * s)
 
 
-def _coeff_ratio_exact(s: int, p: int, m: int) -> Fraction:
-    """a_{m+1}/a_m for a_m = R_{s,p}(m)^2 zeta_c^{2m} (exact)."""
-    return Fraction(*_coeff_step(s, p, m))
-
-
 def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
     """[y, y', ..., y^(d-1)] of y(xi) = G_p(zeta_c^2 xi) for |xi| < 1,
     from the differentiated power series
@@ -147,12 +142,13 @@ def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
 
 
 def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
-    """G_p(u) by direct summation; only inside |u| <= 0.98 zeta_c^2."""
+    """G_p(u) by direct summation; only inside |u| <= SERIES_RADIUS zeta_c^2."""
     _validate_sp(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
-    if abs(u) > 0.98 * zc2:
+    if abs(u) > SERIES_RADIUS * zc2:
         raise DivergenceError(
-            f"|u| = {abs(u):.3g} beyond 0.98 * zeta_c^2 = {0.98*zc2:.3g}; "
+            f"|u| = {abs(u):.3g} beyond {SERIES_RADIUS} * zeta_c^2 = "
+            f"{SERIES_RADIUS * zc2:.3g}; "
             "use gp_continue for the slit-plane continuation"
         )
     acc = _gp_derivs(s, p, complex(u) / zc2, 1, tol)[0]

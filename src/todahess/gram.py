@@ -143,47 +143,25 @@ def hessian_entry(s: int, zeta: float, m: int, n: int) -> float:
     return m * n * total
 
 
-def gram_consistency(
-    s: int, zeta: float, m: int, n: int, p_max: int | None = None
-) -> bool:
-    """Check sum_p v^{(p)}_m v^{(p)}_n == H_{mn} to 1e-12 relative.
+def gram_consistency(s: int, zeta: float, m: int, n: int) -> float:
+    """Relative error of sum_p v^{(p)}_m v^{(p)}_n against H_{mn}.
 
     The left side is assembled from GramVector objects (independent code
-    path from hessian_entry's direct double loop).
+    path from hessian_entry's direct double loop); 0.0 when both vanish.
     """
     h = hessian_entry(s, zeta, m, n)
-    if p_max is None:
-        p_max = min(m, n)
     total = 0.0
-    for p in range(1, p_max + 1):
-        if (m - p) % s or (n - p) % s or p > min(m, n):
+    for p in range(1, min(m, n) + 1):
+        if (m - p) % s or (n - p) % s:
             continue
         v = gram_vector(s, p, zeta, max(m, n) // s + 1)
         total += v.entry(m) * v.entry(n)
-    scale = max(abs(h), abs(total), 1e-300)
-    return abs(total - h) <= 1e-12 * scale
+    scale = max(abs(h), abs(total))
+    return abs(total - h) / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------
 # Weighted blocks
-
-
-def block_entry(
-    s: int,
-    zeta: float,
-    q: int,
-    beta: float,
-    j1: int,
-    j2: int,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Entry (j1, j2) of the weighted block Gram operator in sector q."""
-    if not 1 <= q <= s:
-        raise DomainError(f"sector q must lie in [1, s], got {q}")
-    if j1 < 0 or j2 < 0:
-        raise DomainError("block indices must be >= 0")
-    scale = 1.0 / weight(s, q, beta, np.arange(max(j1, j2) + 1))
-    return _gram_product(s, q, len(scale), zeta, tol, scale)[j1, j2]
 
 
 @dataclass(frozen=True)

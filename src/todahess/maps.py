@@ -9,7 +9,6 @@ exact rationals because several invariants are knife-edge comparisons.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,16 +153,6 @@ def solve_u_of_t(s: int, t: complex, tol: float = 1e-13) -> complex:
     return u
 
 
-def solve_U(cfg: MapConfig, x: complex, tol: float = 1e-13) -> complex:
-    """U(x; zeta) on the branch continuously connected to U(0) = 1.
-
-    Raises BranchAmbiguityError when zeta x^s lies on the cut [zeta_c, inf)
-    (cut system: the s rays in the x-plane where zeta x^s is real >= zeta_c).
-    """
-    t = cfg.zeta * complex(x) ** cfg.s
-    return solve_u_of_t(cfg.s, t, tol)
-
-
 def local_expansion_check(s: int, eps: float) -> float:
     """|U(at zeta x^s = zeta_c (1 - eps)) - (U_c - kappa sqrt(eps))|.
 
@@ -210,11 +199,6 @@ def is_univalent(cfg: MapConfig) -> UnivalenceResult:
         if geom != univalent:
             raise ArithmeticError("rational and geometric univalence tests disagree")
     return UnivalenceResult(univalent=univalent, critical=False)
-
-
-def boundary_trace(cfg: MapConfig, theta: float) -> complex:
-    """z(theta) = e^{i theta} + zeta e^{-i(s-1) theta} (unit conformal radius)."""
-    return cmath.exp(1j * theta) + cfg.zeta * cmath.exp(-1j * (cfg.s - 1) * theta)
 
 
 def boundary_injectivity_margin(cfg: MapConfig, n_samples: int) -> float:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, UnsupportedRangeError
 
@@ -122,39 +120,6 @@ def amplitude(s: int, p: int) -> float:
     return p * big_m**p / math.sqrt(2.0 * math.pi * s * (s - 1))
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
-    s: int
-    p: int
-    amplitude: float
-    M: Fraction
-    zeta_c: Fraction
-
-
-def asymptotic_data(s: int, p: int) -> AsymptoticData:
-    _validate_sp(s, p)
-    return AsymptoticData(
-        s=s,
-        p=p,
-        amplitude=amplitude(s, p),
-        M=Fraction(s, s - 1),
-        zeta_c=Fraction((s - 1) ** (s - 1), s**s),
-    )
-
-
-def asymptotic_value(s: int, p: int, m: int) -> float:
-    """A_{s,p} * zeta_c^{-m} * m^{-3/2}; overflows to inf for very large m
-    (use asymptotic_ratio for scaled comparisons)."""
-    _validate_sp(s, p)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    logv = math.log(amplitude(s, p)) - m * math.log(zeta_c_value(s)) - 1.5 * math.log(m)
-    try:
-        return math.exp(logv)
-    except OverflowError:
-        return math.inf
-
-
 def scaled_raney_seq(s: int, p: int, m_max: int) -> list:
     """h_m = R_{s,p}(m) * zeta_c^m * m^{3/2} for m = 1..m_max, by float ratio
     updates (h stays O(1), so no overflow for any m)."""
@@ -168,51 +133,3 @@ def scaled_raney_seq(s: int, p: int, m_max: int) -> list:
         r_scaled *= (num / den) * zc
         out.append(r_scaled)
     return [out[m - 1] * m**1.5 for m in range(1, m_max + 1)]
-
-
-def asymptotic_ratio(s: int, p: int, m: int) -> float:
-    """R_{s,p}(m) * zeta_c^m * m^{3/2} / A_{s,p}, computed without overflow."""
-    return scaled_raney_seq(s, p, m)[-1] / amplitude(s, p)
-
-
-@lru_cache(maxsize=None)
-def _calibrated_cs(s: int) -> float:
-    """C_s for the uniform bound: scan p, m <= 200, then double."""
-    big_m = s / (s - 1)
-    worst = 0.0
-    for p in range(1, 201):
-        hs = scaled_raney_seq(s, p, 200)
-        scale = p * big_m**p
-        for h in hs:
-            worst = max(worst, h / scale)
-    return 2.0 * worst
-
-
-def uniform_bound(s: int, p: int, m: int) -> float:
-    """Calibrated uniform bound C_s * p * M^p * zeta_c^{-m} * m^{-3/2}.
-
-    The bound dominates R_{s,p}(m) on the calibration grid by construction
-    and (by the convexity of the Stirling exponent) everywhere else tested.
-    """
-    _validate_sp(s, p)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    big_m = s / (s - 1)
-    logv = (
-        math.log(_calibrated_cs(s))
-        + math.log(p)
-        + p * math.log(big_m)
-        - m * math.log(zeta_c_value(s))
-        - 1.5 * math.log(m)
-    )
-    try:
-        return math.exp(logv)
-    except OverflowError:
-        return math.inf
-
-
-def uniform_bound_scaled(s: int, p: int, m: int) -> float:
-    """The uniform bound divided by zeta_c^{-m} m^{-3/2} (never overflows)."""
-    _validate_sp(s, p)
-    big_m = s / (s - 1)
-    return _calibrated_cs(s) * p * big_m**p

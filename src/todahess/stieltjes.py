@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .continuation import cut_trace, gp_continue
+from .continuation import cut_trace
 from .errors import ConditioningError, DomainError, PositivityError
 from .maps import thresholds
 from .raney import _validate_sp, raney_table
@@ -199,17 +199,22 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
     return complex(f)
 
 
-def perron_density(s: int, p: int, t: float, tol: float = 1e-9) -> float:
-    """varrho_p(t) = (1/pi t) Im G_p(1/t + i0) on (0, 1/zeta_c^2)."""
-    zc2 = float(thresholds(s).zeta_c) ** 2
-    tmax = 1.0 / zc2
-    if not 0 < t < tmax:
-        raise DomainError(f"t must lie in (0, {tmax:.6g})")
-    if t < 1e-3 * tmax or t > tmax * (1 - 1e-3):
-        raise DomainError("t too close to an endpoint (1e-3 relative margin)")
-    st = gp_continue(s, p, 1.0 / t, "above", tol=min(tol, 1e-10))
-    val = st.value.imag / (math.pi * t)
-    return val
+def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
+    """varrho_p(t) = (1/pi t) Im G_p(1/t + i0) at the array t = t_ratio T,
+    T = 1/zc^2.
+
+    One cut_trace supplies every point.  t_ratio must be > 0; near t = T the
+    trace raises DomainError inside the branch-point exclusion disk.
+    """
+    t_ratio = np.asarray(t_ratio, dtype=np.float64)
+    if not np.all(t_ratio > 0):
+        raise DomainError("t must be > 0")
+    tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
+    xi = 1.0 / t_ratio
+    order = np.argsort(xi, kind="stable")
+    im_g = np.empty_like(xi)
+    im_g[order] = [st.value.imag for st in cut_trace(s, p, xi, side="above")]
+    return im_g / (math.pi * (tmax / xi))
 
 
 def _gauss_legendre_panels(a: float, b: float, n_panels: int, n_nodes: int):
@@ -263,12 +268,9 @@ def perron_endpoint_exponent(
 ):
     """Log-log slope of varrho_p(t) against (T - t) near the right endpoint
     (the density vanishes quadratically there)."""
-    zc2 = float(thresholds(s).zeta_c) ** 2
-    tmax = 1.0 / zc2
-    eps = np.geomspace(eps_lo, eps_hi, n_pts)
-    xi = 1.0 / (1.0 - eps)  # t = T/xi = T (1 - eps)
-    states = cut_trace(s, p, xi, side="above")
-    ts = tmax / xi
-    rho = np.array([st.value.imag for st in states]) / (math.pi * ts)
+    tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
+    t_ratio = 1.0 - np.geomspace(eps_lo, eps_hi, n_pts)
+    ts = tmax / (1.0 / t_ratio)  # the t values perron_density evaluates at
+    rho = perron_density(s, p, t_ratio)
     slope = np.polyfit(np.log(tmax - ts), np.log(np.abs(rho)), 1)[0]
     return float(slope)

@@ -123,12 +123,22 @@ def test_bad_config_is_usage_error(tmp_path, cfg):
         ["spectrum", "--s", "abc"],
         ["thresholds", "--s", "2..x"],
         ["block", "--s", "3", "--zeta-ratio", "inf"],
+        ["block", "--s", "3", "--n", "2", "--format", "svg"],
     ],
     ids=["unread-flag", "no-id", "no-s", "no-zeta", "no-u-ratio", "bad-int",
-         "bad-range", "inf-zeta"],
+         "bad-range", "inf-zeta", "svg-without-out"],
 )
 def test_usage_errors_exit_2(args):
     assert exit_code(args) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_without_out_prints_that_format(tmp_path, capsys, fmt):
+    args = ["block", "--s", "3", "--n", "2", "--zeta-ratio", "0.5", "--format", fmt]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0
+    assert printed == (tmp_path / f"b.{fmt}").read_text()
 
 
 def test_readme_documents_the_parser():

@@ -53,14 +53,15 @@ def test_block_entry_matches_continuation_near_threshold(eta):
     # value by ODE transport, sharing no code with the series kernel.
     s, q, beta = 3, 1, 1.0
     zeta = eta * float(thresholds(s).zeta_c)
-    series = gram.block_entry(s, zeta, q, beta, 0, 0) * gram.weight(s, q, beta, 0) ** 2
+    w0 = gram.weight(s, q, beta, 0)
+    series = gram.weighted_block(s, zeta, q, beta, 2).matrix[0, 0] * w0**2
     ode = continuation.sigma_cont(s, q, zeta * zeta).real
     assert abs(series - ode) <= 1e-9 * abs(ode)
 
 
 def test_block_matrix_matches_entry_kernel():
-    # weighted_block and block_entry against the exact-integer oracle with
-    # its own prefactor 1 / (sqrt(pa pb) w_a w_b), w_j = p_j^(3/2+beta) M^p_j
+    # weighted_block against the exact-integer oracle with its own
+    # prefactor 1 / (sqrt(pa pb) w_a w_b), w_j = p_j^(3/2+beta) M^p_j
     s, q, beta = 3, 2, 0.8
     zeta = 0.7 * float(thresholds(s).zeta_c)
     n = 6
@@ -70,9 +71,7 @@ def test_block_matrix_matches_entry_kernel():
         pa, pb = q + j1 * s, q + j2 * s
         w = [p ** (1.5 + beta) * 1.5**p for p in (pa, pb)]
         want = brute(s, pa, pb, j2 - j1, zeta) / (math.sqrt(pa * pb) * w[0] * w[1])
-        val = gram.block_entry(s, zeta, q, beta, j1, j2, 1e-12)
         assert abs(mat[j1, j2] - want) <= 1e-12 * want
-        assert abs(val - want) <= 1e-12 * want
 
 
 def test_mmax_exhaustion_reports_negative_tail():

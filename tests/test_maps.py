@@ -59,8 +59,7 @@ def test_kappa_sq_identity(s):
 
 
 def test_solve_u_at_origin():
-    cfg = maps.MapConfig(s=4, zeta=0.07)
-    assert maps.solve_U(cfg, 0.0) == 1.0
+    assert maps.solve_u_of_t(4, 0.0) == 1.0
 
 
 def test_solve_u_quadratic_oracle():
@@ -137,18 +136,6 @@ def test_is_univalent_examples():
 def test_univalence_truthiness():
     assert bool(maps.is_univalent(maps.MapConfig(2, 0.2)))
     assert not bool(maps.is_univalent(maps.MapConfig(2, 1.5)))
-
-
-def test_boundary_trace():
-    cfg = maps.MapConfig(3, 0.3)
-    assert abs(maps.boundary_trace(cfg, 0.0) - 1.3) < 1e-15
-    assert abs(maps.boundary_trace(cfg, math.pi) - (-0.7)) < 1e-12
-    # degenerate Joukowski: s=2, zeta=1 traces the segment 2cos(theta)
-    cfg = maps.MapConfig(2, 1.0)
-    for th in (0.3, 1.1, 2.7):
-        z = maps.boundary_trace(cfg, th)
-        assert abs(z.imag) < 1e-14
-        assert abs(z.real - 2 * math.cos(th)) < 1e-14
 
 
 def test_injectivity_margin_signs():

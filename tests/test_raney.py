@@ -154,24 +154,17 @@ def test_amplitude_values():
     assert abs(raney.amplitude(3, 2) - 4.5 / math.sqrt(12 * math.pi)) < 1e-15
 
 
-def test_asymptotic_data_fields():
-    data = raney.asymptotic_data(3, 2)
-    assert data.M == Fraction(3, 2)
-    assert data.zeta_c == Fraction(4, 27)
-    assert abs(data.amplitude - raney.amplitude(3, 2)) == 0.0
+def asymptotic_ratio(s, p, m):
+    """R_{s,p}(m) zeta_c^m m^(3/2) / A_{s,p}, as criterion 4 computes it."""
+    return raney.scaled_raney_seq(s, p, m)[-1] / raney.amplitude(s, p)
 
 
 def test_asymptotic_ratio_trend():
     # R / asymptotic -> 1 with O(1/m) error (contract: within 5/m)
-    r100 = raney.asymptotic_ratio(2, 1, 100)
+    r100 = asymptotic_ratio(2, 1, 100)
     assert abs(r100 - 1.0) < 5.0 / 100
-    r1000 = raney.asymptotic_ratio(2, 1, 1000)
+    r1000 = asymptotic_ratio(2, 1, 1000)
     assert abs(r1000 - 1.0) < abs(r100 - 1.0)
-
-
-def test_asymptotic_value_small_m():
-    v = raney.asymptotic_value(2, 1, 100)
-    assert abs(raney.raney(2, 1, 100) / v - 1.0) < 2e-2
 
 
 def test_asymptotic_tolerance_band():
@@ -183,29 +176,6 @@ def test_asymptotic_tolerance_band():
                 assert abs(seq[m - 1] / amp - 1.0) <= 5.0 / m
 
 
-def test_uniform_bound_dominates():
-    for s in (2, 3):
-        for p in (1, 4, 60):
-            for m in (1, 7, 150):
-                scaled = raney.scaled_raney_seq(s, p, m)[-1]
-                assert scaled <= raney.uniform_bound_scaled(s, p, m)
-
-
-def test_uniform_bound_small_case():
-    assert raney.uniform_bound(2, 1, 1) >= 1.0  # R_{2,1}(1) = 1
-
-
-def test_uniform_bound_scaling_constant():
-    # bound(s,p,m) * zeta_c^m m^{3/2} / (p M^p) is constant in (p, m)
-    vals = set()
-    for p in (1, 3, 8):
-        for m in (2, 9, 33):
-            big_m = 2.0
-            v = raney.uniform_bound_scaled(2, p, m) / (p * big_m**p)
-            vals.add(round(v, 12))
-    assert len(vals) == 1
-
-
 def test_uniform_one_term_expansion_fixed_p():
     # one-term expansion: m |eps| stays bounded for each fixed p, with the
     # bound growing like p^2/(2 s (s-1)) (the exp(-p^2/(2s(s-1)m)) factor)
@@ -213,7 +183,7 @@ def test_uniform_one_term_expansion_fixed_p():
         for p in (1, 4, 12):
             cap = 4.0 + 0.75 * p * p / (s * (s - 1))
             for m in (50, 200, 1000, 2000):
-                dev = abs(raney.asymptotic_ratio(s, p, m) - 1.0) * m
+                dev = abs(asymptotic_ratio(s, p, m) - 1.0) * m
                 assert dev < cap
 
 
@@ -221,5 +191,5 @@ def test_uniform_expansion_breaks_at_theta_half():
     # counterexample to the theta-uniform |eps| <= C/m claim: at p = m/2 the
     # suppression exp(-p^2/(2s(s-1)m)) drives the ratio to 0, so eps -> -1
     # (see the decisions ledger)
-    assert raney.asymptotic_ratio(2, 1000, 2000) < 1e-20
-    assert raney.asymptotic_ratio(2, 25, 50) < 0.1
+    assert asymptotic_ratio(2, 1000, 2000) < 1e-20
+    assert asymptotic_ratio(2, 25, 50) < 0.1

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -163,24 +162,18 @@ def test_weyl_near_pole_errors():
 
 def test_perron_density_positive_interior():
     # one transport along the cut; varrho >= 0 on 50 interior points
-    zc2 = float(thresholds(3).zeta_c) ** 2
-    tmax = 1.0 / zc2
     for p in (1, 2, 3):
-        xi = np.geomspace(1.01, 50.0, 50)
-        states = cont.cut_trace(3, p, xi, side="above")
-        for x, s_ in zip(np.sort(xi), states):
-            rho = s_.value.imag / (math.pi * (tmax / x))
-            assert rho >= -1e-9
+        rho = st.perron_density(3, p, 1.0 / np.geomspace(1.01, 50.0, 50))
+        assert np.all(rho >= -1e-9)
 
 
 def test_perron_density_single_points():
-    tmax = 1.0 / ZC2_2
-    v = st.perron_density(2, 1, 0.5 * tmax)
-    assert v >= 0
+    v = st.perron_density(2, 1, [0.5])
+    assert v.shape == (1,) and v[0] >= 0
     with pytest.raises(DomainError):
-        st.perron_density(2, 1, tmax * 0.99999)
+        st.perron_density(2, 1, [0.99999])  # inside the exclusion disk
     with pytest.raises(DomainError):
-        st.perron_density(2, 1, -0.1)
+        st.perron_density(2, 1, [0.5, -0.1])
 
 
 def test_perron_mass_and_moments():
@@ -212,16 +205,9 @@ def test_quadrature_domain_guards():
 
 def test_perron_left_exponent_logged():
     # t -> 0 behavior ~ t^{p/s - 1} (log factor not asserted)
-    zc2 = float(thresholds(3).zeta_c) ** 2
-    tmax = 1.0 / zc2
-    xi = np.geomspace(1e3, 1e5, 6)
-    states = cont.cut_trace(3, 1, xi, side="above")
-    ts = tmax / np.sort(xi)[::-1]
-    rho = np.array(
-        [s_.value.imag / (math.pi * (tmax / x))
-         for x, s_ in zip(np.sort(xi), states)]
-    )[::-1]
-    slope = np.polyfit(np.log(ts), np.log(rho), 1)[0]
+    t_ratio = 1.0 / np.geomspace(1e3, 1e5, 6)
+    rho = st.perron_density(3, 1, t_ratio)
+    slope = np.polyfit(np.log(t_ratio), np.log(rho), 1)[0]
     # exponent p/s - 1 = -2/3 up to the (unasserted) log factor; measured
     # -0.84 on this window, recorded here with a band wide enough for the
     # log correction
