@@ -279,7 +279,11 @@ def crit_11_resonant(pairs=RESONANT_PAIRS):
         fit = cont._cached_fit(s, p)
         closed = cont.B_closed_form(s, p).value
         rel = abs(fit.B_fit - closed) / abs(closed)
-        info[f"{s},{p}"] = {"B_fit": fit.B_fit, "B_closed": closed, "rel": rel}
+        info[f"{s},{p}"] = {
+            "B_fit": fit.B_fit, "B_closed": closed, "rel": rel,
+            "max_rel_residual": fit.max_rel_residual,
+            "steps": fit.steps, "terms": fit.terms, "dps": fit.dps,
+        }
         ok &= rel < 0.05 and fit.B_fit < 0
     return ok, info
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 import mpmath as mp
@@ -184,14 +186,16 @@ class _OdeData(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _ode_data(s: int, p: int) -> _OdeData:
-    """Companion coefficients of the reduced equation.
+def _ode_fractions(s: int, p: int) -> tuple:
+    """(d, c, e): exact coefficients of the reduced equation.
 
     The reduced operator is theta * prod_b (theta + b - 1) - xi *
     prod_a (theta + a); converting theta^k = sum_j S(k,j) xi^j D^j gives
     sum_j xi^j (c_j - xi e_j) y^(j) = 0 with c_d = e_d = 1, so
 
         y^(d) = - sum_{j<d} xi^j (c_j - xi e_j) y^(j) / (xi^d (1 - xi)).
+
+    c and e are tuples of Fractions, j = 0..d.
     """
     hp = hyp_params(s, p)
     a_list = hp.reduced_upper
@@ -207,16 +211,19 @@ def _ode_data(s: int, p: int) -> _OdeData:
     for a in a_list:
         r_poly = _poly_mul(r_poly, [a, Fraction(1)])
     s2 = _stirling2(d)
-    c = np.zeros(d + 1)
-    e = np.zeros(d + 1)
-    for j in range(d + 1):
-        cj = sum(p_poly[k] * s2[k][j] for k in range(j, d + 1))
-        ej = sum(r_poly[k] * s2[k][j] for k in range(j, d + 1))
-        c[j] = float(cj)
-        e[j] = float(ej)
-    if c[d] != 1.0 or e[d] != 1.0:
+    c = tuple(sum(p_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1))
+    e = tuple(sum(r_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1))
+    if c[d] != 1 or e[d] != 1:
         raise ArithmeticError("theta polynomials are not monic")
-    return _OdeData(d=d, c=c, e=e)
+    return d, c, e
+
+
+@lru_cache(maxsize=None)
+def _ode_data(s: int, p: int) -> _OdeData:
+    """_ode_fractions in double precision, for the DOP853 companion system."""
+    d, c, e = _ode_fractions(s, p)
+    return _OdeData(d=d, c=np.array([float(x) for x in c]),
+                    e=np.array([float(x) for x in e]))
 
 
 def _rhs_factory(data: _OdeData):
@@ -383,6 +390,195 @@ def sigma_from_state(st: ContinuationState) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Extended-precision Taylor steps
+
+
+#: decimal digits the Taylor-step engine carries above the caller's dps
+TAYLOR_GUARD_DPS = 10
+
+
+class _TaylorWalk(NamedTuple):
+    states: list  # [y, y', ..., y^(d-1)] at each target, mpmath numbers
+    steps: int  # expansions from the recurrence (the seed series not counted)
+    terms: int  # Taylor coefficients computed, seed series included
+    dps: int  # working precision, decimal digits
+
+
+def _falling_row(n: int, d: int) -> list:
+    """[n!/(n-j)! for j = 0..d]."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (n - j))
+    return row
+
+
+def _seed_coeffs(s: int, p: int):
+    """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0, in the
+    current mpmath precision."""
+    a = mp.mpf(1)
+    for m in count():
+        yield a
+        num, den = _coeff_step(s, p, m)
+        a = a * num / den
+
+
+def _recurrence_coeffs(s: int, p: int, centre, head):
+    """Scaled Taylor coefficients b_n = a_n centre^n of y at centre.
+
+    head holds b_0..b_{d-1}.  The coefficient of (xi - centre)^N in
+    sum_j xi^j (c_j - xi e_j) y^(j) = 0 is, after scaling by centre^N,
+
+        sum_{r=-1}^{d} b_{N+r} (alpha_r(N) - centre beta_r(N)) = 0,
+        alpha_r(N) = sum_j c_j C(j, r) (N+r)!/(N+r-j)!,
+        beta_r(N) = sum_j e_j C(j+1, r+1) (N+r)!/(N+r-j)!,
+
+    a (d+2)-term recurrence whose integer parts do not depend on the centre;
+    alpha_d = beta_d = (N+d)!/N!.  Falling-factorial rows are computed once
+    per index n.
+    """
+    d, c, e = _ode_fractions(s, p)
+    den = math.lcm(*(x.denominator for x in c + e))
+    # den alpha_r(N) and den beta_r(N) are these integer rows dotted with
+    # the falling-factorial row of N + r
+    ca = [[int(den * c[j]) * math.comb(j, r) for j in range(d + 1)]
+          for r in range(d)]
+    eb = [[int(den * e[j]) * math.comb(j + 1, r + 1) for j in range(d + 1)]
+          for r in range(-1, d)]
+    inv = 1 / (den * (1 - centre))
+    b = list(head)
+    yield from b
+    rows = [_falling_row(n, d) for n in range(d)]
+    for big_n in count():
+        rows.append(_falling_row(big_n + d, d))
+        lo = max(big_n - 1, 0)  # b_{-1} = 0
+        alpha = [_idot(ca[r], rows[big_n + r]) for r in range(d)]
+        beta = [_idot(eb[n - big_n + 1], rows[n]) for n in range(lo, big_n + d)]
+        acc = centre * mp.fdot(beta, b[lo:]) - mp.fdot(alpha, b[big_n:])
+        b.append(acc * inv / rows[big_n + d][d])
+        yield b[-1]
+
+
+def _idot(u: list, v: list) -> int:
+    return sum(map(int.__mul__, u, v))
+
+
+def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> list:
+    """Draw Taylor coefficients b_0, b_1, ... from coeffs until every
+    component sum_n b_n n!/(n-i)! tau^(n-i), i < d, has a geometric tail at
+    tau_far below tol relative to its partial sum.  The term ratio of
+    component i is taken as ratio (n+1)/(n+1-i), as in _gp_derivs; the
+    check itself runs in complex doubles.
+    """
+    out = []
+    sums = [0j] * d
+    pw = mp.mpf(1)
+    for n, b in enumerate(coeffs):
+        out.append(b)
+        t = complex(b * pw)
+        pw *= tau_far
+        done = n >= 4 * d
+        ff = 1.0  # n!/(n-i)!
+        for i in range(min(d, n + 1)):
+            sums[i] += ff * t
+            q = ratio * (n + 1) / (n + 1 - i)
+            done = (done and q < 1.0
+                    and abs(t) * ff * q / (1.0 - q) <= tol * abs(sums[i]))
+            ff *= n - i
+        if done:
+            return out
+        if n >= budget:
+            raise DivergenceError(
+                f"Taylor expansion needs more than {budget} terms to reach "
+                f"{tol:.1e} relative"
+            )
+
+
+def _shift(coeffs: list, tau, d: int) -> list:
+    """P^(i)(tau) / i!, i < d, for P(tau) = sum_n coeffs[n] tau^n."""
+    acc = [mp.mpf(0)] * d
+    for b in reversed(coeffs):
+        for i in range(d - 1, 0, -1):
+            acc[i] = acc[i] * tau + acc[i - 1]
+        acc[0] = acc[0] * tau + b
+    return acc
+
+
+def _segment_distance(a: complex, b: complex, z: complex) -> float:
+    """Distance from z to the segment [a, b]."""
+    v = b - a
+    lam = 0.0 if v == 0 else ((z - a) * v.conjugate()).real / abs(v) ** 2
+    return abs(a + min(max(lam, 0.0), 1.0) * v - z)
+
+
+def _taylor_walk(s: int, p: int, targets, dps: int) -> _TaylorWalk:
+    """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from XI_SEED
+    through targets, in order, at dps + TAYLOR_GUARD_DPS digits.
+
+    The path is the polygon XI_SEED -> targets[0] -> targets[1] -> ...;
+    targets may be complex, and the path must keep 1e-9 away from xi = 0
+    and 1.  The seed state is summed from the power series at 0.  Each step
+    re-expands y at the current centre c from the recurrence of
+    _recurrence_coeffs and evaluates it at every following target within
+    rho/2 of c, where rho = min(|c|, |1 - c|) is the distance to the nearer
+    singular point.
+    The next centre is the last of those targets or, if there is none, the
+    point rho/2 further along the path.  Each expansion stops once its
+    geometric tail is below 10^-(dps+6) relative (see _expand); dps is at
+    most 250.
+    """
+    if dps > 250:
+        # tol and the terms compared with it must stay normal doubles
+        raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
+    d = _ode_fractions(s, p)[0]
+    work = dps + TAYLOR_GUARD_DPS
+    tol = 10.0 ** (-(dps + 6))
+    # ratio <= 1/2 needs about 3.3 terms per digit, plus the growth of n!/(n-d)!
+    budget = 10 * work + 20 * d
+    with mp.workdps(work):
+        pts = [mp.mpmathify(t) for t in targets]
+        corners = [complex(XI_SEED)] + [complex(t) for t in pts]
+        for a, b in zip(corners, corners[1:]):
+            if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
+                raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
+                                "singular point, 0 or 1")
+        centre = mp.mpf(XI_SEED)
+        seed = _expand(_seed_coeffs(s, p), centre, 0.5, d, tol, budget)
+        taylor = _shift(seed, centre, d)  # y^(i)(centre) / i!
+        steps, terms = 0, len(seed)
+        states = []
+        k = 0
+        while k < len(pts):
+            rho = min(abs(centre), abs(1 - centre))
+            served = []
+            while k < len(pts) and abs(pts[k] - centre) <= rho / 2:
+                served.append(pts[k])
+                k += 1
+            if served:
+                nxt = served[-1]
+            else:
+                nxt = centre + rho / 2 * (pts[k] - centre) / abs(pts[k] - centre)
+            far = max(abs(t - centre) for t in served or [nxt])
+            # y(centre + centre tau) = sum_n b_n tau^n
+            head = [taylor[i] * centre**i for i in range(d)]
+            coeffs = _expand(_recurrence_coeffs(s, p, centre, head),
+                             far / abs(centre), float(far / rho), d, tol, budget)
+            steps += 1
+            terms += len(coeffs)
+            scale = [centre**-i for i in range(d)]
+            reached = [
+                [x * f for x, f in zip(_shift(coeffs, (t - centre) / centre, d), scale)]
+                for t in served or [nxt]
+            ]
+            if served:
+                states.extend(reached)
+            taylor = reached[-1]
+            centre = nxt
+        fact = [math.factorial(i) for i in range(d)]
+        states = [[x * f for x, f in zip(st, fact)] for st in states]
+    return _TaylorWalk(states, steps, terms, work)
+
+
+# ---------------------------------------------------------------------------
 # Resonant expansion at the branch point
 
 
@@ -412,25 +608,6 @@ def edge_density_closed(s: int, p: int) -> float:
     return p / (2.0 * math.pi) * (s / (s - 1.0)) ** (2 * p + 1)
 
 
-def _gp_xi_mp(s: int, p: int, xi, tail: float = None):
-    """G_p at real xi in (0, 1) summed in the current mpmath precision."""
-    xi = mp.mpf(xi)
-    tail_tol = tail if tail is not None else mp.mpf(10) ** (-(mp.mp.dps + 6))
-    term = mp.mpf(1)
-    acc = mp.mpf(1)
-    m = 0
-    while True:
-        num, den = _coeff_step(s, p, m)
-        term = term * num * xi
-        term = term / den
-        acc += term
-        m += 1
-        if m >= 8 and term * xi / (1 - xi) < tail_tol * acc:
-            return acc
-        if m > 5_000_000:
-            raise DivergenceError("extended-precision series exceeded term budget")
-
-
 @dataclass(frozen=True)
 class ResonantCoefficients:
     """Local model G = a0 + a1 w + a2 w^2 + a3 w^3 + (b2 + b3 w) w^2 log w."""
@@ -442,19 +619,27 @@ class ResonantCoefficients:
     B_fit: float
     coeffs: tuple  # (a0, a1, a2, a3, b2, b3)
     max_rel_residual: float
+    steps: int  # Taylor-step expansions behind the node values
+    terms: int  # Taylor coefficients summed, seed series included
+    dps: int  # working precision of those values, decimal digits
 
 
 def resonant_fit(
     s: int, p: int, eps_grid=None, dps: int = 40
 ) -> ResonantCoefficients:
-    """Fit the resonant local model to extended-precision series values.
+    """Fit the resonant local model to extended-precision values of G_p.
 
     w = 1 - u/zeta_c^2 runs over eps_grid (default: 24 log-spaced points in
-    [1.5e-3, 6e-2]).  The w^3 and w^3 log w columns absorb the next-order
-    analytic background so the w^2 log w coefficient lands within a few
-    percent of the closed form.
+    [1.5e-3, 6e-2]).  One Taylor-step walk gives G_p at every node, at
+    dps + TAYLOR_GUARD_DPS digits; the least-squares solve runs at dps
+    digits (an integer from 15 to 250).  The w^3 and w^3 log w columns absorb
+    the next-order analytic background so the w^2 log w coefficient lands
+    within a few percent of the closed form.
     """
     _validate_sp(s, p)
+    if isinstance(dps, bool) or not isinstance(dps, numbers.Integral) or dps < 15:
+        raise DomainError(f"dps must be an integer >= 15, got {dps!r}")
+    dps = int(dps)
     if eps_grid is None:
         eps_grid = np.geomspace(1.5e-3, 6e-2, 24)
     eps_grid = sorted(float(e) for e in eps_grid)
@@ -464,13 +649,14 @@ def resonant_fit(
         raise ConditioningError("eps_grid spans less than a factor 4; fit is "
                                 "too ill-conditioned to separate w^2 log w")
     with mp.workdps(dps):
+        ws = [mp.mpf(eps) for eps in eps_grid]
+        # ascending xi = 1 - w: one walk towards the branch point
+        walk = _taylor_walk(s, p, [1 - w for w in reversed(ws)], dps)
+        rhs = [st[0] for st in reversed(walk.states)]
         rows = []
-        rhs = []
-        for eps in eps_grid:
-            w = mp.mpf(eps)
+        for w in ws:
             lw = mp.log(w)
             rows.append([mp.mpf(1), w, w**2, w**3, w**2 * lw, w**3 * lw])
-            rhs.append(_gp_xi_mp(s, p, 1 - w))
         amat = mp.matrix(rows)
         bvec = mp.matrix(rhs)
         ata = amat.T * amat
@@ -490,6 +676,9 @@ def resonant_fit(
         B_fit=coeffs[4],
         coeffs=coeffs,
         max_rel_residual=float(rel),
+        steps=walk.steps,
+        terms=walk.terms,
+        dps=walk.dps,
     )
 
 

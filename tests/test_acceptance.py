@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from todahess import acceptance
+from todahess import acceptance, continuation
 
 
 @pytest.mark.parametrize("cid", acceptance.all_criterion_ids())
@@ -44,3 +44,12 @@ def test_convergence_in_n_report():
     assert set(data) == {10, 20}
     # truncated Gamma grows with N toward the analytic value
     assert data[10]["gamma_truncated"] < data[20]["gamma_truncated"]
+
+
+def test_criterion_11_reports_fit_diagnostics():
+    passed, details = acceptance.crit_11_resonant(pairs=((2, 1),))
+    assert passed
+    rec = details["2,1"]
+    assert 0 < rec["max_rel_residual"] < 1e-6
+    assert 0 < rec["steps"] < rec["terms"]
+    assert rec["dps"] == 40 + continuation.TAYLOR_GUARD_DPS

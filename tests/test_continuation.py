@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,8 +125,6 @@ def test_monodromy_trivial_off_cut():
 def test_continue_inside_disk_meets_tol(s, k, r, theta):
     # oracle: mpmath's hypergeometric series at 50 digits; at 30 digits it is
     # itself off by 5.4e-11 at s = 8, p = 16, xi = 0.98
-    import mpmath as mp
-
     p = 1 + k % (2 * s)
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = cmath.rect(r, theta) * zc2
@@ -250,6 +249,32 @@ def test_resonant_fit_s2p1_small_grid():
     assert abs(fit.B_fit - closed) / abs(closed) < 0.05
 
 
+# the fit of (3,2) as it was when each node's series was summed term by term
+# at 40 digits: six coefficients (a0, a1, a2, a3, b2, b3) per grid size
+FIT_32 = {
+    24: (1.1349960358638562, -0.2749763026631767, -0.23055864401712686,
+         0.24308345884582244, -0.26505284635762916, -0.32328194345932443),
+    8: (1.1349960346023864, -0.2749770745214811, -0.2318288146013133,
+        0.23601800397570402, -0.26530611239600205, -0.32917581356648634),
+}
+
+
+@pytest.mark.parametrize("nodes", sorted(FIT_32))
+def test_resonant_fit_coefficients_unchanged(nodes):
+    grid = None if nodes == 24 else np.geomspace(3e-3, 6e-2, 8)
+    fit = cont.resonant_fit(3, 2, eps_grid=grid)
+    for got, want in zip(fit.coeffs, FIT_32[nodes], strict=True):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert fit.dps == 40 + cont.TAYLOR_GUARD_DPS
+    assert 0 < fit.steps < fit.terms
+
+
+@pytest.mark.parametrize("dps", [0, 5, 14, 20.5, True, "40", 251])
+def test_resonant_fit_rejects_bad_dps(dps):
+    with pytest.raises(DomainError):
+        cont.resonant_fit(2, 1, dps=dps)
+
+
 def test_resonant_fit_narrow_grid_rejected():
     with pytest.raises(ConditioningError):
         cont.resonant_fit(2, 1, eps_grid=np.geomspace(1e-2, 2e-2, 6))
@@ -302,8 +327,6 @@ def test_growth_at_infinity():
 def test_ode_transport_vs_mpmath_hypergeometric():
     # independent oracle: mpmath's own hypergeometric continuation, fed the
     # reduced parameter lists, evaluated well outside the disk
-    import mpmath as mp
-
     cases = [
         (2, 1, -3.0, "none"),
         (2, 1, -48.0, "none"),
@@ -327,3 +350,61 @@ def test_state_fields():
     assert st.s == 3 and st.p == 2 and st.side == "none"
     assert len(st.derivs) >= 3
     assert st.path[0] == 0.5
+
+
+def _direct_series(s, p, xis, dps):
+    """G_p at real xi in (0, 1), summed term by term from the exact
+    coefficient ratio in fixed-point integers of dps + 30 digits."""
+    bits = int((dps + 30) * 3.33)
+    tail_bits = int((dps + 10) * 3.33)
+    xs = [int(mp.ldexp(mp.mpf(x), bits)) for x in xis]  # exact: x has < bits bits
+    inv_w = [(1 << bits) // ((1 << bits) - x) + 1 for x in xs]
+    terms = [1 << bits] * len(xs)
+    sums = list(terms)
+    m = 0
+    # the tail after a term is at most term / (1 - xi) once the ratio is < 1
+    while m < 8 or any(t * iw > a >> tail_bits for t, iw, a in zip(terms, inv_w, sums)):
+        num, den = cont._coeff_step(s, p, m)
+        for i, x in enumerate(xs):
+            terms[i] = terms[i] * num * x // (den << bits)
+            sums[i] += terms[i]
+        m += 1
+    return [mp.ldexp(mp.mpf(a), -bits) for a in sums]
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 2), (5, 1), (6, 3)])
+def test_taylor_walk_matches_direct_series(s, p):
+    # the three smallest w of resonant_fit's default grid, where the direct
+    # series needs the most terms
+    with mp.workdps(40):
+        xis = [1 - mp.mpf(w) for w in np.geomspace(1.5e-3, 6e-2, 24)[2::-1]]
+        walk = cont._taylor_walk(s, p, xis, 40)
+        for st, ref in zip(walk.states, _direct_series(s, p, xis, 40), strict=True):
+            assert abs(st[0] - ref) <= mp.mpf("1e-37") * ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), xi=hst.floats(0.55, 0.98))
+@example(s=8, k=15, xi=0.98)  # d = 16, the longest state
+def test_taylor_walk_matches_float_series(s, k, xi):
+    p = 1 + k % (2 * s)
+    ref = cont._gp_derivs(s, p, xi, cont._ode_data(s, p).d, 1e-17)
+    (state,) = cont._taylor_walk(s, p, [xi], 30).states
+    assert len(state) == len(ref)
+    for got, want in zip(state, ref):
+        assert abs(complex(got) - want) <= 1e-12 * abs(want)
+
+
+def test_taylor_walk_complex_path():
+    # a polygon through the upper and lower half of the disk and back
+    path = [0.3 + 0.6j, -0.5 + 0.2j, 0.1 - 0.7j, 0.8 - 0.1j]
+    walk = cont._taylor_walk(3, 2, path, 30)
+    d = cont._ode_data(3, 2).d
+    for xi, state in zip(path, walk.states, strict=True):
+        ref = cont._gp_derivs(3, 2, xi, d, 1e-17)
+        for got, want in zip(state, ref):
+            assert abs(complex(got) - want) <= 1e-12 * abs(want)
+    with pytest.raises(PathError):
+        cont._taylor_walk(2, 1, [1.5], 30)  # the real segment meets xi = 1
+    with pytest.raises(PathError):
+        cont._taylor_walk(2, 1, [0.3j, -0.3j], 30)  # meets xi = 0
