@@ -359,7 +359,10 @@ def crit_15_univ_regularity():
         for p in (1, 2):
             st = cont.gp_continue(s, p, uu, "above")
             sc = cont.sigma_from_state(st)
-            info[f"{s},{p}"] = {"abs_G": abs(st.value), "abs_sigma": abs(sc)}
+            info[f"{s},{p}"] = {
+                "abs_G": abs(st.value), "abs_sigma": abs(sc),
+                "dps": st.dps, "steps": st.steps, "rel_est": st.rel_est,
+            }
             ok &= abs(st.value) < cap and abs(sc) < cap
     return ok, info
 

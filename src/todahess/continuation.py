@@ -4,9 +4,11 @@ G_p(u) = sum_m R_{s,p}(m)^2 u^m converges for |u| < zeta_c^2 and extends to
 the slit plane C \\ [zeta_c^2, inf).  The coefficient ratio is rational in m,
 so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
-finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Continuation is
-performed by integrating that reduced equation in theta-form as a companion
-first-order system along piecewise-linear paths that detour around xi = 1.
+finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Off the series
+disk, continuation re-expands the solution in Taylor steps from the
+recurrence of that reduced equation, along piecewise-linear paths that
+detour around xi = 1; two walks with different step lengths, in doubles
+first and in mpmath if they disagree, bound the error.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -15,9 +17,10 @@ the discontinuity density with positive edge value (p/2pi) (s/(s-1))^{2p+1}.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
+import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +29,6 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     AccuracyError,
@@ -34,14 +36,13 @@ from .errors import (
     DomainError,
     DivergenceError,
     PathError,
-    StiffnessError,
 )
 from .maps import thresholds
 from .raney import _validate_sp, raney_step
 
-#: default exclusion radius around xi = 1 (relative to zeta_c^2 units)
+#: cut_trace, disc_density_rho and perron_density need xi >= 1 + this radius
 EXCLUSION_RADIUS = 1e-4
-#: default imaginary offset of the detour rectangle
+#: imaginary offset of the detour rectangle
 DETOUR_OFFSET = 0.3
 #: seed point of all transports
 XI_SEED = 0.5
@@ -158,7 +159,7 @@ def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
 
 
 # ---------------------------------------------------------------------------
-# Reduced ODE in theta form and its companion system
+# Reduced ODE in theta form
 
 
 def _stirling2(n: int):
@@ -177,12 +178,6 @@ def _poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
-
-
-class _OdeData(NamedTuple):
-    d: int  # order of the reduced equation
-    c: np.ndarray  # c_j = sum_k p_k S(k, j)   (theta-poly of the lower data)
-    e: np.ndarray  # e_j = sum_k r_k S(k, j)   (theta-poly of the upper data)
 
 
 @lru_cache(maxsize=None)
@@ -218,179 +213,8 @@ def _ode_fractions(s: int, p: int) -> tuple:
     return d, c, e
 
 
-@lru_cache(maxsize=None)
-def _ode_data(s: int, p: int) -> _OdeData:
-    """_ode_fractions in double precision, for the DOP853 companion system."""
-    d, c, e = _ode_fractions(s, p)
-    return _OdeData(d=d, c=np.array([float(x) for x in c]),
-                    e=np.array([float(x) for x in e]))
-
-
-def _rhs_factory(data: _OdeData):
-    d, c, e = data.d, data.c, data.e
-
-    def rhs(xi: complex, z: np.ndarray) -> np.ndarray:
-        acc = 0.0 + 0.0j
-        xp = 1.0 + 0.0j
-        for j in range(d):
-            acc += xp * (c[j] - xi * e[j]) * z[j]
-            xp *= xi
-        top = -acc / (xp * (1.0 - xi))
-        out = np.empty(d, dtype=np.complex128)
-        out[:-1] = z[1:]
-        out[-1] = top
-        return out
-
-    return rhs
-
-
-def _integrate(data: _OdeData, z0, xi_a: complex, xi_b: complex, tol: float,
-               xi_eval=None):
-    """DOP853 on the companion system along the segment xi_a -> xi_b.
-
-    Returns the state vector at xi_b or, given xi_eval (points of the
-    segment ordered from xi_a to xi_b), an array whose columns are the
-    states at those points.
-    """
-    span = xi_b - xi_a
-    if span == 0:
-        return z0 if xi_eval is None else np.tile(z0[:, None], len(xi_eval))
-    rhs = _rhs_factory(data)
-
-    def f(tau, z):
-        return span * rhs(xi_a + span * tau, z)
-
-    t_eval = None if xi_eval is None else ((np.asarray(xi_eval) - xi_a) / span).real
-    atol = np.maximum(np.abs(z0), 1.0) * tol * 1e-2
-    sol = solve_ivp(
-        f,
-        (0.0, 1.0),
-        np.asarray(z0, dtype=np.complex128),
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=atol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"ODE transport failed on segment {xi_a} -> {xi_b}: {sol.message}"
-        )
-    return sol.y[:, -1] if xi_eval is None else sol.y
-
-
-def _waypoints(xi_t: complex, side: str, h: float):
-    xi0 = complex(XI_SEED)
-    re, im = xi_t.real, xi_t.imag
-    if side == "none":
-        if im == 0.0 and re >= 1.0:
-            raise PathError("target on the cut: pass side='above' or side='below'")
-        if im == 0.0 and 0.02 <= re <= 0.98:
-            return [xi0, xi_t]
-        sigma = 1.0 if im >= 0 else -1.0
-    elif side in ("above", "below"):
-        sigma = 1.0 if side == "above" else -1.0
-        if im != 0.0 and math.copysign(1.0, im) != sigma:
-            raise PathError(f"target {xi_t} is on the opposite side of the cut")
-    else:
-        raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
-    pts = [xi0, complex(XI_SEED, sigma * h), complex(re, sigma * h), xi_t]
-    out = [pts[0]]
-    for pt in pts[1:]:
-        if pt != out[-1]:
-            out.append(pt)
-    return out
-
-
-@dataclass(frozen=True)
-class ContinuationState:
-    """Value and u-derivatives of G_p at the endpoint of a transport path."""
-
-    s: int
-    p: int
-    u: complex
-    side: str
-    derivs: tuple  # (G, G', G'', ...) with respect to u
-    path: tuple  # xi-plane waypoints actually used
-
-    @property
-    def value(self) -> complex:
-        return self.derivs[0]
-
-
-def _state(s: int, p: int, u: complex, side: str, z, path) -> ContinuationState:
-    """State at u from the xi-derivatives z of y(xi) = G_p(zeta_c^2 xi)."""
-    zc2 = float(thresholds(s).zeta_c) ** 2
-    derivs = tuple(z[j] / zc2**j for j in range(len(z)))
-    return ContinuationState(s=s, p=p, u=u, side=side, derivs=derivs, path=path)
-
-
-def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
-    """Low-level: carry the solution vector along explicit xi waypoints.
-
-    The first waypoint must be XI_SEED.  Returns the xi-derivative vector
-    (y, y', ..., y^{d-1}) at the final waypoint.
-    """
-    data = _ode_data(s, p)
-    if complex(waypoints[0]) != complex(XI_SEED):
-        raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
-    z = np.array(_gp_derivs(s, p, XI_SEED, data.d, _SERIES_TOL), dtype=np.complex128)
-    for a, b in zip(waypoints, waypoints[1:]):
-        z = _integrate(data, z, complex(a), complex(b), tol)
-    return z
-
-
-def gp_continue(
-    s: int,
-    p: int,
-    u: complex,
-    side: str = "none",
-    tol: float = 1e-12,
-    detour: float = DETOUR_OFFSET,
-    exclusion: float = EXCLUSION_RADIUS,
-) -> ContinuationState:
-    """Continue G_p to u on the slit plane along a detour path.
-
-    side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
-    'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
-    the state is summed from the power series at u, because transport
-    towards the singular point u = 0 loses digits.  Inside the exclusion
-    disk around zeta_c^2 the ODE is too stiff and the value is reported from
-    the fitted resonant local model instead.
-    """
-    _validate_sp(s, p)
-    side = side or "none"
-    zc2 = float(thresholds(s).zeta_c) ** 2
-    uc = complex(u)
-    if uc == 0:
-        raise PathError("u = 0 is a singular point of the transport ODE; "
-                        "gp_series covers the disk")
-    xi_t = uc / zc2
-    if abs(xi_t - 1.0) < exclusion:
-        return _local_model_state(s, p, uc, side)
-    pts = _waypoints(xi_t, side, detour)
-    if abs(xi_t) <= SERIES_RADIUS:
-        z = _gp_derivs(s, p, xi_t, _ode_data(s, p).d, _SERIES_TOL)
-        return _state(s, p, uc, side, z, (xi_t,))
-    return _state(s, p, uc, side, transport(s, p, pts, tol), tuple(pts))
-
-
-def sigma_cont(
-    s: int, p: int, u: complex, side: str = "none", tol: float = 1e-12
-) -> complex:
-    """Continued scalar Gram weight
-    (1/p) [p^2 G + s(2p+s) u G' + s^2 u^2 G''] at u."""
-    st = gp_continue(s, p, u, side, tol)
-    return sigma_from_state(st)
-
-
-def sigma_from_state(st: ContinuationState) -> complex:
-    g, g1, g2 = st.derivs[0], st.derivs[1], st.derivs[2]
-    s, p, u = st.s, st.p, st.u
-    return (p * p * g + s * (2 * p + s) * u * g1 + s * s * u * u * g2) / p
-
-
 # ---------------------------------------------------------------------------
-# Extended-precision Taylor steps
+# Taylor steps
 
 
 #: decimal digits the Taylor-step engine carries above the caller's dps
@@ -398,10 +222,10 @@ TAYLOR_GUARD_DPS = 10
 
 
 class _TaylorWalk(NamedTuple):
-    states: list  # [y, y', ..., y^(d-1)] at each target, mpmath numbers
+    states: list  # [y, y', ..., y^(d-1)] at each target
     steps: int  # expansions from the recurrence (the seed series not counted)
     terms: int  # Taylor coefficients computed, seed series included
-    dps: int  # working precision, decimal digits
+    dps: "int | None"  # working precision, decimal digits; None for doubles
 
 
 def _falling_row(n: int, d: int) -> list:
@@ -412,54 +236,77 @@ def _falling_row(n: int, d: int) -> list:
     return row
 
 
-def _seed_coeffs(s: int, p: int):
+def _seed_coeffs(s: int, p: int, one):
     """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0, in the
-    current mpmath precision."""
-    a = mp.mpf(1)
+    number type of one."""
+    a = one
     for m in count():
         yield a
         num, den = _coeff_step(s, p, m)
         a = a * num / den
 
 
-def _recurrence_coeffs(s: int, p: int, centre, head):
-    """Scaled Taylor coefficients b_n = a_n centre^n of y at centre.
+@lru_cache(maxsize=None)
+def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
+    """(alpha, beta, lead, den): the integer recurrence of row N = big_n.
 
-    head holds b_0..b_{d-1}.  The coefficient of (xi - centre)^N in
-    sum_j xi^j (c_j - xi e_j) y^(j) = 0 is, after scaling by centre^N,
+    The coefficient of (xi - centre)^N in sum_j xi^j (c_j - xi e_j) y^(j) = 0
+    is, after scaling by centre^N, with b_n = a_n centre^n,
 
         sum_{r=-1}^{d} b_{N+r} (alpha_r(N) - centre beta_r(N)) = 0,
         alpha_r(N) = sum_j c_j C(j, r) (N+r)!/(N+r-j)!,
         beta_r(N) = sum_j e_j C(j+1, r+1) (N+r)!/(N+r-j)!,
 
-    a (d+2)-term recurrence whose integer parts do not depend on the centre;
-    alpha_d = beta_d = (N+d)!/N!.  Falling-factorial rows are computed once
-    per index n.
+    a (d+2)-term recurrence that does not depend on the centre, with
+    alpha_d = beta_d = lead = (N+d)!/N!.  alpha holds den alpha_r(N) for
+    r < d and beta holds den beta_r(N) for r from -1 (0 when N = 0, where
+    b_{-1} = 0) to d - 1, integers for den the common denominator of c, e.
     """
     d, c, e = _ode_fractions(s, p)
     den = math.lcm(*(x.denominator for x in c + e))
-    # den alpha_r(N) and den beta_r(N) are these integer rows dotted with
-    # the falling-factorial row of N + r
-    ca = [[int(den * c[j]) * math.comb(j, r) for j in range(d + 1)]
-          for r in range(d)]
-    eb = [[int(den * e[j]) * math.comb(j + 1, r + 1) for j in range(d + 1)]
-          for r in range(-1, d)]
-    inv = 1 / (den * (1 - centre))
+    falling = [_falling_row(big_n + r, d) for r in range(-1, d + 1)]
+    alpha = [sum(int(den * c[j]) * math.comb(j, r) * falling[r + 1][j]
+                 for j in range(d + 1)) for r in range(d)]
+    beta = [sum(int(den * e[j]) * math.comb(j + 1, r + 1) * falling[r + 1][j]
+                for j in range(d + 1)) for r in range(-1 if big_n else 0, d)]
+    return tuple(alpha), tuple(beta), falling[d + 1][d], den
+
+
+def _recurrence_coeffs(s: int, p: int, centre, head, dot):
+    """Scaled Taylor coefficients b_n = a_n centre^n of y at centre, from the
+    recurrence of _recurrence_row; head holds b_0..b_{d-1}.  dot(integers, b)
+    is the dot product in b's number type.
+    """
     b = list(head)
     yield from b
-    rows = [_falling_row(n, d) for n in range(d)]
+    inv = 1 / (_recurrence_row(s, p, 0)[3] * (1 - centre))
     for big_n in count():
-        rows.append(_falling_row(big_n + d, d))
-        lo = max(big_n - 1, 0)  # b_{-1} = 0
-        alpha = [_idot(ca[r], rows[big_n + r]) for r in range(d)]
-        beta = [_idot(eb[n - big_n + 1], rows[n]) for n in range(lo, big_n + d)]
-        acc = centre * mp.fdot(beta, b[lo:]) - mp.fdot(alpha, b[big_n:])
-        b.append(acc * inv / rows[big_n + d][d])
+        alpha, beta, lead, _ = _recurrence_row(s, p, big_n)
+        acc = centre * dot(beta, b[max(big_n - 1, 0):]) - dot(alpha, b[big_n:])
+        b.append(acc * inv / lead)
         yield b[-1]
 
 
-def _idot(u: list, v: list) -> int:
-    return sum(map(int.__mul__, u, v))
+def _fdot(u: list, v: list) -> complex:
+    """sum_k u_k v_k for integers u and complex doubles v."""
+    return sum(map(operator.mul, u, v))
+
+
+_MPF_ZERO = mp.mpf(0)._mpf_
+
+
+def _mp_idot(u: list, v: list):
+    """mp.fdot(u, v) for integers u and mpf or mpc v: the real and imaginary
+    parts are summed exactly in integers, from mpmath's raw (sign, man, exp,
+    bc) tuples, and rounded once."""
+    raw = [x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, _MPF_ZERO) for x in v]
+    out = []
+    for part in zip(*raw):
+        emin = min((t[2] for t in part if t[1]), default=0)
+        total = sum((-k if t[0] else k) * t[1] << (t[2] - emin)
+                    for k, t in zip(u, part))
+        out.append(mp.mpf((total, emin)))
+    return mp.mpc(*out) if any(isinstance(x, mp.mpc) for x in v) else out[0]
 
 
 def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> list:
@@ -471,7 +318,7 @@ def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> l
     """
     out = []
     sums = [0j] * d
-    pw = mp.mpf(1)
+    pw = 1
     for n, b in enumerate(coeffs):
         out.append(b)
         t = complex(b * pw)
@@ -493,14 +340,25 @@ def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> l
             )
 
 
-def _shift(coeffs: list, tau, d: int) -> list:
-    """P^(i)(tau) / i!, i < d, for P(tau) = sum_n coeffs[n] tau^n."""
-    acc = [mp.mpf(0)] * d
-    for b in reversed(coeffs):
-        for i in range(d - 1, 0, -1):
-            acc[i] = acc[i] * tau + acc[i - 1]
-        acc[0] = acc[0] * tau + b
-    return acc
+@lru_cache(maxsize=None)
+def _binomial_rows(n: int, d: int) -> tuple:
+    """(C(m, i) for m = i..n-1) for i = 0..d-1; _shift asks for n rounded up
+    to a power of two, so few tables serve every expansion length."""
+    return tuple(tuple(math.comb(m, i) for m in range(i, n)) for i in range(d))
+
+
+def _shift(coeffs: list, tau, d: int, dot) -> list:
+    """P^(i)(tau) / i! = sum_n C(n, i) coeffs[n] tau^(n-i), i < d, for
+    P(tau) = sum_n coeffs[n] tau^n."""
+    if tau == 0:
+        return coeffs[:d]
+    w, pw = [], 1
+    for b in coeffs:
+        w.append(b * pw)
+        pw *= tau
+    # dot stops at the shorter operand, so longer binomial rows serve too
+    rows = _binomial_rows(1 << (len(coeffs) - 1).bit_length(), d)
+    return [dot(rows[i], w[i:]) / tau**i for i in range(d)]
 
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:
@@ -510,63 +368,70 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
     return abs(a + min(max(lam, 0.0), 1.0) * v - z)
 
 
-def _taylor_walk(s: int, p: int, targets, dps: int) -> _TaylorWalk:
+def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from XI_SEED
-    through targets, in order, at dps + TAYLOR_GUARD_DPS digits.
+    through targets, in order: at dps + TAYLOR_GUARD_DPS digits in mpmath,
+    or in Python complex doubles for dps=None.
 
     The path is the polygon XI_SEED -> targets[0] -> targets[1] -> ...;
     targets may be complex, and the path must keep 1e-9 away from xi = 0
     and 1.  The seed state is summed from the power series at 0.  Each step
     re-expands y at the current centre c from the recurrence of
     _recurrence_coeffs and evaluates it at every following target within
-    rho/2 of c, where rho = min(|c|, |1 - c|) is the distance to the nearer
-    singular point.
+    rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
+    nearer singular point.
     The next centre is the last of those targets or, if there is none, the
-    point rho/2 further along the path.  Each expansion stops once its
-    geometric tail is below 10^-(dps+6) relative (see _expand); dps is at
-    most 250.
+    point rho/reach further along the path.  Each expansion stops once its
+    geometric tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles
+    (see _expand); dps is at most 250.
     """
-    if dps > 250:
+    if dps is None:
+        digits, tol, ctx = 16, _SERIES_TOL, nullcontext()
+        dot, num = _fdot, complex
+    elif dps > 250:
         # tol and the terms compared with it must stay normal doubles
         raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
+    else:
+        digits = dps + TAYLOR_GUARD_DPS
+        tol, ctx = 10.0 ** (-(dps + 6)), mp.workdps(digits)
+        dot, num = _mp_idot, mp.mpmathify
     d = _ode_fractions(s, p)[0]
-    work = dps + TAYLOR_GUARD_DPS
-    tol = 10.0 ** (-(dps + 6))
     # ratio <= 1/2 needs about 3.3 terms per digit, plus the growth of n!/(n-d)!
-    budget = 10 * work + 20 * d
-    with mp.workdps(work):
-        pts = [mp.mpmathify(t) for t in targets]
+    budget = 10 * digits + 20 * d
+    with ctx:
+        pts = [num(t) for t in targets]
         corners = [complex(XI_SEED)] + [complex(t) for t in pts]
         for a, b in zip(corners, corners[1:]):
             if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
                 raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                                 "singular point, 0 or 1")
-        centre = mp.mpf(XI_SEED)
-        seed = _expand(_seed_coeffs(s, p), centre, 0.5, d, tol, budget)
-        taylor = _shift(seed, centre, d)  # y^(i)(centre) / i!
+        centre = num(XI_SEED)
+        seed = _expand(_seed_coeffs(s, p, num(1)), centre, 0.5, d, tol, budget)
+        taylor = _shift(seed, centre, d, dot)  # y^(i)(centre) / i!
         steps, terms = 0, len(seed)
         states = []
         k = 0
         while k < len(pts):
             rho = min(abs(centre), abs(1 - centre))
             served = []
-            while k < len(pts) and abs(pts[k] - centre) <= rho / 2:
+            while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
                 served.append(pts[k])
                 k += 1
             if served:
                 nxt = served[-1]
             else:
-                nxt = centre + rho / 2 * (pts[k] - centre) / abs(pts[k] - centre)
+                nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
             far = max(abs(t - centre) for t in served or [nxt])
             # y(centre + centre tau) = sum_n b_n tau^n
             head = [taylor[i] * centre**i for i in range(d)]
-            coeffs = _expand(_recurrence_coeffs(s, p, centre, head),
+            coeffs = _expand(_recurrence_coeffs(s, p, centre, head, dot),
                              far / abs(centre), float(far / rho), d, tol, budget)
             steps += 1
             terms += len(coeffs)
             scale = [centre**-i for i in range(d)]
             reached = [
-                [x * f for x, f in zip(_shift(coeffs, (t - centre) / centre, d), scale)]
+                [x * f for x, f in
+                 zip(_shift(coeffs, (t - centre) / centre, d, dot), scale)]
                 for t in served or [nxt]
             ]
             if served:
@@ -575,7 +440,172 @@ def _taylor_walk(s: int, p: int, targets, dps: int) -> _TaylorWalk:
             centre = nxt
         fact = [math.factorial(i) for i in range(d)]
         states = [[x * f for x, f in zip(st, fact)] for st in states]
-    return _TaylorWalk(states, steps, terms, work)
+    return _TaylorWalk(states, steps, terms, None if dps is None else digits)
+
+
+# ---------------------------------------------------------------------------
+# Continuation along detour paths
+
+
+#: decimal digits of the mpmath walks, used when the double walks disagree
+_MP_RUNG_DPS = 20
+
+
+class _Continued(NamedTuple):
+    states: list  # complex arrays of kept xi-derivatives, one per node
+    dps: "int | None"  # working digits of the accepted walks; None for doubles
+    steps: int  # Taylor expansions of the returned walk
+    rel_est: float  # largest relative disagreement of the accepted walks
+
+
+def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
+    """_taylor_walk from XI_SEED along the corners path and on through nodes;
+    returns (y, y', ...) at each node, the first keep components (all d for
+    None), within tol relative.
+
+    Two walks serve the targets within rho/2 and rho/3 of each centre.  The
+    largest relative disagreement between them of any returned component
+    estimates the error, measured to be low by up to 2x, so it must not
+    exceed tol/4.  The walks run in complex doubles, and again at
+    _MP_RUNG_DPS digits if the doubles disagree or exhaust their term
+    budget; the rho/3 walk's states are returned.  Raises AccuracyError when
+    the mpmath walks disagree too.
+    """
+    targets = [*path, *nodes]
+    why = ""
+    for dps in (None, _MP_RUNG_DPS):
+        try:
+            coarse, fine = [_taylor_walk(s, p, targets, dps, reach)
+                            for reach in (2, 3)]
+        except (DivergenceError, OverflowError) as exc:  # doubles may overflow
+            why = str(exc)
+            continue
+        kept = [(a[:keep], b[:keep])
+                for a, b in zip(coarse.states[len(path):], fine.states[len(path):])]
+        gaps = [float(abs(x - y) / max(abs(y), 1e-300))
+                for a, b in kept for x, y in zip(a, b)]
+        if all(g <= tol / 4 for g in gaps):
+            states = [np.array([complex(x) for x in b]) for _, b in kept]
+            return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0))
+        why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
+    raise AccuracyError(
+        f"continuation of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} "
+        f"at {_MP_RUNG_DPS} digits: {why}"
+    )
+
+
+def _waypoints(xi_t: complex, side: str) -> list:
+    xi0 = complex(XI_SEED)
+    re, im = xi_t.real, xi_t.imag
+    if side == "none":
+        if im == 0.0 and re >= 1.0:
+            raise PathError("target on the cut: pass side='above' or side='below'")
+        if im == 0.0 and 0.02 <= re <= 0.98:
+            return [xi0, xi_t]
+        sigma = 1.0 if im >= 0 else -1.0
+    elif side in ("above", "below"):
+        sigma = 1.0 if side == "above" else -1.0
+        if im != 0.0 and math.copysign(1.0, im) != sigma:
+            raise PathError(f"target {xi_t} is on the opposite side of the cut")
+    else:
+        raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
+    h = sigma * DETOUR_OFFSET
+    pts = [xi0, complex(XI_SEED, h), complex(re, h), xi_t]
+    out = [pts[0]]
+    for pt in pts[1:]:
+        if pt != out[-1]:
+            out.append(pt)
+    return out
+
+
+@dataclass(frozen=True)
+class ContinuationState:
+    """Value and u-derivatives of G_p at the endpoint of a transport path."""
+
+    s: int
+    p: int
+    u: complex
+    side: str
+    derivs: tuple  # (G, G', G'') with respect to u, the inputs of sigma
+    path: tuple  # xi-plane waypoints actually used
+    dps: "int | None"  # working digits of the Taylor walk; None for doubles
+    steps: int  # Taylor expansions of the walk; 0 for the series in the disk
+    rel_est: float  # two-walk disagreement; _SERIES_TOL for the series
+
+    @property
+    def value(self) -> complex:
+        return self.derivs[0]
+
+
+def _state(s: int, p: int, u: complex, side: str, z, path,
+           run: "_Continued | None" = None) -> ContinuationState:
+    """State at u from the xi-derivatives z of y(xi) = G_p(zeta_c^2 xi),
+    summed from the series when run is None."""
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    derivs = tuple(z[j] / zc2**j for j in range(len(z)))
+    dps, steps, rel_est = ((None, 0, _SERIES_TOL) if run is None
+                           else (run.dps, run.steps, run.rel_est))
+    return ContinuationState(s=s, p=p, u=u, side=side, derivs=derivs, path=path,
+                             dps=dps, steps=steps, rel_est=rel_est)
+
+
+def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
+    """Low-level: carry the solution vector along explicit xi waypoints.
+
+    The first waypoint must be XI_SEED.  Returns the xi-derivative vector
+    (y, y', ..., y^{d-1}) at the final waypoint, within tol relative or
+    AccuracyError (see _continue).
+    """
+    if complex(waypoints[0]) != complex(XI_SEED):
+        raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
+    return _continue(s, p, waypoints[:-1], waypoints[-1:], tol).states[0]
+
+
+def gp_continue(
+    s: int,
+    p: int,
+    u: complex,
+    side: str = "none",
+    tol: float = 1e-12,
+) -> ContinuationState:
+    """Continue G_p to u on the slit plane along a detour path.
+
+    side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
+    'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
+    the state is summed from the power series at u, because transport
+    towards the singular point u = 0 loses digits.  Elsewhere it comes from
+    the checked Taylor walk (see _continue): within tol relative, or
+    AccuracyError.
+    """
+    _validate_sp(s, p)
+    side = side or "none"
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    uc = complex(u)
+    if uc == 0:
+        raise PathError("u = 0 is a singular point of the transport ODE; "
+                        "gp_series covers the disk")
+    xi_t = uc / zc2
+    pts = _waypoints(xi_t, side)
+    if abs(xi_t) <= SERIES_RADIUS:
+        z = _gp_derivs(s, p, xi_t, 3, _SERIES_TOL)
+        return _state(s, p, uc, side, z, (xi_t,))
+    run = _continue(s, p, pts[1:-1], pts[-1:], tol, keep=3)
+    return _state(s, p, uc, side, run.states[0], tuple(pts), run)
+
+
+def sigma_cont(
+    s: int, p: int, u: complex, side: str = "none", tol: float = 1e-12
+) -> complex:
+    """Continued scalar Gram weight
+    (1/p) [p^2 G + s(2p+s) u G' + s^2 u^2 G''] at u."""
+    st = gp_continue(s, p, u, side, tol)
+    return sigma_from_state(st)
+
+
+def sigma_from_state(st: ContinuationState) -> complex:
+    g, g1, g2 = st.derivs[0], st.derivs[1], st.derivs[2]
+    s, p, u = st.s, st.p, st.u
+    return (p * p * g + s * (2 * p + s) * u * g1 + s * s * u * u * g2) / p
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +689,10 @@ def resonant_fit(
             rows.append([mp.mpf(1), w, w**2, w**3, w**2 * lw, w**3 * lw])
         amat = mp.matrix(rows)
         bvec = mp.matrix(rhs)
-        ata = amat.T * amat
-        atb = amat.T * bvec
         try:
-            coef = mp.lu_solve(ata, atb)
+            coef = mp.qr_solve(amat, bvec)[0]
         except ZeroDivisionError as exc:
-            raise ConditioningError("normal equations singular") from exc
+            raise ConditioningError("least-squares system singular") from exc
         resid = amat * coef - bvec
         rel = max(abs(resid[i]) / abs(bvec[i]) for i in range(len(rhs)))
         coeffs = tuple(float(coef[i]) for i in range(6))
@@ -687,96 +715,51 @@ def _cached_fit(s: int, p: int) -> ResonantCoefficients:
     return resonant_fit(s, p)
 
 
-def _local_model_state(s: int, p: int, u: complex, side: str) -> ContinuationState:
-    """G and two u-derivatives from the resonant model inside the exclusion
-    disk around the branch point."""
-    fit = _cached_fit(s, p)
-    a0, a1, a2, a3, b2, b3 = fit.coeffs
-    zc2 = float(thresholds(s).zeta_c) ** 2
-    w = 1.0 - complex(u) / zc2
-    if w.real < 0 and w.imag == 0.0:
-        if side == "above":
-            lw = complex(math.log(abs(w)), -math.pi)
-        elif side == "below":
-            lw = complex(math.log(abs(w)), math.pi)
-        else:
-            raise PathError("on-cut local model needs side='above' or 'below'")
-    else:
-        lw = cmath.log(w)
-    g = a0 + a1 * w + a2 * w**2 + a3 * w**3 + (b2 + b3 * w) * w**2 * lw
-    dg_dw = (
-        a1
-        + 2 * a2 * w
-        + 3 * a3 * w**2
-        + 2 * b2 * w * lw
-        + b2 * w
-        + 3 * b3 * w**2 * lw
-        + b3 * w**2
-    )
-    d2g_dw2 = (
-        2 * a2
-        + 6 * a3 * w
-        + 2 * b2 * lw
-        + 3 * b2
-        + 6 * b3 * w * lw
-        + 5 * b3 * w
-    )
-    du = -1.0 / zc2  # dw/du
-    derivs = (g, dg_dw * du, d2g_dw2 * du * du)
-    return ContinuationState(
-        s=s, p=p, u=complex(u), side=side, derivs=derivs, path=("local-model",)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Discontinuity density across the cut
 
 
-def disc_density_rho(s: int, p: int, u: float, tol: float = 1e-6) -> float:
-    """rho_p(u) from the two lateral transports of the continued weight.
+def disc_density_rho(s: int, p: int, u: float) -> float:
+    """rho_p(u) = Im sigma(u + i0) / pi on the cut.
 
     Orientation follows the edge-positive convention: rho(zeta_c^2) =
-    (p/2pi)(s/(s-1))^{2p+1} > 0.  The imaginary residue (a Schwarz-symmetry
-    check, since both sides are computed independently) must stay below tol.
+    (p/2pi)(s/(s-1))^{2p+1} > 0.  The jump (sigma(u + i0) - sigma(u - i0)) /
+    (2 pi i) needs one side only: the walk below the cut is the exact
+    complex conjugate of the one above.
     """
     zc2 = float(thresholds(s).zeta_c) ** 2
-    if not u > zc2 * (1.0 + 1e-4):
+    if not u > zc2 * (1.0 + EXCLUSION_RADIUS):
         raise DomainError(
-            f"u must exceed zeta_c^2 (1 + 1e-4) = {zc2 * (1 + 1e-4):.6g}"
+            f"u must exceed zeta_c^2 (1 + {EXCLUSION_RADIUS:g}) = "
+            f"{zc2 * (1 + EXCLUSION_RADIUS):.6g}"
         )
-    sa = sigma_cont(s, p, u, "above")
-    sb = sigma_cont(s, p, u, "below")
-    val = (sa - sb) / (2.0j * math.pi)
-    if abs(val.imag) > tol * max(1.0, abs(val.real)):
-        raise AccuracyError(
-            f"imaginary residue {val.imag:.2e} of rho exceeds tol = {tol:.1e}"
-        )
-    return val.real
+    return sigma_cont(s, p, u, "above").imag / math.pi
 
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
-    """States along the cut at the given xi nodes (all > 1), in ascending xi.
+    """States along the cut at the given xi nodes (all >= 1 +
+    EXCLUSION_RADIUS), in ascending xi.
 
-    Transports via the detour to xi_0 = 1 + DETOUR_OFFSET on the cut, then
-    integrates along the real axis inward to the nodes below xi_0 and
-    outward to the rest, one leg each with dense output.  Starting a detour
-    height away from the branch point keeps the large high derivatives near
-    xi = 1 out of the initial state of the legs.
+    Two checked walks (see _continue) follow the detour to xi_0 = 1 +
+    DETOUR_OFFSET on the cut, then the real axis inward through the nodes
+    below xi_0 and outward through the rest.  Walking back out from near
+    the branch point would carry its large high derivatives along: at
+    (5, 10) on fig3's grid that path lost 17 of 30 digits.
     """
     nodes = sorted(float(x) for x in xi_nodes)
     if nodes[0] < 1.0 + EXCLUSION_RADIUS:
         raise DomainError(
-            f"cut_trace nodes must satisfy xi >= 1 + {EXCLUSION_RADIUS:g} "
-            "(the ODE is too stiff inside the branch-point exclusion disk)"
+            f"cut_trace nodes must satisfy xi >= 1 + {EXCLUSION_RADIUS:g}, "
+            "outside the branch-point exclusion disk"
         )
-    data = _ode_data(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
     xi0 = 1.0 + DETOUR_OFFSET
-    pts = tuple(_waypoints(complex(xi0), side, DETOUR_OFFSET))
-    z0 = transport(s, p, pts, tol)
-    inner = sorted({x for x in nodes if x < xi0}, reverse=True)
-    outer = sorted({x for x in nodes if x >= xi0})
-    z_in = _integrate(data, z0, xi0, inner[-1] if inner else xi0, tol, inner)
-    z_out = _integrate(data, z0, xi0, outer[-1] if outer else xi0, tol, outer)
-    col = dict(zip(inner + outer, np.concatenate([z_in, z_out], axis=1).T))
-    return [_state(s, p, xi * zc2, side, col[xi], (*pts, xi)) for xi in nodes]
+    pts = _waypoints(complex(xi0), side)
+    states = {}
+    for leg in (sorted({x for x in nodes if x < xi0}, reverse=True),
+                sorted({x for x in nodes if x >= xi0})):
+        if leg:
+            run = _continue(s, p, pts[1:], leg, tol, keep=3)
+            states.update((xi, _state(s, p, xi * zc2, side, z, (*pts, xi), run))
+                          for xi, z in zip(leg, run.states))
+    return [states[xi] for xi in nodes]

@@ -29,10 +29,6 @@ class PathError(TodaHessError):
     """Continuation path passes through (or ends on) a singular point."""
 
 
-class StiffnessError(TodaHessError):
-    """ODE transport step size underflowed near a singular point."""
-
-
 class ConditioningError(TodaHessError):
     """Fit or evaluation too ill-conditioned to meet its tolerance."""
 

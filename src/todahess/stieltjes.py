@@ -241,8 +241,8 @@ def perron_integrals(
     """Integrals int t^n varrho_p(t) dt over [delta, T - delta], T = 1/zc^2.
 
     Substituting t = T/xi turns them into (1/pi) int (T/xi)^n Im G(xi+i0)
-    dxi/xi over xi in [1/(1-delta_rel), 1/delta_rel]; one transport with
-    dense output supplies all the nodes.
+    dxi/xi over xi in [1/(1-delta_rel), 1/delta_rel]; one cut_trace
+    supplies all the nodes.
     """
     if not 0 < delta_rel < 0.5:
         raise DomainError("delta_rel must lie in (0, 0.5)")

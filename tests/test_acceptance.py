@@ -53,3 +53,11 @@ def test_criterion_11_reports_fit_diagnostics():
     assert 0 < rec["max_rel_residual"] < 1e-6
     assert 0 < rec["steps"] < rec["terms"]
     assert rec["dps"] == 40 + continuation.TAYLOR_GUARD_DPS
+
+
+def test_criterion_15_reports_walk_diagnostics():
+    passed, details = acceptance.crit_15_univ_regularity()
+    assert passed
+    for rec in details.values():
+        assert rec["steps"] > 0 and 0.0 <= rec["rel_est"] <= 1e-12 / 4
+        assert rec["dps"] in (None, continuation._MP_RUNG_DPS + continuation.TAYLOR_GUARD_DPS)

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from todahess import continuation as cont
-from todahess.errors import ConditioningError, DivergenceError, DomainError, PathError
+from todahess.errors import (
+    AccuracyError,
+    ConditioningError,
+    DivergenceError,
+    DomainError,
+    PathError,
+)
 from todahess.gram import sigma_p
 from todahess.maps import thresholds
 
@@ -106,7 +112,7 @@ def test_cut_is_real():
 def test_monodromy_trivial_off_cut():
     wp = [0.5, 0.5 + 0.4j, 0.9 + 0.4j, 0.9, 0.9 - 0.4j, 0.5 - 0.4j, 0.5]
     z = cont.transport(2, 1, wp, tol=1e-12)
-    z0 = cont._gp_derivs(2, 1, cont.XI_SEED, cont._ode_data(2, 1).d, 1e-17)
+    z0 = cont._gp_derivs(2, 1, cont.XI_SEED, cont._ode_fractions(2, 1)[0], 1e-17)
     assert np.max(np.abs(z - z0)) < 1e-10
 
 
@@ -305,11 +311,13 @@ def test_disc_gp_local_expansion():
 def test_local_model_inside_exclusion():
     u_in = ZC2_2 * (1 + 0.6e-4)
     st = cont.gp_continue(2, 1, u_in, "above")
-    assert st.path == ("local-model",)
     # continuity across the exclusion boundary
     u_out = ZC2_2 * (1 + 1.2e-4)
     st_out = cont.gp_continue(2, 1, u_out, "above")
     assert abs(st.value - st_out.value) < 1e-3 * abs(st_out.value)
+    # the fitted local model that served this point was off by 6.5e-9 in G
+    # and 6.5e-3 in G''
+    _assert_matches_walk(st, 40)
 
 
 def test_growth_at_infinity():
@@ -388,7 +396,7 @@ def test_taylor_walk_matches_direct_series(s, p):
 @example(s=8, k=15, xi=0.98)  # d = 16, the longest state
 def test_taylor_walk_matches_float_series(s, k, xi):
     p = 1 + k % (2 * s)
-    ref = cont._gp_derivs(s, p, xi, cont._ode_data(s, p).d, 1e-17)
+    ref = cont._gp_derivs(s, p, xi, cont._ode_fractions(s, p)[0], 1e-17)
     (state,) = cont._taylor_walk(s, p, [xi], 30).states
     assert len(state) == len(ref)
     for got, want in zip(state, ref):
@@ -399,7 +407,7 @@ def test_taylor_walk_complex_path():
     # a polygon through the upper and lower half of the disk and back
     path = [0.3 + 0.6j, -0.5 + 0.2j, 0.1 - 0.7j, 0.8 - 0.1j]
     walk = cont._taylor_walk(3, 2, path, 30)
-    d = cont._ode_data(3, 2).d
+    d = cont._ode_fractions(3, 2)[0]
     for xi, state in zip(path, walk.states, strict=True):
         ref = cont._gp_derivs(3, 2, xi, d, 1e-17)
         for got, want in zip(state, ref):
@@ -408,3 +416,131 @@ def test_taylor_walk_complex_path():
         cont._taylor_walk(2, 1, [1.5], 30)  # the real segment meets xi = 1
     with pytest.raises(PathError):
         cont._taylor_walk(2, 1, [0.3j, -0.3j], 30)  # meets xi = 0
+
+
+def _hyper_derivs(s, p, xi, n):
+    """y, y', ... y^(n-1) of y(xi) = G_p(zeta_c^2 xi) from mpmath's
+    hypergeometric function at 50 digits, with the reduced parameters:
+    d/dxi pFq(a; b; xi) = (prod a / prod b) pFq(a + 1; b + 1; xi)."""
+    hp = cont.hyp_params(s, p)
+    with mp.workdps(50):
+        a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
+        b_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_lower]
+        out, fac = [], mp.mpf(1)
+        for k in range(n):
+            shifted = mp.hyper([a + k for a in a_list], [b + k for b in b_list], mp.mpc(xi))
+            out.append(complex(fac * shifted))
+            fac *= mp.fprod(a + k for a in a_list) / mp.fprod(b + k for b in b_list)
+    return out
+
+
+def _assert_matches_walk(st, dps, tol=1e-12):
+    """G, G', G'' of st within tol relative of a dps-digit walk on st.path."""
+    zc2 = float(thresholds(st.s).zeta_c) ** 2
+    ref = cont._taylor_walk(st.s, st.p, st.path[1:], dps).states[-1]
+    for j, got in enumerate(st.derivs):
+        want = complex(ref[j]) / zc2**j
+        assert abs(got - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("s,p,eps", [(2, 1, 0.01), (3, 2, 0.004), (5, 1, 0.5)])
+def test_disc_density_rho_is_one_lateral_value(s, p, eps):
+    u = float(thresholds(s).zeta_c) ** 2 * (1.0 + eps)
+    assert cont.disc_density_rho(s, p, u) == cont.sigma_cont(s, p, u, "above").imag / math.pi
+
+
+@settings(max_examples=10, deadline=None)
+@given(s=hst.integers(2, 8), data=hst.data(), xi=hst.floats(1.01, 6.0))
+def test_gp_continue_schwarz_symmetry(s, data, xi):
+    # the walk below the cut mirrors the one above, rung choice included
+    p = data.draw(hst.integers(1, 2 * s))
+    u = xi * float(thresholds(s).zeta_c) ** 2
+    above = cont.gp_continue(s, p, u, "above")
+    below = cont.gp_continue(s, p, u, "below")
+    assert len(above.derivs) == len(below.derivs) == 3
+    assert all(y == x.conjugate() for x, y in zip(above.derivs, below.derivs))
+    assert (below.dps, below.steps, below.rel_est) == (above.dps, above.steps, above.rel_est)
+
+
+@settings(max_examples=10, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), r=hst.floats(1.05, 6.0),
+       theta=hst.floats(-math.pi, math.pi), on_cut=hst.booleans())
+@example(s=2, k=0, r=2.0, theta=5e-324, on_cut=False)  # u.imag underflows
+def test_gp_continue_meets_tol_off_the_disk(s, k, r, theta, on_cut):
+    # |xi - 1| >= r - 1 >= 0.05: closer to the branch point mpmath.hyper
+    # takes minutes; on the cut its value from above is the one at xi + i0
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = (complex(r) if on_cut else cmath.rect(r, theta)) * zc2
+    on_cut = u.imag == 0.0 and u.real > 0.0  # a tiny theta lands on the cut too
+    xi = u / zc2
+    (ref,) = _hyper_derivs(s, p, xi + 1e-30j if on_cut else xi, 1)
+    try:
+        st = cont.gp_continue(s, p, u, "above" if on_cut else "none")
+    except AccuracyError:
+        return
+    assert abs(st.value - ref) <= 1e-12 * abs(ref)
+
+
+def test_sigma_meets_tol_on_the_cut_at_large_s():
+    # (8, 2) at xi = 4: the double transport was off by 2.2e-9 in sigma
+    s, p, xi = 8, 2, 4.0
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    st = cont.gp_continue(s, p, xi * zc2, "above")
+    ref = [z / zc2**j for j, z in enumerate(_hyper_derivs(s, p, xi + 1e-30j, 3))]
+    for got, want in zip(st.derivs, ref, strict=True):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    u = xi * zc2
+    sigma_ref = (p * p * ref[0] + s * (2 * p + s) * u * ref[1] + s * s * u * u * ref[2]) / p
+    assert abs(cont.sigma_from_state(st) - sigma_ref) <= 1e-12 * abs(sigma_ref)
+
+
+def test_cut_trace_agrees_with_gp_continue_at_large_s():
+    # (8, 15) at xi = 6: the two double transports differed by 1.4e-5
+    zc2 = float(thresholds(8).zeta_c) ** 2
+    (trace,) = cont.cut_trace(8, 15, [6.0])
+    st = cont.gp_continue(8, 15, 6.0 * zc2, "above")
+    for got, want in zip(trace.derivs, st.derivs, strict=True):
+        assert abs(got - want) <= 2e-12 * abs(want)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 2.0, math.pi])
+def test_continue_just_outside_series_disk(theta):
+    # (8, 16) at |xi| = 0.99: transport from XI_SEED was off by 8.8e-9
+    xi = cmath.rect(0.99, theta)
+    (ref,) = _hyper_derivs(8, 16, xi, 1)
+    st = cont.gp_continue(8, 16, xi * float(thresholds(8).zeta_c) ** 2, "none")
+    assert abs(st.value - ref) <= 1e-12 * abs(ref)
+
+
+def test_continue_inside_old_exclusion_disk():
+    # the fitted local model that served |xi - 1| < 1e-4 was off by 5.7e-3 in
+    # sigma at (3, 2), xi = 1 + 5e-5
+    st = cont.gp_continue(3, 2, ZC2_3 * (1 + 5e-5), "above")
+    _assert_matches_walk(st, 40)
+
+
+def test_state_diagnostics():
+    inside = cont.gp_continue(3, 2, 0.5 * ZC2_3, "none")
+    assert (inside.dps, inside.steps, inside.rel_est) == (None, 0, cont._SERIES_TOL)
+    double = cont.gp_continue(3, 2, -3.0 * ZC2_3, "none")
+    assert double.dps is None and double.steps > 0
+    assert 0.0 <= double.rel_est <= 1e-12 / 4
+    # the double walks of (8, 16) disagree in the fifth digit
+    wide = cont.gp_continue(8, 16, -1.2 * float(thresholds(8).zeta_c) ** 2, "none")
+    assert wide.dps == cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS
+    assert 0.0 <= wide.rel_est <= 1e-12 / 4
+
+
+def test_unreachable_tol_raises():
+    # 30 digits cannot carry the state to 1e-40
+    with pytest.raises(AccuracyError):
+        cont.gp_continue(2, 1, -3.0 * ZC2_2, "none", tol=1e-40)
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 2)])
+def test_resonant_fit_double_precision_keeps_b(s, p):
+    # through the normal equations B_fit at dps 17 moved by 8.5e-9 at (2, 1)
+    # and 1.9e-9 at (3, 2) from its dps-40 value
+    ref = cont.resonant_fit(s, p).B_fit
+    assert abs(cont.resonant_fit(s, p, dps=17).B_fit - ref) <= 1e-12 * abs(ref)
