@@ -279,14 +279,14 @@ def _cmd_continue(args):
 
 
 def _cmd_rho(args):
-    s, p, grid = args.s, args.p, args.grid
+    s, p, grid = args.s, args.p, sorted(map(float, args.grid))
     zc2 = float(maps.thresholds(s).zeta_c) ** 2
     states = cont.cut_trace(s, p, grid, side="above")
     tab = Table(
         "todahess.rho.v1", ["s", "p", "u_ratio", "u", "rho", "edge_value"]
     )
     edge = cont.edge_density_closed(s, p)
-    for x, st in zip(sorted(map(float, grid)), states):
+    for x, st in zip(grid, states):
         rho = cont.sigma_from_state(st).imag / math.pi
         tab.add(s, p, x, x * zc2, rho, edge)
     svgs = {

@@ -4,7 +4,9 @@ G_p(u) = sum_m R_{s,p}(m)^2 u^m converges for |u| < zeta_c^2 and extends to
 the slit plane C \\ [zeta_c^2, inf).  The coefficient ratio is rational in m,
 so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
-finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Off the series
+finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  The power
+series at 0 is summed in one place, _power_series: it gives the values in
+the disk |xi| <= SERIES_RADIUS and seeds every walk at XI_SEED.  Off the
 disk, continuation re-expands the solution in Taylor steps from the
 recurrence of that reduced equation, along piecewise-linear paths that
 detour around xi = 1; two walks with different step lengths, in doubles
@@ -17,6 +19,7 @@ the discontinuity density with positive edge value (p/2pi) (s/(s-1))^{2p+1}.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -109,53 +112,20 @@ def _coeff_step(s: int, p: int, m: int):
     return num**2 * (s - 1) ** (2 * s - 2), den**2 * s ** (2 * s)
 
 
-def _gp_derivs(s: int, p: int, xi: complex, d: int, tol: float) -> list:
-    """[y, y', ..., y^(d-1)] of y(xi) = G_p(zeta_c^2 xi) for |xi| < 1,
-    from the differentiated power series
+def gp_series(s: int, p: int, u: complex):
+    """G_p(u) from its power series; only inside |u| <= SERIES_RADIUS zeta_c^2.
 
-        y^(j) = sum_m a_m m!/(m-j)! xi^(m-j).
-
-    Stops once every component's geometric tail, with term ratio
-    |xi| (m+1)/(m+1-j), is below tol relative to its partial sum.
+    The value is exactly gp_continue(s, p, u).value, real for real u.
     """
-    r = abs(xi)
-    coef = 1.0  # a_m
-    pw = [1.0 + 0.0j]  # xi^0, ..., xi^m; no division by xi, which may underflow
-    acc = [pw[0]] + [0j] * (d - 1)
-    m = 0
-    while True:
-        num, den = raney_step(s, p, float(m))
-        coef *= (num / den) ** 2 * (s - 1.0) ** (2 * s - 2) / float(s) ** (2 * s)
-        pw.append(pw[-1] * xi)
-        m += 1
-        contrib = [0j] * d
-        ff = 1.0  # m!/(m-j)!
-        for j in range(min(d, m + 1)):
-            contrib[j] = coef * ff * pw[m - j]
-            acc[j] += contrib[j]
-            ff *= m - j
-        ratios = (r * (1.0 + j / (m + 1 - j)) for j in range(d))
-        if m >= 4 * d and all(
-            q < 1.0 and abs(c) * q / (1.0 - q + 1e-300) <= tol * max(abs(a), 1e-300)
-            for c, a, q in zip(contrib, acc, ratios)
-        ):
-            return acc
-        if m > 200000:
-            raise DivergenceError("G_p power series failed to reach tolerance")
-
-
-def gp_series(s: int, p: int, u: complex, tol: float = 1e-14):
-    """G_p(u) by direct summation; only inside |u| <= SERIES_RADIUS zeta_c^2."""
     _validate_sp(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
-    if abs(u) > SERIES_RADIUS * zc2:
-        raise DivergenceError(
-            f"|u| = {abs(u):.3g} beyond {SERIES_RADIUS} * zeta_c^2 = "
-            f"{SERIES_RADIUS * zc2:.3g}; "
-            "use gp_continue for the slit-plane continuation"
-        )
-    acc = _gp_derivs(s, p, complex(u) / zc2, 1, tol)[0]
-    return acc.real if complex(u).imag == 0.0 else acc
+    if not cmath.isfinite(complex(u)):
+        raise DomainError(f"u must be finite, got {u}")
+    if abs(complex(u) / zc2) > SERIES_RADIUS:
+        raise DivergenceError(f"|u| = {abs(u):.3g} beyond {SERIES_RADIUS} * zeta_c^2 = "
+                              f"{SERIES_RADIUS * zc2:.3g}; use gp_continue off the disk")
+    g = gp_continue(s, p, u).value
+    return g.real if complex(u).imag == 0.0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +206,13 @@ def _falling_row(n: int, d: int) -> list:
     return row
 
 
-def _seed_coeffs(s: int, p: int, one):
-    """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0, in the
-    number type of one."""
-    a = one
+def _seed_coeffs(s: int, p: int, ar: _Arith):
+    """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0 in the
+    number type of ar; each exact step ratio is rounded once, so no overflow."""
+    a = ar.num(1)
     for m in count():
         yield a
-        num, den = _coeff_step(s, p, m)
-        a = a * num / den
+        a = a * ar.ratio(*_coeff_step(s, p, m))
 
 
 @lru_cache(maxsize=None)
@@ -309,13 +278,42 @@ def _mp_idot(u: list, v: list):
     return mp.mpc(*out) if any(isinstance(x, mp.mpc) for x in v) else out[0]
 
 
-def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> list:
+class _Arith(NamedTuple):
+    """Number type of the Taylor engine: complex doubles or mpmath."""
+    digits: int  # decimal digits carried
+    tol: float  # relative tail bound at which an expansion stops
+    dot: object  # dot(integers, numbers) in the number type
+    num: object  # conversion into the number type
+    ratio: object  # ratio(i, j): the quotient of integers i / j, rounded once
+
+
+def _arith(dps) -> _Arith:
+    """Python complex doubles for dps=None, else mpmath numbers for a
+    caller's dps, carried at dps + TAYLOR_GUARD_DPS digits (at most 250)."""
+    if dps is None:
+        return _Arith(16, _SERIES_TOL, _fdot, complex, operator.truediv)
+    if dps > 250:
+        # tol and the terms compared with it must stay normal doubles
+        raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
+    return _Arith(dps + TAYLOR_GUARD_DPS, 10.0 ** (-(dps + 6)), _mp_idot,
+                  mp.mpmathify, lambda i, j: mp.mpmathify(Fraction(i, j)))
+
+
+def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
     """Draw Taylor coefficients b_0, b_1, ... from coeffs until every
     component sum_n b_n n!/(n-i)! tau^(n-i), i < d, has a geometric tail at
-    tau_far below tol relative to its partial sum.  The term ratio of
-    component i is taken as ratio (n+1)/(n+1-i), as in _gp_derivs; the
-    check itself runs in complex doubles.
+    tau_far below ar.tol relative to its partial sum.  The term ratio of
+    component i is taken as ratio (n+1)/(n+1-i), the ratio of consecutive
+    terms of a geometric series differentiated i times; the check itself
+    runs in complex doubles.  Every expansion of y stops by this rule: the
+    power series at 0 (_power_series) and each Taylor step of the walks.
+
+    DivergenceError past the term budget: ratio <= 1/2 needs about 3.3
+    terms per digit, plus the growth of n!/(n-d)!, and the budget is three
+    times that; a ratio in (1/2, 1) needs log(1/2)/log(ratio) times more.
     """
+    tol = ar.tol
+    budget = int((10 * ar.digits + 20 * d) * math.log(0.5) / math.log(max(ratio, 0.5)))
     out = []
     sums = [0j] * d
     pw = 1
@@ -342,23 +340,37 @@ def _expand(coeffs, tau_far, ratio: float, d: int, tol: float, budget: int) -> l
 
 @lru_cache(maxsize=None)
 def _binomial_rows(n: int, d: int) -> tuple:
-    """(C(m, i) for m = i..n-1) for i = 0..d-1; _shift asks for n rounded up
-    to a power of two, so few tables serve every expansion length."""
-    return tuple(tuple(math.comb(m, i) for m in range(i, n)) for i in range(d))
+    """(head, tail): head[i] = (C(m, i) for m = i..d-1) and tail[i] =
+    (C(m, i) for m = d..n-1), i = 0..d-1; _shift asks for n rounded up to a
+    power of two, so few tables serve every expansion length."""
+    return (tuple(tuple(math.comb(m, i) for m in range(i, d)) for i in range(d)),
+            tuple(tuple(math.comb(m, i) for m in range(d, n)) for i in range(d)))
 
 
 def _shift(coeffs: list, tau, d: int, dot) -> list:
     """P^(i)(tau) / i! = sum_n C(n, i) coeffs[n] tau^(n-i), i < d, for
-    P(tau) = sum_n coeffs[n] tau^n."""
-    if tau == 0:
-        return coeffs[:d]
-    w, pw = [], 1
-    for b in coeffs:
-        w.append(b * pw)
-        pw *= tau
+    P(tau) = sum_n coeffs[n] tau^n with at least d coefficients.
+
+    The terms n < d are summed directly and tau^(d-i) is factored out of
+    the rest, so nothing divides by a power of tau that may underflow.
+    """
+    pw = [tau**i for i in range(d + 1)]
+    w, x = [], 1
+    for b in coeffs[d:]:
+        w.append(b * x)
+        x *= tau
     # dot stops at the shorter operand, so longer binomial rows serve too
-    rows = _binomial_rows(1 << (len(coeffs) - 1).bit_length(), d)
-    return [dot(rows[i], w[i:]) / tau**i for i in range(d)]
+    head, tail = _binomial_rows(1 << (len(coeffs) - 1).bit_length(), d)
+    return [dot(head[i], [b * y for b, y in zip(coeffs[i:d], pw)])
+            + dot(tail[i], w) * pw[d - i] for i in range(d)]
+
+
+def _power_series(s: int, p: int, xi, d: int, ar: _Arith) -> tuple:
+    """(y^(i)(xi) / i! for i < d, terms summed) of y(xi) = G_p(zeta_c^2 xi)
+    from its power series at 0, |xi| < 1, in ar's number type: the one sum of
+    G_p's series, which seeds every walk and gives the values in the disk."""
+    coeffs = _expand(_seed_coeffs(s, p, ar), xi, float(abs(xi)), d, ar)
+    return _shift(coeffs, xi, d, ar.dot), len(coeffs)
 
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:
@@ -383,34 +395,22 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
     The next centre is the last of those targets or, if there is none, the
     point rho/reach further along the path.  Each expansion stops once its
     geometric tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles
-    (see _expand); dps is at most 250.
+    (see _expand); dps is at most 250.  Non-finite targets raise DomainError.
     """
-    if dps is None:
-        digits, tol, ctx = 16, _SERIES_TOL, nullcontext()
-        dot, num = _fdot, complex
-    elif dps > 250:
-        # tol and the terms compared with it must stay normal doubles
-        raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
-    else:
-        digits = dps + TAYLOR_GUARD_DPS
-        tol, ctx = 10.0 ** (-(dps + 6)), mp.workdps(digits)
-        dot, num = _mp_idot, mp.mpmathify
+    ar = _arith(dps)
     d = _ode_fractions(s, p)[0]
-    # ratio <= 1/2 needs about 3.3 terms per digit, plus the growth of n!/(n-d)!
-    budget = 10 * digits + 20 * d
-    with ctx:
-        pts = [num(t) for t in targets]
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        pts = [ar.num(t) for t in targets]
         corners = [complex(XI_SEED)] + [complex(t) for t in pts]
+        if not all(cmath.isfinite(z) for z in corners):
+            raise DomainError(f"continuation targets must be finite, got {targets!r}")
         for a, b in zip(corners, corners[1:]):
             if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
                 raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                                 "singular point, 0 or 1")
-        centre = num(XI_SEED)
-        seed = _expand(_seed_coeffs(s, p, num(1)), centre, 0.5, d, tol, budget)
-        taylor = _shift(seed, centre, d, dot)  # y^(i)(centre) / i!
-        steps, terms = 0, len(seed)
-        states = []
-        k = 0
+        centre = ar.num(XI_SEED)
+        taylor, terms = _power_series(s, p, centre, d, ar)  # y^(i)(centre) / i!
+        steps, k, states = 0, 0, []
         while k < len(pts):
             rho = min(abs(centre), abs(1 - centre))
             served = []
@@ -424,14 +424,14 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
             far = max(abs(t - centre) for t in served or [nxt])
             # y(centre + centre tau) = sum_n b_n tau^n
             head = [taylor[i] * centre**i for i in range(d)]
-            coeffs = _expand(_recurrence_coeffs(s, p, centre, head, dot),
-                             far / abs(centre), float(far / rho), d, tol, budget)
+            coeffs = _expand(_recurrence_coeffs(s, p, centre, head, ar.dot),
+                             far / abs(centre), float(far / rho), d, ar)
             steps += 1
             terms += len(coeffs)
             scale = [centre**-i for i in range(d)]
             reached = [
                 [x * f for x, f in
-                 zip(_shift(coeffs, (t - centre) / centre, d, dot), scale)]
+                 zip(_shift(coeffs, (t - centre) / centre, d, ar.dot), scale)]
                 for t in served or [nxt]
             ]
             if served:
@@ -440,7 +440,7 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
             centre = nxt
         fact = [math.factorial(i) for i in range(d)]
         states = [[x * f for x, f in zip(st, fact)] for st in states]
-    return _TaylorWalk(states, steps, terms, None if dps is None else digits)
+    return _TaylorWalk(states, steps, terms, None if dps is None else ar.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +572,9 @@ def gp_continue(
 
     side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
     'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
-    the state is summed from the power series at u, because transport
-    towards the singular point u = 0 loses digits.  Elsewhere it comes from
+    the state is summed from the power series at 0 (_power_series, which
+    also seeds every walk), because transport towards the singular point
+    u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
     the checked Taylor walk (see _continue): within tol relative, or
     AccuracyError.
     """
@@ -581,13 +582,11 @@ def gp_continue(
     side = side or "none"
     zc2 = float(thresholds(s).zeta_c) ** 2
     uc = complex(u)
-    if uc == 0:
-        raise PathError("u = 0 is a singular point of the transport ODE; "
-                        "gp_series covers the disk")
     xi_t = uc / zc2
     pts = _waypoints(xi_t, side)
     if abs(xi_t) <= SERIES_RADIUS:
-        z = _gp_derivs(s, p, xi_t, 3, _SERIES_TOL)
+        taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
+        z = [c * math.factorial(j) for j, c in enumerate(taylor)]
         return _state(s, p, uc, side, z, (xi_t,))
     run = _continue(s, p, pts[1:-1], pts[-1:], tol, keep=3)
     return _state(s, p, uc, side, run.states[0], tuple(pts), run)
@@ -738,7 +737,7 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
     """States along the cut at the given xi nodes (all >= 1 +
-    EXCLUSION_RADIUS), in ascending xi.
+    EXCLUSION_RADIUS), in the order of the nodes.
 
     Two checked walks (see _continue) follow the detour to xi_0 = 1 +
     DETOUR_OFFSET on the cut, then the real axis inward through the nodes
@@ -746,8 +745,8 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
     the branch point would carry its large high derivatives along: at
     (5, 10) on fig3's grid that path lost 17 of 30 digits.
     """
-    nodes = sorted(float(x) for x in xi_nodes)
-    if nodes[0] < 1.0 + EXCLUSION_RADIUS:
+    nodes = [float(x) for x in xi_nodes]
+    if not all(x >= 1.0 + EXCLUSION_RADIUS for x in nodes):
         raise DomainError(
             f"cut_trace nodes must satisfy xi >= 1 + {EXCLUSION_RADIUS:g}, "
             "outside the branch-point exclusion disk"

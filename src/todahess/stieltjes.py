@@ -11,6 +11,7 @@ appear only at output.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +181,8 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
     is the same fraction evaluated at x = u / zeta_c^2.  Converges to G_p(u)
     as the depth grows, for u off [zeta_c^2, inf).
     """
+    if not cmath.isfinite(complex(u)):
+        raise DomainError(f"u must be finite, got {u}")
     zc2 = float(thresholds(jac.s).zeta_c ** 2)
     x = complex(u) / zc2
     b = jac.b
@@ -211,9 +214,7 @@ def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
         raise DomainError("t must be > 0")
     tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
     xi = 1.0 / t_ratio
-    order = np.argsort(xi, kind="stable")
-    im_g = np.empty_like(xi)
-    im_g[order] = [st.value.imag for st in cut_trace(s, p, xi, side="above")]
+    im_g = np.array([st.value.imag for st in cut_trace(s, p, xi, side="above")])
     return im_g / (math.pi * (tmax / xi))
 
 
@@ -251,11 +252,8 @@ def perron_integrals(
     xi_a = 1.0 / (1.0 - delta_rel)
     xi_b = 1.0 / delta_rel
     nodes, weights = _gauss_legendre_panels(xi_a, xi_b, n_panels, n_nodes)
-    order = np.argsort(nodes)
-    states = cut_trace(s, p, nodes[order], side="above", tol=tol)
-    im_g = np.empty_like(nodes)
-    for idx, st in zip(order, states):
-        im_g[idx] = st.value.imag
+    states = cut_trace(s, p, nodes, side="above", tol=tol)
+    im_g = np.array([st.value.imag for st in states])
     out = {}
     for n in powers:
         integrand = (tmax / nodes) ** n * im_g / nodes

@@ -124,9 +124,11 @@ def test_bad_config_is_usage_error(tmp_path, cfg):
         ["thresholds", "--s", "2..x"],
         ["block", "--s", "3", "--zeta-ratio", "inf"],
         ["block", "--s", "3", "--n", "2", "--format", "svg"],
+        ["continue", "--s", "2", "--u-ratio", "nan"],
+        ["rho", "--s", "2", "--grid", "nan:2:3"],
     ],
     ids=["unread-flag", "no-id", "no-s", "no-zeta", "no-u-ratio", "bad-int",
-         "bad-range", "inf-zeta", "svg-without-out"],
+         "bad-range", "inf-zeta", "svg-without-out", "nan-u-ratio", "nan-grid"],
 )
 def test_usage_errors_exit_2(args):
     assert exit_code(args) == 2

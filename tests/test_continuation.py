@@ -25,6 +25,13 @@ ZC2_3 = float(thresholds(3).zeta_c) ** 2
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
 
+def _float_series(s, p, xi, d):
+    """y, y', ..., y^(d-1) of y(xi) = G_p(zeta_c^2 xi) from the shared power
+    series at 0, summed in complex doubles."""
+    taylor, _ = cont._power_series(s, p, complex(xi), d, cont._arith(None))
+    return [c * math.factorial(i) for i, c in enumerate(taylor)]
+
+
 def test_hyp_params_s2p1():
     hp = cont.hyp_params(2, 1)
     assert hp.upper == (Fraction(1, 2),) * 2 + (Fraction(1),) * 2
@@ -80,6 +87,51 @@ def test_gp_series_outside_disk_redirects():
     assert "gp_continue" in str(err.value)
 
 
+@settings(max_examples=30, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15),
+       r=hst.floats(0.0, cont.SERIES_RADIUS), theta=hst.floats(-math.pi, math.pi),
+       real=hst.booleans())
+def test_gp_series_is_gp_continue_in_the_disk(s, k, r, theta, real):
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = (r if real else cmath.rect(r, theta)) * zc2
+    if abs(u / zc2) > cont.SERIES_RADIUS:  # rounding carried u an ulp out
+        return
+    assert cont.gp_series(s, p, u) == cont.gp_continue(s, p, u).value
+
+
+@pytest.mark.parametrize("p", [1, 80])
+def test_series_at_large_s(p):
+    # at s = 40 the integer numerators of the step ratios exceed the double range
+    s = 40
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    st = cont.gp_continue(s, p, 0.5 * zc2)
+    ref = [z / zc2**j for j, z in enumerate(_hyper_derivs(s, p, 0.5, 3))]
+    for got, want in zip(st.derivs, ref, strict=True):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert cont.gp_series(s, p, 0.5 * zc2) == st.value
+
+
+def test_gp_continue_at_zero():
+    for s, p in ((2, 1), (3, 2), (8, 16)):
+        st = cont.gp_continue(s, p, 0.0)
+        assert st.value == 1.0 and st.steps == 0
+        assert cont.sigma_from_state(st) == p
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_targets_are_domain_errors(bad):
+    with pytest.raises(DomainError):
+        cont.gp_continue(2, 1, bad)
+    with pytest.raises(DomainError):
+        cont.gp_series(2, 1, bad)
+    with pytest.raises(DomainError):
+        cont.transport(2, 1, [cont.XI_SEED, bad])
+    if isinstance(bad, float):
+        with pytest.raises(DomainError):
+            cont.cut_trace(2, 1, [1.5, bad])
+
+
 def test_continue_matches_series_inside_disk():
     for s, p in ((2, 1), (3, 1), (3, 2), (5, 1)):
         zc2 = float(thresholds(s).zeta_c) ** 2
@@ -112,15 +164,14 @@ def test_cut_is_real():
 def test_monodromy_trivial_off_cut():
     wp = [0.5, 0.5 + 0.4j, 0.9 + 0.4j, 0.9, 0.9 - 0.4j, 0.5 - 0.4j, 0.5]
     z = cont.transport(2, 1, wp, tol=1e-12)
-    z0 = cont._gp_derivs(2, 1, cont.XI_SEED, cont._ode_fractions(2, 1)[0], 1e-17)
+    z0 = _float_series(2, 1, cont.XI_SEED, cont._ode_fractions(2, 1)[0])
     assert np.max(np.abs(z - z0)) < 1e-10
 
 
-# r stops 1e-3 short of SERIES_RADIUS: at r = 0.98 the rounding of u / zeta_c^2
-# can carry |xi| an ulp past the radius, where the transport still misses tol
+# r runs past SERIES_RADIUS, so both sides of the switch from the series to
+# the walk are checked
 @settings(max_examples=40, deadline=None)
-@given(s=hst.integers(2, 8), k=hst.integers(0, 15),
-       r=hst.floats(0.01, cont.SERIES_RADIUS - 1e-3),
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), r=hst.floats(0.01, 0.995),
        theta=hst.floats(-math.pi, math.pi))
 # transported from XI_SEED these were off by 3.0e-4, 1.8e-6, 2.5e-11 and 9.3e-9
 @example(s=8, k=15, r=0.03, theta=math.pi)
@@ -128,6 +179,7 @@ def test_monodromy_trivial_off_cut():
 @example(s=2, k=3, r=0.055, theta=0.0)
 @example(s=8, k=15, r=0.979, theta=math.pi)
 @example(s=8, k=15, r=1e-30, theta=1.0)  # xi^15 underflows
+@example(s=8, k=15, r=1e-200, theta=1.0)  # xi^2 underflows
 def test_continue_inside_disk_meets_tol(s, k, r, theta):
     # oracle: mpmath's hypergeometric series at 50 digits; at 30 digits it is
     # itself off by 5.4e-11 at s = 8, p = 16, xi = 0.98
@@ -164,9 +216,20 @@ def test_cut_trace_matches_gp_continue(s, data, xis):
     p = data.draw(hst.integers(1, 2 * s))
     zc2 = float(thresholds(s).zeta_c) ** 2
     states = cont.cut_trace(s, p, xis, side="above")
-    for xi, st in zip(sorted(xis), states):
+    for xi, st in zip(xis, states):
         ref = cont.gp_continue(s, p, xi * zc2, "above").value
         assert abs(st.value - ref) < 1e-5 * abs(ref)
+
+
+def test_cut_trace_keeps_node_order():
+    zc2 = float(thresholds(3).zeta_c) ** 2
+    nodes = [2.5, 1.05, 4.0, 1.2, 1.05]
+    ordered = sorted(nodes)
+    states = cont.cut_trace(3, 2, nodes)
+    ref = cont.cut_trace(3, 2, ordered)
+    for xi, st in zip(nodes, states, strict=True):
+        assert st.u == xi * zc2
+        assert st.derivs == ref[ordered.index(xi)].derivs
 
 
 @settings(max_examples=10, deadline=None)
@@ -186,8 +249,6 @@ def test_cut_trace_schwarz_symmetry(s, data, xis):
 def test_path_errors():
     with pytest.raises(PathError):
         cont.gp_continue(2, 1, 1.5 * ZC2_2, "none")  # on the cut, no side
-    with pytest.raises(PathError):
-        cont.gp_continue(2, 1, 0.0, "none")
     with pytest.raises(PathError):
         cont.gp_continue(2, 1, ZC2_2 * (1.5 + 0.3j), "below")  # wrong side
     with pytest.raises(PathError):
@@ -396,7 +457,7 @@ def test_taylor_walk_matches_direct_series(s, p):
 @example(s=8, k=15, xi=0.98)  # d = 16, the longest state
 def test_taylor_walk_matches_float_series(s, k, xi):
     p = 1 + k % (2 * s)
-    ref = cont._gp_derivs(s, p, xi, cont._ode_fractions(s, p)[0], 1e-17)
+    ref = _float_series(s, p, xi, cont._ode_fractions(s, p)[0])
     (state,) = cont._taylor_walk(s, p, [xi], 30).states
     assert len(state) == len(ref)
     for got, want in zip(state, ref):
@@ -409,7 +470,7 @@ def test_taylor_walk_complex_path():
     walk = cont._taylor_walk(3, 2, path, 30)
     d = cont._ode_fractions(3, 2)[0]
     for xi, state in zip(path, walk.states, strict=True):
-        ref = cont._gp_derivs(3, 2, xi, d, 1e-17)
+        ref = _float_series(3, 2, xi, d)
         for got, want in zip(state, ref):
             assert abs(complex(got) - want) <= 1e-12 * abs(want)
     with pytest.raises(PathError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_weyl_schwarz_symmetry(key, re, im):
     u = complex(re, im)
     jac = _JACOBI[key]
     assert st.weyl_function(jac, u.conjugate()) == st.weyl_function(jac, u).conjugate()
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_weyl_rejects_non_finite_u(u):
+    with pytest.raises(DomainError):
+        st.weyl_function(_JACOBI[(2, 1)], u)
+
+
+def test_perron_density_keeps_point_order():
+    t_ratio = np.array([0.3, 0.1, 0.6, 0.2])
+    order = np.argsort(t_ratio)
+    shuffled = st.perron_density(2, 1, t_ratio)
+    assert np.array_equal(shuffled[order], st.perron_density(2, 1, t_ratio[order]))
 
 
 def test_weyl_near_pole_errors():
