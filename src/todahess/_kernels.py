@@ -7,29 +7,65 @@ The block of sector q is V^T V for the unweighted synthesis factor
 with p_j = q + j s and V[i, j] = 0 for i < j.  Column j peaks near
 M^(p_j), past the double range at p_j ~ 500 for s = 2, so the weighted
 block's 1/w_j enters at the column's first row, and the Raney numbers
-(~ zeta_c^{-m}) only through ratio updates.  Near the threshold the row
-products behave like eta^{2i}/i with eta = zeta/zeta_c and the required
-number of rows scales like 1/(1 - eta^2) -- about 1e6 at eta = 0.99999 --
-which is why this loop is the package's hot path.  It builds V in chunks of
-rows, by cumulative products down the columns, and accumulates V^T V.
+(~ zeta_c^{-m}) only through ratio updates.  The kernel builds V in chunks
+of rows, by cumulative products down the columns, and accumulates V^T V.
+
+Near the threshold the rows decay like eta^i / sqrt(i), eta = zeta/zeta_c,
+so a direct sum needs about 1/(1 - eta^2) rows (about 1e6 at
+eta = 0.99999).  Instead the kernel sums a head of M rows directly, M about
+max(HEAD_MIN, p_{N-1}^2 / (s(s-1))), and adds the rest in closed form.  Row
+i >= M is
+
+    V[i, j] D_j = amp_j D_j g_j(M/i) eta^(i-j) / sqrt(i),
+
+where amp_j = s A_{s,p_j} / sqrt(p_j) (A from raney.amplitude; amp_j D_j is
+the spike entry d~_j for the weighted block) and the profile g_j, with
+g_j(0) = 1, does not depend on zeta.  g_j is interpolated at
+TAIL_DEGREE + 1 Chebyshev points t = M/i in [0, 1] (loggamma at 30 digits),
+so the tail is amp D eta^(-j-l) times a quadratic form in the moments
+S_k = sum_{i>=M} eta^(2i) i^(-1) (M/i)^k.  Those follow from Euler-Maclaurin
+on the exponential integrals E_{k+1}(-M log eta^2), so no loop or array
+grows with 1/(1 - eta).  A block whose stop rule fires inside the head, or
+one asked for a tol below TAIL_TOL_MIN, is the plain direct sum.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import mpmath as mp
 import numpy as np
 
-from .raney import raney_step
+from .errors import AccuracyError
+from .maps import thresholds
+from .raney import amplitude, raney_step
 
 #: read by perfbench/one_pass.py's environment record; the kernel is numpy only
 HAS_NUMBA = False
 
-#: hard cap on the number of rows; reached only beyond eta ~ 0.999999
+#: hard cap on the number of rows summed directly
 M_MAX_DEFAULT = 50_000_000
 #: minimum number of rows per entry before the geometric tail bound may fire
 _MIN_TERMS = 8
 #: cap on rows x N of one chunk; larger chunks raise the peak memory
 #: (measured on the benchmark) without saving time
 CHUNK_ELEMS = 8_192
+#: fewest rows summed directly before the tail is closed
+HEAD_MIN = 4_096
+#: degree of the polynomial interpolant of each column's profile g_j
+TAIL_DEGREE = 12
+#: times the head grows fourfold when the profile fit or row check misses
+_HEAD_RETRIES = 2
+#: smallest tol for which the tail is closed; a smaller one sums directly
+TAIL_TOL_MIN = 1e-13
+#: largest last two Chebyshev coefficients of g_j, relative to the first,
+#: accepted for the interpolant; rounding leaves them near 1e-16
+_PROFILE_TOL = 0.1 * TAIL_TOL_MIN
+#: Euler-Maclaurin weights B_2r / (2r)!, r = 1..4
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
+_EULER_GAMMA = 0.5772156649015329
 
 
 def synthesis_rows(s, q, n, zeta, m_max, scale=None):
@@ -68,17 +104,26 @@ def synthesis_rows(s, q, n, zeta, m_max, scale=None):
 def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=None):
     """(V D)^T (V D) over rows 0, 1, ... of sector q: returns (matrix, rows, tail).
 
-    D = diag(scale), the identity by default.  Summation stops once every
-    entry's geometric tail bound t r_b / (1 - r_b) is at most tol times the
-    entry, where t is the entry's last row product and r_b = max(r_j1 r_j2,
-    ratio_limit).  ratio_limit = (zeta/zeta_c)^2 caps the estimate, since
-    the true ratio approaches it from below like 1 - 1/i.  tail is the
-    largest entry's bound, or -1 when m_max rows were summed before every
-    bound fired.  The matrix is exactly symmetric.
+    D = diag(scale), the identity by default.  Direct summation stops once
+    every entry's geometric tail bound t r_b / (1 - r_b) is at most tol times
+    the entry, where t is the entry's last row product and r_b = max(r_j1
+    r_j2, ratio_limit).  ratio_limit = (zeta/zeta_c)^2 caps the estimate,
+    since the true ratio approaches it from below like 1 - 1/i.  If the
+    bound has not fired within the head (_head_rows) and tol >= TAIL_TOL_MIN,
+    the remaining rows are added in closed form (_closed_tail).  A closure
+    that misses its checks grows the head fourfold, at most _HEAD_RETRIES
+    times, and then raises AccuracyError.
+
+    rows counts the rows summed directly.  tail is the largest share of an
+    entry that was not: the geometric bound over the entry, or the closed
+    tail over the entry; it is -1 when m_max rows were summed first.  The
+    matrix is exactly symmetric.
     """
     acc = np.zeros((n, n))
     rows = 0
     tail = -1.0
+    head = _head_rows(s, q, n) if tol >= TAIL_TOL_MIN else math.inf
+    misses = 0
     for v, r in synthesis_rows(s, q, n, zeta, m_max, scale):
         acc += v.T @ v
         rows += len(v)
@@ -88,6 +133,172 @@ def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=
         if rb.max() < 1.0:
             bound = np.outer(v[-1], v[-1]) * rb / (1.0 - rb)
             if np.all(bound <= tol * acc):
-                tail = float(bound.max())
+                share = np.divide(bound, acc, out=np.zeros((n, n)), where=acc > 0)
+                tail = float(share.max())
                 break
+        if rows >= head:
+            closed = _closed_tail(s, q, n, zeta, rows, v[-1], tol, scale)
+            if closed is not None:
+                acc += closed
+                tail = float(np.max(closed / acc))
+                break
+            if misses == _HEAD_RETRIES:
+                raise AccuracyError(
+                    f"closed Gram tail missed tolerance {tol} with a head of {rows} rows"
+                )
+            misses += 1
+            head = 4 * rows
     return np.triu(acc) + np.triu(acc, 1).T, rows, tail
+
+
+def _head_rows(s, q, n):
+    """Rows summed directly before the tail may be closed.
+
+    The profiles g_j vary on the scale i ~ p_j^2 / (s(s-1)), so the head
+    covers that scale for the last column and the interpolant on
+    t = M/i in [0, 1] stays of low degree.
+    """
+    p = q + s * (n - 1)
+    return max(HEAD_MIN, p * p // (s * (s - 1)))
+
+
+def _closed_tail(s, q, n, zeta, m, last_row, tol, scale):
+    """sum_{i>=m} v_i v_i^T in closed form, or None when it fails a check.
+
+    The checks: the profile interpolant converged (_row_profile), and the
+    model reproduces the head's last direct row, i = m - 1, to within tol.
+    """
+    prof = _row_profile(s, q, n, m, TAIL_DEGREE)
+    if prof is None:
+        return None
+    amp, coef = prof
+    gap = 1 - Fraction(zeta) / thresholds(s).zeta_c  # 1 - eta, exact
+    lam = -2.0 * math.log1p(-float(gap))  # -log eta^2
+    j = np.arange(n)
+    d = amp * np.exp(0.5 * lam * j)  # amp_j eta^(-j)
+    if scale is not None:
+        d = d * scale
+    i = m - 1
+    model = d * (coef @ (m / i) ** np.arange(TAIL_DEGREE + 1))
+    model *= math.exp(-0.5 * lam * i) / math.sqrt(i)
+    if not np.all(np.abs(model - last_row) <= tol * np.abs(last_row)):
+        return None
+    mom = _tail_moments(lam, m, 2 * TAIL_DEGREE)
+    k = np.arange(TAIL_DEGREE + 1)
+    hankel = mom[k[:, None] + k]
+    return (coef @ hankel @ coef.T) * np.outer(d, d)
+
+
+@lru_cache(maxsize=64)
+def _row_profile(s, q, n, m, degree):
+    """(amp, coef) of sector q's columns for a head of m rows, or None.
+
+    amp_j = s A_{s,p_j} / sqrt(p_j) and coef[j] holds the monomial
+    coefficients in t = m/i of the degree-`degree` interpolant of g_j at the
+    Chebyshev points t_a = (1 - cos(pi a / degree)) / 2.  g_j(0) = 1; at
+    t > 0, g_0 = q sqrt(i) Gamma(si+q+1) zeta_c^i / (Gamma(i+1)
+    Gamma((s-1)i+q+1) s A_{s,q}) from loggamma at 30 digits, and
+    g_j / g_{j-1} = (s-1)(i-j+1) / ((s-1)i+q+j).  None when the last
+    two Chebyshev coefficients of some g_j exceed _PROFILE_TOL.
+    """
+    t = 0.5 - 0.5 * np.cos(np.pi * np.arange(degree + 1) / degree)
+    i, g0 = [], []  # the nodes t > 0 as rows i = m/t, and g_0 there
+    zc = thresholds(s).zeta_c
+    with mp.workdps(30):
+        # log(s A_{s,q} / q); the amplitudes themselves enter in doubles below
+        log_norm = (
+            mp.log(s) + q * mp.log(mp.mpf(s) / (s - 1)) - mp.log(2 * mp.pi * s * (s - 1)) / 2
+        )
+        log_zc = mp.log(zc.numerator) - mp.log(zc.denominator)
+        for ta in t[1:]:
+            x = m / mp.mpf(ta)
+            log_g = (
+                mp.log(x) / 2
+                + mp.loggamma(s * x + q + 1)
+                - mp.loggamma(x + 1)
+                - mp.loggamma((s - 1) * x + q + 1)
+                + x * log_zc
+                - log_norm
+            )
+            i.append(float(x))
+            g0.append(float(mp.exp(log_g)))
+    i = np.array(i)[:, None]
+    col = np.arange(1, n)
+    step = (s - 1) * (i - col + 1) / ((s - 1) * i + q + col)
+    g = np.ones((degree + 1, n))
+    g[1:] = np.cumprod(np.column_stack([g0, step]), axis=1)
+    # Chebyshev coefficients from the values at the extrema (DCT-I)
+    w = np.ones(degree + 1)
+    w[[0, -1]] = 0.5
+    cos = np.cos(np.pi * np.outer(np.arange(degree + 1), np.arange(degree + 1)) / degree)
+    cheb = (2.0 / degree) * cos @ (w[:, None] * g)
+    if np.any(np.abs(cheb[-2:]) > _PROFILE_TOL * np.abs(cheb[0])):
+        return None
+    coef = np.linalg.solve(np.vander(t, increasing=True), g).T
+    p = q + s * np.arange(n)
+    amp = np.array([s * amplitude(s, int(pj)) / math.sqrt(pj) for pj in p])
+    for arr in (amp, coef):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return amp, coef
+
+
+def _tail_moments(lam, m, k_max):
+    """S_k = sum_{i>=m} e^(-lam i) i^(-1) (m/i)^k for k = 0 .. k_max.
+
+    Euler-Maclaurin with four correction terms on phi(u) = e^(-z u)
+    u^(-1-k), z = lam m: S_k = E_{k+1}(z) + phi(1)/(2m) + sum_r
+    B_2r/(2r)! m^(-2r) P_{2r-1} e^(-z), where -e^(-z) P_n = phi^(n)(1) and
+    P_n = sum_l C(n, l) z^(n-l) (k+1)(k+2)...(k+l) >= 0.
+    """
+    z = lam * m
+    ez = math.exp(-z)
+    out = _expint_orders(z, k_max + 1) + ez / (2 * m)
+    k = np.arange(k_max + 1, dtype=np.float64)
+    for r, wt in enumerate(_EM_WEIGHTS, start=1):
+        nd = 2 * r - 1
+        rising = np.ones_like(k)
+        poly = np.zeros_like(k)
+        for l in range(nd + 1):
+            poly += math.comb(nd, l) * z ** (nd - l) * rising
+            rising = rising * (k + l + 1)
+        out += wt * m ** (-2 * r) * ez * poly
+    return out
+
+
+def _expint_orders(z, n_max):
+    """E_n(z) = int_1^inf e^(-z u) u^(-n) du for n = 1 .. n_max, z > 0.
+
+    E_n0 at n0 ~ z, from the power series of E_1 (z < 1) or the continued
+    fraction (z >= 1, modified Lentz; Numerical Recipes, sec. 6.3), then the
+    recurrence n E_{n+1} = e^(-z) - z E_n upwards and downwards from n0,
+    each in the direction where it damps rounding errors (by z/n above n0
+    and n/z below).
+    """
+    n0 = min(max(round(z), 1), n_max)
+    ez = math.exp(-z)
+    if z < 1.0:
+        e0 = -_EULER_GAMMA - math.log(z)
+        term = 1.0
+        for k in range(1, 21):
+            term *= -z / k
+            e0 -= term / k
+    else:
+        b = z + n0
+        c, d = 1e300, 1.0 / b
+        h = d
+        for i in range(1, 10_000):
+            a = -i * (n0 - 1 + i)
+            b += 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            h *= c * d
+            if abs(c * d - 1.0) <= 2.3e-16:  # within an ulp of 1
+                break
+        e0 = h * ez
+    e = np.empty(n_max + 1)
+    e[n0] = e0
+    for nn in range(n0, n_max):
+        e[nn + 1] = (ez - z * e[nn]) / nn
+    for nn in range(n0 - 1, 0, -1):
+        e[nn] = (ez - nn * e[nn + 1]) / z
+    return e[1:]

@@ -206,13 +206,23 @@ def _falling_row(n: int, d: int) -> list:
     return row
 
 
+#: (s, p, ar.num, ar.digits) -> the rounded step ratios a_{m+1}/a_m drawn so far
+_STEP_RATIOS: dict = {}
+
+
 def _seed_coeffs(s: int, p: int, ar: _Arith):
     """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0 in the
-    number type of ar; each exact step ratio is rounded once, so no overflow."""
+    number type of ar; each exact step ratio is rounded once, so no overflow.
+    The rounded ratios are kept per (s, p) and number type (ar.num tells
+    doubles from mpmath, which always runs at ar.digits), so later series
+    reuse them."""
+    ratios = _STEP_RATIOS.setdefault((s, p, ar.num, ar.digits), [])
     a = ar.num(1)
     for m in count():
         yield a
-        a = a * ar.ratio(*_coeff_step(s, p, m))
+        if m == len(ratios):
+            ratios.append(ar.ratio(*_coeff_step(s, p, m)))
+        a = a * ratios[m]
 
 
 @lru_cache(maxsize=None)

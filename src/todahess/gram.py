@@ -38,15 +38,16 @@ def _check_subcritical(s: int, zeta: float) -> float:
 def _gram_product(s: int, q: int, n: int, zeta: float, tol: float, scale=None):
     """(V D)^T (V D) of sector q, N = n columns, D = diag(scale) or identity.
 
-    Raises DivergenceError when the kernel's tail bound has not fired within
-    its row cap, instead of returning a truncated sum.
+    Returns the kernel's (matrix, rows, tail).  Raises DivergenceError when
+    its tail bound has not fired within its row cap, instead of returning a
+    truncated sum.
     """
     eta2 = (zeta / _check_subcritical(s, zeta)) ** 2
     m_max = _kernels.M_MAX_DEFAULT
-    mat, _, tail = _kernels._gram_series_np(s, q, n, zeta, tol, eta2, m_max, scale)
+    mat, rows, tail = _kernels._gram_series_np(s, q, n, zeta, tol, eta2, m_max, scale)
     if tail < 0:
         raise DivergenceError(f"Gram series missed tolerance {tol} within {m_max} rows")
-    return mat
+    return mat, rows, tail
 
 
 def _synthesis_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int, scale=None):
@@ -93,10 +94,11 @@ def sigma_p(s: int, p: int, zeta: float, tol: float = DEFAULT_TOL) -> float:
     """sigma_p(zeta) = sum_m ((p+ms)^2 / p) R_{s,p}(m)^2 zeta^{2m}.
 
     It is the one-column Gram product of sector p.  Raises DivergenceError
-    at or beyond zeta_c; the truncation tail is kept below tol (relative) by
-    the geometric bound on the term ratios.
+    at or beyond zeta_c; the part not summed term by term is either below
+    tol (relative) by the geometric bound on the term ratios, or added in
+    closed form (see _kernels).
     """
-    return _gram_product(s, p, 1, zeta, tol)[0, 0]
+    return _gram_product(s, p, 1, zeta, tol)[0][0, 0]
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,13 @@ def gram_consistency(s: int, zeta: float, m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class WeightedBlock:
+    """The block G~ = V~^T V~ with the diagnostics of its series.
+
+    rows is the number of rows of V~ summed directly.  tail is the largest
+    share of an entry that was not: the geometric bound (at most tol) when
+    the stop rule fired, or the closed-form tail past the head.
+    """
+
     s: int
     q: int
     beta: float
@@ -173,6 +182,8 @@ class WeightedBlock:
     n: int
     matrix: np.ndarray
     weights: np.ndarray
+    rows: int
+    tail: float
 
     @property
     def trace(self) -> float:
@@ -190,7 +201,8 @@ def weighted_block(
     """Truncated N x N weighted block V~^T V~ from the Gram-product kernel.
 
     Raises DivergenceError when an entry's tail bound has not fired within
-    the kernel's row cap, instead of returning a truncated block, and
+    the kernel's row cap and AccuracyError when the kernel's closed tail
+    fails its checks, instead of returning a truncated block, and
     DomainError when w_{N-1} overflows a double.
     """
     if not 1 <= q <= s:
@@ -198,8 +210,10 @@ def weighted_block(
     if n < 2:
         raise DomainError(f"truncation N must be >= 2, got {n}")
     w = weight(s, q, beta, np.arange(n))
-    mat = _gram_product(s, q, n, zeta, tol, 1.0 / w)
-    return WeightedBlock(s=s, q=q, beta=float(beta), zeta=zeta, n=n, matrix=mat, weights=w)
+    mat, rows, tail = _gram_product(s, q, n, zeta, tol, 1.0 / w)
+    return WeightedBlock(
+        s=s, q=q, beta=float(beta), zeta=zeta, n=n, matrix=mat, weights=w, rows=rows, tail=tail
+    )
 
 
 @dataclass(frozen=True)

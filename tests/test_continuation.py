@@ -1,6 +1,8 @@
 import cmath
 import math
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +32,21 @@ def _float_series(s, p, xi, d):
     series at 0, summed in complex doubles."""
     taylor, _ = cont._power_series(s, p, complex(xi), d, cont._arith(None))
     return [c * math.factorial(i) for i, c in enumerate(taylor)]
+
+
+@pytest.mark.parametrize("dps", [None, 20], ids=["doubles", "30-digits"])
+def test_seed_coeffs_match_the_exact_step_products(dps):
+    # the cached rounded ratios give the same coefficients, bit for bit, as
+    # rounding every exact step ratio afresh; the second pass reads the cache
+    ar = cont._arith(dps)
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        for s, p in ((2, 1), (3, 2), (8, 16)):
+            want, a = [], ar.num(1)
+            for m in range(300):
+                want.append(a)
+                a = a * ar.ratio(*cont._coeff_step(s, p, m))
+            for _ in range(2):
+                assert list(islice(cont._seed_coeffs(s, p, ar), 300)) == want
 
 
 def test_hyp_params_s2p1():

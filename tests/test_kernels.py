@@ -1,13 +1,17 @@
-"""The series kernel against an exact-integer brute-force oracle and, near
-the threshold, against the ODE-continued Gram weight."""
+"""The series kernel against an exact-integer brute-force oracle, near the
+threshold against the ODE-continued Gram weight, and its closed tail
+against the direct sum."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from todahess import _kernels, continuation, gram
-from todahess.errors import DivergenceError
+from todahess import _kernels, continuation, gram, raney
+from todahess.errors import AccuracyError, DivergenceError
 from todahess.maps import thresholds
 from todahess.raney import raney_table
 
@@ -85,3 +89,115 @@ def test_block_matrix_raises_when_tail_never_fires(monkeypatch):
     monkeypatch.setattr(_kernels, "M_MAX_DEFAULT", 50)
     with pytest.raises(DivergenceError):
         gram.weighted_block(2, zeta, 1, 1.0, 3, 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The closed tail past the head
+
+
+def direct_block(s, zeta, q, beta, n, tol=1e-14):
+    """weighted_block from the same kernel with a head longer than the series."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(_kernels, "HEAD_MIN", _kernels.M_MAX_DEFAULT)
+        return gram.weighted_block(s, zeta, q, beta, n, tol)
+
+
+def head_bound(s, q, n):
+    """Most rows a closed block sums directly: the head and one more chunk."""
+    return _kernels._head_rows(s, q, n) + max(_kernels.CHUNK_ELEMS // n, 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=hst.data(), n=hst.integers(2, 24), beta=hst.floats(0.25, 2.0),
+       log_gap=hst.floats(math.log10(1e-5), math.log10(3e-3)))
+def test_closed_block_matches_direct_sum(data, n, beta, log_gap):
+    s = data.draw(hst.integers(2, 6), label="s")
+    q = data.draw(hst.integers(1, s), label="q")
+    zeta = (1.0 - 10.0**log_gap) * float(thresholds(s).zeta_c)
+    blk = gram.weighted_block(s, zeta, q, beta, n)
+    ref = direct_block(s, zeta, q, beta, n)
+    assert np.all(np.abs(blk.matrix - ref.matrix) <= 1e-12 * ref.matrix)
+    assert blk.rows <= min(ref.rows, head_bound(s, q, n))
+    assert 0 <= blk.tail < 1
+
+
+def test_block_at_1e_8_from_threshold():
+    # the direct sum would need about 1.7e9 rows here
+    s, q, beta, n = 3, 1, 1.0, 16
+    zeta = (1.0 - 1e-8) * float(thresholds(s).zeta_c)
+    blk = gram.weighted_block(s, zeta, q, beta, n)
+    mat = blk.matrix
+    assert np.all(np.isfinite(mat)) and np.array_equal(mat, mat.T)
+    ev = np.linalg.eigvalsh(mat)
+    assert ev[0] >= -1e-12 * ev[-1]
+    assert blk.rows <= head_bound(s, q, n)
+    want = continuation.sigma_cont(s, q, zeta * zeta).real / gram.weight(s, q, beta, 0) ** 2
+    assert abs(mat[0, 0] - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("eta", [0.9, 0.99])
+def test_block_inside_head_is_the_direct_sum(eta):
+    s, q, beta, n = 3, 2, 1.0, 32
+    zeta = eta * float(thresholds(s).zeta_c)
+    blk = gram.weighted_block(s, zeta, q, beta, n)
+    ref = direct_block(s, zeta, q, beta, n, gram.DEFAULT_TOL)
+    assert np.array_equal(blk.matrix, ref.matrix)
+    assert blk.rows == ref.rows < _kernels.HEAD_MIN
+    assert 0 <= blk.tail <= gram.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-8])
+def test_unconverged_profile_grows_head_or_raises(monkeypatch, gap):
+    # a degree-2 profile never passes its Chebyshev check: the head grows
+    # until the direct stop rule fires (1e-3) or the retries run out (1e-8)
+    s, q, beta, n = 3, 1, 1.0, 16
+    zeta = (1.0 - gap) * float(thresholds(s).zeta_c)
+    ref = direct_block(s, zeta, q, beta, n, gram.DEFAULT_TOL) if gap > 1e-4 else None
+    monkeypatch.setattr(_kernels, "TAIL_DEGREE", 2)
+    if ref is None:
+        with pytest.raises(AccuracyError, match="closed Gram tail"):
+            gram.weighted_block(s, zeta, q, beta, n)
+    else:
+        assert np.array_equal(gram.weighted_block(s, zeta, q, beta, n).matrix, ref.matrix)
+
+
+def test_row_check_rejects_a_wrong_model(monkeypatch):
+    # an amplitude off by 1e-6 fails the check against the last direct row
+    s, q, beta, n = 3, 1, 1.0, 16
+    zeta = (1.0 - 1e-6) * float(thresholds(s).zeta_c)
+    monkeypatch.setattr(_kernels, "amplitude", lambda s, p: raney.amplitude(s, p) * (1 + 1e-6))
+    _kernels._row_profile.cache_clear()
+    try:
+        with pytest.raises(AccuracyError):
+            gram.weighted_block(s, zeta, q, beta, n)
+    finally:
+        _kernels._row_profile.cache_clear()
+
+
+def test_small_tol_sums_directly():
+    s, q, beta, n = 3, 1, 1.0, 4
+    zeta = (1.0 - 1e-3) * float(thresholds(s).zeta_c)
+    tol = 0.5 * _kernels.TAIL_TOL_MIN
+    blk = gram.weighted_block(s, zeta, q, beta, n, tol)
+    assert blk.rows == direct_block(s, zeta, q, beta, n, tol).rows > _kernels.HEAD_MIN
+    assert blk.tail <= tol
+
+
+@pytest.mark.parametrize("lam", [2e-4, 2e-3, 2e-2])
+def test_tail_moments_match_a_direct_sum(lam):
+    m, k_max = 4096, 2 * _kernels.TAIL_DEGREE
+    i = np.arange(m, m + int(60 / lam), dtype=np.float64)
+    base = np.exp(-lam * i) / i
+    got = _kernels._tail_moments(lam, m, k_max)
+    for k in range(k_max + 1):
+        want = math.fsum(base * (m / i) ** k)
+        assert abs(got[k] - want) <= 2e-15 * want
+
+
+def test_expint_orders_match_mpmath():
+    for z in [1e-9, 1e-3, 0.5, 0.999, 1.0, 3.7, 24.5, 60.0, 300.0]:
+        got = _kernels._expint_orders(z, 25)
+        with mp.workdps(40):
+            for n in range(1, 26):
+                want = mp.expint(n, z)
+                assert abs(got[n - 1] - want) <= 1e-14 * want
