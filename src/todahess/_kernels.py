@@ -101,24 +101,31 @@ def synthesis_rows(s, q, n, zeta, m_max, scale=None):
         chunk = min(2 * chunk, max(CHUNK_ELEMS // n, 1))
 
 
-def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=None):
+def eta_gap(s, zeta):
+    """1 - eta = 1 - zeta/zeta_c as an exact Fraction, from the float zeta."""
+    return 1 - Fraction(zeta) / thresholds(s).zeta_c
+
+
+def _gram_series_np(s, q, n, zeta, tol, m_max=M_MAX_DEFAULT, scale=None, gap=None):
     """(V D)^T (V D) over rows 0, 1, ... of sector q: returns (matrix, rows, tail).
 
-    D = diag(scale), the identity by default.  Direct summation stops once
-    every entry's geometric tail bound t r_b / (1 - r_b) is at most tol times
-    the entry, where t is the entry's last row product and r_b = max(r_j1
-    r_j2, ratio_limit).  ratio_limit = (zeta/zeta_c)^2 caps the estimate,
-    since the true ratio approaches it from below like 1 - 1/i.  If the
-    bound has not fired within the head (_head_rows) and tol >= TAIL_TOL_MIN,
-    the remaining rows are added in closed form (_closed_tail).  A closure
-    that misses its checks grows the head fourfold, at most _HEAD_RETRIES
-    times, and then raises AccuracyError.
+    D = diag(scale), the identity by default; gap = 1 - eta, exact (eta_gap
+    when None).  Direct summation stops once every entry's geometric tail
+    bound t r_b / (1 - r_b) is at most tol times the entry, where t is the
+    entry's last row product and r_b = max(r_j1 r_j2, eta^2).  eta^2 caps
+    the estimate, since the true ratio approaches it from below like 1 - 1/i.
+    If the bound has not fired within the head (_head_rows) and tol >=
+    TAIL_TOL_MIN, the remaining rows are added in closed form (_closed_tail,
+    with lam = -log eta^2).  A closure that misses its checks grows the head
+    fourfold, at most _HEAD_RETRIES times, and then raises AccuracyError.
 
     rows counts the rows summed directly.  tail is the largest share of an
     entry that was not: the geometric bound over the entry, or the closed
     tail over the entry; it is -1 when m_max rows were summed first.  The
     matrix is exactly symmetric.
     """
+    gap = eta_gap(s, zeta) if gap is None else gap
+    eta2 = float((1 - gap) ** 2)
     acc = np.zeros((n, n))
     rows = 0
     tail = -1.0
@@ -129,7 +136,7 @@ def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=
         rows += len(v)
         if rows < n + _MIN_TERMS:
             continue
-        rb = np.maximum(np.outer(r, r), ratio_limit)
+        rb = np.maximum(np.outer(r, r), eta2)
         if rb.max() < 1.0:
             bound = np.outer(v[-1], v[-1]) * rb / (1.0 - rb)
             if np.all(bound <= tol * acc):
@@ -137,7 +144,7 @@ def _gram_series_np(s, q, n, zeta, tol, ratio_limit, m_max=M_MAX_DEFAULT, scale=
                 tail = float(share.max())
                 break
         if rows >= head:
-            closed = _closed_tail(s, q, n, zeta, rows, v[-1], tol, scale)
+            closed = _closed_tail(s, q, n, gap, rows, v[-1], tol, scale)
             if closed is not None:
                 acc += closed
                 tail = float(np.max(closed / acc))
@@ -162,7 +169,7 @@ def _head_rows(s, q, n):
     return max(HEAD_MIN, p * p // (s * (s - 1)))
 
 
-def _closed_tail(s, q, n, zeta, m, last_row, tol, scale):
+def _closed_tail(s, q, n, gap, m, last_row, tol, scale):
     """sum_{i>=m} v_i v_i^T in closed form, or None when it fails a check.
 
     The checks: the profile interpolant converged (_row_profile), and the
@@ -172,7 +179,6 @@ def _closed_tail(s, q, n, zeta, m, last_row, tol, scale):
     if prof is None:
         return None
     amp, coef = prof
-    gap = 1 - Fraction(zeta) / thresholds(s).zeta_c  # 1 - eta, exact
     lam = -2.0 * math.log1p(-float(gap))  # -log eta^2
     j = np.arange(n)
     d = amp * np.exp(0.5 * lam * j)  # amp_j eta^(-j)

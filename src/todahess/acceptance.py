@@ -231,7 +231,7 @@ def crit_08_alignment():
     vals = []
     for ratio in ALIGN_GRID:
         align = spectra.eigvec_alignment(s, q, beta, n, ratio * zc).value
-        vals.append((1.0 - align) * spectra.log_scale(ratio * zc, zc))
+        vals.append((1.0 - align) * spectra.log_scale(ratio * zc, maps.thresholds(s).zeta_c))
     vals = np.array(vals)
     cv = float(vals.std() / vals.mean())
     return cv < 0.30, {"values": list(map(float, vals)), "cv": cv, "tolerance": 0.30}
@@ -339,7 +339,7 @@ def crit_14_divergence_law():
         combo = np.array(
             [
                 gram.sigma_p(s, p, r * zc)
-                + (2.0 * s * s / p) * bval * spectra.log_scale(r * zc, zc)
+                + (2.0 * s * s / p) * bval * spectra.log_scale(r * zc, maps.thresholds(s).zeta_c)
                 for r in ratios
             ]
         )
@@ -555,6 +555,6 @@ def convergence_in_n(s=3, q=1, beta=1.0, ratio=0.999, n_values=(20, 40, 80)):
             "mu1": float(dec.eigenvalues[0]),
             "mu2": float(dec.eigenvalues[1]),
             "gamma_truncated": gamma,
-            "L": spectra.log_scale(ratio * zc, zc),
+            "L": spectra.log_scale(ratio * zc, maps.thresholds(s).zeta_c),
         }
     return out

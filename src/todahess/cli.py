@@ -249,7 +249,7 @@ def _cmd_align(args):
     for r in grid:
         z = float(r) * zc
         al = spectra.eigvec_alignment(s, q, beta, n, z)
-        lval = spectra.log_scale(z, zc)
+        lval = spectra.log_scale(z, maps.thresholds(s).zeta_c)
         tab.add(s, q, beta, n, float(r), lval, al.value,
                 (1.0 - al.value) * lval, al.degenerate)
     return {"align": tab}, {}

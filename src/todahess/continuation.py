@@ -43,8 +43,6 @@ from .errors import (
 from .maps import thresholds
 from .raney import _validate_sp, raney_step
 
-#: cut_trace, disc_density_rho and perron_density need xi >= 1 + this radius
-EXCLUSION_RADIUS = 1e-4
 #: imaginary offset of the detour rectangle
 DETOUR_OFFSET = 0.3
 #: seed point of all transports
@@ -737,17 +735,14 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     complex conjugate of the one above.
     """
     zc2 = float(thresholds(s).zeta_c) ** 2
-    if not u > zc2 * (1.0 + EXCLUSION_RADIUS):
-        raise DomainError(
-            f"u must exceed zeta_c^2 (1 + {EXCLUSION_RADIUS:g}) = "
-            f"{zc2 * (1 + EXCLUSION_RADIUS):.6g}"
-        )
+    if not u > zc2:
+        raise DomainError(f"u must exceed zeta_c^2 = {zc2:.6g}")
     return sigma_cont(s, p, u, "above").imag / math.pi
 
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
-    """States along the cut at the given xi nodes (all >= 1 +
-    EXCLUSION_RADIUS), in the order of the nodes.
+    """States along the cut at the given xi nodes (all > 1), in the order of
+    the nodes.
 
     Two checked walks (see _continue) follow the detour to xi_0 = 1 +
     DETOUR_OFFSET on the cut, then the real axis inward through the nodes
@@ -756,11 +751,8 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
     (5, 10) on fig3's grid that path lost 17 of 30 digits.
     """
     nodes = [float(x) for x in xi_nodes]
-    if not all(x >= 1.0 + EXCLUSION_RADIUS for x in nodes):
-        raise DomainError(
-            f"cut_trace nodes must satisfy xi >= 1 + {EXCLUSION_RADIUS:g}, "
-            "outside the branch-point exclusion disk"
-        )
+    if not all(x > 1.0 for x in nodes):
+        raise DomainError("cut_trace nodes must satisfy xi > 1")
     zc2 = float(thresholds(s).zeta_c) ** 2
     xi0 = 1.0 + DETOUR_OFFSET
     pts = _waypoints(complex(xi0), side)

@@ -65,7 +65,7 @@ def build_fig1(rec: FigureRecipe):
         zc = float(thresholds(s).zeta_c)
         for ratio in rec.ratio_grid:
             _, dec = block_spectrum(s, rec.q, rec.beta, rec.n, ratio * zc)
-            lval = log_scale(ratio * zc, zc)
+            lval = log_scale(ratio * zc, thresholds(s).zeta_c)
             tab.add(
                 s, rec.q, rec.beta, rec.n, float(ratio), lval,
                 *[float(dec.eigenvalues[k]) for k in range(6)],
@@ -108,7 +108,7 @@ def build_fig2(rec: FigureRecipe):
         zc = float(thresholds(s).zeta_c)
         for ratio in rec.ratio_grid:
             _, dec = block_spectrum(s, rec.q, rec.beta, rec.n, ratio * zc)
-            lval = log_scale(ratio * zc, zc)
+            lval = log_scale(ratio * zc, thresholds(s).zeta_c)
             top.add(
                 s, rec.q, rec.beta, rec.n, float(ratio), 1.0 / lval,
                 *[float(dec.eigenvalues[k]) for k in range(1, 6)],

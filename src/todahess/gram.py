@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from . import _kernels
@@ -23,16 +24,15 @@ from .raney import raney_step
 DEFAULT_TOL = 1e-12
 
 
-def _check_subcritical(s: int, zeta: float) -> float:
-    """Exact zeta < zeta_c check; returns float(zeta_c)."""
-    zc = thresholds(s).zeta_c
+def _check_subcritical(s: int, zeta: float) -> Fraction:
+    """Exact zeta < zeta_c check; returns the exact gap 1 - zeta/zeta_c."""
     if not (zeta > 0 and math.isfinite(zeta)):
         raise DomainError(f"zeta must be finite and > 0, got {zeta}")
-    if Fraction(zeta) >= zc:
-        raise DivergenceError(
-            f"zeta = {zeta!r} >= zeta_c = {float(zc):.9g}: Gram series diverges"
-        )
-    return float(zc)
+    gap = _kernels.eta_gap(s, zeta)
+    if gap <= 0:
+        zc = float(thresholds(s).zeta_c)
+        raise DivergenceError(f"zeta = {zeta!r} >= zeta_c = {zc:.9g}: Gram series diverges")
+    return gap
 
 
 def _gram_product(s: int, q: int, n: int, zeta: float, tol: float, scale=None):
@@ -40,11 +40,14 @@ def _gram_product(s: int, q: int, n: int, zeta: float, tol: float, scale=None):
 
     Returns the kernel's (matrix, rows, tail).  Raises DivergenceError when
     its tail bound has not fired within its row cap, instead of returning a
-    truncated sum.
+    truncated sum, and DomainError when an entry overflows a double.
     """
-    eta2 = (zeta / _check_subcritical(s, zeta)) ** 2
+    gap = _check_subcritical(s, zeta)
     m_max = _kernels.M_MAX_DEFAULT
-    mat, rows, tail = _kernels._gram_series_np(s, q, n, zeta, tol, eta2, m_max, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat, rows, tail = _kernels._gram_series_np(s, q, n, zeta, tol, m_max, scale, gap)
+    if not np.all(np.isfinite(mat)):
+        raise DomainError(f"the Gram product of sector {q} overflows a double")
     if tail < 0:
         raise DivergenceError(f"Gram series missed tolerance {tol} within {m_max} rows")
     return mat, rows, tail
@@ -225,15 +228,20 @@ class SpikeVector:
     beta: float
     entries: np.ndarray
     gamma_truncated: float
-    gamma_analytic: float
+
+    @property
+    def gamma_analytic(self) -> float:
+        """Gamma = c_s^2 sum_{j>=0} (q+js)^(-2-2beta)
+        = c_s^2 s^(-2-2beta) zeta_H(2+2beta, q/s), zeta_H the Hurwitz zeta."""
+        a = 2.0 + 2.0 * self.beta
+        with mp.workdps(30):
+            hurwitz = float(mp.zeta(a, mp.mpf(self.q) / self.s))
+        return spike_constant(self.s) ** 2 * self.s ** (-a) * hurwitz
 
 
 def spike_vector(s: int, q: int, beta: float, n: int) -> SpikeVector:
-    """Spike entries up to j < n, plus Gamma both truncated and analytic.
-
-    gamma_analytic = c_s^2 sum_{j>=0} (q+js)^(-2-2beta), summed directly to
-    large j with an integral tail bound below 1e-12.
-    """
+    """Spike entries up to j < n, their squared norm Gamma_N, and (on
+    request) the untruncated Gamma."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= q <= s:
@@ -244,21 +252,8 @@ def spike_vector(s: int, q: int, beta: float, n: int) -> SpikeVector:
     pj = q + s * np.arange(n, dtype=np.float64)
     entries = cs * pj ** (-1.0 - beta)
     gamma_trunc = float(np.sum(entries**2))
-
-    j_tail = max(n, int(40000 / s) + 1)
-    pj_full = q + s * np.arange(j_tail, dtype=np.float64)
-    head = float(np.sum(pj_full ** (-2.0 - 2.0 * beta)))
-    # Midpoint-rule tail: sum_{j>=J} f(j) ~ int_{J-1/2}^inf f(x) dx.
-    a = q + s * (j_tail - 0.5)
-    tail = a ** (-1.0 - 2.0 * beta) / (s * (1.0 + 2.0 * beta))
-    gamma_analytic = cs**2 * (head + tail)
     return SpikeVector(
-        s=s,
-        q=q,
-        beta=float(beta),
-        entries=entries,
-        gamma_truncated=gamma_trunc,
-        gamma_analytic=gamma_analytic,
+        s=s, q=q, beta=float(beta), entries=entries, gamma_truncated=gamma_trunc
     )
 
 

@@ -114,10 +114,15 @@ def zeta_c_value(s: int) -> float:
 
 
 def amplitude(s: int, p: int) -> float:
-    """Amplitude A_{s,p} = p M^p / sqrt(2 pi s (s-1)), M = s/(s-1)."""
+    """A_{s,p} = p M^p / sqrt(2 pi s (s-1)), M = s/(s-1); DomainError on overflow."""
     _validate_sp(s, p)
-    big_m = s / (s - 1)
-    return p * big_m**p / math.sqrt(2.0 * math.pi * s * (s - 1))
+    try:
+        amp = p * (s / (s - 1)) ** p / math.sqrt(2.0 * math.pi * s * (s - 1))
+    except OverflowError:
+        amp = math.inf
+    if math.isinf(amp):
+        raise DomainError(f"A_{{{s},{p}}} overflows a double")
+    return amp
 
 
 def scaled_raney_seq(s: int, p: int, m_max: int) -> list:

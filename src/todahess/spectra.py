@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +45,9 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    v *= np.where(v[first, np.arange(v.shape[1])] < 0, -1.0, 1.0)
     norm = scale * max(1.0, float(np.max(np.abs(w))) / scale)
     resid = np.max(np.abs(a @ v - v * w[np.newaxis, :]))
     if resid > 1e-9 * norm:
@@ -82,11 +81,16 @@ def _block_spectrum(s, q, beta, n, zeta):
     return blk, dec
 
 
-def log_scale(zeta: float, zeta_c: float) -> float:
-    """L(zeta) = log(1/(1 - zeta^2/zeta_c^2)), the stiff eigenvalue scale."""
-    if not 0 < zeta < zeta_c:
+def log_scale(zeta: float, zeta_c) -> float:
+    """L(zeta) = log(1/(1 - eta^2)), eta = zeta/zeta_c, the stiff eigenvalue scale.
+
+    zeta_c is a float or the exact Fraction of maps.thresholds.  The domain
+    check and eta are exact, so L is good to a few ulps on all of 0 < eta < 1.
+    """
+    if not (0 < zeta < zeta_c and math.isfinite(zeta_c)):
         raise DomainError(f"log_scale needs 0 < zeta < zeta_c, got {zeta}")
-    return -math.log1p(-((zeta / zeta_c) ** 2))
+    eta2 = (Fraction(zeta) / Fraction(zeta_c)) ** 2
+    return -math.log1p(-float(eta2)) if eta2 <= 0.5 else -math.log(1 - eta2)
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ def stiff_trajectory(s, q, beta, n, zeta_grid) -> StiffFit:
     """
     if n < 10:
         raise DomainError(f"N must be >= 10, got {n}")
-    zc = float(thresholds(s).zeta_c)
     zetas = np.sort(np.asarray(zeta_grid, dtype=np.float64))
     if zetas.size < 2:
         raise FitError("stiff_trajectory needs at least 2 grid points")
+    zc = thresholds(s).zeta_c
     ls = np.array([log_scale(z, zc) for z in zetas])
     mu1 = np.array(
         [block_spectrum(s, q, beta, n, z)[1].eigenvalues[0] for z in zetas]
@@ -202,9 +206,8 @@ def soft_spectrum(s, q, beta, n, zeta, k) -> SoftSpectrum:
 def rank_one_remainder(s, q, beta, n, zeta) -> np.ndarray:
     """C~(zeta) = G~(zeta) - L(zeta) d~ d~^T, truncated to N."""
     blk, _ = block_spectrum(s, q, beta, n, zeta)
-    zc = float(thresholds(s).zeta_c)
     d = spike_vector(s, q, beta, n).entries
-    return blk.matrix - log_scale(zeta, zc) * np.outer(d, d)
+    return blk.matrix - log_scale(zeta, thresholds(s).zeta_c) * np.outer(d, d)
 
 
 def compressed_remainder(s, q, beta, n, zeta):
@@ -233,11 +236,7 @@ def toeplitz_hs_norm(s, q, beta, n, eta) -> float:
 
 def toeplitz_removal_check(s, q, beta, n, eta_grid) -> list:
     """L * ||K_eta - K_1||_HS for each eta; tends to 0 as eta -> 1."""
-    out = []
-    for eta in eta_grid:
-        lval = -math.log1p(-(eta * eta))
-        out.append(lval * toeplitz_hs_norm(s, q, beta, n, eta))
-    return out
+    return [log_scale(eta, 1) * toeplitz_hs_norm(s, q, beta, n, eta) for eta in eta_grid]
 
 
 def nodal_count(vector) -> int:

@@ -206,8 +206,8 @@ def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
     """varrho_p(t) = (1/pi t) Im G_p(1/t + i0) at the array t = t_ratio T,
     T = 1/zc^2.
 
-    One cut_trace supplies every point.  t_ratio must be > 0; near t = T the
-    trace raises DomainError inside the branch-point exclusion disk.
+    One cut_trace supplies every point.  t_ratio must lie in (0, 1): t >= T
+    puts xi = 1/t_ratio <= 1 off the cut, and the trace raises DomainError.
     """
     t_ratio = np.asarray(t_ratio, dtype=np.float64)
     if not np.all(t_ratio > 0):

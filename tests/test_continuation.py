@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from todahess import continuation as cont
+from todahess import stieltjes as st_mod
 from todahess.errors import (
     AccuracyError,
     ConditioningError,
@@ -373,8 +374,9 @@ def test_disc_density_positive_near_edge():
     u = ZC2_2 * 1.01
     rho = cont.disc_density_rho(2, 1, u)
     assert 0 < rho < 2.0
-    with pytest.raises(DomainError):
-        cont.disc_density_rho(2, 1, ZC2_2 * (1.0 + 1e-5))
+    for u in (ZC2_2, 0.5 * ZC2_2, -ZC2_2, math.nan):  # u <= zeta_c^2 is off the cut
+        with pytest.raises(DomainError):
+            cont.disc_density_rho(2, 1, u)
 
 
 def test_disc_gp_local_expansion():
@@ -596,6 +598,35 @@ def test_continue_inside_old_exclusion_disk():
     # sigma at (3, 2), xi = 1 + 5e-5
     st = cont.gp_continue(3, 2, ZC2_3 * (1 + 5e-5), "above")
     _assert_matches_walk(st, 40)
+
+
+@pytest.mark.parametrize("s,p,eps,dps", [
+    (2, 1, (1e-5, 1e-7), None),
+    (3, 2, (1e-5, 1e-7, 1e-8), cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS),
+])
+def test_cut_values_inside_the_old_exclusion_disk(s, p, eps, dps):
+    # cut_trace, perron_density and disc_density_rho refused xi < 1 + 1e-4
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    t_ratio = np.array([1.0 / (1.0 + e) for e in eps])
+    xi = 1.0 / t_ratio  # the nodes perron_density continues to
+    states = cont.cut_trace(s, p, xi)
+    assert [st.dps for st in states] == [dps] * len(eps)
+    path = states[0].path[1:-1]
+    ref = cont._taylor_walk(s, p, [*path, *xi], 40).states[len(path):]
+    for st, want in zip(states, ref):
+        for j, got in enumerate(st.derivs):
+            w = complex(want[j]) / zc2**j
+            assert abs(got - w) <= 1e-12 * abs(w)
+    # varrho = Im G / (pi t) is held to tol relative to |G| / (pi t); the
+    # first two nodes keep perron_density's own trace in doubles
+    t_ratio = t_ratio[:2]
+    g = np.array([complex(want[0]) for want in ref[:2]]) / (math.pi * t_ratio / zc2)
+    rho = st_mod.perron_density(s, p, t_ratio)
+    assert np.all(np.abs(rho - g.imag) <= 1e-12 * np.abs(g))
+    u = (1.0 + eps[1]) * zc2
+    st = cont.gp_continue(s, p, u, "above")
+    _assert_matches_walk(st, 40)
+    assert cont.disc_density_rho(s, p, u) == cont.sigma_from_state(st).imag / math.pi
 
 
 def test_state_diagnostics():

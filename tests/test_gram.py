@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -242,10 +243,23 @@ def test_spike_vector_closed_forms():
     sv = gram.spike_vector(2, 1, 1.0, 40)
     # Gamma = (1/pi) sum odd^{-4} = pi^3 / 96
     assert abs(sv.gamma_analytic - math.pi**3 / 96) < 1e-12
+    # q = s: Gamma = (1/pi) 2^-4 zeta(4) = pi^3 / 1440
+    assert abs(gram.spike_vector(2, 2, 1.0, 3).gamma_analytic - math.pi**3 / 1440) < 1e-17
     assert sv.gamma_truncated <= sv.gamma_analytic
     assert abs(sv.entries[1] / sv.entries[0] - 3.0**-2) < 1e-14
     assert abs(gram.spike_constant(2) - 1 / math.sqrt(math.pi)) < 1e-15
     assert (np.diff(sv.entries) < 0).all() and (sv.entries > 0).all()
+
+
+@pytest.mark.parametrize("ratio", [0.99, 0.9999])
+def test_unweighted_overflow_is_a_domain_error(ratio):
+    # the column of p = 1100 grows like 2^1100: the stop rule fired on
+    # inf <= inf and sigma_p returned inf with numpy overflow warnings
+    zeta = ratio * float(thresholds(2).zeta_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            gram.sigma_p(2, 1100, zeta)
 
 
 def test_spike_gamma_truncation_converges():

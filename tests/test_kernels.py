@@ -43,9 +43,7 @@ def brute(s, pa, pb, delta, zeta, terms=200):
 def test_kernel_against_exact_oracle(s, pa, pb, delta, ratio):
     zeta = ratio * float(thresholds(s).zeta_c)
     want = brute(s, pa, pb, delta, zeta)
-    mat, rows, tail = _kernels._gram_series_np(
-        s, pa, delta + 1, zeta, 1e-13, ratio**2
-    )
+    mat, rows, tail = _kernels._gram_series_np(s, pa, delta + 1, zeta, 1e-13)
     assert tail >= 0
     val = mat[0, delta] * math.sqrt(pa * pb)
     assert abs(val - want) < 5e-12 * want
@@ -80,7 +78,7 @@ def test_block_matrix_matches_entry_kernel():
 
 def test_mmax_exhaustion_reports_negative_tail():
     zeta = 0.99 * float(thresholds(2).zeta_c)
-    mat, rows, tail = _kernels._gram_series_np(2, 1, 1, zeta, 1e-13, 0.99**2, 50)
+    mat, rows, tail = _kernels._gram_series_np(2, 1, 1, zeta, 1e-13, 50)
     assert rows == 50 and tail < 0
 
 

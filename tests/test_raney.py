@@ -154,6 +154,15 @@ def test_amplitude_values():
     assert abs(raney.amplitude(3, 2) - 4.5 / math.sqrt(12 * math.pi)) < 1e-15
 
 
+@pytest.mark.parametrize("p", [1020, 1100])
+def test_amplitude_overflow_is_a_domain_error(p):
+    # 2.0**1100 raised a bare OverflowError; at p = 1020 the power is finite
+    # and the product p 2^p overflows
+    assert math.isfinite(raney.amplitude(2, 1000))
+    with pytest.raises(DomainError):
+        raney.amplitude(2, p)
+
+
 def asymptotic_ratio(s, p, m):
     """R_{s,p}(m) zeta_c^m m^(3/2) / A_{s,p}, as criterion 4 computes it."""
     return raney.scaled_raney_seq(s, p, m)[-1] / raney.amplitude(s, p)

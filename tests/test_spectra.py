@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from todahess import spectra
 from todahess.errors import AccuracyError, DomainError, FitError
@@ -9,6 +12,19 @@ from todahess.gram import spike_vector, weighted_block
 from todahess.maps import thresholds
 
 ZC3 = float(thresholds(3).zeta_c)
+
+
+def _sym_eig_loop(a):
+    """eigh's eigenvectors, descending, with the per-column sign loop that
+    sym_eig replaced by one vectorised flip."""
+    _, v = np.linalg.eigh(0.5 * (a + a.T))
+    v = v[:, ::-1].copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
+        if nz.size and col[nz[0]] < 0:
+            v[:, k] = -col
+    return v
 
 
 def test_sym_eig_identity_and_diag():
@@ -39,6 +55,17 @@ def test_sym_eig_sign_convention_and_contracts():
     assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(12))) < 1e-10
 
 
+def test_sym_eig_signs_equal_the_column_loop():
+    rng = np.random.default_rng(11)
+    mats = [weighted_block(3, r * ZC3, q, 1.0, n).matrix
+            for r in (0.5, 0.9, 0.99) for q in (1, 2, 3) for n in (8, 16, 32)]
+    for n in rng.integers(2, 40, size=50):
+        a = rng.normal(size=(n, n))
+        mats.append(a + a.T)
+    for a in mats:
+        assert np.array_equal(spectra.sym_eig(a).eigenvectors, _sym_eig_loop(a))
+
+
 def test_sym_eig_rejects_nonsymmetric():
     with pytest.raises(DomainError):
         spectra.sym_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -51,6 +78,42 @@ def test_log_scale_values():
     assert spectra.log_scale(1e-8 * zc, zc) < 1e-15
     with pytest.raises(DomainError):
         spectra.log_scale(zc, zc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=hst.integers(2, 8), log_gap=hst.floats(-14.0, -3.0))
+@example(s=3, log_gap=math.log10(1 - 1e-8))
+@example(s=3, log_gap=math.log10(0.5))
+@example(s=5, log_gap=math.log10(0.1))
+def test_log_scale_within_4_ulps(s, log_gap):
+    # eta = zeta/zeta_c is formed exactly; a rounded eta made L off by
+    # about eps/(1 - eta): 3.3e-4 relative at 1 - eta = 1e-14
+    zc = thresholds(s).zeta_c
+    zeta = (1.0 - 10.0**log_gap) * float(zc)
+    got = spectra.log_scale(zeta, zc)
+    with mp.workdps(50):
+        eta = mp.mpf(zeta) * zc.denominator / zc.numerator
+        want = float(-mp.log1p(-eta * eta))
+    assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_rank_one_remainder_converges_with_the_exact_scale():
+    # C~ = G~ - L d~ d~^T tends to R(1) like (1 - eta) L; a rounded eta put
+    # the two remainders 8.5e-3 of max|C| apart
+    zc = float(thresholds(3).zeta_c)
+    c12, c14 = (spectra.rank_one_remainder(3, 1, 1.0, 40, (1.0 - g) * zc)
+                for g in (1e-12, 1e-14))
+    assert np.max(np.abs(c12 - c14)) <= 1e-9 * np.max(np.abs(c14))
+
+
+def test_spectra_at_the_last_double_below_threshold():
+    # float(4/27) lies below the exact zeta_c; the block check let it through
+    # while log_scale, on the rounded ratio 1.0, raised DomainError
+    zeta = float(thresholds(3).zeta_c)
+    assert weighted_block(3, zeta, 1, 1.0, 16).rows > 0
+    assert np.all(np.isfinite(spectra.rank_one_remainder(3, 1, 1.0, 16, zeta)))
+    soft = spectra.soft_spectrum(3, 1, 1.0, 16, zeta, 4)
+    assert np.all(np.isfinite(soft.values)) and np.all(np.isfinite(soft.compressed_limit))
 
 
 def test_stiff_trajectory_small_config():
@@ -114,7 +177,7 @@ def test_rank_one_remainder_reconstruction():
     blk = weighted_block(3, zeta, 1, 1.0, n)
     d = spike_vector(3, 1, 1.0, n).entries
     c = spectra.rank_one_remainder(3, 1, 1.0, n, zeta)
-    lval = spectra.log_scale(zeta, ZC3)
+    lval = spectra.log_scale(zeta, thresholds(3).zeta_c)
     assert np.allclose(c + lval * np.outer(d, d), blk.matrix, rtol=0, atol=1e-14)
 
 

@@ -185,9 +185,10 @@ def test_perron_density_single_points():
     v = st.perron_density(2, 1, [0.5])
     assert v.shape == (1,) and v[0] >= 0
     with pytest.raises(DomainError):
-        st.perron_density(2, 1, [0.99999])  # inside the exclusion disk
-    with pytest.raises(DomainError):
         st.perron_density(2, 1, [0.5, -0.1])
+    for t_ratio in (1.0, 1.5):  # t >= T: xi <= 1 is off the cut
+        with pytest.raises(DomainError):
+            st.perron_density(2, 1, [0.5, t_ratio])
 
 
 def test_perron_mass_and_moments():
@@ -213,8 +214,9 @@ def test_perron_endpoint_exponent():
 def test_quadrature_domain_guards():
     with pytest.raises(DomainError):
         st.perron_integrals(2, 1, delta_rel=0.7)
-    with pytest.raises(DomainError):
-        cont.cut_trace(2, 1, [1.00001, 2.0])  # inside the exclusion disk
+    for xi in (1.0, 0.5, -2.0, math.nan):  # xi <= 1 is off the cut
+        with pytest.raises(DomainError):
+            cont.cut_trace(2, 1, [xi, 2.0])
 
 
 def test_perron_left_exponent_logged():
