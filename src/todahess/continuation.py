@@ -49,6 +49,8 @@ DETOUR_OFFSET = 0.3
 XI_SEED = 0.5
 #: gp_continue sums the power series itself for |xi| up to this radius
 SERIES_RADIUS = 0.98
+#: relative tolerance of continued values unless the caller sets its own
+CONTINUATION_TOL = 1e-12
 #: terms below this relative size no longer change a float64 partial sum
 _SERIES_TOL = 1e-17
 
@@ -508,8 +510,6 @@ def _waypoints(xi_t: complex, side: str) -> list:
     if side == "none":
         if im == 0.0 and re >= 1.0:
             raise PathError("target on the cut: pass side='above' or side='below'")
-        if im == 0.0 and 0.02 <= re <= 0.98:
-            return [xi0, xi_t]
         sigma = 1.0 if im >= 0 else -1.0
     elif side in ("above", "below"):
         sigma = 1.0 if side == "above" else -1.0
@@ -557,16 +557,16 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
                              dps=dps, steps=steps, rel_est=rel_est)
 
 
-def transport(s: int, p: int, waypoints, tol: float = 1e-12) -> np.ndarray:
+def transport(s: int, p: int, waypoints) -> np.ndarray:
     """Low-level: carry the solution vector along explicit xi waypoints.
 
     The first waypoint must be XI_SEED.  Returns the xi-derivative vector
-    (y, y', ..., y^{d-1}) at the final waypoint, within tol relative or
-    AccuracyError (see _continue).
+    (y, y', ..., y^{d-1}) at the final waypoint, within CONTINUATION_TOL
+    relative or AccuracyError (see _continue).
     """
     if complex(waypoints[0]) != complex(XI_SEED):
         raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
-    return _continue(s, p, waypoints[:-1], waypoints[-1:], tol).states[0]
+    return _continue(s, p, waypoints[:-1], waypoints[-1:], CONTINUATION_TOL).states[0]
 
 
 def gp_continue(
@@ -574,7 +574,7 @@ def gp_continue(
     p: int,
     u: complex,
     side: str = "none",
-    tol: float = 1e-12,
+    tol: float = CONTINUATION_TOL,
 ) -> ContinuationState:
     """Continue G_p to u on the slit plane along a detour path.
 
@@ -584,12 +584,14 @@ def gp_continue(
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
     the checked Taylor walk (see _continue): within tol relative, or
-    AccuracyError.
+    AccuracyError.  A non-finite u raises DomainError.
     """
     _validate_sp(s, p)
     side = side or "none"
     zc2 = float(thresholds(s).zeta_c) ** 2
     uc = complex(u)
+    if not cmath.isfinite(uc):
+        raise DomainError(f"u must be finite, got {u}")
     xi_t = uc / zc2
     pts = _waypoints(xi_t, side)
     if abs(xi_t) <= SERIES_RADIUS:
@@ -600,13 +602,10 @@ def gp_continue(
     return _state(s, p, uc, side, run.states[0], tuple(pts), run)
 
 
-def sigma_cont(
-    s: int, p: int, u: complex, side: str = "none", tol: float = 1e-12
-) -> complex:
+def sigma_cont(s: int, p: int, u: complex, side: str = "none") -> complex:
     """Continued scalar Gram weight
-    (1/p) [p^2 G + s(2p+s) u G' + s^2 u^2 G''] at u."""
-    st = gp_continue(s, p, u, side, tol)
-    return sigma_from_state(st)
+    (1/p) [p^2 G + s(2p+s) u G' + s^2 u^2 G''] at u, from gp_continue."""
+    return sigma_from_state(gp_continue(s, p, u, side))
 
 
 def sigma_from_state(st: ContinuationState) -> complex:
@@ -620,22 +619,22 @@ def sigma_from_state(st: ContinuationState) -> complex:
 
 
 class BranchCoefficient(NamedTuple):
-    """B(zeta_c^2) = rational / pi (pi_power = -1); always negative."""
+    """B(zeta_c^2) = rational / pi; always negative."""
 
     rational: Fraction
-    pi_power: int
 
     @property
     def value(self) -> float:
-        return float(self.rational) * math.pi**self.pi_power
+        # times 1/pi, not over pi: the two can differ in the last bit, and
+        # every recorded B (resonant-fit output, selftest JSON) rounds this way
+        return float(self.rational) * math.pi**-1
 
 
 def B_closed_form(s: int, p: int) -> BranchCoefficient:
     """B(zeta_c^2) = -(p^2/4pi) s^{2p-1}/(s-1)^{2p+1}."""
     _validate_sp(s, p)
     return BranchCoefficient(
-        rational=Fraction(-(p**2) * s ** (2 * p - 1), 4 * (s - 1) ** (2 * p + 1)),
-        pi_power=-1,
+        rational=Fraction(-(p**2) * s ** (2 * p - 1), 4 * (s - 1) ** (2 * p + 1))
     )
 
 
@@ -651,8 +650,6 @@ class ResonantCoefficients:
 
     s: int
     p: int
-    B_at_branch: float
-    A_fit: float
     B_fit: float
     coeffs: tuple  # (a0, a1, a2, a3, b2, b3)
     max_rel_residual: float
@@ -706,8 +703,6 @@ def resonant_fit(
     return ResonantCoefficients(
         s=s,
         p=p,
-        B_at_branch=B_closed_form(s, p).value,
-        A_fit=coeffs[0],
         B_fit=coeffs[4],
         coeffs=coeffs,
         max_rel_residual=float(rel),
@@ -740,7 +735,7 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     return sigma_cont(s, p, u, "above").imag / math.pi
 
 
-def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = 1e-12):
+def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL):
     """States along the cut at the given xi nodes (all > 1), in the order of
     the nodes.
 

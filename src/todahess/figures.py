@@ -243,7 +243,6 @@ _BUILDERS = {
 }
 
 
-def build_figure(figure_id: str, rec: FigureRecipe | None = None):
-    """Tables and SVGs for one figure id."""
-    rec = rec or recipe(figure_id)
-    return _BUILDERS[figure_id](rec)
+def build_figure(figure_id: str):
+    """Tables and SVGs for one figure id, from its caption recipe."""
+    return _BUILDERS[figure_id](recipe(figure_id))

@@ -65,8 +65,11 @@ def _synthesis_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int, scale
 def weight(s: int, q: int, beta: float, j):
     """w_j = p_j^(3/2+beta) M^(p_j) with p_j = q + j s, M = s/(s-1).
 
-    Elementwise when j is a numpy array; DomainError once w_j overflows.
+    Elementwise when j is a numpy array; DomainError for a beta that is
+    not finite and once w_j overflows.
     """
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     p = q + j * s
     with np.errstate(over="ignore"):
         w = p ** (1.5 + beta) * np.float64(s / (s - 1.0)) ** p
@@ -187,10 +190,6 @@ class WeightedBlock:
     weights: np.ndarray
     rows: int
     tail: float
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
 
 
 def weighted_block(

@@ -10,6 +10,7 @@ exact rationals because several invariants are knife-edge comparisons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,6 +22,15 @@ from .raney import raney_table
 JACOBIAN_FLOOR = 1e-8
 
 
+def _order(s) -> int:
+    """s as a Python int; DomainError unless s is an integer >= 2 (a numpy
+    integer counts, a bool does not).  __index__ marks an integer: an
+    isinstance check against numbers.Integral costs about 1 us per call."""
+    if isinstance(s, bool) or not hasattr(s, "__index__") or s < 2:
+        raise DomainError(f"s must be an integer >= 2, got {s!r}")
+    return operator.index(s)
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """The pair (s, zeta); the only physical input of the model."""
@@ -29,8 +39,7 @@ class MapConfig:
     zeta: float
 
     def __post_init__(self):
-        if self.s < 2:
-            raise DomainError(f"s must be >= 2, got {self.s}")
+        _order(self.s)
         if not (self.zeta > 0 and math.isfinite(self.zeta)):
             raise DomainError(f"zeta must be finite and > 0, got {self.zeta}")
 
@@ -44,8 +53,7 @@ class Thresholds:
 
 def thresholds(s: int) -> Thresholds:
     """Exact analytic and geometric thresholds and their ratio ((s-1)/s)^s."""
-    if not isinstance(s, int) or s < 2:
-        raise DomainError(f"s must be an integer >= 2, got {s}")
+    s = _order(s)
     zc = Fraction((s - 1) ** (s - 1), s**s)
     zu = Fraction(1, s - 1)
     return Thresholds(zeta_c=zc, zeta_univ=zu, ratio=zc / zu)
@@ -60,8 +68,7 @@ class BranchPointData:
 
 def branch_point_data(s: int) -> BranchPointData:
     """Critical value U_c = s/(s-1) and kappa = sqrt(2s/(s-1)^3)."""
-    if not isinstance(s, int) or s < 2:
-        raise DomainError(f"s must be an integer >= 2, got {s}")
+    s = _order(s)
     ksq = Fraction(2 * s, (s - 1) ** 3)
     return BranchPointData(
         U_c=Fraction(s, s - 1),
@@ -171,11 +178,10 @@ def local_expansion_check(s: int, eps: float) -> float:
 
 
 class UnivalenceResult(NamedTuple):
+    """Read .univalent: as a non-empty tuple the result itself is always true."""
+
     univalent: bool
     critical: bool
-
-    def __bool__(self) -> bool:  # truthiness = univalence
-        return self.univalent
 
 
 def is_univalent(cfg: MapConfig) -> UnivalenceResult:

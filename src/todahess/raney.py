@@ -10,7 +10,6 @@ zeta_c^{-m} growth never overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedRangeError
 
@@ -53,23 +52,8 @@ def raney_step(s: int, p: int, m):
     return num, den
 
 
-@dataclass(frozen=True)
-class RaneyTable:
-    """Exact values R_{s,p}(0..n_max) built by the integer ratio recurrence."""
-
-    s: int
-    p: int
-    values: tuple
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def raney_table(s: int, p: int, n_max: int) -> RaneyTable:
-    """Table of R_{s,p}(n) for n = 0..n_max via the exact ratio recurrence."""
+def raney_table(s: int, p: int, n_max: int) -> tuple:
+    """(R_{s,p}(0), ..., R_{s,p}(n_max)) via the exact ratio recurrence."""
     _validate_sp(s, p)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -82,7 +66,7 @@ def raney_table(s: int, p: int, n_max: int) -> RaneyTable:
             raise ArithmeticError("ratio recurrence left a remainder")
         r = q
         vals.append(r)
-    return RaneyTable(s=s, p=p, values=tuple(vals))
+    return tuple(vals)
 
 
 def convolution_check(s: int, p_list, m: int) -> bool:

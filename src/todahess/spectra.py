@@ -144,9 +144,6 @@ class AlignmentResult:
     mu1: float
     mu2: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def eigvec_alignment(s, q, beta, n, zeta) -> AlignmentResult:
     """|<psi_1, d-hat>| with the phase convention <psi_1, d~> >= 0.
@@ -241,10 +238,12 @@ def toeplitz_removal_check(s, q, beta, n, eta_grid) -> list:
 
 def nodal_count(vector) -> int:
     """Strict sign changes along the vector, ignoring entries below
-    1e-12 * max|entry|."""
+    1e-12 * max|entry|; DomainError for an entry that is not finite."""
     v = np.asarray(vector, dtype=np.float64)
     if v.size == 0 or not np.any(v):
         raise DomainError("nodal_count needs a nonzero vector")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("nodal_count needs finite entries")
     thresh = 1e-12 * float(np.max(np.abs(v)))
     signs = [x for x in np.sign(v[np.abs(v) > thresh]) if x]
     return int(sum(1 for a, b in zip(signs, signs[1:]) if a != b))

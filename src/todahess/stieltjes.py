@@ -28,8 +28,8 @@ from .raney import _validate_sp, raney_table
 class MomentSequence:
     """Rescaled moments m_n = R_{s,p}(n)^2 zeta_c^{2n} (exact rationals).
 
-    unscaled(n) returns the integer moment R_{s,p}(n)^2 of the measure on
-    [0, 1/zeta_c^2]; the two differ by the substitution t -> t zeta_c^2.
+    The integer moments R_{s,p}(n)^2 of the measure on [0, 1/zeta_c^2]
+    differ from these by the substitution t -> t zeta_c^2.
     """
 
     s: int
@@ -39,11 +39,6 @@ class MomentSequence:
     @property
     def n_max(self) -> int:
         return len(self.moments) - 1
-
-    def unscaled(self, n: int) -> int:
-        val = self.moments[n] / (thresholds(self.s).zeta_c ** 2) ** n
-        assert val.denominator == 1
-        return val.numerator
 
 
 def moments(s: int, p: int, n_max: int) -> MomentSequence:
@@ -94,21 +89,15 @@ def _det_fraction(mat) -> Fraction:
 class JacobiData:
     """Three-term recurrence data in rescaled units (spectrum in [0, 1]).
 
-    a_sq_exact / b_exact are the exact rationals; a and b are their float
-    images.  tridiagonal(rescaled=False) returns the operator acting in the
-    original t units, with spectrum inside [0, 1/zeta_c^2].
+    a_sq_exact / b_exact are the exact rationals; b is the float image of
+    b_exact.  tridiagonal() returns the operator acting in the original t
+    units, with spectrum inside [0, 1/zeta_c^2].
     """
 
     s: int
     p: int
     a_sq_exact: tuple  # Fractions a_1^2 .. a_n^2
     b_exact: tuple  # Fractions b_0 .. b_{n-1} (or b_n, see jacobi_coefficients)
-    source: MomentSequence
-    precision: str  # 'exact'
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.sqrt(np.array([float(x) for x in self.a_sq_exact]))
 
     @property
     def b(self) -> np.ndarray:
@@ -118,8 +107,9 @@ class JacobiData:
     def n(self) -> int:
         return len(self.b_exact)
 
-    def tridiagonal(self, rescaled: bool = True) -> np.ndarray:
-        scale = 1.0 if rescaled else 1.0 / float(thresholds(self.s).zeta_c ** 2)
+    def tridiagonal(self) -> np.ndarray:
+        """The n x n Jacobi matrix in t units: the rescaled one over zeta_c^2."""
+        scale = 1.0 / float(thresholds(self.s).zeta_c ** 2)
         n = self.n
         mat = np.zeros((n, n))
         for i in range(n):
@@ -169,8 +159,6 @@ def jacobi_coefficients(mseq: MomentSequence, n: int) -> JacobiData:
         p=mseq.p,
         a_sq_exact=tuple(a_sq[1:]),
         b_exact=tuple(b_list),
-        source=mseq,
-        precision="exact",
     )
 
 
@@ -230,20 +218,24 @@ def _gauss_legendre_panels(a: float, b: float, n_panels: int, n_nodes: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+#: Gauss-Legendre nodes per panel of perron_integrals
+PERRON_NODES = 12
+#: relative tolerance of the cut values behind perron_integrals
+PERRON_TOL = 1e-10
+
+
 def perron_integrals(
     s: int,
     p: int,
     delta_rel: float = 1e-3,
     powers=(0,),
     n_panels: int = 40,
-    n_nodes: int = 12,
-    tol: float = 1e-10,
 ):
     """Integrals int t^n varrho_p(t) dt over [delta, T - delta], T = 1/zc^2.
 
     Substituting t = T/xi turns them into (1/pi) int (T/xi)^n Im G(xi+i0)
     dxi/xi over xi in [1/(1-delta_rel), 1/delta_rel]; one cut_trace
-    supplies all the nodes.
+    supplies all the nodes, PERRON_NODES per panel, within PERRON_TOL.
     """
     if not 0 < delta_rel < 0.5:
         raise DomainError("delta_rel must lie in (0, 0.5)")
@@ -251,8 +243,8 @@ def perron_integrals(
     tmax = 1.0 / zc2
     xi_a = 1.0 / (1.0 - delta_rel)
     xi_b = 1.0 / delta_rel
-    nodes, weights = _gauss_legendre_panels(xi_a, xi_b, n_panels, n_nodes)
-    states = cut_trace(s, p, nodes, side="above", tol=tol)
+    nodes, weights = _gauss_legendre_panels(xi_a, xi_b, n_panels, PERRON_NODES)
+    states = cut_trace(s, p, nodes, side="above", tol=PERRON_TOL)
     im_g = np.array([st.value.imag for st in states])
     out = {}
     for n in powers:
@@ -261,13 +253,15 @@ def perron_integrals(
     return out
 
 
-def perron_endpoint_exponent(
-    s: int, p: int, eps_lo: float = 2e-3, eps_hi: float = 2e-2, n_pts: int = 8
-):
+#: 1 - t/T at which perron_endpoint_exponent samples the density
+ENDPOINT_EPS = tuple(np.geomspace(2e-3, 2e-2, 8))
+
+
+def perron_endpoint_exponent(s: int, p: int):
     """Log-log slope of varrho_p(t) against (T - t) near the right endpoint
-    (the density vanishes quadratically there)."""
+    (the density vanishes quadratically there), over ENDPOINT_EPS."""
     tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
-    t_ratio = 1.0 - np.geomspace(eps_lo, eps_hi, n_pts)
+    t_ratio = 1.0 - np.array(ENDPOINT_EPS)
     ts = tmax / (1.0 / t_ratio)  # the t values perron_density evaluates at
     rho = perron_density(s, p, t_ratio)
     slope = np.polyfit(np.log(tmax - ts), np.log(np.abs(rho)), 1)[0]

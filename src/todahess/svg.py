@@ -13,6 +13,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 44
+#: canvas size in px
+WIDTH, HEIGHT = 720, 440
 
 
 def _fmt(x: float) -> str:
@@ -37,10 +39,8 @@ def polyline_plot(
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-    width: int = 720,
-    height: int = 440,
 ) -> str:
-    """Render a list of {'label', 'x', 'y'} series to an SVG string."""
+    """Render a list of {'label', 'x', 'y'} series to a WIDTH x HEIGHT SVG string."""
 
     def tx(vals, log):
         out = []
@@ -74,8 +74,8 @@ def polyline_plot(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    iw = width - _MARGIN_L - _MARGIN_R
-    ih = height - _MARGIN_T - _MARGIN_B
+    iw = WIDTH - _MARGIN_L - _MARGIN_R
+    ih = HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + iw * (x - x_lo) / (x_hi - x_lo)
@@ -84,15 +84,15 @@ def polyline_plot(
         return _MARGIN_T + ih * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
         'fill="none" stroke="#222" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width/2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     for xt in _ticks(x_lo, x_hi):
@@ -117,14 +117,14 @@ def polyline_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{width/2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{WIDTH/2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{xlabel}</text>'
         )
     if ylabel:
         parts.append(
-            f'<text x="16" y="{height/2:.1f}" text-anchor="middle" '
+            f'<text x="16" y="{HEIGHT/2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {height/2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {HEIGHT/2:.1f})">{ylabel}</text>'
         )
     for i, (ser, pts) in enumerate(zip(series, txy)):
         color = PALETTE[i % len(PALETTE)]

@@ -125,13 +125,20 @@ def test_bad_config_is_usage_error(tmp_path, cfg):
         ["block", "--s", "3", "--zeta-ratio", "inf"],
         ["block", "--s", "3", "--n", "2", "--format", "svg"],
         ["continue", "--s", "2", "--u-ratio", "nan"],
+        ["continue", "--s", "3", "--u-ratio", "inf", "--side", "above"],
         ["rho", "--s", "2", "--grid", "nan:2:3"],
     ],
     ids=["unread-flag", "no-id", "no-s", "no-zeta", "no-u-ratio", "bad-int",
-         "bad-range", "inf-zeta", "svg-without-out", "nan-u-ratio", "nan-grid"],
+         "bad-range", "inf-zeta", "svg-without-out", "nan-u-ratio",
+         "inf-u-ratio-above", "nan-grid"],
 )
 def test_usage_errors_exit_2(args):
     assert exit_code(args) == 2
+
+
+def test_non_finite_beta_is_named(capsys):
+    assert run(["block", "--s", "3", "--beta", "nan"]) == 2
+    assert "beta must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

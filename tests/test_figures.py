@@ -20,7 +20,7 @@ def test_fig1_reduced_build():
     rec = figures.FigureRecipe(
         "fig1", s_values=(3,), n=12, ratio_grid=(0.9, 0.99, 0.999)
     )
-    tabs, svgs = figures.build_figure("fig1", rec)
+    tabs, svgs = figures.build_fig1(rec)
     tab = tabs["fig1"]
     assert tab.columns[:6] == ["s", "q", "beta", "N", "zeta_ratio", "L"]
     assert len(tab.rows) == 3
@@ -32,7 +32,7 @@ def test_fig1_reduced_build():
 
 def test_fig3_reduced_build_and_sign_change():
     rec = figures.FigureRecipe("fig3", s_values=(3,), p_values={3: (1, 6)})
-    tabs, svgs = figures.build_figure("fig3", rec)
+    tabs, svgs = figures.build_fig3(rec)
     tab = tabs["fig3"]
     rows_p1 = [r for r in tab.rows if r[1] == 1 and r[4] == "super"]
     rho1 = [r[6] for r in rows_p1]
@@ -58,7 +58,7 @@ def test_fig2_reduced_build():
         "fig2", s_values=(3,), n=16, ratio_grid=(0.99, 0.999),
         snapshot_ratio=0.999,
     )
-    tabs, _ = figures.build_figure("fig2", rec)
+    tabs, _ = figures.build_fig2(rec)
     top, bottom = tabs["fig2_top"], tabs["fig2_bottom"]
     assert top.columns[5] == "inv_L"
     assert len(top.rows) == 2
@@ -69,7 +69,7 @@ def test_fig2_reduced_build():
 
 def test_fig4_reduced_build():
     rec = figures.FigureRecipe("fig4", s_values=(3,), n=24, snapshot_ratio=0.999)
-    tabs, svgs = figures.build_figure("fig4", rec)
+    tabs, svgs = figures.build_fig4(rec)
     tab = tabs["fig4"]
     assert len(tab.rows) == 4 * 24  # phi_2..phi_5 on j = 0..23
     assert "fig4_s3" in svgs

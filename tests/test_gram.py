@@ -152,7 +152,7 @@ def test_weighted_block_trace_is_sigma_sum():
         gram.sigma_p(3, 1 + 3 * j, 0.6 * ZC3) / gram.weight(3, 1, 1.0, j) ** 2
         for j in range(8)
     )
-    assert abs(blk.trace - want) < 1e-10 * want
+    assert abs(np.trace(blk.matrix) - want) < 1e-10 * want
 
 
 def test_weighted_block_small_zeta_limits():
@@ -386,3 +386,13 @@ def test_weight_overflow_is_domain_error():
         gram.weighted_block(2, zeta, 1, 1.0, 520)
     with pytest.raises(DomainError, match="overflows"):
         gram.synthesis_matrix(2, 1, 1.0, zeta, 520, 600)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_domain_error(beta):
+    with pytest.raises(DomainError, match="beta"):
+        gram.weight(3, 1, beta, np.arange(4))
+    with pytest.raises(DomainError, match="beta"):
+        gram.weighted_block(3, 0.5 * ZC3, 1, beta, 4)
+    with pytest.raises(DomainError, match="beta"):
+        gram.synthesis_matrix(3, 1, beta, 0.5 * ZC3, 4, 8)

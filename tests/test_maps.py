@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from todahess import maps
@@ -33,6 +34,22 @@ def test_thresholds_domain_error():
         maps.thresholds(1)
     with pytest.raises(DomainError):
         maps.branch_point_data(1)
+
+
+def test_numpy_integer_orders_are_accepted():
+    assert maps.thresholds(np.int64(3)) == maps.thresholds(3)
+    assert maps.branch_point_data(np.int64(3)) == maps.branch_point_data(3)
+    assert maps.thresholds(np.int64(16)).zeta_c == Fraction(15**15, 16**16)
+
+
+@pytest.mark.parametrize("s", [True, 2.5, 3.0, "3", np.float64(3.0)])
+def test_non_integer_orders_are_domain_errors(s):
+    with pytest.raises(DomainError, match="integer"):
+        maps.thresholds(s)
+    with pytest.raises(DomainError, match="integer"):
+        maps.branch_point_data(s)
+    with pytest.raises(DomainError, match="integer"):
+        maps.MapConfig(s, 0.1)
 
 
 @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -0.1])
@@ -131,11 +148,6 @@ def test_is_univalent_examples():
     assert not res.univalent and res.critical
     res = maps.is_univalent(maps.MapConfig(3, 0.7))
     assert not res.univalent and not res.critical
-
-
-def test_univalence_truthiness():
-    assert bool(maps.is_univalent(maps.MapConfig(2, 0.2)))
-    assert not bool(maps.is_univalent(maps.MapConfig(2, 1.5)))
 
 
 def test_injectivity_margin_signs():

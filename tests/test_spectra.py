@@ -141,7 +141,6 @@ def test_alignment_monotone_and_bounded():
     assert 0.0 <= a1.value <= 1.0
     assert a2.value > a1.value
     assert not a2.degenerate
-    assert float(a2) == a2.value
 
 
 def test_alignment_order_one_over_L():
@@ -259,6 +258,12 @@ def test_nodal_count():
     assert spectra.nodal_count([1.0, 1e-18, -1.0]) == 1  # tiny entry ignored
     with pytest.raises(DomainError):
         spectra.nodal_count([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nodal_count_rejects_non_finite_entries(bad):
+    with pytest.raises(DomainError, match="finite"):
+        spectra.nodal_count([1.0, bad, -1.0])
 
 
 def test_isospectral_blocks_surrogate():
