@@ -9,8 +9,10 @@ series at 0 is summed in one place, _power_series: it gives the values in
 the disk |xi| <= SERIES_RADIUS and seeds every walk at XI_SEED.  Off the
 disk, continuation re-expands the solution in Taylor steps from the
 recurrence of that reduced equation, along piecewise-linear paths that
-detour around xi = 1; two walks with different step lengths, in doubles
-first and in mpmath if they disagree, bound the error.
+detour around xi = 1; two walks with different step lengths, in complex
+doubles first and, if they disagree, in fixed-point Python integers at
+extended precision, bound the error.  mpmath numbers carry the inputs and
+results of the extended walks, and the resonant fit's least-squares solve.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -27,7 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -189,6 +191,8 @@ def _ode_fractions(s: int, p: int) -> tuple:
 
 #: decimal digits the Taylor-step engine carries above the caller's dps
 TAYLOR_GUARD_DPS = 10
+#: bits that fixed-point points and scale factors carry above the working bits
+_POINT_GUARD_BITS = 64
 
 
 class _TaylorWalk(NamedTuple):
@@ -196,6 +200,27 @@ class _TaylorWalk(NamedTuple):
     steps: int  # expansions from the recurrence (the seed series not counted)
     terms: int  # Taylor coefficients computed, seed series included
     dps: "int | None"  # working precision, decimal digits; None for doubles
+
+
+class _Arith(NamedTuple):
+    """Number type of the Taylor engine: complex doubles (bits None) or
+    fixed-point Python integers with bits working bits."""
+    digits: int  # decimal digits carried
+    tol: float  # relative tail bound at which an expansion stops
+    bits: "int | None"  # working bits of the fixed-point mantissas
+
+
+def _arith(dps) -> _Arith:
+    """Python complex doubles for dps=None, else fixed-point integers for a
+    caller's dps, carried at dps + TAYLOR_GUARD_DPS digits (at most 250)."""
+    if dps is None:
+        return _Arith(16, _SERIES_TOL, None)
+    if dps > 250:
+        # tol and the terms compared with it must stay normal doubles
+        raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
+    digits = dps + TAYLOR_GUARD_DPS
+    # the bits of an mpmath number of that many digits
+    return _Arith(digits, 10.0 ** (-(dps + 6)), round((digits + 1) * math.log2(10)))
 
 
 def _falling_row(n: int, d: int) -> list:
@@ -206,23 +231,40 @@ def _falling_row(n: int, d: int) -> list:
     return row
 
 
-#: (s, p, ar.num, ar.digits) -> the rounded step ratios a_{m+1}/a_m drawn so far
-_STEP_RATIOS: dict = {}
+#: (s, p, ar.bits) -> the power-series coefficients a_m drawn so far
+_SEED_COEFFS: dict = {}
 
 
 def _seed_coeffs(s: int, p: int, ar: _Arith):
     """Power-series coefficients a_m of y(xi) = G_p(zeta_c^2 xi) at 0 in the
-    number type of ar; each exact step ratio is rounded once, so no overflow.
-    The rounded ratios are kept per (s, p) and number type (ar.num tells
-    doubles from mpmath, which always runs at ar.digits), so later series
-    reuse them."""
-    ratios = _STEP_RATIOS.setdefault((s, p, ar.num, ar.digits), [])
-    a = ar.num(1)
+    number type of ar.  In doubles each exact step ratio num/den of
+    _coeff_step is rounded once, so nothing overflows; in fixed point a_m is
+    the mantissa of the exact floor chain a_{m+1} = a_m num // den from
+    a_0 = 2^bits.  The coefficients are kept per (s, p) and number type, so
+    later series reuse them."""
+    coeffs = _SEED_COEFFS.setdefault(
+        (s, p, ar.bits), [complex(1) if ar.bits is None else 1 << ar.bits])
     for m in count():
-        yield a
-        if m == len(ratios):
-            ratios.append(ar.ratio(*_coeff_step(s, p, m)))
-        a = a * ratios[m]
+        if m == len(coeffs):
+            num, den = _coeff_step(s, p, m - 1)
+            a = coeffs[-1]
+            coeffs.append(a * (num / den) if ar.bits is None else a * num // den)
+        yield coeffs[m]
+
+
+@lru_cache(maxsize=None)
+def _row_tables(s: int, p: int) -> tuple:
+    """(ta, tb, den): the integers ta[r][j] = den c_j C(j, r), r < d, and
+    tb[r+1][j] = den e_j C(j+1, r+1), r = -1..d-1, of _recurrence_row's
+    sums, for den the common denominator of c and e."""
+    d, c, e = _ode_fractions(s, p)
+    den = math.lcm(*(x.denominator for x in c + e))
+    ci = [int(den * x) for x in c]
+    ei = [int(den * x) for x in e]
+    ta = tuple(tuple(ci[j] * math.comb(j, r) for j in range(d + 1)) for r in range(d))
+    tb = tuple(tuple(ei[j] * math.comb(j + 1, r + 1) for j in range(d + 1))
+               for r in range(-1, d))
+    return ta, tb, den
 
 
 @lru_cache(maxsize=None)
@@ -239,74 +281,35 @@ def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
     a (d+2)-term recurrence that does not depend on the centre, with
     alpha_d = beta_d = lead = (N+d)!/N!.  alpha holds den alpha_r(N) for
     r < d and beta holds den beta_r(N) for r from -1 (0 when N = 0, where
-    b_{-1} = 0) to d - 1, integers for den the common denominator of c, e.
+    b_{-1} = 0) to d - 1, integers for den the common denominator of c, e;
+    each is a dot product of a _row_tables row with (N+r)!/(N+r-j)!.
     """
-    d, c, e = _ode_fractions(s, p)
-    den = math.lcm(*(x.denominator for x in c + e))
+    ta, tb, den = _row_tables(s, p)
+    d = len(ta)
     falling = [_falling_row(big_n + r, d) for r in range(-1, d + 1)]
-    alpha = [sum(int(den * c[j]) * math.comb(j, r) * falling[r + 1][j]
-                 for j in range(d + 1)) for r in range(d)]
-    beta = [sum(int(den * e[j]) * math.comb(j + 1, r + 1) * falling[r + 1][j]
-                for j in range(d + 1)) for r in range(-1 if big_n else 0, d)]
-    return tuple(alpha), tuple(beta), falling[d + 1][d], den
+    alpha = tuple(sum(map(operator.mul, ta[r], falling[r + 1])) for r in range(d))
+    beta = tuple(sum(map(operator.mul, tb[r + 1], falling[r + 1]))
+                 for r in range(-1 if big_n else 0, d))
+    return alpha, beta, falling[d + 1][d], den
 
 
-def _recurrence_coeffs(s: int, p: int, centre, head, dot):
-    """Scaled Taylor coefficients b_n = a_n centre^n of y at centre, from the
-    recurrence of _recurrence_row; head holds b_0..b_{d-1}.  dot(integers, b)
-    is the dot product in b's number type.
-    """
+def _fdot(u: list, v: list):
+    """sum_k u_k v_k for integers u and complex doubles or integers v."""
+    return sum(map(operator.mul, u, v))
+
+
+def _recurrence_coeffs(s: int, p: int, centre: complex, head):
+    """Scaled Taylor coefficients b_n = a_n centre^n of y at centre, in
+    complex doubles, from the recurrence of _recurrence_row; head holds
+    b_0..b_{d-1}."""
     b = list(head)
     yield from b
     inv = 1 / (_recurrence_row(s, p, 0)[3] * (1 - centre))
     for big_n in count():
         alpha, beta, lead, _ = _recurrence_row(s, p, big_n)
-        acc = centre * dot(beta, b[max(big_n - 1, 0):]) - dot(alpha, b[big_n:])
+        acc = centre * _fdot(beta, b[max(big_n - 1, 0):]) - _fdot(alpha, b[big_n:])
         b.append(acc * inv / lead)
         yield b[-1]
-
-
-def _fdot(u: list, v: list) -> complex:
-    """sum_k u_k v_k for integers u and complex doubles v."""
-    return sum(map(operator.mul, u, v))
-
-
-_MPF_ZERO = mp.mpf(0)._mpf_
-
-
-def _mp_idot(u: list, v: list):
-    """mp.fdot(u, v) for integers u and mpf or mpc v: the real and imaginary
-    parts are summed exactly in integers, from mpmath's raw (sign, man, exp,
-    bc) tuples, and rounded once."""
-    raw = [x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, _MPF_ZERO) for x in v]
-    out = []
-    for part in zip(*raw):
-        emin = min((t[2] for t in part if t[1]), default=0)
-        total = sum((-k if t[0] else k) * t[1] << (t[2] - emin)
-                    for k, t in zip(u, part))
-        out.append(mp.mpf((total, emin)))
-    return mp.mpc(*out) if any(isinstance(x, mp.mpc) for x in v) else out[0]
-
-
-class _Arith(NamedTuple):
-    """Number type of the Taylor engine: complex doubles or mpmath."""
-    digits: int  # decimal digits carried
-    tol: float  # relative tail bound at which an expansion stops
-    dot: object  # dot(integers, numbers) in the number type
-    num: object  # conversion into the number type
-    ratio: object  # ratio(i, j): the quotient of integers i / j, rounded once
-
-
-def _arith(dps) -> _Arith:
-    """Python complex doubles for dps=None, else mpmath numbers for a
-    caller's dps, carried at dps + TAYLOR_GUARD_DPS digits (at most 250)."""
-    if dps is None:
-        return _Arith(16, _SERIES_TOL, _fdot, complex, operator.truediv)
-    if dps > 250:
-        # tol and the terms compared with it must stay normal doubles
-        raise DomainError(f"dps = {dps} exceeds 250, the range of the tail check")
-    return _Arith(dps + TAYLOR_GUARD_DPS, 10.0 ** (-(dps + 6)), _mp_idot,
-                  mp.mpmathify, lambda i, j: mp.mpmathify(Fraction(i, j)))
 
 
 def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
@@ -315,8 +318,10 @@ def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
     tau_far below ar.tol relative to its partial sum.  The term ratio of
     component i is taken as ratio (n+1)/(n+1-i), the ratio of consecutive
     terms of a geometric series differentiated i times; the check itself
-    runs in complex doubles.  Every expansion of y stops by this rule: the
-    power series at 0 (_power_series) and each Taylor step of the walks.
+    runs in complex doubles, on the coefficients themselves or, in fixed
+    point, on their values in doubles.  Every expansion of y stops by this
+    rule: the power series at 0 (_power_series) and each Taylor step of the
+    walks.
 
     DivergenceError past the term budget: ratio <= 1/2 needs about 3.3
     terms per digit, plus the growth of n!/(n-d)!, and the budget is three
@@ -351,15 +356,16 @@ def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
 @lru_cache(maxsize=None)
 def _binomial_rows(n: int, d: int) -> tuple:
     """(head, tail): head[i] = (C(m, i) for m = i..d-1) and tail[i] =
-    (C(m, i) for m = d..n-1), i = 0..d-1; _shift asks for n rounded up to a
-    power of two, so few tables serve every expansion length."""
+    (C(m, i) for m = d..n-1), i = 0..d-1; the shifts ask for n rounded up to
+    a power of two, so few tables serve every expansion length."""
     return (tuple(tuple(math.comb(m, i) for m in range(i, d)) for i in range(d)),
             tuple(tuple(math.comb(m, i) for m in range(d, n)) for i in range(d)))
 
 
-def _shift(coeffs: list, tau, d: int, dot) -> list:
+def _shift(coeffs: list, tau, d: int) -> list:
     """P^(i)(tau) / i! = sum_n C(n, i) coeffs[n] tau^(n-i), i < d, for
-    P(tau) = sum_n coeffs[n] tau^n with at least d coefficients.
+    P(tau) = sum_n coeffs[n] tau^n with at least d coefficients, in complex
+    doubles.
 
     The terms n < d are summed directly and tau^(d-i) is factored out of
     the rest, so nothing divides by a power of tau that may underflow.
@@ -369,18 +375,231 @@ def _shift(coeffs: list, tau, d: int, dot) -> list:
     for b in coeffs[d:]:
         w.append(b * x)
         x *= tau
-    # dot stops at the shorter operand, so longer binomial rows serve too
+    # _fdot stops at the shorter operand, so longer binomial rows serve too
     head, tail = _binomial_rows(1 << (len(coeffs) - 1).bit_length(), d)
-    return [dot(head[i], [b * y for b, y in zip(coeffs[i:d], pw)])
-            + dot(tail[i], w) * pw[d - i] for i in range(d)]
+    return [_fdot(head[i], [b * y for b, y in zip(coeffs[i:d], pw)])
+            + _fdot(tail[i], w) * pw[d - i] for i in range(d)]
 
 
-def _power_series(s: int, p: int, xi, d: int, ar: _Arith) -> tuple:
+# Fixed-point numbers.  A point (a centre or a target) is a pair (re, im) of
+# integers at the absolute scale 2^-f, f = bits + _POINT_GUARD_BITS; a
+# scale factor is a triple (re, im, e) with value (re + i im) 2^-e rounded to
+# about f bits, so its powers keep their relative precision.  The
+# coefficients of one expansion are pairs of integer mantissas that share
+# one exponent.  Every rounding floors, so the walk mirrors paths in the
+# lower half plane (see _taylor_walk) to keep conjugate paths exact
+# conjugates.
+
+
+def _shl(x: int, n: int) -> int:
+    """x 2^n, floored."""
+    return x << n if n >= 0 else x >> -n
+
+
+def _fx_point(z, f: int) -> tuple:
+    """z (a float, complex or mpmath number) as a point at 2^-f."""
+    z = mp.mpc(z)
+    return int(mp.ldexp(z.real, f)), int(mp.ldexp(z.imag, f))
+
+
+def _fl(re: int, im: int, e: int, f: int) -> tuple:
+    """The scale factor (re + i im) 2^-e, rounded to f bits."""
+    n = f - max(re.bit_length(), im.bit_length())
+    return _shl(re, n), _shl(im, n), e + n
+
+
+def _fl_mul(a: tuple, b: tuple, f: int) -> tuple:
+    return _fl(a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[2] + b[2], f)
+
+
+def _fl_div(a: tuple, b: tuple, f: int) -> tuple:
+    """a / b as a scale factor, for points a and b."""
+    n2 = b[0] * b[0] + b[1] * b[1]
+    return _fl(((a[0] * b[0] + a[1] * b[1]) << 2 * f) // n2,
+               ((a[1] * b[0] - a[0] * b[1]) << 2 * f) // n2, 2 * f, f)
+
+
+def _fl_powers(z: tuple, n: int, f: int) -> list:
+    """[z^0, ..., z^(n-1)] for the scale factor z."""
+    out = [(1, 0, 0)]
+    for _ in range(n - 1):
+        out.append(_fl_mul(out[-1], z, f))
+    return out
+
+
+class _FxState(NamedTuple):
+    """y^(i)(x) / i! = (re_i + i im_i) 2^-exp / g^i at a point x, i < d,
+    for (re_i, im_i) = mants[i] and the scale g = centre 2^-k of the step
+    that reached x."""
+    mants: list
+    exp: int
+    centre: tuple  # a point
+    k: int
+
+
+def _fx_head(st: _FxState, centre: tuple, k: int, ar: _Arith, f: int) -> tuple:
+    """(mantissas, exp) of b_i = y^(i)(centre) / i! g^i, i < d, for the new
+    scale g = centre 2^-k, from the state st at centre.  The shared exponent
+    gives the smallest nonzero b_i ar.bits bits: the mantissa width is the
+    working bits plus the exponent range of the head, capped at twice the
+    working bits."""
+    q = _fl_div(centre, st.centre, f)
+    raw = [(re * x[0] - im * x[1], re * x[1] + im * x[0], x[2] + (k - st.k) * i)
+           for i, ((re, im), x) in enumerate(zip(st.mants, _fl_powers(q, len(st.mants), f)))]
+    size = [max(re.bit_length(), im.bit_length()) - e for re, im, e in raw if re or im]
+    top = max(size)  # log2 max |b_i| + st.exp, to a bit
+    exp = st.exp + ar.bits + min(top - min(size), ar.bits) - top
+    return [(_shl(re, exp - st.exp - e), _shl(im, exp - st.exp - e)) for re, im, e in raw], exp
+
+
+def _fx_recurrence(s: int, p: int, centre: tuple, k: int, re: list, im: list,
+                   exp: int, f: int):
+    """Taylor coefficients b'_n = b_n 2^-kn of y(centre + centre 2^-k sigma)
+    in sigma, from the recurrence of _recurrence_row, as mantissas at 2^-exp:
+    re and im hold those of b'_0..b'_{d-1} and gain one pair per coefficient
+    drawn.  Yields the coefficients in complex doubles, for _expand.
+
+    Row N reads sum_r b'_{N+r} 2^(k(r+1)) (alpha_r - centre beta_r) = 0
+    times 2^-(k(d+1)): the window of mantissas is lifted by shifts, the
+    integer rows go straight into the dot products, and each coefficient is
+    rounded once.
+    """
+    d = len(re)
+    one = 1 << f
+    cr, ci = centre
+    ir, ii, ie = _fl_div((one, 0), (one - cr, -ci), f)  # 1 / (1 - centre)
+    lifts = [k * j for j in range(d + 1)]
+    shift = f + ie + k * (d + 1)
+    den = _row_tables(s, p)[2]
+
+    def approx(mr, mi):
+        n = max(mr.bit_length(), mi.bit_length(), 960) - 960
+        return complex(math.ldexp(mr >> n, n - exp), math.ldexp(mi >> n, n - exp))
+
+    for mr, mi in zip(re, im):
+        yield approx(mr, mi)
+    for big_n in count():
+        alpha, beta, lead, _ = _recurrence_row(s, p, big_n)
+        lo, lift = (big_n - 1, lifts) if big_n else (0, lifts[1:])
+        wr = list(map(operator.lshift, re[lo:], lift))
+        wi = list(map(operator.lshift, im[lo:], lift))
+        xr, xi = _fdot(beta, wr), _fdot(beta, wi)
+        yr, yi = _fdot(alpha, wr[-d:]), _fdot(alpha, wi[-d:])
+        zr = cr * xr - ci * xi - (yr << f)
+        zi = cr * xi + ci * xr - (yi << f)
+        lead *= den
+        mr = ((zr * ir - zi * ii) >> shift) // lead
+        mi = ((zr * ii + zi * ir) >> shift) // lead
+        re.append(mr)
+        im.append(mi)
+        yield approx(mr, mi)
+
+
+def _fx_shift(re: list, im: list, sigma: tuple, d: int, f: int) -> list:
+    """Mantissas of P^(i)(sigma) / i! = sum_n C(n, i) m_n sigma^(n-i), i < d,
+    at the exponent of the mantissas m_n = (re[n], im[n]) of P's
+    coefficients, for sigma a point at 2^-f; the fixed-point _shift.
+
+    The binomials multiply the rounding of each term while the terms
+    themselves fall with |sigma| <= 1/2, so the sums run g bits finer, for g
+    the size of n C(n, d) plus the bits by which the largest mantissa
+    exceeds f: the powers of sigma are products with those mantissas.
+    """
+    n = len(re)
+    top = max(max(map(int.bit_length, re)), max(map(int.bit_length, im)))
+    g = (n * math.comb(n, d)).bit_length() + max(top - f, 0)
+    fg = f + g
+    sr, si = sigma
+    pw = [(1 << fg, 0)]  # sigma^j at 2^-(f+g)
+    for _ in range(d):
+        xr, xi = pw[-1]
+        pw.append(((xr * sr - xi * si) >> f, (xr * si + xi * sr) >> f))
+    wr, wi = [], []  # m_n sigma^(n-d), g bits finer than m
+    xr, xi = pw[0]
+    for mr, mi in zip(re[d:], im[d:]):
+        wr.append((mr * xr - mi * xi) >> f)
+        wi.append((mr * xi + mi * xr) >> f)
+        xr, xi = (xr * sr - xi * si) >> f, (xr * si + xi * sr) >> f
+    head, tail = _binomial_rows(1 << (n - 1).bit_length(), d)
+    out = []
+    for i in range(d):
+        hr = hi = 0
+        for c, mr, mi, (xr, xi) in zip(head[i], re[i:d], im[i:d], pw):
+            hr += c * (mr * xr - mi * xi)
+            hi += c * (mr * xi + mi * xr)
+        tr, ti = _fdot(tail[i], wr), _fdot(tail[i], wi)
+        xr, xi = pw[d - i]
+        out.append(((hr + ((tr * xr - ti * xi) >> g)) >> fg,
+                    (hi + ((tr * xi + ti * xr) >> g)) >> fg))
+    return out
+
+
+def _power_series(s: int, p: int, xi, d: int, ar: _Arith):
     """(y^(i)(xi) / i! for i < d, terms summed) of y(xi) = G_p(zeta_c^2 xi)
     from its power series at 0, |xi| < 1, in ar's number type: the one sum of
-    G_p's series, which seeds every walk and gives the values in the disk."""
-    coeffs = _expand(_seed_coeffs(s, p, ar), xi, float(abs(xi)), d, ar)
-    return _shift(coeffs, xi, d, ar.dot), len(coeffs)
+    G_p's series, which seeds every walk and gives the values in the disk.
+    In fixed point xi is a point and the values come as an _FxState of
+    scale 1, at the exponent bits of the seed chain."""
+    if ar.bits is None:
+        coeffs = _expand(_seed_coeffs(s, p, ar), xi, float(abs(xi)), d, ar)
+        return _shift(coeffs, xi, d), len(coeffs)
+    f = ar.bits + _POINT_GUARD_BITS
+    x = complex(math.ldexp(xi[0], -f), math.ldexp(xi[1], -f))
+    n = len(_expand((math.ldexp(a, -ar.bits) for a in _seed_coeffs(s, p, ar)),
+                    x, abs(x), d, ar))
+    re = list(islice(_seed_coeffs(s, p, ar), n))
+    mants = _fx_shift(re, [0] * n, xi, d, f)
+    return _FxState(mants, ar.bits, (1 << f, 0), 0), n
+
+
+def _double_step(s, p, d, ar, taylor, centre, ends, far, rho):
+    """One Taylor step in complex doubles: y re-expanded at centre from the
+    Taylor coefficients taylor = [y^(i)(centre) / i!] in tau = (xi -
+    centre) / centre, then the same at each point of ends, at most far from
+    centre, which is rho from the nearer singular point; and the number of
+    coefficients drawn."""
+    head = [taylor[i] * centre**i for i in range(d)]
+    coeffs = _expand(_recurrence_coeffs(s, p, centre, head), far / abs(centre),
+                     far / rho, d, ar)
+    scale = [centre**-i for i in range(d)]
+    return [[x * g for x, g in zip(_shift(coeffs, (t - centre) / centre, d), scale)]
+            for t in ends], len(coeffs)
+
+
+def _fx_step(s, p, d, ar, st, centre, ends, far, rho):
+    """_double_step in fixed point, for the state st at the point centre:
+    y is expanded in sigma = tau 2^k, for the k >= 0 with 2^-k in [x, 2x),
+    x = max(2 tau_far, rho / 4|centre|) and tau_far = far / |centre|.  So
+    |sigma| <= 1/2 at every end, the coefficients stay O(1), and the
+    rescaling between tau and sigma is a shift; the rho floor keeps the
+    head's exponent range small when every end lies close to the centre."""
+    f = ar.bits + _POINT_GUARD_BITS
+    radius = math.hypot(*centre) / (1 << f)
+    k = max(-math.frexp(max(2 * far, rho / 4) / radius)[1], 0)
+    mants, exp = _fx_head(st, centre, k, ar, f)
+    re, im = [m[0] for m in mants], [m[1] for m in mants]
+    n = len(_expand(_fx_recurrence(s, p, centre, k, re, im, exp, f),
+                    math.ldexp(far / radius, k), far / rho, d, ar))
+    out = []
+    for t in ends:
+        sr, si, se = _fl_div((t[0] - centre[0], t[1] - centre[1]), centre, f)
+        sigma = _shl(sr, f + k - se), _shl(si, f + k - se)
+        out.append(_FxState(_fx_shift(re, im, sigma, d, f), exp, centre, k))
+    return out, n
+
+
+def _fx_values(st: _FxState, f: int, real: bool, mirror: bool) -> list:
+    """[y, y', ..., y^(d-1)] of the state st as mpmath numbers at the working
+    precision: mpf for a real walk, else mpc, conjugated for a mirrored one."""
+    out = []
+    inv = _fl_powers(_fl_div((1 << f, 0), st.centre, f), len(st.mants), f)
+    for i, ((re, im), x) in enumerate(zip(st.mants, inv)):
+        fac, e = math.factorial(i), st.exp + x[2] - st.k * i
+        val = mp.mpf(((re * x[0] - im * x[1]) * fac, -e))
+        if not real:
+            val = mp.mpc(val, mp.mpf(((re * x[1] + im * x[0]) * (-fac if mirror else fac), -e)))
+        out.append(val)
+    return out
 
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:
@@ -392,64 +611,76 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
 
 def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from XI_SEED
-    through targets, in order: at dps + TAYLOR_GUARD_DPS digits in mpmath,
-    or in Python complex doubles for dps=None.
+    through targets, in order: in fixed-point integers at dps +
+    TAYLOR_GUARD_DPS digits, returned as mpmath numbers, or in Python complex
+    doubles for dps=None.
 
     The path is the polygon XI_SEED -> targets[0] -> targets[1] -> ...;
     targets may be complex, and the path must keep 1e-9 away from xi = 0
     and 1.  The seed state is summed from the power series at 0.  Each step
     re-expands y at the current centre c from the recurrence of
-    _recurrence_coeffs and evaluates it at every following target within
+    _recurrence_row and evaluates it at every following target within
     rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
     nearer singular point.
     The next centre is the last of those targets or, if there is none, the
-    point rho/reach further along the path.  Each expansion stops once its
-    geometric tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles
-    (see _expand); dps is at most 250.  Non-finite targets raise DomainError.
+    point rho/reach further along the path; these choices are made in
+    doubles in either number type.  Each expansion stops once its geometric
+    tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles (see
+    _expand); dps is at most 250.  Non-finite targets raise DomainError.
     """
     ar = _arith(dps)
     d = _ode_fractions(s, p)[0]
+    pts = [complex(t) for t in targets]
+    corners = [complex(XI_SEED)] + pts
+    if not all(cmath.isfinite(z) for z in corners):
+        raise DomainError(f"continuation targets must be finite, got {targets!r}")
+    for a, b in zip(corners, corners[1:]):
+        if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
+            raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
+                            "singular point, 0 or 1")
+    centre = corners[0]
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        pts = [ar.num(t) for t in targets]
-        corners = [complex(XI_SEED)] + [complex(t) for t in pts]
-        if not all(cmath.isfinite(z) for z in corners):
-            raise DomainError(f"continuation targets must be finite, got {targets!r}")
-        for a, b in zip(corners, corners[1:]):
-            if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
-                raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
-                                "singular point, 0 or 1")
-        centre = ar.num(XI_SEED)
-        taylor, terms = _power_series(s, p, centre, d, ar)  # y^(i)(centre) / i!
+        if dps is None:
+            step, ends, cx = _double_step, pts, centre
+        else:
+            # floored roundings are not odd, so a path that leaves the real
+            # axis downwards runs as its mirror image: conjugate paths then
+            # give exact conjugates
+            mirror = next((z.imag < 0 for z in corners if z.imag), False)
+            real = not any(z.imag for z in corners)
+            f = ar.bits + _POINT_GUARD_BITS
+            step, cx = _fx_step, _fx_point(centre, f)
+            ends = [_fx_point(t, f) for t in targets]
+            if mirror:
+                pts = [z.conjugate() for z in pts]
+                ends = [(x, -y) for x, y in ends]
+        state, terms = _power_series(s, p, cx, d, ar)
         steps, k, states = 0, 0, []
         while k < len(pts):
             rho = min(abs(centre), abs(1 - centre))
             served = []
             while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
-                served.append(pts[k])
+                served.append(k)
                 k += 1
             if served:
-                nxt = served[-1]
+                nxt = pts[served[-1]]
+                far = max(abs(pts[j] - centre) for j in served)
+                at = [ends[j] for j in served]
             else:
                 nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
-            far = max(abs(t - centre) for t in served or [nxt])
-            # y(centre + centre tau) = sum_n b_n tau^n
-            head = [taylor[i] * centre**i for i in range(d)]
-            coeffs = _expand(_recurrence_coeffs(s, p, centre, head, ar.dot),
-                             far / abs(centre), float(far / rho), d, ar)
+                far = abs(nxt - centre)
+                at = [nxt if dps is None else _fx_point(nxt, f)]
+            reached, n = step(s, p, d, ar, state, cx, at, far, rho)
             steps += 1
-            terms += len(coeffs)
-            scale = [centre**-i for i in range(d)]
-            reached = [
-                [x * f for x, f in
-                 zip(_shift(coeffs, (t - centre) / centre, d, ar.dot), scale)]
-                for t in served or [nxt]
-            ]
+            terms += n
             if served:
                 states.extend(reached)
-            taylor = reached[-1]
-            centre = nxt
-        fact = [math.factorial(i) for i in range(d)]
-        states = [[x * f for x, f in zip(st, fact)] for st in states]
+            state, centre, cx = reached[-1], nxt, at[-1]
+        if dps is None:
+            fact = [math.factorial(i) for i in range(d)]
+            states = [[x * g for x, g in zip(st, fact)] for st in states]
+        else:
+            states = [_fx_values(st, f, real, mirror) for st in states]
     return _TaylorWalk(states, steps, terms, None if dps is None else ar.digits)
 
 
@@ -457,7 +688,7 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
 # Continuation along detour paths
 
 
-#: decimal digits of the mpmath walks, used when the double walks disagree
+#: caller's digits of the fixed-point walks, used when the double walks disagree
 _MP_RUNG_DPS = 20
 
 
@@ -479,7 +710,7 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
     exceed tol/4.  The walks run in complex doubles, and again at
     _MP_RUNG_DPS digits if the doubles disagree or exhaust their term
     budget; the rho/3 walk's states are returned.  Raises AccuracyError when
-    the mpmath walks disagree too.
+    the fixed-point walks disagree too.
     """
     targets = [*path, *nodes]
     why = ""

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import DivergenceError, DomainError
 from .maps import thresholds
-from .raney import raney_step
+from .raney import _validate_sp, raney_step
 
 DEFAULT_TOL = 1e-12
 
@@ -66,10 +66,13 @@ def weight(s: int, q: int, beta: float, j):
     """w_j = p_j^(3/2+beta) M^(p_j) with p_j = q + j s, M = s/(s-1).
 
     Elementwise when j is a numpy array; DomainError for a beta that is
-    not finite and once w_j overflows.
+    not finite or not > 0 (the domain of spike_vector too) and once w_j
+    overflows.
     """
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
+    if not beta > 0:
+        raise DomainError(f"beta must be > 0, got {beta}")
     p = q + j * s
     with np.errstate(over="ignore"):
         w = p ** (1.5 + beta) * np.float64(s / (s - 1.0)) ** p
@@ -102,8 +105,9 @@ def sigma_p(s: int, p: int, zeta: float, tol: float = DEFAULT_TOL) -> float:
     It is the one-column Gram product of sector p.  Raises DivergenceError
     at or beyond zeta_c; the part not summed term by term is either below
     tol (relative) by the geometric bound on the term ratios, or added in
-    closed form (see _kernels).
+    closed form (see _kernels).  DomainError unless s and p are integers.
     """
+    _validate_sp(s, p)
     return _gram_product(s, p, 1, zeta, tol)[0][0, 0]
 
 

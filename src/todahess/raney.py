@@ -15,6 +15,11 @@ from .errors import DomainError, UnsupportedRangeError
 
 
 def _validate_sp(s: int, p: int) -> None:
+    """DomainError unless s and p are integers (a numpy integer counts, a
+    bool does not, as in maps._order); then s >= 2 and p >= 1."""
+    for name, x in (("s", s), ("p", p)):
+        if isinstance(x, bool) or not hasattr(x, "__index__"):
+            raise DomainError(f"{name} must be an integer, got {x!r}")
     if s < 2:
         raise DomainError(f"symmetry order s must be >= 2, got {s}")
     if p < 1:

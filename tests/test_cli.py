@@ -141,6 +141,12 @@ def test_non_finite_beta_is_named(capsys):
     assert "beta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["block", "spectrum", "soft"])
+def test_non_positive_beta_is_named(capsys, cmd):
+    assert run([cmd, "--s", "3", "--beta", "-1", "--zeta-ratio", "0.5"]) == 2
+    assert "beta must be > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_format_without_out_prints_that_format(tmp_path, capsys, fmt):
     args = ["block", "--s", "3", "--n", "2", "--zeta-ratio", "0.5", "--format", fmt]

@@ -1,6 +1,5 @@
 import cmath
 import math
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -37,17 +36,18 @@ def _float_series(s, p, xi, d):
 
 @pytest.mark.parametrize("dps", [None, 20], ids=["doubles", "30-digits"])
 def test_seed_coeffs_match_the_exact_step_products(dps):
-    # the cached rounded ratios give the same coefficients, bit for bit, as
-    # rounding every exact step ratio afresh; the second pass reads the cache
+    # the cached coefficients are, bit for bit, the products of the exact
+    # step ratios rounded afresh in doubles, or the exact floor chain
+    # a num // den from 2^bits in fixed point; the second pass reads the cache
     ar = cont._arith(dps)
-    with nullcontext() if dps is None else mp.workdps(ar.digits):
-        for s, p in ((2, 1), (3, 2), (8, 16)):
-            want, a = [], ar.num(1)
-            for m in range(300):
-                want.append(a)
-                a = a * ar.ratio(*cont._coeff_step(s, p, m))
-            for _ in range(2):
-                assert list(islice(cont._seed_coeffs(s, p, ar), 300)) == want
+    for s, p in ((2, 1), (3, 2), (8, 16)):
+        want, a = [], complex(1) if dps is None else 1 << ar.bits
+        for m in range(300):
+            want.append(a)
+            num, den = cont._coeff_step(s, p, m)
+            a = a * (num / den) if dps is None else a * num // den
+        for _ in range(2):
+            assert list(islice(cont._seed_coeffs(s, p, ar), 300)) == want
 
 
 def test_hyp_params_s2p1():
@@ -517,6 +517,53 @@ def _hyper_derivs(s, p, xi, n):
             out.append(complex(fac * shifted))
             fac *= mp.fprod(a + k for a in a_list) / mp.fprod(b + k for b in b_list)
     return out
+
+
+#: largest relative gap of G, G', G'' between a 20-digit and a 40-digit
+#: walk allowed on the draws of test_walk_at_20_digits_matches_40_digits:
+#: the mpmath rung that the fixed-point one replaced reached 2.4e-17 there
+#: (at (8, 16), xi = -1.2), rounded up to a power of ten
+WALK_GAP_BOUND = 1e-16
+
+
+def _walk_gap(s, p, path):
+    """Largest relative gap of G, G', G'' at the end of path between the
+    walks at 20 and at 40 digits."""
+    a = cont._taylor_walk(s, p, path, 20).states[-1]
+    b = cont._taylor_walk(s, p, path, 40).states[-1]
+    return max(float(abs(x - y) / abs(y)) for x, y in zip(a[:3], b[:3]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), r=hst.floats(1.05, 6.0),
+       theta=hst.floats(-math.pi, math.pi), on_cut=hst.booleans())
+@example(s=8, k=15, r=1.2, theta=math.pi, on_cut=False)  # (8, 16) at xi = -1.2
+@example(s=8, k=15, r=abs(3 + 0.5j), theta=cmath.phase(3 + 0.5j), on_cut=False)
+def test_walk_at_20_digits_matches_40_digits(s, k, r, theta, on_cut):
+    # the fixed-point rung on gp_continue's paths, off the disk and on the cut
+    p = 1 + k % (2 * s)
+    xi = complex(r) if on_cut else cmath.rect(r, theta)
+    side = "above" if xi.imag == 0.0 and xi.real > 1.0 else "none"
+    assert _walk_gap(s, p, cont._waypoints(xi, side)[1:]) <= WALK_GAP_BOUND
+
+
+# on the cut, each with the gap the mpmath rung reached there rounded up to
+# a power of ten (1.8e-26, 2.6e-22 and 2.6e-24); without the exponent range
+# of each step's head in its mantissas the walk gives 3.7e-25, 4.5e-20 and
+# 1.3e-22, which the property's single bound, set by (8, 16), lets through
+@pytest.mark.parametrize("s,p,xi,bound", [(6, 3, 1.2, 1e-25), (8, 2, 4.0, 1e-21),
+                                          (6, 1, 4.5, 1e-23)])
+def test_walk_at_20_digits_keeps_the_precision_of_the_mpmath_rung(s, p, xi, bound):
+    assert _walk_gap(s, p, cont._waypoints(complex(xi), "above")[1:]) <= bound
+
+
+@pytest.mark.parametrize("xi", [-1.2, 3 + 0.5j])
+def test_walk_at_20_digits_matches_hypergeometric_at_large_s(xi):
+    # (8, 16), where the double walks disagree and the rung serves
+    path = cont._waypoints(complex(xi), "none")[1:]
+    state = cont._taylor_walk(8, 16, path, 20).states[-1]
+    for got, want in zip(state, _hyper_derivs(8, 16, xi, 3)):
+        assert abs(complex(got) - want) <= 1e-15 * abs(want)
 
 
 def _assert_matches_walk(st, dps, tol=1e-12):

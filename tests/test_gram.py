@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from todahess import gram
+from todahess import gram, spectra
 from todahess.errors import DivergenceError, DomainError
 from todahess.maps import thresholds
 from todahess.raney import raney_table
@@ -396,3 +396,15 @@ def test_non_finite_beta_is_domain_error(beta):
         gram.weighted_block(3, 0.5 * ZC3, 1, beta, 4)
     with pytest.raises(DomainError, match="beta"):
         gram.synthesis_matrix(3, 1, beta, 0.5 * ZC3, 4, 8)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_non_positive_beta_is_domain_error(beta):
+    # weighted_block and block_spectrum took beta <= 0, which spike_vector
+    # and so soft_spectrum refused
+    for call in (lambda: gram.weight(3, 1, beta, np.arange(4)),
+                 lambda: gram.weighted_block(3, 0.5 * ZC3, 1, beta, 4),
+                 lambda: spectra.block_spectrum(3, 1, beta, 4, 0.5 * ZC3),
+                 lambda: spectra.soft_spectrum(3, 1, beta, 4, 0.5 * ZC3, 3)):
+        with pytest.raises(DomainError, match="beta must be > 0"):
+            call()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todahess import raney
+from todahess import continuation, gram, raney
 from todahess.errors import DomainError, UnsupportedRangeError
 
 
@@ -202,3 +202,22 @@ def test_uniform_expansion_breaks_at_theta_half():
     # (see the decisions ledger)
     assert asymptotic_ratio(2, 1000, 2000) < 1e-20
     assert asymptotic_ratio(2, 25, 50) < 0.1
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.5, 3.0, True, "3"])
+def test_non_integer_s_or_p_is_domain_error(bad):
+    # sigma_p summed a non-integer sector silently; raney and hyp_params
+    # raised a bare TypeError, raney_table an ArithmeticError
+    with pytest.raises(DomainError, match="integer"):
+        gram.sigma_p(3, bad, 0.1)
+    with pytest.raises(DomainError, match="integer"):
+        raney.raney(bad, 1, 3)
+    with pytest.raises(DomainError, match="integer"):
+        continuation.hyp_params(bad, 1)
+    with pytest.raises(DomainError, match="integer"):
+        raney.raney_table(3, bad, 3)
+
+
+def test_numpy_integer_s_and_p_are_accepted():
+    assert raney.raney(np.int64(3), np.int64(2), 4) == raney.raney(3, 2, 4)
+    assert raney.raney_table(np.int32(3), np.int64(1), 5) == raney.raney_table(3, 1, 5)
