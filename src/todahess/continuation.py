@@ -80,7 +80,7 @@ def hyp_params(s: int, p: int) -> HypParams:
     twice.  The parametric excess (sum lower - sum upper) equals 2 for every
     (s, p); cancellation preserves it.
     """
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     upper = sorted(Fraction(p + k, s) for k in range(s)) * 2
     lower = [Fraction(1)] + sorted(Fraction(p + l, s - 1) for l in range(1, s)) * 2
     upper.sort()
@@ -119,7 +119,7 @@ def gp_series(s: int, p: int, u: complex):
 
     The value is exactly gp_continue(s, p, u).value, real for real u.
     """
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
     if not cmath.isfinite(complex(u)):
         raise DomainError(f"u must be finite, got {u}")
@@ -795,6 +795,7 @@ def transport(s: int, p: int, waypoints) -> np.ndarray:
     (y, y', ..., y^{d-1}) at the final waypoint, within CONTINUATION_TOL
     relative or AccuracyError (see _continue).
     """
+    s, p = _validate_sp(s, p)
     if complex(waypoints[0]) != complex(XI_SEED):
         raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
     return _continue(s, p, waypoints[:-1], waypoints[-1:], CONTINUATION_TOL).states[0]
@@ -817,7 +818,7 @@ def gp_continue(
     the checked Taylor walk (see _continue): within tol relative, or
     AccuracyError.  A non-finite u raises DomainError.
     """
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     side = side or "none"
     zc2 = float(thresholds(s).zeta_c) ** 2
     uc = complex(u)
@@ -863,7 +864,7 @@ class BranchCoefficient(NamedTuple):
 
 def B_closed_form(s: int, p: int) -> BranchCoefficient:
     """B(zeta_c^2) = -(p^2/4pi) s^{2p-1}/(s-1)^{2p+1}."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     return BranchCoefficient(
         rational=Fraction(-(p**2) * s ** (2 * p - 1), 4 * (s - 1) ** (2 * p + 1))
     )
@@ -871,7 +872,7 @@ def B_closed_form(s: int, p: int) -> BranchCoefficient:
 
 def edge_density_closed(s: int, p: int) -> float:
     """rho_p(zeta_c^2) = (p/2pi) (s/(s-1))^{2p+1} = -(2s^2/p) B(zeta_c^2)."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     return p / (2.0 * math.pi) * (s / (s - 1.0)) ** (2 * p + 1)
 
 
@@ -901,7 +902,7 @@ def resonant_fit(
     the next-order analytic background so the w^2 log w coefficient lands
     within a few percent of the closed form.
     """
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     if isinstance(dps, bool) or not isinstance(dps, numbers.Integral) or dps < 15:
         raise DomainError(f"dps must be an integer >= 15, got {dps!r}")
     dps = int(dps)
@@ -976,6 +977,7 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     the branch point would carry its large high derivatives along: at
     (5, 10) on fig3's grid that path lost 17 of 30 digits.
     """
+    s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(x > 1.0 for x in nodes):
         raise DomainError("cut_trace nodes must satisfy xi > 1")

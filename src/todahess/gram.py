@@ -107,7 +107,7 @@ def sigma_p(s: int, p: int, zeta: float, tol: float = DEFAULT_TOL) -> float:
     tol (relative) by the geometric bound on the term ratios, or added in
     closed form (see _kernels).  DomainError unless s and p are integers.
     """
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     return _gram_product(s, p, 1, zeta, tol)[0][0, 0]
 
 

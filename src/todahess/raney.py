@@ -10,13 +10,16 @@ zeta_c^{-m} growth never overflows.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError, UnsupportedRangeError
 
 
-def _validate_sp(s: int, p: int) -> None:
-    """DomainError unless s and p are integers (a numpy integer counts, a
-    bool does not, as in maps._order); then s >= 2 and p >= 1."""
+def _validate_sp(s: int, p: int) -> tuple:
+    """(s, p) as Python ints, so no numpy scalar overflows the exact
+    arithmetic; DomainError unless both are integers (a numpy integer
+    counts, a bool does not, as in maps._order) with s >= 2, and
+    UnsupportedRangeError unless p >= 1."""
     for name, x in (("s", s), ("p", p)):
         if isinstance(x, bool) or not hasattr(x, "__index__"):
             raise DomainError(f"{name} must be an integer, got {x!r}")
@@ -24,11 +27,12 @@ def _validate_sp(s: int, p: int) -> None:
         raise DomainError(f"symmetry order s must be >= 2, got {s}")
     if p < 1:
         raise UnsupportedRangeError(f"index p must be >= 1, got {p}")
+    return operator.index(s), operator.index(p)
 
 
 def raney(s: int, p: int, n: int) -> int:
     """Exact Raney number R_{s,p}(n) as a Python integer."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     num = p * math.comb(s * n + p, n)
@@ -59,7 +63,7 @@ def raney_step(s: int, p: int, m):
 
 def raney_table(s: int, p: int, n_max: int) -> tuple:
     """(R_{s,p}(0), ..., R_{s,p}(n_max)) via the exact ratio recurrence."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     vals = [1]
@@ -104,7 +108,7 @@ def zeta_c_value(s: int) -> float:
 
 def amplitude(s: int, p: int) -> float:
     """A_{s,p} = p M^p / sqrt(2 pi s (s-1)), M = s/(s-1); DomainError on overflow."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     try:
         amp = p * (s / (s - 1)) ** p / math.sqrt(2.0 * math.pi * s * (s - 1))
     except OverflowError:
@@ -117,7 +121,7 @@ def amplitude(s: int, p: int) -> float:
 def scaled_raney_seq(s: int, p: int, m_max: int) -> list:
     """h_m = R_{s,p}(m) * zeta_c^m * m^{3/2} for m = 1..m_max, by float ratio
     updates (h stays O(1), so no overflow for any m)."""
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     zc = zeta_c_value(s)
     # R(1) * zeta_c = p/ (s+p) * C(s+p,1) * zc = p * zc  ... compute exactly:
     r_scaled = float(raney(s, p, 1)) * zc

@@ -42,7 +42,7 @@ class MomentSequence:
 
 
 def moments(s: int, p: int, n_max: int) -> MomentSequence:
-    _validate_sp(s, p)
+    s, p = _validate_sp(s, p)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     tbl = raney_table(s, p, n_max)

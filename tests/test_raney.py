@@ -219,5 +219,13 @@ def test_non_integer_s_or_p_is_domain_error(bad):
 
 
 def test_numpy_integer_s_and_p_are_accepted():
-    assert raney.raney(np.int64(3), np.int64(2), 4) == raney.raney(3, 2, 4)
-    assert raney.raney_table(np.int32(3), np.int64(1), 5) == raney.raney_table(3, 1, 5)
+    # they become Python ints: at (8, 16) the ratio products overflow int64,
+    # and raney_table raised ArithmeticError
+    s, p = np.int64(8), np.int64(16)
+    assert raney.raney_table(s, p, 40) == raney.raney_table(8, 16, 40)
+    assert raney.raney(np.int32(3), p, 30) == raney.raney(3, 16, 30)
+    zeta = 0.5 * raney.zeta_c_value(8)
+    assert gram.sigma_p(s, p, zeta) == gram.sigma_p(8, 16, zeta)
+    state = continuation.gp_continue(s, p, 1.5 * zeta**2)
+    assert state.derivs == continuation.gp_continue(8, 16, 1.5 * zeta**2).derivs
+    assert type(state.s) is int and type(state.p) is int
