@@ -133,12 +133,35 @@ def _cmd_thresholds(args):
     return {"thresholds": tab}, {}
 
 
+#: digits per chunk of _int_str, under Python's default limit of 4300 on
+#: int -> str conversion
+_STR_DIGITS = 4000
+_STR_CHUNK = 10**_STR_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size: the exact a_k^2 at s = 8, n = 40 have
+    over 6000 digits, and R_{8,16}(n) passes 4300 at n = 3300."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n < _STR_CHUNK:
+        return str(n)
+    hi, lo = divmod(n, _STR_CHUNK)
+    return _int_str(hi) + str(lo).zfill(_STR_DIGITS)
+
+
+def _fraction_str(x) -> str:
+    """str(x) for a Fraction x of any size."""
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+
+
 def _cmd_raney(args):
     s, p, n = args.s, args.p, args.n
     tbl = raney.raney_table(s, p, n)
     tab = Table("todahess.raney.v1", ["s", "p", "n", "R"])
     for i in range(n + 1):
-        tab.add(s, p, i, str(tbl[i]))
+        tab.add(s, p, i, _int_str(tbl[i]))
     return {"raney": tab}, {}
 
 
@@ -326,8 +349,8 @@ def _cmd_jacobi(args):
     for k in range(jac.n):
         asq = jac.a_sq_exact[k - 1] if k >= 1 else None
         tab.add(
-            s, p, k, str(jac.b_exact[k]),
-            str(asq) if asq is not None else "",
+            s, p, k, _fraction_str(jac.b_exact[k]),
+            _fraction_str(asq) if asq is not None else "",
             float(jac.b_exact[k]),
             math.sqrt(float(asq)) if asq is not None else None,
         )

@@ -816,7 +816,8 @@ def gp_continue(
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
     the checked Taylor walk (see _continue): within tol relative, or
-    AccuracyError.  A non-finite u raises DomainError.
+    AccuracyError.  For real u off the cut (side 'none') the imaginary
+    parts are zero.  A non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
     side = side or "none"
@@ -831,7 +832,12 @@ def gp_continue(
         z = [c * math.factorial(j) for j, c in enumerate(taylor)]
         return _state(s, p, uc, side, z, (xi_t,))
     run = _continue(s, p, pts[1:-1], pts[-1:], tol, keep=3)
-    return _state(s, p, uc, side, run.states[0], tuple(pts), run)
+    z = run.states[0]
+    if side == "none" and uc.imag == 0.0:
+        # G_p is real on the real axis off the cut (Schwarz symmetry), as
+        # gp_series returns it; the walk's detour leaves rounding in im
+        z = z.real + 0j
+    return _state(s, p, uc, side, z, tuple(pts), run)
 
 
 def sigma_cont(s: int, p: int, u: complex, side: str = "none") -> complex:

@@ -15,19 +15,24 @@ import operator
 from .errors import DomainError, UnsupportedRangeError
 
 
+def _integer(name: str, x) -> int:
+    """x as a Python int, so no numpy scalar overflows the exact arithmetic;
+    DomainError unless x is an integer (a numpy integer counts, a bool does
+    not, as in maps._order)."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return operator.index(x)
+
+
 def _validate_sp(s: int, p: int) -> tuple:
-    """(s, p) as Python ints, so no numpy scalar overflows the exact
-    arithmetic; DomainError unless both are integers (a numpy integer
-    counts, a bool does not, as in maps._order) with s >= 2, and
+    """(s, p) as Python ints (see _integer); DomainError unless s >= 2, and
     UnsupportedRangeError unless p >= 1."""
-    for name, x in (("s", s), ("p", p)):
-        if isinstance(x, bool) or not hasattr(x, "__index__"):
-            raise DomainError(f"{name} must be an integer, got {x!r}")
+    s, p = _integer("s", s), _integer("p", p)
     if s < 2:
         raise DomainError(f"symmetry order s must be >= 2, got {s}")
     if p < 1:
         raise UnsupportedRangeError(f"index p must be >= 1, got {p}")
-    return operator.index(s), operator.index(p)
+    return s, p
 
 
 def raney(s: int, p: int, n: int) -> int:

@@ -3,10 +3,10 @@ and the Perron density of the representing measure of G_p.
 
 For 1 <= p <= s the rescaled sequence m_n = R_{s,p}(n)^2 zeta_c^{2n} is a
 Hausdorff moment sequence on [0, 1]; equivalently the unrescaled integers
-R_{s,p}(n)^2 are moments of a probability measure on [0, 1/zeta_c^2].  All
-recurrence data are computed in exact rational arithmetic (the notorious
-float instability of moment-based orthogonalization never enters); floats
-appear only at output.
+R_{s,p}(n)^2 are moments of a probability measure on [0, 1/zeta_c^2].  The
+Hankel minors and the recurrence data come from one fraction-free integer
+recurrence on those integers (the notorious float instability of
+moment-based orthogonalization never enters); floats appear only at output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,16 @@ import numpy as np
 from .continuation import cut_trace
 from .errors import ConditioningError, DomainError, PositivityError
 from .maps import thresholds
-from .raney import _validate_sp, raney_table
+from .raney import _integer, _validate_sp, raney_table
+
+
+def _at_least(name: str, x, least: int) -> int:
+    """x as a Python int; DomainError unless it is an integer (the rule of
+    raney._integer) >= least."""
+    x = _integer(name, x)
+    if x < least:
+        raise DomainError(f"{name} must be >= {least}, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -43,46 +52,78 @@ class MomentSequence:
 
 def moments(s: int, p: int, n_max: int) -> MomentSequence:
     s, p = _validate_sp(s, p)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _at_least("n_max", n_max, 0)
     tbl = raney_table(s, p, n_max)
     zc2 = thresholds(s).zeta_c ** 2
     ms = tuple(Fraction(tbl[n] ** 2) * zc2**n for n in range(n_max + 1))
     return MomentSequence(s=s, p=p, moments=ms)
 
 
+def _integer_moments(mseq: MomentSequence, count: int) -> list:
+    """mu_n = lam m_n / c^n for n < count, c = zeta_c^2, as integers.
+
+    lam > 0 is the lcm of the denominators left; for the sequences of
+    moments() it is 1 and mu_n = R_{s,p}(n)^2.  Scaling every moment by lam
+    changes no recurrence coefficient, and t -> c t multiplies b_k by c and
+    a_k^2 by c^2.
+    """
+    c = thresholds(mseq.s).zeta_c ** 2
+    q, c_num_n, c_den_n = [], 1, 1  # c^n = c_num_n / c_den_n
+    for m in map(Fraction, mseq.moments[:count]):
+        q.append(Fraction(m.numerator * c_den_n, m.denominator * c_num_n))
+        c_num_n *= c.numerator
+        c_den_n *= c.denominator
+    lam = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (lam // x.denominator) for x in q]
+
+
+def _hankel_rows(mu: list):
+    """Yield (Delta_k, T_k) for k = 0, 1, ... while len(mu) >= 2k + 1.
+
+    Delta_k = det(mu_{i+j})_{0<=i,j<=k} is the k-th leading Hankel minor and
+    T_{k,l} = Delta_{k-1} sigma_{k,l} the integer multiple of the mixed
+    moment sigma_{k,l} = L[P_k t^l] of the monic orthogonal P_k; the list T_k
+    holds it at index l for k <= l < len(mu) - k.  From Delta_{-1} = 1,
+    T_{-1,l} = 0 and T_{0,l} = mu_l, Chebyshev's recurrence for sigma
+    (Gautschi 1982) becomes fraction-free (Bareiss 1968):
+
+        T_{k,l} = [Delta_{k-2} (Delta_{k-1} T_{k-1,l+1} - T_{k-1,k} T_{k-1,l})
+                   + Delta_{k-1} (T_{k-2,k-1} T_{k-1,l} - Delta_{k-1} T_{k-2,l})]
+                  / Delta_{k-2}^2,
+
+    and Delta_k = T_{k,k}.  The division is exact; a remainder raises
+    ArithmeticError.  The caller stops at the first Delta_k <= 0, which the
+    row after next would divide by.
+    """
+    size = len(mu)
+    dd, t2, t1 = 1, [0] * size, list(mu)  # Delta_{k-2}, T_{k-2}, T_{k-1}
+    yield t1[0], t1
+    for k in range(1, (size + 1) // 2):
+        d = t1[k - 1]
+        a, b, c, den = dd * d, d * t2[k - 1] - dd * t1[k], d * d, dd * dd
+        t = [0] * size
+        for l in range(k, size - k):
+            q, r = divmod(a * t1[l + 1] + b * t1[l] - c * t2[l], den)
+            if r:
+                raise ArithmeticError("Hankel recurrence left a remainder")
+            t[l] = q
+        yield t[k], t
+        dd, t2, t1 = d, t1, t
+
+
 def hankel_positivity(mseq: MomentSequence, k_max: int) -> bool:
-    """All leading Hankel minors det(m_{i+j})_{0<=i,j<=k} > 0 for k <= k_max,
-    in exact rational arithmetic."""
+    """All leading Hankel minors det(m_{i+j})_{0<=i,j<=k} > 0 for k <= k_max.
+
+    The minors are the Delta_k of the integer recurrence behind
+    jacobi_coefficients (see _hankel_rows), on mu_n = lam m_n / zeta_c^{2n}:
+    the unscaling multiplies each minor by a positive factor.  False at the
+    first Delta_k <= 0.
+    """
+    k_max = _at_least("k_max", k_max, 0)
     if 2 * k_max > mseq.n_max:
         raise DomainError("k_max needs moments up to index 2 k_max")
-    for k in range(k_max + 1):
-        mat = [[mseq.moments[i + j] for j in range(k + 1)] for i in range(k + 1)]
-        if _det_fraction(mat) <= 0:
-            return False
-    return True
-
-
-def _det_fraction(mat) -> Fraction:
-    """Determinant by fraction-preserving Gaussian elimination with pivoting."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for cc in range(c, n):
-                    a[r][cc] -= f * a[c][cc]
-    return det
+    rows = _hankel_rows(_integer_moments(mseq, 2 * k_max + 1))
+    return all(delta > 0 for delta, _ in rows)
 
 
 @dataclass(frozen=True)
@@ -121,45 +162,43 @@ class JacobiData:
 
 
 def jacobi_coefficients(mseq: MomentSequence, n: int) -> JacobiData:
-    """(a_k, b_k) by Chebyshev's algorithm in exact rationals.
+    """(a_k, b_k) by Chebyshev's algorithm in fraction-free integers.
 
     Computes b_0..b_{n-1} and a_1^2..a_{n-1}^2 (enough for the n x n
-    truncation) from the moments m_0..m_{2n-1} through the mixed moments
-    sigma_{k,l} = L[P_k t^l] (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982):
+    truncation) from the moments m_0..m_{2n-1}.  They are unscaled to the
+    integers mu_n = lam m_n / c^n, c = zeta_c^2, with lam the lcm of any
+    denominators left (mu_n = R_{s,p}(n)^2 for moments()), and the Hankel minors Delta_k and T_{k,l} = Delta_{k-1} sigma_{k,l} come
+    from the recurrence of _hankel_rows (Gautschi, SIAM J. Sci. Stat.
+    Comput. 3, 1982; Bareiss 1968).  With Delta_{-1} = 1 and T_{-1,0} = 0,
 
-        sigma_{k,l} = sigma_{k-1,l+1} - b_{k-1} sigma_{k-1,l}
-                      - a_{k-1}^2 sigma_{k-2,l},
-        a_k^2 = sigma_{k,k} / sigma_{k-1,k-1},
-        b_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}.
+        b_k = c (T_{k,k+1} / Delta_k - T_{k-1,k} / Delta_{k-1}),
+        a_k^2 = c^2 Delta_k Delta_{k-2} / Delta_{k-1}^2,
 
-    Raises PositivityError when some L[P_k^2] = sigma_{k,k} <= 0, which
-    signals p outside the guaranteed range 1 <= p <= s or too few moments.
+    each one Fraction built at the end.  Raises PositivityError when some
+    Delta_k <= 0 (L[P_k^2] = sigma_{k,k} <= 0), which signals p outside the
+    guaranteed range 1 <= p <= s or too few moments.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _at_least("n", n, 1)
     if 2 * n + 1 > mseq.n_max + 1:
         raise DomainError(f"need moments up to 2n = {2*n}, have {mseq.n_max}")
-    old = list(mseq.moments[: 2 * n])  # sigma_{k-1, l}
-    if old[0] <= 0:
-        raise PositivityError("m_0 <= 0")
-    older = [Fraction(0)] * (2 * n)  # sigma_{k-2, l}
-    # a_sq[0] = 0 stands in for a_0^2, which multiplies sigma_{-1, l} = 0
-    a_sq, b_list = [Fraction(0)], [old[1] / old[0]]
-    for k in range(1, n):
-        row = [Fraction(0)] * (2 * n)
-        for l in range(k, 2 * n - k):
-            row[l] = old[l + 1] - b_list[-1] * old[l] - a_sq[-1] * older[l]
-        if row[k] <= 0:
-            raise PositivityError(f"L[P_{k}^2] = {row[k]} <= 0")
-        a_sq.append(row[k] / old[k - 1])
-        b_list.append(row[k + 1] / row[k] - old[k] / old[k - 1])
-        older, old = old, row
-    return JacobiData(
-        s=mseq.s,
-        p=mseq.p,
-        a_sq_exact=tuple(a_sq[1:]),
-        b_exact=tuple(b_list),
+    delta, t_next = [1], [0]  # Delta_{k-1}, T_{k-1,k} from k = 0
+    for k, (dk, row) in enumerate(_hankel_rows(_integer_moments(mseq, 2 * n))):
+        if dk <= 0:
+            raise PositivityError(f"Hankel minor Delta_{k} <= 0: L[P_{k}^2] <= 0")
+        delta.append(dk)
+        t_next.append(row[k + 1])
+    c = thresholds(mseq.s).zeta_c ** 2
+    cn, cd = c.numerator, c.denominator
+    b = tuple(
+        Fraction(cn * (t_next[k + 1] * delta[k] - t_next[k] * delta[k + 1]),
+                 cd * delta[k + 1] * delta[k])
+        for k in range(n)
     )
+    a_sq = tuple(
+        Fraction(cn * cn * delta[k + 1] * delta[k - 1], cd * cd * delta[k] ** 2)
+        for k in range(1, n)
+    )
+    return JacobiData(s=mseq.s, p=mseq.p, a_sq_exact=a_sq, b_exact=b)
 
 
 def weyl_function(jac: JacobiData, u: complex) -> complex:
@@ -167,7 +206,8 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
 
     J is the unrescaled Jacobi operator; with the stored rescaled data this
     is the same fraction evaluated at x = u / zeta_c^2.  Converges to G_p(u)
-    as the depth grows, for u off [zeta_c^2, inf).
+    as the depth grows, for u off [zeta_c^2, inf).  ConditioningError when a
+    denominator falls below 1e-8 (a near-pole) or overflows.
     """
     if not cmath.isfinite(complex(u)):
         raise DomainError(f"u must be finite, got {u}")
@@ -177,15 +217,18 @@ def weyl_function(jac: JacobiData, u: complex) -> complex:
     a2 = [float(v) for v in jac.a_sq_exact]
     n = len(b)
     # u^{-1} must stay off the truncated spectrum; near-pole denominators
-    # below the 1e-8 margin are rejected rather than amplified.
+    # below the 1e-8 margin are rejected rather than amplified.  x^2
+    # overflows for |u| beyond about 1e154 zeta_c^2, so a denominator that
+    # is inf or nan is rejected too; a finite one of size >= 1e-8 keeps
+    # every f, and so the result, finite.
     den = 1.0 - x * b[n - 1]
-    if abs(den) < 1e-8:
-        raise ConditioningError("continued fraction hit a near-pole")
+    if not 1e-8 <= abs(den) < math.inf:
+        raise ConditioningError("continued fraction hit a near-pole or overflowed")
     f = 1.0 / den
     for k in range(n - 2, -1, -1):
         den = 1.0 - x * b[k] - x * x * a2[k] * f
-        if abs(den) < 1e-8:
-            raise ConditioningError("continued fraction hit a near-pole")
+        if not 1e-8 <= abs(den) < math.inf:
+            raise ConditioningError("continued fraction hit a near-pole or overflowed")
         f = 1.0 / den
     return complex(f)
 
@@ -239,6 +282,7 @@ def perron_integrals(
     """
     if not 0 < delta_rel < 0.5:
         raise DomainError("delta_rel must lie in (0, 0.5)")
+    n_panels = _at_least("n_panels", n_panels, 1)
     zc2 = float(thresholds(s).zeta_c) ** 2
     tmax = 1.0 / zc2
     xi_a = 1.0 / (1.0 - delta_rel)

@@ -1,11 +1,12 @@
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from todahess import cli
+from todahess import cli, raney, stieltjes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,6 +211,43 @@ def test_jacobi_command(capsys):
     assert run(["jacobi", "--s", "2", "--p", "1", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "1/16" in out and "3/256" in out
+
+
+def _str_past_the_digit_limit(values):
+    """str() of each value with Python's limit on int -> str conversion
+    (4300 digits by default) lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_int_str_matches_str_across_chunks():
+    # 4000-digit chunks: both sides of a chunk edge, zeros inside a chunk
+    # and negative values
+    values = [0, -7, 10**4000 - 1, 10**4000, 10**8001 + 7, -(10**9000) - 1]
+    assert [cli._int_str(v) for v in values] == _str_past_the_digit_limit(values)
+
+
+def test_jacobi_command_prints_exact_values_past_the_digit_limit(capsys):
+    # a_39^2 at (8, 8) has over 6000 digits, and the command exited 1 with
+    # the ValueError of Python's 4300-digit limit on int -> str conversion
+    assert run(["jacobi", "--s", "8", "--p", "8", "--n", "40", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    jac = stieltjes.jacobi_coefficients(stieltjes.moments(8, 8, 81), 40)
+    want_a = _str_past_the_digit_limit(jac.a_sq_exact)
+    assert max(map(len, want_a)) > 4300
+    assert [r[4] for r in rows[1:]] == want_a
+    assert [r[3] for r in rows] == _str_past_the_digit_limit(jac.b_exact)
+
+
+def test_raney_command_prints_values_past_the_digit_limit(capsys):
+    assert run(["raney", "--s", "8", "--p", "16", "--n", "3400", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    want = _str_past_the_digit_limit([raney.raney(8, 16, 3400)])
+    assert len(want[0]) > 4300 and rows[-1][3] == want[0]
 
 
 def test_computation_failure_exit_1(capsys):

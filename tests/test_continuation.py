@@ -176,6 +176,19 @@ def test_schwarz_reflection():
     assert abs(b.value - a.value.conjugate()) < 1e-10
 
 
+@pytest.mark.parametrize("s,p,xi", [(8, 16, -1.2), (3, 1, 0.99), (3, 1, -3.0)])
+def test_real_targets_off_the_cut_are_real(s, p, xi):
+    # the walk detours through xi + 0.3i and left im G'' near -5.5e-15 at
+    # (8,16); G_p is real there.  The 'above' walk takes the same path, and
+    # its real parts are the same bits.
+    u = xi * float(thresholds(s).zeta_c) ** 2
+    st = cont.gp_continue(s, p, u, "none")
+    assert all(d.imag == 0.0 for d in st.derivs)
+    assert cont.sigma_from_state(st).imag == 0.0
+    above = cont.gp_continue(s, p, u, "above")
+    assert [d.real for d in st.derivs] == [d.real for d in above.derivs]
+
+
 def test_cut_is_real():
     u = 1.5 * ZC2_2
     ga = cont.gp_continue(2, 1, u, "above").value

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from todahess import continuation as cont
@@ -12,6 +12,52 @@ from todahess.errors import ConditioningError, DomainError, PositivityError
 from todahess.maps import thresholds
 
 ZC2_2 = float(thresholds(2).zeta_c) ** 2
+
+
+def _chebyshev_fractions(mseq, n):
+    """Reference: Chebyshev's algorithm on the rescaled moments in Fractions
+    (Gautschi 1982), the mixed moments sigma_{k,l} = L[P_k t^l] updated by
+
+        sigma_{k,l} = sigma_{k-1,l+1} - b_{k-1} sigma_{k-1,l}
+                      - a_{k-1}^2 sigma_{k-2,l}.
+
+    Returns (a_1^2..a_{n-1}^2, b_0..b_{n-1}); raises PositivityError at the
+    first sigma_{k,k} <= 0."""
+    old = list(mseq.moments[: 2 * n])  # sigma_{k-1, l}
+    if old[0] <= 0:
+        raise PositivityError("m_0 <= 0")
+    older = [Fraction(0)] * (2 * n)  # sigma_{k-2, l}
+    a_sq, b_list = [Fraction(0)], [old[1] / old[0]]
+    for k in range(1, n):
+        row = [Fraction(0)] * (2 * n)
+        for l in range(k, 2 * n - k):
+            row[l] = old[l + 1] - b_list[-1] * old[l] - a_sq[-1] * older[l]
+        if row[k] <= 0:
+            raise PositivityError(f"L[P_{k}^2] = {row[k]} <= 0")
+        a_sq.append(row[k] / old[k - 1])
+        b_list.append(row[k + 1] / row[k] - old[k] / old[k - 1])
+        older, old = old, row
+    return tuple(a_sq[1:]), tuple(b_list)
+
+
+def _det_fraction(mat):
+    """Reference: determinant by Gaussian elimination in Fractions."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            for cc in range(c, n):
+                a[r][cc] -= f * a[c][cc]
+    return det
 
 
 def test_moments_examples():
@@ -46,6 +92,69 @@ def test_hankel_positivity_outside_range_recorded():
 def test_hankel_needs_enough_moments():
     with pytest.raises(DomainError):
         st.hankel_positivity(st.moments(2, 1, 5), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=hst.integers(2, 8), data=hst.data(), n=hst.integers(1, 30))
+@example(s=8, data=None, n=30)
+def test_jacobi_matches_the_fraction_recurrence(s, data, n):
+    # the integer recurrence gives exactly the reference's Fractions
+    p = s if data is None else data.draw(hst.integers(1, s))
+    ms = st.moments(s, p, 2 * n)
+    jac = st.jacobi_coefficients(ms, n)
+    assert (jac.a_sq_exact, jac.b_exact) == _chebyshev_fractions(ms, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=hst.integers(2, 8), data=hst.data(), k_max=hst.integers(0, 9))
+@example(s=3, data=None, k_max=4)  # (3, 6): Delta_1 < 0
+def test_hankel_positivity_matches_the_determinants(s, data, k_max):
+    # p > s reaches minors <= 0, so both outcomes are drawn
+    p = 2 * s if data is None else data.draw(hst.integers(1, 2 * s))
+    ms = st.moments(s, p, 2 * k_max)
+    dets = (
+        _det_fraction([[ms.moments[i + j] for j in range(k + 1)] for i in range(k + 1)])
+        for k in range(k_max + 1)
+    )
+    assert st.hankel_positivity(ms, k_max) == all(d > 0 for d in dets)
+
+
+def test_jacobi_of_shifted_legendre_moments():
+    # m_n = 1/(n+1) are the moments of dt on [0, 1]: b_k = 1/2 and
+    # a_k^2 = k^2 / (4 (2k-1)(2k+1)); the moments are not integers after
+    # the division by zeta_c^{2n}, so the lcm scaling is exercised
+    n = 12
+    ms = st.MomentSequence(s=3, p=1, moments=tuple(
+        Fraction(1, j + 1) for j in range(2 * n + 1)))
+    jac = st.jacobi_coefficients(ms, n)
+    assert jac.b_exact == (Fraction(1, 2),) * n
+    assert jac.a_sq_exact == tuple(
+        Fraction(k * k, 4 * (2 * k - 1) * (2 * k + 1)) for k in range(1, n))
+    assert st.hankel_positivity(ms, n)
+
+
+_COUNTS = {  # each count's call, and the largest integer it refuses
+    "moments": (lambda v: st.moments(2, 1, v), -1),
+    "jacobi": (lambda v: st.jacobi_coefficients(st.moments(2, 1, 12), v), 0),
+    "hankel": (lambda v: st.hankel_positivity(st.moments(2, 1, 12), v), -1),
+    "perron": (lambda v: st.perron_integrals(2, 1, n_panels=v), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@pytest.mark.parametrize("value", [2.5, True, "3", np.float64(3.0), "below"])
+def test_counts_must_be_integers_in_range(name, value):
+    # the integer rule of raney._validate_sp: a bool, a float or a string is
+    # a DomainError, and so is an integer below the range
+    call, below = _COUNTS[name]
+    with pytest.raises(DomainError):
+        call(below if isinstance(value, str) and value == "below" else value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    ms = st.moments(2, 1, np.int64(12))
+    assert st.jacobi_coefficients(ms, np.int64(6)) == st.jacobi_coefficients(ms, 6)
+    assert st.hankel_positivity(ms, np.int64(6))
 
 
 def test_jacobi_first_coefficients():
@@ -157,6 +266,13 @@ def test_perron_density_keeps_point_order():
     order = np.argsort(t_ratio)
     shuffled = st.perron_density(2, 1, t_ratio)
     assert np.array_equal(shuffled[order], st.perron_density(2, 1, t_ratio[order]))
+
+
+@pytest.mark.parametrize("u", [-1e160, 1e300, complex(-1e160, 1e160)])
+def test_weyl_overflow_is_a_conditioning_error(u):
+    # x^2 overflows past |u| ~ 1e154 zeta_c^2, and the fraction gave nan+nanj
+    with pytest.raises(ConditioningError):
+        st.weyl_function(_JACOBI[(2, 1)], u)
 
 
 def test_weyl_near_pole_errors():
