@@ -8,10 +8,10 @@ finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  The power
 series at 0 is summed in one place, _power_series: it gives the values in
 the disk |xi| <= SERIES_RADIUS and seeds every walk at XI_SEED.  Off the
 disk, continuation re-expands the solution in Taylor steps from the
-recurrence of that reduced equation, along piecewise-linear paths that
-detour around xi = 1; two walks with different step lengths, in complex
-doubles first and, if they disagree, in fixed-point Python integers at
-extended precision, bound the error.  mpmath numbers carry the inputs and
+recurrence of that reduced equation, along the axis to real targets in
+(0, 1) and along paths that detour around xi = 1 elsewhere; two walks with
+different step lengths, in complex doubles first and, if they disagree, in
+fixed-point Python integers at extended precision, bound the error.  mpmath numbers carry the inputs and
 results of the extended walks, and the resonant fit's least-squares solve.
 
 The scalar Gram weights are recovered by the Euler operator
@@ -386,9 +386,9 @@ def _shift(coeffs: list, tau, d: int) -> list:
 # scale factor is a triple (re, im, e) with value (re + i im) 2^-e rounded to
 # about f bits, so its powers keep their relative precision.  The
 # coefficients of one expansion are pairs of integer mantissas that share
-# one exponent.  Every rounding floors, so the walk mirrors paths in the
-# lower half plane (see _taylor_walk) to keep conjugate paths exact
-# conjugates.
+# one exponent.  Every rounding floors, so a path and its mirror image
+# give conjugates only up to rounding; _continue walks every checked path in
+# the upper half plane to keep conjugate paths exact conjugates.
 
 
 def _shl(x: int, n: int) -> int:
@@ -588,24 +588,23 @@ def _fx_step(s, p, d, ar, st, centre, ends, far, rho):
     return out, n
 
 
-def _fx_values(st: _FxState, f: int, real: bool, mirror: bool) -> list:
-    """[y, y', ..., y^(d-1)] of the state st as mpmath numbers at the working
-    precision: mpf for a real walk, else mpc, conjugated for a mirrored one."""
+def _fx_values(st: _FxState, f: int) -> list:
+    """[y, y', ..., y^(d-1)] of the state st as mpc numbers at the working
+    precision; on a real path every imaginary part is exactly zero."""
     out = []
     inv = _fl_powers(_fl_div((1 << f, 0), st.centre, f), len(st.mants), f)
     for i, ((re, im), x) in enumerate(zip(st.mants, inv)):
         fac, e = math.factorial(i), st.exp + x[2] - st.k * i
-        val = mp.mpf(((re * x[0] - im * x[1]) * fac, -e))
-        if not real:
-            val = mp.mpc(val, mp.mpf(((re * x[1] + im * x[0]) * (-fac if mirror else fac), -e)))
-        out.append(val)
+        out.append(mp.mpc(mp.mpf(((re * x[0] - im * x[1]) * fac, -e)),
+                          mp.mpf(((re * x[1] + im * x[0]) * fac, -e))))
     return out
 
 
 def _segment_distance(a: complex, b: complex, z: complex) -> float:
     """Distance from z to the segment [a, b]."""
     v = b - a
-    lam = 0.0 if v == 0 else ((z - a) * v.conjugate()).real / abs(v) ** 2
+    # complex division scales by v: |v|^2 would under- or overflow
+    lam = 0.0 if v == 0 else ((z - a) / v).real
     return abs(a + min(max(lam, 0.0), 1.0) * v - z)
 
 
@@ -617,8 +616,8 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
 
     The path is the polygon XI_SEED -> targets[0] -> targets[1] -> ...;
     targets may be complex, and the path must keep 1e-9 away from xi = 0
-    and 1.  The seed state is summed from the power series at 0.  Each step
-    re-expands y at the current centre c from the recurrence of
+    and 1; _continue, not the walk, mirrors lower paths.  The seed state is
+    summed from the power series at 0.  Each step re-expands y at the current centre c from the recurrence of
     _recurrence_row and evaluates it at every following target within
     rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
     nearer singular point.
@@ -626,7 +625,9 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
     point rho/reach further along the path; these choices are made in
     doubles in either number type.  Each expansion stops once its geometric
     tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles (see
-    _expand); dps is at most 250.  Non-finite targets raise DomainError.
+    _expand); dps is at most 250.  Non-finite targets raise DomainError,
+    and a step point that leaves the double range (targets beyond about
+    |xi| = 1e154) raises PathError.
     """
     ar = _arith(dps)
     d = _ode_fractions(s, p)[0]
@@ -643,17 +644,9 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
         if dps is None:
             step, ends, cx = _double_step, pts, centre
         else:
-            # floored roundings are not odd, so a path that leaves the real
-            # axis downwards runs as its mirror image: conjugate paths then
-            # give exact conjugates
-            mirror = next((z.imag < 0 for z in corners if z.imag), False)
-            real = not any(z.imag for z in corners)
             f = ar.bits + _POINT_GUARD_BITS
             step, cx = _fx_step, _fx_point(centre, f)
             ends = [_fx_point(t, f) for t in targets]
-            if mirror:
-                pts = [z.conjugate() for z in pts]
-                ends = [(x, -y) for x, y in ends]
         state, terms = _power_series(s, p, cx, d, ar)
         steps, k, states = 0, 0, []
         while k < len(pts):
@@ -668,6 +661,10 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
                 at = [ends[j] for j in served]
             else:
                 nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
+                if not cmath.isfinite(nxt):
+                    raise PathError(f"the step from xi = {centre:.3g} towards "
+                                    f"{pts[k]:.3g} overflows doubles; the walk "
+                                    "cannot reach targets this far out")
                 far = abs(nxt - centre)
                 at = [nxt if dps is None else _fx_point(nxt, f)]
             reached, n = step(s, p, d, ar, state, cx, at, far, rho)
@@ -680,7 +677,7 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
             fact = [math.factorial(i) for i in range(d)]
             states = [[x * g for x, g in zip(st, fact)] for st in states]
         else:
-            states = [_fx_values(st, f, real, mirror) for st in states]
+            states = [_fx_values(st, f) for st in states]
     return _TaylorWalk(states, steps, terms, None if dps is None else ar.digits)
 
 
@@ -704,6 +701,10 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
     returns (y, y', ...) at each node, the first keep components (all d for
     None), within tol relative.
 
+    The one place that imposes Schwarz symmetry: when the first non-real
+    target lies below the axis, the walks run on the conjugate targets and
+    return conjugated states, so conjugate paths give exact conjugates.
+
     Two walks serve the targets within rho/2 and rho/3 of each centre.  The
     largest relative disagreement between them of any returned component
     estimates the error, measured to be low by up to 2x, so it must not
@@ -712,7 +713,10 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
     budget; the rho/3 walk's states are returned.  Raises AccuracyError when
     the fixed-point walks disagree too.
     """
-    targets = [*path, *nodes]
+    targets = [complex(t) for t in (*path, *nodes)]
+    mirror = next((t.imag < 0 for t in targets if t.imag), False)
+    if mirror:
+        targets = [t.conjugate() for t in targets]
     why = ""
     for dps in (None, _MP_RUNG_DPS):
         try:
@@ -727,6 +731,8 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
                 for a, b in kept for x, y in zip(a, b)]
         if all(g <= tol / 4 for g in gaps):
             states = [np.array([complex(x) for x in b]) for _, b in kept]
+            if mirror:
+                states = [z.conjugate() for z in states]
             return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0))
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
     raise AccuracyError(
@@ -736,6 +742,11 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
 
 
 def _waypoints(xi_t: complex, side: str) -> list:
+    """Corners of the path from XI_SEED to xi_t: straight along the axis
+    for real xi_t in (0, 1), where G_p is exactly real, else the detour
+    XI_SEED -> XI_SEED + ih -> Re xi_t + ih -> xi_t, h = DETOUR_OFFSET on
+    the side of xi_t (of side on the real axis).  PathError for a target on
+    the cut with side 'none' or across it; DomainError for another side."""
     xi0 = complex(XI_SEED)
     re, im = xi_t.real, xi_t.imag
     if side == "none":
@@ -748,8 +759,11 @@ def _waypoints(xi_t: complex, side: str) -> list:
             raise PathError(f"target {xi_t} is on the opposite side of the cut")
     else:
         raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
-    h = sigma * DETOUR_OFFSET
-    pts = [xi0, complex(XI_SEED, h), complex(re, h), xi_t]
+    if im == 0.0 and 0.0 < re < 1.0:
+        pts = [xi0, xi_t]
+    else:
+        h = sigma * DETOUR_OFFSET
+        pts = [xi0, complex(XI_SEED, h), complex(re, h), xi_t]
     out = [pts[0]]
     for pt in pts[1:]:
         if pt != out[-1]:
@@ -808,7 +822,7 @@ def gp_continue(
     side: str = "none",
     tol: float = CONTINUATION_TOL,
 ) -> ContinuationState:
-    """Continue G_p to u on the slit plane along a detour path.
+    """Continue G_p to u on the slit plane along the path of _waypoints.
 
     side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
     'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
@@ -816,11 +830,11 @@ def gp_continue(
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
     the checked Taylor walk (see _continue): within tol relative, or
-    AccuracyError.  For real u off the cut (side 'none') the imaginary
-    parts are zero.  A non-finite u raises DomainError.
+    AccuracyError.  The imaginary parts are zero for real u off the cut
+    with side 'none', and in (0, zeta_c^2) with any side.  A non-finite u
+    raises DomainError.
     """
     s, p = _validate_sp(s, p)
-    side = side or "none"
     zc2 = float(thresholds(s).zeta_c) ** 2
     uc = complex(u)
     if not cmath.isfinite(uc):
@@ -835,7 +849,8 @@ def gp_continue(
     z = run.states[0]
     if side == "none" and uc.imag == 0.0:
         # G_p is real on the real axis off the cut (Schwarz symmetry), as
-        # gp_series returns it; the walk's detour leaves rounding in im
+        # gp_series returns it; the detour to a negative target leaves
+        # rounding in im, the walk along (0, 1) none
         z = z.real + 0j
     return _state(s, p, uc, side, z, tuple(pts), run)
 
@@ -924,7 +939,7 @@ def resonant_fit(
         ws = [mp.mpf(eps) for eps in eps_grid]
         # ascending xi = 1 - w: one walk towards the branch point
         walk = _taylor_walk(s, p, [1 - w for w in reversed(ws)], dps)
-        rhs = [st[0] for st in reversed(walk.states)]
+        rhs = [st[0].real for st in reversed(walk.states)]
         rows = []
         for w in ws:
             lw = mp.log(w)

@@ -170,17 +170,23 @@ def test_sides_agree_inside_disk():
 
 
 def test_schwarz_reflection():
-    u = ZC2_3 * (1.5 + 0.2j)
-    a = cont.gp_continue(3, 1, u, "none")
-    b = cont.gp_continue(3, 1, u.conjugate(), "none")
-    assert abs(b.value - a.value.conjugate()) < 1e-10
+    # _continue walks the lower target as the mirror of the upper one, in
+    # doubles and on the rung, which (8, 16) takes here
+    for s, p, xi, dps in ((3, 1, 1.5 + 0.2j, None),
+                          (8, 16, 3 + 0.5j, cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS)):
+        u = float(thresholds(s).zeta_c) ** 2 * xi
+        a = cont.gp_continue(s, p, u, "none")
+        b = cont.gp_continue(s, p, u.conjugate(), "none")
+        assert all(y == x.conjugate() for x, y in zip(a.derivs, b.derivs, strict=True))
+        assert (b.dps, b.steps, b.rel_est) == (a.dps, a.steps, a.rel_est)
+        assert a.dps == dps
 
 
 @pytest.mark.parametrize("s,p,xi", [(8, 16, -1.2), (3, 1, 0.99), (3, 1, -3.0)])
 def test_real_targets_off_the_cut_are_real(s, p, xi):
-    # the walk detours through xi + 0.3i and left im G'' near -5.5e-15 at
-    # (8,16); G_p is real there.  The 'above' walk takes the same path, and
-    # its real parts are the same bits.
+    # the negative targets detour through xi + 0.3i, which left im G'' near
+    # -5.5e-15 at (8,16); G_p is real there.  0.99 walks the axis.  The
+    # 'above' walk takes the same path, and its real parts are the same bits.
     u = xi * float(thresholds(s).zeta_c) ** 2
     st = cont.gp_continue(s, p, u, "none")
     assert all(d.imag == 0.0 for d in st.derivs)
@@ -246,15 +252,16 @@ def test_cut_trace_matches_gp_continue_on_fig3_grid():
 @given(s=hst.integers(2, 8), data=hst.data(),
        xis=hst.lists(hst.floats(1.01, 6.0), min_size=1, max_size=3))
 def test_cut_trace_matches_gp_continue(s, data, xis):
-    # the two paths of the order-2s equation differ by up to 3.4e-7 at
-    # s = 8, p = 15, xi = 6; legs started at the smallest node instead of a
-    # detour height from xi = 1 were off by up to 3e-2 on this domain
+    # the two routes agreed to 2.0e-13 in G, G' and G'' over 150 draws of
+    # this domain; legs started at the smallest node instead of a detour
+    # height from xi = 1 were off by up to 3e-2
     p = data.draw(hst.integers(1, 2 * s))
     zc2 = float(thresholds(s).zeta_c) ** 2
     states = cont.cut_trace(s, p, xis, side="above")
     for xi, st in zip(xis, states):
-        ref = cont.gp_continue(s, p, xi * zc2, "above").value
-        assert abs(st.value - ref) < 1e-5 * abs(ref)
+        ref = cont.gp_continue(s, p, xi * zc2, "above")
+        for got, want in zip(st.derivs, ref.derivs, strict=True):
+            assert abs(got - want) <= 2e-12 * abs(want)
 
 
 def test_cut_trace_keeps_node_order():
@@ -289,6 +296,28 @@ def test_path_errors():
         cont.gp_continue(2, 1, ZC2_2 * (1.5 + 0.3j), "below")  # wrong side
     with pytest.raises(PathError):
         cont.transport(2, 1, [0.3, 0.8])  # must start at the seed
+
+
+def test_side_none_is_a_domain_error():
+    with pytest.raises(DomainError):
+        cont.gp_continue(2, 1, 0.5 * ZC2_2, None)
+    with pytest.raises(DomainError):
+        cont.sigma_cont(3, 1, -2.0 * ZC2_3, None)
+
+
+def test_tiny_segment_is_walked():
+    # the segment guard divided by |v|^2, which underflows to 0 here
+    state = cont.transport(2, 1, [cont.XI_SEED, cont.XI_SEED + 1e-200j])
+    ref = _float_series(2, 1, cont.XI_SEED, len(state))
+    assert np.all(np.abs(state - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("xi", [-1e160, -1e300, 1e160j])
+def test_targets_beyond_the_double_range_are_path_errors(xi):
+    # |v|^2 overflowed in the segment guard, and past it the walk's step
+    # points do, within 0.5 s
+    with pytest.raises(PathError, match="overflows doubles"):
+        cont.gp_continue(2, 1, xi * ZC2_2, "none")
 
 
 def test_finiteness_at_univalence_threshold():
@@ -592,6 +621,34 @@ def _assert_matches_walk(st, dps, tol=1e-12):
 def test_disc_density_rho_is_one_lateral_value(s, p, eps):
     u = float(thresholds(s).zeta_c) ** 2 * (1.0 + eps)
     assert cont.disc_density_rho(s, p, u) == cont.sigma_cont(s, p, u, "above").imag / math.pi
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), log_w=hst.floats(-8.0, math.log10(2e-2)),
+       side=hst.sampled_from(["none", "above", "below"]))
+@example(s=8, k=15, log_w=-8.0, side="below")  # d = 16, the longest state
+def test_real_targets_below_the_cut_walk_the_axis(s, k, log_w, side):
+    # straight from XI_SEED, so G_p comes out real on either side; the
+    # reference walks the detour through xi + 0.3i that these took before
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = (1.0 - 10.0**log_w) * zc2
+    xi = u / zc2
+    if xi <= cont.SERIES_RADIUS:  # rounding carried xi an ulp into the disk
+        return
+    st = cont.gp_continue(s, p, u, side)
+    assert st.path == (cont.XI_SEED, xi)
+    assert all(d.imag == 0.0 for d in st.derivs)
+    ref = cont._taylor_walk(s, p, [cont.XI_SEED + 0.3j, xi + 0.3j, xi], 40).states[-1]
+    for j, got in enumerate(st.derivs):
+        want = complex(ref[j]) / zc2**j
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_real_target_below_the_cut_stays_in_doubles():
+    # (8, 16) at u = 0.985 zeta_c^2: the detour took the rung and 16 steps
+    st = cont.gp_continue(8, 16, 0.985 * float(thresholds(8).zeta_c) ** 2, "none")
+    assert st.dps is None and st.steps == 9
 
 
 @settings(max_examples=10, deadline=None)
