@@ -294,7 +294,7 @@ def crit_11_resonant(pairs=RESONANT_PAIRS):
 
 
 def crit_12_edge_density():
-    """ODE rho extrapolated to the edge within 3% of the closed form."""
+    """Taylor-walk rho extrapolated to the edge within 3% of the closed form."""
     ok = True
     info = {}
     eps = np.array([0.004, 0.008, 0.016, 0.032])
@@ -416,10 +416,11 @@ def crit_18_perron():
     """Mass = 1 +/- 2% and right-endpoint log-log slope 2 +/- 0.2.
 
     The mass is integrated over [delta, T - delta] with delta = 1e-12 T; at
-    the spec example's delta = 1e-3 T the left-endpoint t^{p/s-1} singularity
-    still holds >= 3% of the mass, so that delta cannot meet the 2% gate
-    (measured values recorded).  The first two moments of the density are
-    recorded against their exact values R_{s,p}(n)^2, not gated.
+    the spec example's delta = 1e-3 T the left endpoint still holds 20% of
+    the mass at (2, 1) and 50% at (3, 1) (masses 0.803 and 0.498, recorded
+    but not gated), so that delta cannot meet the 2% gate.  The first two
+    moments of the density are recorded against their exact values
+    R_{s,p}(n)^2, not gated.
     """
     ok = True
     info = {}

@@ -285,10 +285,10 @@ def _cmd_continue(args):
     sc = cont.sigma_from_state(st)
     hp = cont.hyp_params(s, p)
     tab = Table(
-        "todahess.continue.v1",
+        "todahess.continue.v2",
         ["s", "p", "u_ratio", "u", "side", "reduced_order", "cancelled",
          "re_G", "im_G", "re_G1", "im_G1", "re_G2", "im_G2",
-         "re_sigma", "im_sigma"],
+         "re_sigma", "im_sigma", "dps", "steps", "rel_est"],
     )
     tab.add(
         s, p, u_ratio, complex(st.u).real, st.side, len(hp.reduced_upper),
@@ -297,6 +297,7 @@ def _cmd_continue(args):
         st.derivs[1].real, st.derivs[1].imag,
         st.derivs[2].real, st.derivs[2].imag,
         complex(sc).real, complex(sc).imag,
+        st.dps, st.steps, st.rel_est,
     )
     return {"continue": tab}, {}
 

@@ -6,13 +6,13 @@ so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
 finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  The power
 series at 0 is summed in one place, _power_series: it gives the values in
-the disk |xi| <= SERIES_RADIUS and seeds every walk at XI_SEED.  Off the
-disk, continuation re-expands the solution in Taylor steps from the
-recurrence of that reduced equation, along the axis to real targets in
-(0, 1) and along paths that detour around xi = 1 elsewhere; two walks with
-different step lengths, in complex doubles first and, if they disagree, in
-fixed-point Python integers at extended precision, bound the error.  mpmath numbers carry the inputs and
-results of the extended walks, and the resonant fit's least-squares solve.
+the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Off it,
+Taylor steps from the recurrence of that reduced equation continue the
+solution along the one route rule, _waypoints: real targets walk the real
+axis, non-real ones detour around xi = 1.  Two walks with different step
+lengths, in complex doubles first and, if they disagree, in fixed-point
+integers at extended precision, bound the error; mpmath numbers carry the
+inputs and results of the extended walks and the resonant fit's solve.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -608,33 +608,33 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
     return abs(a + min(max(lam, 0.0), 1.0) * v - z)
 
 
-def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
-    """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from XI_SEED
-    through targets, in order: in fixed-point integers at dps +
+def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
+    """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from path[0]
+    through the targets path[1:], in order: in fixed-point integers at dps +
     TAYLOR_GUARD_DPS digits, returned as mpmath numbers, or in Python complex
     doubles for dps=None.
 
-    The path is the polygon XI_SEED -> targets[0] -> targets[1] -> ...;
-    targets may be complex, and the path must keep 1e-9 away from xi = 0
-    and 1; _continue, not the walk, mirrors lower paths.  The seed state is
-    summed from the power series at 0.  Each step re-expands y at the current centre c from the recurrence of
+    The path is the polygon path[0] -> path[1] -> ...: it starts in the
+    disk of the power series at 0, which gives the seed state (a route
+    starts at +-XI_SEED), may be complex, and must keep 1e-9 away from
+    xi = 0 and 1; _continue, not the walk, mirrors lower paths.  Each step
+    re-expands y at the current centre c from the recurrence of
     _recurrence_row and evaluates it at every following target within
     rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
-    nearer singular point.
-    The next centre is the last of those targets or, if there is none, the
-    point rho/reach further along the path; these choices are made in
-    doubles in either number type.  Each expansion stops once its geometric
-    tail is below 10^-(dps+6) relative, or _SERIES_TOL in doubles (see
-    _expand); dps is at most 250.  Non-finite targets raise DomainError,
-    and a step point that leaves the double range (targets beyond about
-    |xi| = 1e154) raises PathError.
+    nearer singular point.  The next centre is the last of those targets
+    or, if there is none, the point rho/reach further along the path; these
+    choices are made in doubles in either number type.  Each expansion
+    stops once its geometric tail is below 10^-(dps+6) relative, or
+    _SERIES_TOL in doubles (see _expand); dps is at most 250.  Non-finite
+    targets raise DomainError, and a step point that leaves the double
+    range (targets beyond about |xi| = 1e154) raises PathError.
     """
     ar = _arith(dps)
     d = _ode_fractions(s, p)[0]
-    pts = [complex(t) for t in targets]
-    corners = [complex(XI_SEED)] + pts
+    corners = [complex(t) for t in path]
+    pts = corners[1:]
     if not all(cmath.isfinite(z) for z in corners):
-        raise DomainError(f"continuation targets must be finite, got {targets!r}")
+        raise DomainError(f"continuation targets must be finite, got {path!r}")
     for a, b in zip(corners, corners[1:]):
         if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
             raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
@@ -645,8 +645,8 @@ def _taylor_walk(s: int, p: int, targets, dps, reach: int = 2) -> _TaylorWalk:
             step, ends, cx = _double_step, pts, centre
         else:
             f = ar.bits + _POINT_GUARD_BITS
-            step, cx = _fx_step, _fx_point(centre, f)
-            ends = [_fx_point(t, f) for t in targets]
+            step, cx = _fx_step, _fx_point(path[0], f)
+            ends = [_fx_point(t, f) for t in path[1:]]
         state, terms = _power_series(s, p, cx, d, ar)
         steps, k, states = 0, 0, []
         while k < len(pts):
@@ -697,7 +697,7 @@ class _Continued(NamedTuple):
 
 
 def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
-    """_taylor_walk from XI_SEED along the corners path and on through nodes;
+    """_taylor_walk from path[0] along the corners path and on through nodes;
     returns (y, y', ...) at each node, the first keep components (all d for
     None), within tol relative.
 
@@ -725,8 +725,8 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
-        kept = [(a[:keep], b[:keep])
-                for a, b in zip(coarse.states[len(path):], fine.states[len(path):])]
+        kept = [(a[:keep], b[:keep]) for a, b in
+                zip(coarse.states[len(path) - 1:], fine.states[len(path) - 1:])]
         gaps = [float(abs(x - y) / max(abs(y), 1e-300))
                 for a, b in kept for x, y in zip(a, b)]
         if all(g <= tol / 4 for g in gaps):
@@ -742,12 +742,14 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
 
 
 def _waypoints(xi_t: complex, side: str) -> list:
-    """Corners of the path from XI_SEED to xi_t: straight along the axis
-    for real xi_t in (0, 1), where G_p is exactly real, else the detour
-    XI_SEED -> XI_SEED + ih -> Re xi_t + ih -> xi_t, h = DETOUR_OFFSET on
-    the side of xi_t (of side on the real axis).  PathError for a target on
-    the cut with side 'none' or across it; DomainError for another side."""
-    xi0 = complex(XI_SEED)
+    """Corners of the route to xi_t, the one rule that picks a walk's path.
+    A real target walks the real axis: off the cut from +-XI_SEED on its
+    side of 0, so G_p comes out exactly real, and on the cut from 1 + h,
+    reached by the detour XI_SEED -> XI_SEED + ih -> 1 + h + ih.  A
+    non-real target takes the detour XI_SEED -> XI_SEED + ih -> Re xi_t +
+    ih -> xi_t.  h = DETOUR_OFFSET on the side of xi_t, or of side on the
+    cut: PathError for side 'none' there or a target across it, and
+    DomainError for another side."""
     re, im = xi_t.real, xi_t.imag
     if side == "none":
         if im == 0.0 and re >= 1.0:
@@ -759,16 +761,15 @@ def _waypoints(xi_t: complex, side: str) -> list:
             raise PathError(f"target {xi_t} is on the opposite side of the cut")
     else:
         raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
-    if im == 0.0 and 0.0 < re < 1.0:
-        pts = [xi0, xi_t]
+    if im == 0.0 and re < 1.0:
+        pts = [complex(math.copysign(XI_SEED, re)), xi_t]
     else:
         h = sigma * DETOUR_OFFSET
-        pts = [xi0, complex(XI_SEED, h), complex(re, h), xi_t]
-    out = [pts[0]]
-    for pt in pts[1:]:
-        if pt != out[-1]:
-            out.append(pt)
-    return out
+        # leave the detour over Re xi_t, or over 1 + DETOUR_OFFSET to join
+        # the cut; off the cut the corner complex(x, im) is xi_t itself
+        x = re if im else 1.0 + DETOUR_OFFSET
+        pts = [complex(XI_SEED), complex(XI_SEED, h), complex(x, h), complex(x, im), xi_t]
+    return [pt for i, pt in enumerate(pts) if i == 0 or pt != pts[i - 1]]
 
 
 @dataclass(frozen=True)
@@ -805,13 +806,13 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
 def transport(s: int, p: int, waypoints) -> np.ndarray:
     """Low-level: carry the solution vector along explicit xi waypoints.
 
-    The first waypoint must be XI_SEED.  Returns the xi-derivative vector
-    (y, y', ..., y^{d-1}) at the final waypoint, within CONTINUATION_TOL
-    relative or AccuracyError (see _continue).
+    The first of at least two waypoints must be XI_SEED.  Returns the
+    xi-derivative vector (y, y', ..., y^{d-1}) at the final waypoint, within
+    CONTINUATION_TOL relative or AccuracyError (see _continue).
     """
     s, p = _validate_sp(s, p)
-    if complex(waypoints[0]) != complex(XI_SEED):
-        raise PathError(f"paths must start at the seed point xi = {XI_SEED}")
+    if len(waypoints) < 2 or complex(waypoints[0]) != complex(XI_SEED):
+        raise PathError(f"paths must go from the seed point xi = {XI_SEED} onwards")
     return _continue(s, p, waypoints[:-1], waypoints[-1:], CONTINUATION_TOL).states[0]
 
 
@@ -830,9 +831,9 @@ def gp_continue(
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
     the checked Taylor walk (see _continue): within tol relative, or
-    AccuracyError.  The imaginary parts are zero for real u off the cut
-    with side 'none', and in (0, zeta_c^2) with any side.  A non-finite u
-    raises DomainError.
+    AccuracyError.  Real u off the cut walks the real axis, so for every
+    side the imaginary parts are exactly zero; on the cut the state is that
+    of a one-node cut_trace.  A non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
@@ -845,14 +846,8 @@ def gp_continue(
         taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
         z = [c * math.factorial(j) for j, c in enumerate(taylor)]
         return _state(s, p, uc, side, z, (xi_t,))
-    run = _continue(s, p, pts[1:-1], pts[-1:], tol, keep=3)
-    z = run.states[0]
-    if side == "none" and uc.imag == 0.0:
-        # G_p is real on the real axis off the cut (Schwarz symmetry), as
-        # gp_series returns it; the detour to a negative target leaves
-        # rounding in im, the walk along (0, 1) none
-        z = z.real + 0j
-    return _state(s, p, uc, side, z, tuple(pts), run)
+    run = _continue(s, p, pts[:-1], pts[-1:], tol, keep=3)
+    return _state(s, p, uc, side, run.states[0], tuple(pts), run)
 
 
 def sigma_cont(s: int, p: int, u: complex, side: str = "none") -> complex:
@@ -938,7 +933,7 @@ def resonant_fit(
     with mp.workdps(dps):
         ws = [mp.mpf(eps) for eps in eps_grid]
         # ascending xi = 1 - w: one walk towards the branch point
-        walk = _taylor_walk(s, p, [1 - w for w in reversed(ws)], dps)
+        walk = _taylor_walk(s, p, [XI_SEED, *(1 - w for w in reversed(ws))], dps)
         rhs = [st[0].real for st in reversed(walk.states)]
         rows = []
         for w in ws:
@@ -992,11 +987,12 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     """States along the cut at the given xi nodes (all > 1), in the order of
     the nodes.
 
-    Two checked walks (see _continue) follow the detour to xi_0 = 1 +
-    DETOUR_OFFSET on the cut, then the real axis inward through the nodes
-    below xi_0 and outward through the rest.  Walking back out from near
-    the branch point would carry its large high derivatives along: at
-    (5, 10) on fig3's grid that path lost 17 of 30 digits.
+    Two checked walks (see _continue) take the route of _waypoints to xi_0 =
+    1 + DETOUR_OFFSET on the cut, then the real axis inward through the
+    nodes below xi_0 and outward through the rest, so a single node gets
+    gp_continue's state.  Walking back out from near the branch point would
+    carry its large high derivatives along: at (5, 10) on fig3's grid that
+    path lost 17 of 30 digits.
     """
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
@@ -1009,7 +1005,8 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     for leg in (sorted({x for x in nodes if x < xi0}, reverse=True),
                 sorted({x for x in nodes if x >= xi0})):
         if leg:
-            run = _continue(s, p, pts[1:], leg, tol, keep=3)
-            states.update((xi, _state(s, p, xi * zc2, side, z, (*pts, xi), run))
+            run = _continue(s, p, pts, leg, tol, keep=3)
+            states.update((xi, _state(s, p, xi * zc2, side, z,
+                                      tuple(_waypoints(complex(xi), side)), run))
                           for xi, z in zip(leg, run.states))
     return [states[xi] for xi in nodes]

@@ -10,25 +10,23 @@ exact rationals because several invariants are knife-edge comparisons.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BranchAmbiguityError, DomainError, IterationError
-from .raney import raney_table
+from .raney import _integer, raney_table
 
 #: Newton Jacobian modulus below which the branch is declared ambiguous.
 JACOBIAN_FLOOR = 1e-8
 
 
 def _order(s) -> int:
-    """s as a Python int; DomainError unless s is an integer >= 2 (a numpy
-    integer counts, a bool does not).  __index__ marks an integer: an
-    isinstance check against numbers.Integral costs about 1 us per call."""
-    if isinstance(s, bool) or not hasattr(s, "__index__") or s < 2:
+    """s as a Python int (see raney._integer); DomainError unless s >= 2."""
+    s = _integer("s", s)
+    if s < 2:
         raise DomainError(f"s must be an integer >= 2, got {s!r}")
-    return operator.index(s)
+    return s
 
 
 @dataclass(frozen=True)

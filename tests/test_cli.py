@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from todahess import cli, raney, stieltjes
+from todahess import cli, continuation, raney, stieltjes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -205,6 +205,24 @@ def test_continue_and_weyl_commands(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     diff = float(out[-1].split()[-1])
     assert diff < 1e-6
+
+
+def test_continue_reports_the_walk_diagnostics(capsys):
+    # dps is null for a walk in doubles: (8, 16) at -1.2 walks the axis, and
+    # 2.5 below the cut takes the fixed-point rung
+    rows = {}
+    for ratio, side in (("-1.2", "none"), ("2.5", "below")):
+        args = ["continue", "--s", "8", "--p", "16", "--u-ratio", ratio, "--side", side]
+        assert run(args + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "todahess.continue.v2"
+        rows[ratio] = dict(zip(payload["columns"], payload["rows"][0], strict=True))
+    assert rows["-1.2"]["dps"] is None and rows["-1.2"]["steps"] == 4
+    assert rows["2.5"]["dps"] == continuation._MP_RUNG_DPS + continuation.TAYLOR_GUARD_DPS
+    for row in rows.values():
+        assert 0.0 <= float(row["rel_est"]) <= 1e-12 / 4
+    assert run(["continue", "--s", "8", "--p", "16", "--u-ratio", "-1.2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[-3:-1] == ["", "4"]
 
 
 def test_jacobi_command(capsys):

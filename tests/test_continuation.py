@@ -184,15 +184,15 @@ def test_schwarz_reflection():
 
 @pytest.mark.parametrize("s,p,xi", [(8, 16, -1.2), (3, 1, 0.99), (3, 1, -3.0)])
 def test_real_targets_off_the_cut_are_real(s, p, xi):
-    # the negative targets detour through xi + 0.3i, which left im G'' near
-    # -5.5e-15 at (8,16); G_p is real there.  0.99 walks the axis.  The
-    # 'above' walk takes the same path, and its real parts are the same bits.
+    # the negative targets detoured through xi + 0.3i, which left im G'' near
+    # -5.5e-15 at (8,16), and 'above' differed from 'none' there; every side
+    # now walks the same stretch of the real axis
     u = xi * float(thresholds(s).zeta_c) ** 2
     st = cont.gp_continue(s, p, u, "none")
     assert all(d.imag == 0.0 for d in st.derivs)
     assert cont.sigma_from_state(st).imag == 0.0
-    above = cont.gp_continue(s, p, u, "above")
-    assert [d.real for d in st.derivs] == [d.real for d in above.derivs]
+    for side in ("above", "below"):
+        assert cont.gp_continue(s, p, u, side).derivs == st.derivs
 
 
 def test_cut_is_real():
@@ -296,6 +296,8 @@ def test_path_errors():
         cont.gp_continue(2, 1, ZC2_2 * (1.5 + 0.3j), "below")  # wrong side
     with pytest.raises(PathError):
         cont.transport(2, 1, [0.3, 0.8])  # must start at the seed
+    with pytest.raises(PathError):
+        cont.transport(2, 1, [cont.XI_SEED])  # and go somewhere
 
 
 def test_side_none_is_a_domain_error():
@@ -513,7 +515,7 @@ def test_taylor_walk_matches_direct_series(s, p):
     # series needs the most terms
     with mp.workdps(40):
         xis = [1 - mp.mpf(w) for w in np.geomspace(1.5e-3, 6e-2, 24)[2::-1]]
-        walk = cont._taylor_walk(s, p, xis, 40)
+        walk = cont._taylor_walk(s, p, [cont.XI_SEED, *xis], 40)
         for st, ref in zip(walk.states, _direct_series(s, p, xis, 40), strict=True):
             assert abs(st[0] - ref) <= mp.mpf("1e-37") * ref
 
@@ -524,7 +526,7 @@ def test_taylor_walk_matches_direct_series(s, p):
 def test_taylor_walk_matches_float_series(s, k, xi):
     p = 1 + k % (2 * s)
     ref = _float_series(s, p, xi, cont._ode_fractions(s, p)[0])
-    (state,) = cont._taylor_walk(s, p, [xi], 30).states
+    (state,) = cont._taylor_walk(s, p, [cont.XI_SEED, xi], 30).states
     assert len(state) == len(ref)
     for got, want in zip(state, ref):
         assert abs(complex(got) - want) <= 1e-12 * abs(want)
@@ -533,16 +535,16 @@ def test_taylor_walk_matches_float_series(s, k, xi):
 def test_taylor_walk_complex_path():
     # a polygon through the upper and lower half of the disk and back
     path = [0.3 + 0.6j, -0.5 + 0.2j, 0.1 - 0.7j, 0.8 - 0.1j]
-    walk = cont._taylor_walk(3, 2, path, 30)
+    walk = cont._taylor_walk(3, 2, [cont.XI_SEED, *path], 30)
     d = cont._ode_fractions(3, 2)[0]
     for xi, state in zip(path, walk.states, strict=True):
         ref = _float_series(3, 2, xi, d)
         for got, want in zip(state, ref):
             assert abs(complex(got) - want) <= 1e-12 * abs(want)
     with pytest.raises(PathError):
-        cont._taylor_walk(2, 1, [1.5], 30)  # the real segment meets xi = 1
+        cont._taylor_walk(2, 1, [cont.XI_SEED, 1.5], 30)  # the real segment meets xi = 1
     with pytest.raises(PathError):
-        cont._taylor_walk(2, 1, [0.3j, -0.3j], 30)  # meets xi = 0
+        cont._taylor_walk(2, 1, [cont.XI_SEED, 0.3j, -0.3j], 30)  # meets xi = 0
 
 
 def _hyper_derivs(s, p, xi, n):
@@ -564,13 +566,14 @@ def _hyper_derivs(s, p, xi, n):
 #: largest relative gap of G, G', G'' between a 20-digit and a 40-digit
 #: walk allowed on the draws of test_walk_at_20_digits_matches_40_digits:
 #: the mpmath rung that the fixed-point one replaced reached 2.4e-17 there
-#: (at (8, 16), xi = -1.2), rounded up to a power of ten
+#: (at (8, 16), xi = -1.2, on the detour through -1.2 + 0.3i), rounded up
+#: to a power of ten
 WALK_GAP_BOUND = 1e-16
 
 
 def _walk_gap(s, p, path):
-    """Largest relative gap of G, G', G'' at the end of path between the
-    walks at 20 and at 40 digits."""
+    """Largest relative gap of G, G', G'' at the end of path, from its first
+    corner, between the walks at 20 and at 40 digits."""
     a = cont._taylor_walk(s, p, path, 20).states[-1]
     b = cont._taylor_walk(s, p, path, 40).states[-1]
     return max(float(abs(x - y) / abs(y)) for x, y in zip(a[:3], b[:3]))
@@ -579,14 +582,15 @@ def _walk_gap(s, p, path):
 @settings(max_examples=20, deadline=None)
 @given(s=hst.integers(2, 8), k=hst.integers(0, 15), r=hst.floats(1.05, 6.0),
        theta=hst.floats(-math.pi, math.pi), on_cut=hst.booleans())
-@example(s=8, k=15, r=1.2, theta=math.pi, on_cut=False)  # (8, 16) at xi = -1.2
+# (8, 16) near xi = -1.2, on the detour through -1.2 + 0.3i: 1.0e-17
+@example(s=8, k=15, r=abs(-1.2 + 0.2j), theta=cmath.phase(-1.2 + 0.2j), on_cut=False)
 @example(s=8, k=15, r=abs(3 + 0.5j), theta=cmath.phase(3 + 0.5j), on_cut=False)
 def test_walk_at_20_digits_matches_40_digits(s, k, r, theta, on_cut):
     # the fixed-point rung on gp_continue's paths, off the disk and on the cut
     p = 1 + k % (2 * s)
     xi = complex(r) if on_cut else cmath.rect(r, theta)
     side = "above" if xi.imag == 0.0 and xi.real > 1.0 else "none"
-    assert _walk_gap(s, p, cont._waypoints(xi, side)[1:]) <= WALK_GAP_BOUND
+    assert _walk_gap(s, p, cont._waypoints(xi, side)) <= WALK_GAP_BOUND
 
 
 # on the cut, each with the gap the mpmath rung reached there rounded up to
@@ -596,13 +600,13 @@ def test_walk_at_20_digits_matches_40_digits(s, k, r, theta, on_cut):
 @pytest.mark.parametrize("s,p,xi,bound", [(6, 3, 1.2, 1e-25), (8, 2, 4.0, 1e-21),
                                           (6, 1, 4.5, 1e-23)])
 def test_walk_at_20_digits_keeps_the_precision_of_the_mpmath_rung(s, p, xi, bound):
-    assert _walk_gap(s, p, cont._waypoints(complex(xi), "above")[1:]) <= bound
+    assert _walk_gap(s, p, cont._waypoints(complex(xi), "above")) <= bound
 
 
-@pytest.mark.parametrize("xi", [-1.2, 3 + 0.5j])
+@pytest.mark.parametrize("xi", [-1.2 + 0.2j, 3 + 0.5j])
 def test_walk_at_20_digits_matches_hypergeometric_at_large_s(xi):
     # (8, 16), where the double walks disagree and the rung serves
-    path = cont._waypoints(complex(xi), "none")[1:]
+    path = cont._waypoints(complex(xi), "none")
     state = cont._taylor_walk(8, 16, path, 20).states[-1]
     for got, want in zip(state, _hyper_derivs(8, 16, xi, 3)):
         assert abs(complex(got) - want) <= 1e-15 * abs(want)
@@ -611,7 +615,7 @@ def test_walk_at_20_digits_matches_hypergeometric_at_large_s(xi):
 def _assert_matches_walk(st, dps, tol=1e-12):
     """G, G', G'' of st within tol relative of a dps-digit walk on st.path."""
     zc2 = float(thresholds(st.s).zeta_c) ** 2
-    ref = cont._taylor_walk(st.s, st.p, st.path[1:], dps).states[-1]
+    ref = cont._taylor_walk(st.s, st.p, st.path, dps).states[-1]
     for j, got in enumerate(st.derivs):
         want = complex(ref[j]) / zc2**j
         assert abs(got - want) <= tol * abs(want)
@@ -639,7 +643,8 @@ def test_real_targets_below_the_cut_walk_the_axis(s, k, log_w, side):
     st = cont.gp_continue(s, p, u, side)
     assert st.path == (cont.XI_SEED, xi)
     assert all(d.imag == 0.0 for d in st.derivs)
-    ref = cont._taylor_walk(s, p, [cont.XI_SEED + 0.3j, xi + 0.3j, xi], 40).states[-1]
+    ref = cont._taylor_walk(s, p, [cont.XI_SEED, cont.XI_SEED + 0.3j, xi + 0.3j, xi],
+                            40).states[-1]
     for j, got in enumerate(st.derivs):
         want = complex(ref[j]) / zc2**j
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -649,6 +654,60 @@ def test_real_target_below_the_cut_stays_in_doubles():
     # (8, 16) at u = 0.985 zeta_c^2: the detour took the rung and 16 steps
     st = cont.gp_continue(8, 16, 0.985 * float(thresholds(8).zeta_c) ** 2, "none")
     assert st.dps is None and st.steps == 9
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15),
+       log_x=hst.floats(math.log10(cont.SERIES_RADIUS), 3.0))
+@example(s=8, k=15, log_x=math.log10(1.2))  # d = 16, the longest state
+def test_negative_targets_walk_the_axis(s, k, log_x):
+    # straight from -XI_SEED, so G_p comes out real for every side; the
+    # reference walks the detour through xi + 0.3i that these took before
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = -(10.0**log_x) * zc2
+    xi = u / zc2
+    if xi >= -cont.SERIES_RADIUS:  # rounding carried xi an ulp into the disk
+        return
+    st = cont.gp_continue(s, p, u, "none")
+    assert st.path == (-cont.XI_SEED, xi)
+    assert all(d.imag == 0.0 for d in st.derivs)
+    for side in ("above", "below"):
+        assert cont.gp_continue(s, p, u, side).derivs == st.derivs
+    ref = cont._taylor_walk(s, p, [cont.XI_SEED, cont.XI_SEED + 0.3j, xi + 0.3j, xi],
+                            40).states[-1]
+    for j, got in enumerate(st.derivs):
+        want = complex(ref[j]) / zc2**j
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), x=hst.floats(1.0, 6.0, exclude_min=True),
+       side=hst.sampled_from(["above", "below"]))
+@example(s=3, k=0, x=1.3, side="above")  # the corner where the cut route joins the axis
+def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
+    # one route to the cut: the detour to 1 + DETOUR_OFFSET, then the axis
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = x * zc2
+    xi = u / zc2  # the xi that gp_continue walks to, an ulp from x at most
+    if xi - 1.0 < 1e-9:  # both keep the walk 1e-9 away from the branch point
+        with pytest.raises(PathError):
+            cont.gp_continue(s, p, u, side)
+        with pytest.raises(PathError):
+            cont.cut_trace(s, p, [xi], side)
+        return
+    st = cont.gp_continue(s, p, u, side)
+    (trace,) = cont.cut_trace(s, p, [xi], side)
+    assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
+            == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
+
+
+@pytest.mark.parametrize("s,p,xi,side", [(3, 4, 1 + 1e-7, "above"), (8, 16, -1.2, "none")])
+def test_real_axis_routes_stay_in_doubles(s, p, xi, side):
+    # the vertical leg to 1 + 1e-7 and the detour to -1.2 took the rung
+    st = cont.gp_continue(s, p, xi * float(thresholds(s).zeta_c) ** 2, side)
+    assert st.dps is None
 
 
 @settings(max_examples=10, deadline=None)
@@ -733,8 +792,8 @@ def test_cut_values_inside_the_old_exclusion_disk(s, p, eps, dps):
     xi = 1.0 / t_ratio  # the nodes perron_density continues to
     states = cont.cut_trace(s, p, xi)
     assert [st.dps for st in states] == [dps] * len(eps)
-    path = states[0].path[1:-1]
-    ref = cont._taylor_walk(s, p, [*path, *xi], 40).states[len(path):]
+    path = states[0].path[:-1]
+    ref = cont._taylor_walk(s, p, [*path, *xi], 40).states[len(path) - 1:]
     for st, want in zip(states, ref):
         for j, got in enumerate(st.derivs):
             w = complex(want[j]) / zc2**j
@@ -757,8 +816,8 @@ def test_state_diagnostics():
     double = cont.gp_continue(3, 2, -3.0 * ZC2_3, "none")
     assert double.dps is None and double.steps > 0
     assert 0.0 <= double.rel_est <= 1e-12 / 4
-    # the double walks of (8, 16) disagree in the fifth digit
-    wide = cont.gp_continue(8, 16, -1.2 * float(thresholds(8).zeta_c) ** 2, "none")
+    # the double walks of (8, 16) disagree in the seventh digit
+    wide = cont.gp_continue(8, 16, (3 + 0.5j) * float(thresholds(8).zeta_c) ** 2, "none")
     assert wide.dps == cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS
     assert 0.0 <= wide.rel_est <= 1e-12 / 4
 
