@@ -7,12 +7,14 @@ upper/lower parameters the reduced equation has order q_p + 1 and its only
 finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  The power
 series at 0 is summed in one place, _power_series: it gives the values in
 the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Off it,
-Taylor steps from the recurrence of that reduced equation continue the
-solution along the one route rule, _waypoints: real targets walk the real
-axis, non-real ones detour around xi = 1.  Two walks with different step
-lengths, in complex doubles first and, if they disagree, in fixed-point
-integers at extended precision, bound the error; mpmath numbers carry the
-inputs and results of the extended walks and the resonant fit's solve.
+Taylor steps continue the solution along the one route rule, _waypoints:
+real targets walk the real axis, non-real ones detour around xi = 1.  Their
+recurrence is read straight from the reduced equation in theta form,
+P(theta) y = xi R(theta) y (_theta_polys, _recurrence_row).  Two walks with
+different step lengths, in complex doubles first and, if they disagree, in
+fixed-point integers at extended precision, bound the error (transport);
+mpmath numbers carry the inputs and results of the extended walks and the
+resonant fit's solve.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -134,16 +136,6 @@ def gp_series(s: int, p: int, u: complex):
 # Reduced ODE in theta form
 
 
-def _stirling2(n: int):
-    """Table S(k, j), 0 <= j <= k <= n, Stirling numbers of the second kind."""
-    tab = [[0] * (n + 1) for _ in range(n + 1)]
-    tab[0][0] = 1
-    for k in range(1, n + 1):
-        for j in range(1, k + 1):
-            tab[k][j] = j * tab[k - 1][j] + tab[k - 1][j - 1]
-    return tab
-
-
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -153,36 +145,29 @@ def _poly_mul(a, b):
 
 
 @lru_cache(maxsize=None)
-def _ode_fractions(s: int, p: int) -> tuple:
-    """(d, c, e): exact coefficients of the reduced equation.
+def _theta_polys(s: int, p: int) -> tuple:
+    """(P, R): the reduced equation P(theta) y = xi R(theta) y, theta =
+    xi d/dxi, with P = theta prod_b (theta + b - 1) over the reduced lower
+    parameters b and R = prod_a (theta + a) over the reduced upper ones a.
 
-    The reduced operator is theta * prod_b (theta + b - 1) - xi *
-    prod_a (theta + a); converting theta^k = sum_j S(k,j) xi^j D^j gives
-    sum_j xi^j (c_j - xi e_j) y^(j) = 0 with c_d = e_d = 1, so
-
-        y^(d) = - sum_{j<d} xi^j (c_j - xi e_j) y^(j) / (xi^d (1 - xi)).
-
-    c and e are tuples of Fractions, j = 0..d.
+    Both are monic of degree d, the order of the equation; they are
+    returned as tuples of integer coefficients, constant term first, scaled
+    by den, the lcm of their denominators, so each leading coefficient is
+    den.
     """
     hp = hyp_params(s, p)
-    a_list = hp.reduced_upper
-    b_list = hp.reduced_lower
-    d = len(a_list)
-    if len(b_list) != d - 1:
+    if len(hp.reduced_lower) != len(hp.reduced_upper) - 1:
         raise ArithmeticError("reduced parameter lists are unbalanced")
-
     p_poly = [Fraction(0), Fraction(1)]  # theta
-    for b in b_list:
+    for b in hp.reduced_lower:
         p_poly = _poly_mul(p_poly, [b - 1, Fraction(1)])
     r_poly = [Fraction(1)]
-    for a in a_list:
+    for a in hp.reduced_upper:
         r_poly = _poly_mul(r_poly, [a, Fraction(1)])
-    s2 = _stirling2(d)
-    c = tuple(sum(p_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1))
-    e = tuple(sum(r_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1))
-    if c[d] != 1 or e[d] != 1:
+    if p_poly[-1] != 1 or r_poly[-1] != 1:
         raise ArithmeticError("theta polynomials are not monic")
-    return d, c, e
+    den = math.lcm(*(x.denominator for x in p_poly + r_poly))
+    return tuple(int(den * x) for x in p_poly), tuple(int(den * x) for x in r_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +208,6 @@ def _arith(dps) -> _Arith:
     return _Arith(digits, 10.0 ** (-(dps + 6)), round((digits + 1) * math.log2(10)))
 
 
-def _falling_row(n: int, d: int) -> list:
-    """[n!/(n-j)! for j = 0..d]."""
-    row = [1]
-    for j in range(d):
-        row.append(row[-1] * (n - j))
-    return row
-
-
 #: (s, p, ar.bits) -> the power-series coefficients a_m drawn so far
 _SEED_COEFFS: dict = {}
 
@@ -252,45 +229,53 @@ def _seed_coeffs(s: int, p: int, ar: _Arith):
         yield coeffs[m]
 
 
-@lru_cache(maxsize=None)
-def _row_tables(s: int, p: int) -> tuple:
-    """(ta, tb, den): the integers ta[r][j] = den c_j C(j, r), r < d, and
-    tb[r+1][j] = den e_j C(j+1, r+1), r = -1..d-1, of _recurrence_row's
-    sums, for den the common denominator of c and e."""
-    d, c, e = _ode_fractions(s, p)
-    den = math.lcm(*(x.denominator for x in c + e))
-    ci = [int(den * x) for x in c]
-    ei = [int(den * x) for x in e]
-    ta = tuple(tuple(ci[j] * math.comb(j, r) for j in range(d + 1)) for r in range(d))
-    tb = tuple(tuple(ei[j] * math.comb(j + 1, r + 1) for j in range(d + 1))
-               for r in range(-1, d))
-    return ta, tb, den
+def _theta_row(poly: tuple, n: int) -> list:
+    """[u_0, ..., u_deg] with [poly(T)]_{n,n+r} = u_r (n+r)!/n!, where
+    (T b)_m = (m+1) b_{m+1} + m b_m is theta acting on Taylor coefficients
+    (see _recurrence_row).  By Horner's rule in T, which is upper
+    bidiagonal: in this factored form a row times T reads u_r <- (n+r) u_r +
+    u_{r-1}.  The same u give [poly(T - 1)]_{n+1,n+1+r} = u_r (n+1+r)!/(n+1)!,
+    since T - 1 has the diagonal n + r in row n + 1."""
+    u = [poly[-1]]
+    for c in poly[-2::-1]:
+        u.append(u[-1])
+        for r in range(len(u) - 2, 0, -1):
+            u[r] = (n + r) * u[r] + u[r - 1]
+        u[0] = n * u[0] + c
+    return u
 
 
 @lru_cache(maxsize=None)
 def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
-    """(alpha, beta, lead, den): the integer recurrence of row N = big_n.
+    """(alpha, beta, lead): the integer recurrence of row N = big_n.
 
-    The coefficient of (xi - centre)^N in sum_j xi^j (c_j - xi e_j) y^(j) = 0
-    is, after scaling by centre^N, with b_n = a_n centre^n,
+    At a centre c write y = sum_n b_n tau^n, b_n = a_n c^n for the Taylor
+    coefficients a_n at c, and tau = (xi - c)/c.  Then theta = (1 + tau)
+    d/dtau acts on the b_n as (T b)_m = (m+1) b_{m+1} + m b_m, whatever c
+    is, and xi = c (1 + tau); the coefficient of tau^N in the reduced
+    equation P(theta) y = xi R(theta) y of _theta_polys reads
 
-        sum_{r=-1}^{d} b_{N+r} (alpha_r(N) - centre beta_r(N)) = 0,
-        alpha_r(N) = sum_j c_j C(j, r) (N+r)!/(N+r-j)!,
-        beta_r(N) = sum_j e_j C(j+1, r+1) (N+r)!/(N+r-j)!,
+        sum_{r=-1}^{d} b_{N+r} (alpha_r(N) - c beta_r(N)) = 0,
+        alpha_r(N) = [P(T)]_{N,N+r},
+        beta_r(N) = [R(T)]_{N,N+r} + [R(T)]_{N-1,N+r},
 
     a (d+2)-term recurrence that does not depend on the centre, with
-    alpha_d = beta_d = lead = (N+d)!/N!.  alpha holds den alpha_r(N) for
-    r < d and beta holds den beta_r(N) for r from -1 (0 when N = 0, where
-    b_{-1} = 0) to d - 1, integers for den the common denominator of c, e;
-    each is a dot product of a _row_tables row with (N+r)!/(N+r-j)!.
+    alpha_d = beta_d = den lead, lead = (N+d)!/N!, and alpha_{-1} = 0.
+    alpha holds alpha_r(N) for r < d and beta holds beta_r(N) for r from -1
+    (0 when N = 0, where b_{-1} = 0) to d - 1, integers since P and R carry
+    the factor den.  As (1 + tau) theta = (theta - 1) (1 + tau), beta_r(N)
+    is also [R(T - 1)]_{N,N+r} + [R(T - 1)]_{N,N+r+1}, so each row takes
+    one Horner pass per polynomial (_theta_row).
     """
-    ta, tb, den = _row_tables(s, p)
-    d = len(ta)
-    falling = [_falling_row(big_n + r, d) for r in range(-1, d + 1)]
-    alpha = tuple(sum(map(operator.mul, ta[r], falling[r + 1])) for r in range(d))
-    beta = tuple(sum(map(operator.mul, tb[r + 1], falling[r + 1]))
-                 for r in range(-1 if big_n else 0, d))
-    return alpha, beta, falling[d + 1][d], den
+    p_poly, r_poly = _theta_polys(s, p)
+    d = len(p_poly) - 1
+    fall = [1]  # (N+r)!/N!
+    for r in range(1, d + 1):
+        fall.append(fall[-1] * (big_n + r))
+    up, ur = _theta_row(p_poly, big_n), _theta_row(r_poly, big_n - 1)
+    alpha = tuple(map(operator.mul, fall[:d], up))
+    beta = tuple(fall[r] * (ur[r] + (big_n + r + 1) * ur[r + 1]) for r in range(d))
+    return alpha, (ur[0], *beta) if big_n else beta, fall[d]
 
 
 def _fdot(u: list, v: list):
@@ -301,12 +286,14 @@ def _fdot(u: list, v: list):
 def _recurrence_coeffs(s: int, p: int, centre: complex, head):
     """Scaled Taylor coefficients b_n = a_n centre^n of y at centre, in
     complex doubles, from the recurrence of _recurrence_row; head holds
-    b_0..b_{d-1}."""
+    b_0..b_{d-1}.  Row N gives b_{N+d} = (centre beta . b - alpha . b) /
+    (den lead (1 - centre)), for den the leading coefficient of
+    _theta_polys."""
     b = list(head)
     yield from b
-    inv = 1 / (_recurrence_row(s, p, 0)[3] * (1 - centre))
+    inv = 1 / (_theta_polys(s, p)[0][-1] * (1 - centre))
     for big_n in count():
-        alpha, beta, lead, _ = _recurrence_row(s, p, big_n)
+        alpha, beta, lead = _recurrence_row(s, p, big_n)
         acc = centre * _fdot(beta, b[max(big_n - 1, 0):]) - _fdot(alpha, b[big_n:])
         b.append(acc * inv / lead)
         yield b[-1]
@@ -387,7 +374,7 @@ def _shift(coeffs: list, tau, d: int) -> list:
 # about f bits, so its powers keep their relative precision.  The
 # coefficients of one expansion are pairs of integer mantissas that share
 # one exponent.  Every rounding floors, so a path and its mirror image
-# give conjugates only up to rounding; _continue walks every checked path in
+# give conjugates only up to rounding; transport walks every checked path in
 # the upper half plane to keep conjugate paths exact conjugates.
 
 
@@ -462,7 +449,7 @@ def _fx_recurrence(s: int, p: int, centre: tuple, k: int, re: list, im: list,
     Row N reads sum_r b'_{N+r} 2^(k(r+1)) (alpha_r - centre beta_r) = 0
     times 2^-(k(d+1)): the window of mantissas is lifted by shifts, the
     integer rows go straight into the dot products, and each coefficient is
-    rounded once.
+    rounded once; den is the leading coefficient of _theta_polys.
     """
     d = len(re)
     one = 1 << f
@@ -470,7 +457,7 @@ def _fx_recurrence(s: int, p: int, centre: tuple, k: int, re: list, im: list,
     ir, ii, ie = _fl_div((one, 0), (one - cr, -ci), f)  # 1 / (1 - centre)
     lifts = [k * j for j in range(d + 1)]
     shift = f + ie + k * (d + 1)
-    den = _row_tables(s, p)[2]
+    den = _theta_polys(s, p)[0][-1]
 
     def approx(mr, mi):
         n = max(mr.bit_length(), mi.bit_length(), 960) - 960
@@ -479,7 +466,7 @@ def _fx_recurrence(s: int, p: int, centre: tuple, k: int, re: list, im: list,
     for mr, mi in zip(re, im):
         yield approx(mr, mi)
     for big_n in count():
-        alpha, beta, lead, _ = _recurrence_row(s, p, big_n)
+        alpha, beta, lead = _recurrence_row(s, p, big_n)
         lo, lift = (big_n - 1, lifts) if big_n else (0, lifts[1:])
         wr = list(map(operator.lshift, re[lo:], lift))
         wi = list(map(operator.lshift, im[lo:], lift))
@@ -617,7 +604,7 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     The path is the polygon path[0] -> path[1] -> ...: it starts in the
     disk of the power series at 0, which gives the seed state (a route
     starts at +-XI_SEED), may be complex, and must keep 1e-9 away from
-    xi = 0 and 1; _continue, not the walk, mirrors lower paths.  Each step
+    xi = 0 and 1; transport, not the walk, mirrors lower paths.  Each step
     re-expands y at the current centre c from the recurrence of
     _recurrence_row and evaluates it at every following target within
     rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
@@ -630,7 +617,7 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     range (targets beyond about |xi| = 1e154) raises PathError.
     """
     ar = _arith(dps)
-    d = _ode_fractions(s, p)[0]
+    d = len(_theta_polys(s, p)[0]) - 1
     corners = [complex(t) for t in path]
     pts = corners[1:]
     if not all(cmath.isfinite(z) for z in corners):
@@ -696,10 +683,14 @@ class _Continued(NamedTuple):
     rel_est: float  # largest relative disagreement of the accepted walks
 
 
-def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
-    """_taylor_walk from path[0] along the corners path and on through nodes;
-    returns (y, y', ...) at each node, the first keep components (all d for
-    None), within tol relative.
+def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
+              keep=None) -> _Continued:
+    """Carry y(xi) = G_p(zeta_c^2 xi) from path[0] along the corners path
+    and on through nodes, the one checked walk behind gp_continue and
+    cut_trace.  The _Continued holds (y, y', ...) at each node, the first
+    keep components (all d for None), within tol relative, and the walk's
+    diagnostics.  path starts at +XI_SEED or -XI_SEED, the seed points of
+    every route, and nodes is not empty, or PathError.
 
     The one place that imposes Schwarz symmetry: when the first non-real
     target lies below the axis, the walks run on the conjugate targets and
@@ -713,6 +704,9 @@ def _continue(s: int, p: int, path, nodes, tol: float, keep=None) -> _Continued:
     budget; the rho/3 walk's states are returned.  Raises AccuracyError when
     the fixed-point walks disagree too.
     """
+    s, p = _validate_sp(s, p)
+    if len(path) == 0 or len(nodes) == 0 or complex(path[0]) not in (XI_SEED, -XI_SEED):
+        raise PathError(f"paths must go from xi = +-{XI_SEED} to at least one node")
     targets = [complex(t) for t in (*path, *nodes)]
     mirror = next((t.imag < 0 for t in targets if t.imag), False)
     if mirror:
@@ -803,19 +797,6 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
                              dps=dps, steps=steps, rel_est=rel_est)
 
 
-def transport(s: int, p: int, waypoints) -> np.ndarray:
-    """Low-level: carry the solution vector along explicit xi waypoints.
-
-    The first of at least two waypoints must be XI_SEED.  Returns the
-    xi-derivative vector (y, y', ..., y^{d-1}) at the final waypoint, within
-    CONTINUATION_TOL relative or AccuracyError (see _continue).
-    """
-    s, p = _validate_sp(s, p)
-    if len(waypoints) < 2 or complex(waypoints[0]) != complex(XI_SEED):
-        raise PathError(f"paths must go from the seed point xi = {XI_SEED} onwards")
-    return _continue(s, p, waypoints[:-1], waypoints[-1:], CONTINUATION_TOL).states[0]
-
-
 def gp_continue(
     s: int,
     p: int,
@@ -830,7 +811,7 @@ def gp_continue(
     the state is summed from the power series at 0 (_power_series, which
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
-    the checked Taylor walk (see _continue): within tol relative, or
+    the checked Taylor walk (see transport): within tol relative, or
     AccuracyError.  Real u off the cut walks the real axis, so for every
     side the imaginary parts are exactly zero; on the cut the state is that
     of a one-node cut_trace.  A non-finite u raises DomainError.
@@ -846,7 +827,7 @@ def gp_continue(
         taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
         z = [c * math.factorial(j) for j, c in enumerate(taylor)]
         return _state(s, p, uc, side, z, (xi_t,))
-    run = _continue(s, p, pts[:-1], pts[-1:], tol, keep=3)
+    run = transport(s, p, pts[:-1], pts[-1:], tol, keep=3)
     return _state(s, p, uc, side, run.states[0], tuple(pts), run)
 
 
@@ -987,7 +968,7 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     """States along the cut at the given xi nodes (all > 1), in the order of
     the nodes.
 
-    Two checked walks (see _continue) take the route of _waypoints to xi_0 =
+    Two checked walks (see transport) take the route of _waypoints to xi_0 =
     1 + DETOUR_OFFSET on the cut, then the real axis inward through the
     nodes below xi_0 and outward through the rest, so a single node gets
     gp_continue's state.  Walking back out from near the branch point would
@@ -1005,7 +986,7 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     for leg in (sorted({x for x in nodes if x < xi0}, reverse=True),
                 sorted({x for x in nodes if x >= xi0})):
         if leg:
-            run = _continue(s, p, pts, leg, tol, keep=3)
+            run = transport(s, p, pts, leg, tol, keep=3)
             states.update((xi, _state(s, p, xi * zc2, side, z,
                                       tuple(_waypoints(complex(xi), side)), run))
                           for xi, z in zip(leg, run.states))

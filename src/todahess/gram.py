@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import DivergenceError, DomainError
 from .maps import thresholds
-from .raney import _validate_sp, raney_step
+from .raney import _at_least, _validate_sp, raney_step
 
 DEFAULT_TOL = 1e-12
 
@@ -55,8 +55,6 @@ def _gram_product(s: int, q: int, n: int, zeta: float, tol: float, scale=None):
 
 def _synthesis_rows(s: int, q: int, n_cols: int, zeta: float, n_rows: int, scale=None):
     """Rows 0 .. n_rows-1 of V D for sector q, D = diag(scale) or the identity."""
-    if n_cols < 1 or n_rows < 1:
-        raise DomainError(f"V needs >= 1 row and column, got {n_rows} x {n_cols}")
     _check_subcritical(s, zeta)
     rows = _kernels.synthesis_rows(s, q, n_cols, zeta, n_rows, scale)
     return np.concatenate([v for v, _ in rows])
@@ -131,14 +129,14 @@ class GramVector:
 
 
 def gram_vector(s: int, p: int, zeta: float, k_max: int) -> GramVector:
+    k_max = _at_least("k_max", k_max, 0)
     vals = _synthesis_rows(s, p, 1, zeta, k_max + 1)[:, 0]
     return GramVector(s=s, p=p, zeta=zeta, values=vals)
 
 
 def hessian_entry(s: int, zeta: float, m: int, n: int) -> float:
     """H_{mn}; vanishes unless m = n (mod s).  Defined for zeta < zeta_univ."""
-    if m < 1 or n < 1:
-        raise DomainError("indices m, n must be >= 1")
+    m, n = _at_least("m", m, 1), _at_least("n", n, 1)
     th = thresholds(s)
     if not 0 < zeta < float(th.zeta_univ):
         raise DomainError(
@@ -213,8 +211,7 @@ def weighted_block(
     """
     if not 1 <= q <= s:
         raise DomainError(f"sector q must lie in [1, s], got {q}")
-    if n < 2:
-        raise DomainError(f"truncation N must be >= 2, got {n}")
+    n = _at_least("truncation N", n, 2)
     w = weight(s, q, beta, np.arange(n))
     mat, rows, tail = _gram_product(s, q, n, zeta, tol, 1.0 / w)
     return WeightedBlock(
@@ -245,8 +242,7 @@ class SpikeVector:
 def spike_vector(s: int, q: int, beta: float, n: int) -> SpikeVector:
     """Spike entries up to j < n, their squared norm Gamma_N, and (on
     request) the untruncated Gamma."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _at_least("n", n, 1)
     if not 1 <= q <= s:
         raise DomainError(f"sector q must lie in [1, s], got {q}")
     if not beta > 0:
@@ -269,5 +265,6 @@ def synthesis_matrix(
     (lower triangular); then G~ = V~^T V~ up to row truncation, and V~ V~^T
     has the same nonzero spectrum exactly.
     """
+    n_cols, n_rows = _at_least("n_cols", n_cols, 1), _at_least("n_rows", n_rows, 1)
     scale = 1.0 / weight(s, q, beta, np.arange(n_cols))
     return _synthesis_rows(s, q, n_cols, zeta, n_rows, scale)

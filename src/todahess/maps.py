@@ -15,18 +15,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BranchAmbiguityError, DomainError, IterationError
-from .raney import _integer, raney_table
+from .raney import _at_least, raney_table
 
 #: Newton Jacobian modulus below which the branch is declared ambiguous.
 JACOBIAN_FLOOR = 1e-8
-
-
-def _order(s) -> int:
-    """s as a Python int (see raney._integer); DomainError unless s >= 2."""
-    s = _integer("s", s)
-    if s < 2:
-        raise DomainError(f"s must be an integer >= 2, got {s!r}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -37,7 +29,7 @@ class MapConfig:
     zeta: float
 
     def __post_init__(self):
-        _order(self.s)
+        _at_least("s", self.s, 2)
         if not (self.zeta > 0 and math.isfinite(self.zeta)):
             raise DomainError(f"zeta must be finite and > 0, got {self.zeta}")
 
@@ -51,7 +43,7 @@ class Thresholds:
 
 def thresholds(s: int) -> Thresholds:
     """Exact analytic and geometric thresholds and their ratio ((s-1)/s)^s."""
-    s = _order(s)
+    s = _at_least("s", s, 2)
     zc = Fraction((s - 1) ** (s - 1), s**s)
     zu = Fraction(1, s - 1)
     return Thresholds(zeta_c=zc, zeta_univ=zu, ratio=zc / zu)
@@ -66,7 +58,7 @@ class BranchPointData:
 
 def branch_point_data(s: int) -> BranchPointData:
     """Critical value U_c = s/(s-1) and kappa = sqrt(2s/(s-1)^3)."""
-    s = _order(s)
+    s = _at_least("s", s, 2)
     ksq = Fraction(2 * s, (s - 1) ** 3)
     return BranchPointData(
         U_c=Fraction(s, s - 1),
@@ -212,8 +204,7 @@ def boundary_injectivity_margin(cfg: MapConfig, n_samples: int) -> float:
     to 0 (through positives) at the univalence threshold and goes negative
     beyond it.
     """
-    if n_samples < 16:
-        raise DomainError(f"n_samples must be >= 16, got {n_samples}")
+    n_samples = _at_least("n_samples", n_samples, 16)
     best = math.inf
     for k in range(1, n_samples):
         d = math.pi * k / n_samples

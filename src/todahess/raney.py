@@ -24,6 +24,15 @@ def _integer(name: str, x) -> int:
     return operator.index(x)
 
 
+def _at_least(name: str, x, least: int) -> int:
+    """x as a Python int; DomainError unless it is an integer (see _integer)
+    >= least."""
+    x = _integer(name, x)
+    if x < least:
+        raise DomainError(f"{name} must be >= {least}, got {x}")
+    return x
+
+
 def _validate_sp(s: int, p: int) -> tuple:
     """(s, p) as Python ints (see _integer); DomainError unless s >= 2, and
     UnsupportedRangeError unless p >= 1."""
@@ -38,8 +47,7 @@ def _validate_sp(s: int, p: int) -> tuple:
 def raney(s: int, p: int, n: int) -> int:
     """Exact Raney number R_{s,p}(n) as a Python integer."""
     s, p = _validate_sp(s, p)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = _at_least("n", n, 0)
     num = p * math.comb(s * n + p, n)
     q, r = divmod(num, s * n + p)
     # The quotient is always integral; a nonzero remainder means a bug.
@@ -69,8 +77,7 @@ def raney_step(s: int, p: int, m):
 def raney_table(s: int, p: int, n_max: int) -> tuple:
     """(R_{s,p}(0), ..., R_{s,p}(n_max)) via the exact ratio recurrence."""
     s, p = _validate_sp(s, p)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _at_least("n_max", n_max, 0)
     vals = [1]
     r = 1
     for n in range(n_max):
@@ -86,8 +93,7 @@ def raney_table(s: int, p: int, n_max: int) -> tuple:
 def convolution_check(s: int, p_list, m: int) -> bool:
     """Check sum over compositions n_1+..+n_k = m of prod R_{s,p_i}(n_i)
     against R_{s, sum p_i}(m), exactly."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _at_least("m", m, 0)
     for p in p_list:
         _validate_sp(s, p)
     tables = [raney_table(s, p, m) for p in p_list]
@@ -108,7 +114,9 @@ def convolution_check(s: int, p_list, m: int) -> bool:
 
 
 def zeta_c_value(s: int) -> float:
-    return (s - 1) ** (s - 1) / float(s**s)
+    """zeta_c = (s-1)^(s-1) / s^s rounded once from the exact integers, so it
+    is float(maps.thresholds(s).zeta_c)."""
+    return (s - 1) ** (s - 1) / s**s
 
 
 def amplitude(s: int, p: int) -> float:
@@ -127,6 +135,7 @@ def scaled_raney_seq(s: int, p: int, m_max: int) -> list:
     """h_m = R_{s,p}(m) * zeta_c^m * m^{3/2} for m = 1..m_max, by float ratio
     updates (h stays O(1), so no overflow for any m)."""
     s, p = _validate_sp(s, p)
+    m_max = _at_least("m_max", m_max, 0)
     zc = zeta_c_value(s)
     # R(1) * zeta_c = p/ (s+p) * C(s+p,1) * zc = p * zc  ... compute exactly:
     r_scaled = float(raney(s, p, 1)) * zc

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, FitError, AccuracyError
 from .gram import DEFAULT_TOL, WeightedBlock, spike_vector, weighted_block
 from .maps import thresholds
+from .raney import _at_least
 
 #: relative gap below which the top eigenvalue is reported as degenerate
 DEGENERACY_GAP = 1e-10
@@ -184,10 +185,9 @@ class SoftSpectrum:
 def soft_spectrum(s, q, beta, n, zeta, k) -> SoftSpectrum:
     """mu_2..mu_k plus the compressed-remainder spectrum (finite-N surrogate
     of the limiting soft operator)."""
+    k = _at_least("k", k, 2)  # the soft spectrum starts at mu_2
     if k > n:
         raise DomainError(f"k = {k} exceeds truncation N = {n}")
-    if k < 2:
-        raise DomainError("k must be >= 2 (soft spectrum starts at mu_2)")
     _, dec = block_spectrum(s, q, beta, n, zeta)
     _, comp = compressed_remainder(s, q, beta, n, zeta)
     return SoftSpectrum(

@@ -21,16 +21,7 @@ import numpy as np
 from .continuation import cut_trace
 from .errors import ConditioningError, DomainError, PositivityError
 from .maps import thresholds
-from .raney import _integer, _validate_sp, raney_table
-
-
-def _at_least(name: str, x, least: int) -> int:
-    """x as a Python int; DomainError unless it is an integer (the rule of
-    raney._integer) >= least."""
-    x = _integer(name, x)
-    if x < least:
-        raise DomainError(f"{name} must be >= {least}, got {x}")
-    return x
+from .raney import _at_least, _validate_sp, raney_table
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import cmath
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import mpmath as mp
@@ -25,6 +27,12 @@ ZC2_2 = float(thresholds(2).zeta_c) ** 2
 ZC2_3 = float(thresholds(3).zeta_c) ** 2
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+
+
+def _order(s, p):
+    """d, the order of the reduced equation: the degree of its theta
+    polynomials."""
+    return len(cont._theta_polys(s, p)[0]) - 1
 
 
 def _float_series(s, p, xi, d):
@@ -92,6 +100,78 @@ def test_coefficient_ratio_identity_exact():
             assert Fraction(*cont._coeff_step(s, p, m)) == a[m + 1] / a[m]
 
 
+def _stirling2(n):
+    """Table S(k, j), 0 <= j <= k <= n, Stirling numbers of the second kind."""
+    tab = [[0] * (n + 1) for _ in range(n + 1)]
+    tab[0][0] = 1
+    for k in range(1, n + 1):
+        for j in range(1, k + 1):
+            tab[k][j] = j * tab[k - 1][j] + tab[k - 1][j - 1]
+    return tab
+
+
+def _falling_row(n, d):
+    """[n!/(n-j)! for j = 0..d]."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (n - j))
+    return row
+
+
+@lru_cache(maxsize=None)
+def _row_tables(s, p):
+    """(ta, tb, den) of the reduced equation in its second form: theta^k =
+    sum_j S(k, j) xi^j D^j turns theta prod_b (theta + b - 1) y = xi prod_a
+    (theta + a) y into sum_j xi^j (c_j - xi e_j) y^(j) = 0, with c_d = e_d
+    = 1.  ta[r][j] = den c_j C(j, r), r < d, and tb[r+1][j] = den e_j
+    C(j+1, r+1), r = -1..d-1, for den the common denominator of c and e."""
+    hp = cont.hyp_params(s, p)
+    d = len(hp.reduced_upper)
+    p_poly, r_poly = [Fraction(0), Fraction(1)], [Fraction(1)]
+    for roots, poly in (([b - 1 for b in hp.reduced_lower], p_poly),
+                        (list(hp.reduced_upper), r_poly)):
+        for x in roots:  # poly *= (theta + x)
+            poly[:] = [a + x * b for a, b in zip([Fraction(0), *poly], [*poly, Fraction(0)])]
+    s2 = _stirling2(d)
+    c = [sum(p_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1)]
+    e = [sum(r_poly[k] * s2[k][j] for k in range(j, d + 1)) for j in range(d + 1)]
+    assert c[d] == e[d] == 1
+    den = math.lcm(*(x.denominator for x in c + e))
+    ci, ei = [int(den * x) for x in c], [int(den * x) for x in e]
+    ta = [[ci[j] * math.comb(j, r) for j in range(d + 1)] for r in range(d)]
+    tb = [[ei[j] * math.comb(j + 1, r + 1) for j in range(d + 1)] for r in range(-1, d)]
+    return ta, tb, den
+
+
+def _reference_row(s, p, big_n):
+    """(alpha, beta, lead) of row N = big_n from the second form:
+    alpha_r(N) = den sum_j c_j C(j, r) (N+r)!/(N+r-j)! and beta_r(N) = den
+    sum_j e_j C(j+1, r+1) (N+r)!/(N+r-j)!, the coefficients of b_{N+r} in
+    the coefficient of (xi - centre)^N, scaled by centre^N."""
+    ta, tb, _ = _row_tables(s, p)
+    d = len(ta)
+    falling = [_falling_row(big_n + r, d) for r in range(-1, d + 1)]
+    alpha = tuple(sum(map(operator.mul, ta[r], falling[r + 1])) for r in range(d))
+    beta = tuple(sum(map(operator.mul, tb[r + 1], falling[r + 1]))
+                 for r in range(-1 if big_n else 0, d))
+    return alpha, beta, falling[d + 1][d]
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), big_n=hst.integers(0, 500))
+@example(s=8, k=15, big_n=500)  # d = 16, the longest row
+@example(s=2, k=0, big_n=0)  # row 0 has no b_{-1}
+def test_recurrence_row_matches_the_xi_derivative_form(s, k, big_n):
+    # the rows read from the theta polynomials are, integer for integer, those
+    # of the Stirling conversion to sum_j xi^j (c_j - xi e_j) y^(j) = 0, and
+    # share its den, so the walks run on the same numbers
+    p = 1 + k % (2 * s)
+    p_poly, r_poly = cont._theta_polys(s, p)
+    assert p_poly[-1] == r_poly[-1] == _row_tables(s, p)[2]
+    assert _order(s, p) == len(cont.hyp_params(s, p).reduced_upper)
+    assert cont._recurrence_row(s, p, big_n) == _reference_row(s, p, big_n)
+
+
 def test_gp_series_values():
     assert cont.gp_series(3, 4, 0.0) == 1.0
     got = cont.gp_series(2, 1, 0.01)
@@ -147,7 +227,7 @@ def test_non_finite_targets_are_domain_errors(bad):
     with pytest.raises(DomainError):
         cont.gp_series(2, 1, bad)
     with pytest.raises(DomainError):
-        cont.transport(2, 1, [cont.XI_SEED, bad])
+        cont.transport(2, 1, [cont.XI_SEED], [bad])
     if isinstance(bad, float):
         with pytest.raises(DomainError):
             cont.cut_trace(2, 1, [1.5, bad])
@@ -205,8 +285,8 @@ def test_cut_is_real():
 
 def test_monodromy_trivial_off_cut():
     wp = [0.5, 0.5 + 0.4j, 0.9 + 0.4j, 0.9, 0.9 - 0.4j, 0.5 - 0.4j, 0.5]
-    z = cont.transport(2, 1, wp)
-    z0 = _float_series(2, 1, cont.XI_SEED, cont._ode_fractions(2, 1)[0])
+    (z,) = cont.transport(2, 1, wp[:-1], wp[-1:]).states
+    z0 = _float_series(2, 1, cont.XI_SEED, _order(2, 1))
     assert np.max(np.abs(z - z0)) < 1e-10
 
 
@@ -295,9 +375,11 @@ def test_path_errors():
     with pytest.raises(PathError):
         cont.gp_continue(2, 1, ZC2_2 * (1.5 + 0.3j), "below")  # wrong side
     with pytest.raises(PathError):
-        cont.transport(2, 1, [0.3, 0.8])  # must start at the seed
+        cont.transport(2, 1, [0.3], [0.8])  # must start at a seed point
     with pytest.raises(PathError):
-        cont.transport(2, 1, [cont.XI_SEED])  # and go somewhere
+        cont.transport(2, 1, [], [0.8])
+    with pytest.raises(PathError):
+        cont.transport(2, 1, [cont.XI_SEED], [])  # and go somewhere
 
 
 def test_side_none_is_a_domain_error():
@@ -309,7 +391,7 @@ def test_side_none_is_a_domain_error():
 
 def test_tiny_segment_is_walked():
     # the segment guard divided by |v|^2, which underflows to 0 here
-    state = cont.transport(2, 1, [cont.XI_SEED, cont.XI_SEED + 1e-200j])
+    (state,) = cont.transport(2, 1, [cont.XI_SEED], [cont.XI_SEED + 1e-200j]).states
     ref = _float_series(2, 1, cont.XI_SEED, len(state))
     assert np.all(np.abs(state - ref) <= 1e-12 * np.abs(ref))
 
@@ -525,7 +607,7 @@ def test_taylor_walk_matches_direct_series(s, p):
 @example(s=8, k=15, xi=0.98)  # d = 16, the longest state
 def test_taylor_walk_matches_float_series(s, k, xi):
     p = 1 + k % (2 * s)
-    ref = _float_series(s, p, xi, cont._ode_fractions(s, p)[0])
+    ref = _float_series(s, p, xi, _order(s, p))
     (state,) = cont._taylor_walk(s, p, [cont.XI_SEED, xi], 30).states
     assert len(state) == len(ref)
     for got, want in zip(state, ref):
@@ -536,7 +618,7 @@ def test_taylor_walk_complex_path():
     # a polygon through the upper and lower half of the disk and back
     path = [0.3 + 0.6j, -0.5 + 0.2j, 0.1 - 0.7j, 0.8 - 0.1j]
     walk = cont._taylor_walk(3, 2, [cont.XI_SEED, *path], 30)
-    d = cont._ode_fractions(3, 2)[0]
+    d = _order(3, 2)
     for xi, state in zip(path, walk.states, strict=True):
         ref = _float_series(3, 2, xi, d)
         for got, want in zip(state, ref):

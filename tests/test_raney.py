@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todahess import continuation, gram, raney
+from todahess import continuation, gram, maps, raney, spectra
 from todahess.errors import DomainError, UnsupportedRangeError
 
 
@@ -216,6 +216,41 @@ def test_non_integer_s_or_p_is_domain_error(bad):
         continuation.hyp_params(bad, 1)
     with pytest.raises(DomainError, match="integer"):
         raney.raney_table(3, bad, 3)
+
+
+#: every public entry point that takes a count, called with the count bad
+COUNT_ENTRY_POINTS = {
+    "raney": lambda bad: raney.raney(3, 1, bad),
+    "raney_table": lambda bad: raney.raney_table(3, 1, bad),
+    "scaled_raney_seq": lambda bad: raney.scaled_raney_seq(3, 1, bad),
+    "convolution_check": lambda bad: raney.convolution_check(3, [1, 2], bad),
+    "boundary_injectivity_margin":
+        lambda bad: maps.boundary_injectivity_margin(maps.MapConfig(3, 0.1), bad),
+    "gram_vector": lambda bad: gram.gram_vector(3, 1, 0.05, bad),
+    "weighted_block": lambda bad: gram.weighted_block(3, 0.05, 1, 1.0, bad),
+    "synthesis_matrix_cols": lambda bad: gram.synthesis_matrix(3, 1, 1.0, 0.05, bad, 24),
+    "synthesis_matrix_rows": lambda bad: gram.synthesis_matrix(3, 1, 1.0, 0.05, 8, bad),
+    "spike_vector": lambda bad: gram.spike_vector(3, 1, 1.0, bad),
+    "hessian_entry_m": lambda bad: gram.hessian_entry(3, 0.05, bad, 1),
+    "hessian_entry_n": lambda bad: gram.hessian_entry(3, 0.05, 1, bad),
+    "soft_spectrum": lambda bad: spectra.soft_spectrum(3, 1, 1.0, 32, 0.05, bad),
+    "toeplitz_hs_norm": lambda bad: spectra.toeplitz_hs_norm(3, 1, 1.0, bad, 0.9),
+}
+
+
+@pytest.mark.parametrize("bad", [20.5, np.float64(20.0), "20"])
+@pytest.mark.parametrize("name", sorted(COUNT_ENTRY_POINTS))
+def test_non_integer_counts_are_domain_errors(name, bad):
+    # a bare TypeError, or a silently rounded count: spike_vector(..., 4.5)
+    # returned 5 entries and hessian_entry(3, 0.05, 1.5, 1) a float
+    with pytest.raises(DomainError, match="integer"):
+        COUNT_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("s", range(2, 41))
+def test_zeta_c_value_is_the_exact_threshold_rounded_once(s):
+    # (s-1)^(s-1) / float(s^s) rounded twice: one ulp off at s = 18, 19, 24, ...
+    assert raney.zeta_c_value(s) == float(maps.thresholds(s).zeta_c)
 
 
 def test_numpy_integer_s_and_p_are_accepted():
