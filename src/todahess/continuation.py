@@ -4,17 +4,22 @@ G_p(u) = sum_m R_{s,p}(m)^2 u^m converges for |u| < zeta_c^2 and extends to
 the slit plane C \\ [zeta_c^2, inf).  The coefficient ratio is rational in m,
 so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
-finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  The power
-series at 0 is summed in one place, _power_series: it gives the values in
-the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Off it,
-Taylor steps continue the solution along the one route rule, _waypoints:
-real targets walk the real axis, non-real ones detour around xi = 1.  Their
-recurrence is read straight from the reduced equation in theta form,
-P(theta) y = xi R(theta) y (_theta_polys, _recurrence_row).  Two walks with
-different step lengths, in complex doubles first and, if they disagree, in
-fixed-point integers at extended precision, bound the error (transport);
-mpmath numbers carry the inputs and results of the extended walks and the
-resonant fit's solve.
+finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Three regions
+cover the slit plane, each target in one.  The power series at 0 is summed
+in one place, _power_series: it gives the values in the disk |xi| <=
+SERIES_RADIUS and seeds every walk at +-XI_SEED.  In the annulus out to
+|xi| = FAR_RADIUS, Taylor steps continue the solution along the one route
+rule, _waypoints: real targets walk the real axis, non-real ones detour
+around xi = 1.  Their recurrence is read straight from the reduced
+equation in theta form, P(theta) y = xi R(theta) y (_theta_polys,
+_recurrence_row).  Two walks with different step lengths, in complex
+doubles first and, if they disagree, in fixed-point integers at extended
+precision, bound the error (transport); mpmath numbers carry the inputs and
+results of the extended walks and the resonant fit's solve.  Beyond
+FAR_RADIUS, the Frobenius basis at xi = infinity, read from the same theta
+polynomials, is matched once per (s, p) to both walks on the circle and
+summed (_far_table, _far_connection, _far_values), on the same ladder of
+doubles, then extended precision, then AccuracyError.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -31,7 +36,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import combinations, count, islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -193,6 +198,11 @@ class _Arith(NamedTuple):
     digits: int  # decimal digits carried
     tol: float  # relative tail bound at which an expansion stops
     bits: "int | None"  # working bits of the fixed-point mantissas
+
+    @property
+    def eps(self) -> float:
+        """Unit roundoff: of doubles, or 10^-digits for mpmath numbers."""
+        return 2.0**-53 if self.bits is None else 10.0**-self.digits
 
 
 def _arith(dps) -> _Arith:
@@ -683,6 +693,12 @@ class _Continued(NamedTuple):
     rel_est: float  # largest relative disagreement of the accepted walks
 
 
+def _walk_pair(s: int, p: int, targets, dps) -> list:
+    """The two walks behind every checked value, serving the targets within
+    rho/2 and within rho/3 of each centre (see _taylor_walk)."""
+    return [_taylor_walk(s, p, targets, dps, reach) for reach in (2, 3)]
+
+
 def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
               keep=None) -> _Continued:
     """Carry y(xi) = G_p(zeta_c^2 xi) from path[0] along the corners path
@@ -714,8 +730,7 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     why = ""
     for dps in (None, _MP_RUNG_DPS):
         try:
-            coarse, fine = [_taylor_walk(s, p, targets, dps, reach)
-                            for reach in (2, 3)]
+            coarse, fine = _walk_pair(s, p, targets, dps)
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -766,6 +781,283 @@ def _waypoints(xi_t: complex, side: str) -> list:
     return [pt for i, pt in enumerate(pts) if i == 0 or pt != pts[i - 1]]
 
 
+# ---------------------------------------------------------------------------
+# Expansion at infinity
+
+
+#: gp_continue and cut_trace sum every |xi| >= FAR_RADIUS from the expansion
+#: at infinity, which is matched to the walk on this circle
+FAR_RADIUS = 4.0
+
+
+def _theta_at(poly: tuple, num: int, q: int) -> tuple:
+    """(q^d poly(num/q), q^(d-1) poly'(num/q)) as integers, for the integer
+    coefficients poly of degree d, by Horner's rule."""
+    d = len(poly) - 1
+    v, dv, qk = poly[d], d * poly[d], 1
+    for i in range(d - 1, -1, -1):
+        qk *= q
+        v = v * num + poly[i] * qk
+        if i:
+            dv = dv * num + i * poly[i] * qk
+    return v, dv
+
+
+class _FarTable(NamedTuple):
+    """The local basis at xi = infinity as series in x = -1/xi: per distinct
+    exponent a, the solution x^a sum_n c_n x^n and, for a double exponent,
+    its log partner.  coeffs[n, col, j] is the coefficient of x^n in
+    xi^j y^(j) / j! of the series col: w_n = c_n F_j(n + a) for the solution,
+    dw_n = d/de [c_n(e) F_j(n + a + e)] at e = 0 for the log partner, whose
+    x^a log x sum_n w_n x^n part _far_basis adds."""
+    exps: tuple  # (a in the number type, column of w, column of dw or None)
+    coeffs: "np.ndarray"  # [n, col, j], floats or mpf objects
+    sizes: "np.ndarray"  # |coeffs| as floats
+    amax: float  # the largest exponent
+
+
+@lru_cache(maxsize=None)
+def _far_table(s: int, p: int, dps) -> _FarTable:
+    """The local basis at infinity in the number type of _arith(dps), with
+    the rows xi^j y^(j) / j! for j < 3.
+
+    In x = -1/xi, xi d/dxi = -x d/dx, so the reduced equation P(theta) y =
+    xi R(theta) y of _theta_polys reads R(-theta_x) y + x P(-theta_x) y = 0
+    and y = sum_n c_n x^(n+nu) needs c_0 = 1 and the two-term recurrence
+
+        c_n = -c_{n-1} P(-(n+nu-1)) / R(-(n+nu)).
+
+    The indicial polynomial R(-nu) has the reduced upper parameters as
+    roots, each simple or double, and no two of them differ by an integer
+    (else ArithmeticError).  So with nu = a + e the step never divides by
+    zero, and c_n(e) is carried with its e-derivative (Frobenius): each exact
+    rational step ratio and its e-derivative is rounded once.  Since
+    xi^j d^j/dxi^j x^m = (-1)^j m (m+1) ... (m+j-1) x^m, the row j of c_n
+    x^(n+nu) carries F_j(n+nu) = (-1)^j C(n+nu+j-1, j).  Terms are drawn until
+    every series has, at |x| = 1/FAR_RADIUS, fallen by half from the term
+    before and below ar.tol of its largest term; DivergenceError past 2000.
+    """
+    ar = _arith(dps)
+    p_poly, r_poly = _theta_polys(s, p)
+    ups = hyp_params(s, p).reduced_upper
+    exps = sorted(set(ups))
+    if (any(ups.count(a) > 2 for a in exps)
+            or any((a - b).denominator == 1 for a, b in combinations(exps, 2))):
+        raise ArithmeticError("the exponents at infinity are not simple or double "
+                              "and apart by non-integers")
+
+    def rat(num: int, den: int):  # num / den, rounded once
+        return num / den if dps is None else mp.mpf(num) / den
+
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        layout, col = [], 0
+        for a in exps:
+            double = ups.count(a) == 2
+            layout.append((rat(a.numerator, a.denominator), col, col + 1 if double else None))
+            col += 1 + double
+        pairs = [(rat(1, 1), rat(0, 1)) for _ in exps]  # (c_n, dc_n/de)
+        rows, sizes, top, last = [], [], None, None
+        for n in count():
+            row = []
+            for a, (c, dc), (_, _, log_col) in zip(exps, pairs, layout):
+                num, q = a.numerator, a.denominator
+                f, df = rat(1, 1), rat(0, 1)  # F_j(n + a + e) and its e-derivative
+                w, dw = [], []
+                for j in range(3):
+                    w.append(c * f)
+                    dw.append(dc * f + c * df)
+                    g = rat(-((n + j) * q + num), (j + 1) * q)
+                    f, df = f * g, df * g - f / (j + 1)
+                row.append(w)
+                if log_col is not None:
+                    row.append(dw)
+            rows.append(row)
+            sizes.append([[float(abs(v)) for v in ser] for ser in row])
+            size = np.array(sizes[-1]) * FAR_RADIUS**-n
+            top = size if top is None else np.maximum(top, size)
+            if n and np.all((size <= ar.tol * top) & (size <= last / 2)):
+                break
+            if n == 2000:
+                raise DivergenceError("the series at infinity need more than 2000 terms")
+            last = size
+            for k, (a, (c, dc)) in enumerate(zip(exps, pairs)):
+                num, q = a.numerator, a.denominator
+                # c_{n+1} / c_n = -P(-(n+a+e)) / R(-(n+1+a+e)) and its e-derivative
+                pv, pd = _theta_at(p_poly, -(n * q + num), q)
+                rv, rd = _theta_at(r_poly, -((n + 1) * q + num), q)
+                r = rat(-pv, rv)
+                dr = rat(q * (pd * rv - pv * rd), rv * rv)
+                pairs[k] = (c * r, dc * r + c * dr)
+        coeffs = np.array(rows, dtype=float if dps is None else object)
+    return _FarTable(tuple(layout), coeffs, np.array(sizes), float(max(exps)))
+
+
+def _far_basis(tab: _FarTable, xis: list, dps) -> tuple:
+    """(b, B, x, log x): b[i, k, j] = xi^j phi_k^(j)(xi) / j! for the d basis
+    functions phi_k of tab at each xi = xis[i], j < 3, bounds B >= |b|
+    from the absolute values of the terms, and the lists of x = -1/xi and
+    log x, in tab's number type.  Each xi lies in the closed upper half
+    plane, xi > 0 standing for xi + i0: log x = -log(-xi) on principal
+    branches, so the basis is cut along xi > 0, where G_p is, and log x =
+    -log xi + i pi on the cut."""
+    mod, dt = (cmath, complex) if dps is None else (mp, object)
+    xs, logs, powers = [], [], []
+    for xi in xis:
+        z = complex(xi) if dps is None else mp.mpc(xi)
+        log_x = (-mod.log(z.real) + 1j * mod.pi if xi.imag == 0.0 and xi.real > 0.0
+                 else -mod.log(-z))
+        xs.append(-1 / z)
+        logs.append(log_x)
+        powers.append([mod.exp(a * log_x) for a, _, _ in tab.exps])
+    x = np.array(xs, dtype=dt)[:, None, None]
+    ax = np.abs(x).astype(float)
+    sums = np.zeros((len(xs),) + tab.coeffs.shape[1:], dtype=dt)
+    bounds = np.zeros(sums.shape)
+    for row, size in zip(tab.coeffs[::-1], tab.sizes[::-1]):
+        sums = sums * x + row
+        bounds = bounds * ax + size
+    log_x = np.array(logs, dtype=dt)[:, None]
+    abs_log = np.abs(log_x).astype(float)
+    b, bb = [], []
+    for e, (_, col, log_col) in enumerate(tab.exps):
+        xa = np.array([pw[e] for pw in powers], dtype=dt)[:, None]
+        b.append(xa * sums[:, col])
+        abs_xa = np.abs(xa).astype(float)
+        bb.append(abs_xa * bounds[:, col])
+        if log_col is not None:
+            b.append(xa * (sums[:, log_col] + log_x * sums[:, col]))
+            bb.append(abs_xa * (bounds[:, log_col] + abs_log * bounds[:, col]))
+    return np.stack(b, axis=1), np.stack(bb, axis=1), xs, logs
+
+
+def _jacobi_svd(a: "np.ndarray") -> tuple:
+    """(u, sv, vt) with a = u diag(sv) vt, for a real m x n matrix a, m >=
+    n, by one-sided Jacobi rotations of its columns (Demmel & Veselic, SIAM
+    J. Matrix Anal. Appl. 13, 1992).  It resolves the small singular values
+    to high relative accuracy, and in numpy's elementwise operations alone
+    it touches no LAPACK routine the rest of the package does not."""
+    a = np.array(a, dtype=float)
+    n = a.shape[1]
+    v = np.eye(n)
+    for _ in range(60):
+        turned = False
+        for i, j in combinations(range(n), 2):
+            alpha, beta = (a[:, i] * a[:, i]).sum(), (a[:, j] * a[:, j]).sum()
+            gamma = (a[:, i] * a[:, j]).sum()
+            if abs(gamma) <= 1e-16 * math.sqrt(alpha * beta):
+                continue
+            turned = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            for m in (a, v):
+                x, y = m[:, i].copy(), m[:, j].copy()
+                m[:, i], m[:, j] = c * x - c * t * y, c * t * x + c * y
+        if not turned:
+            break
+    sv = np.sqrt((a * a).sum(axis=0))
+    return a / sv, sv, v.T
+
+
+class _FarConnection(NamedTuple):
+    """y = sum_k coeffs[k] phi_k on |xi| >= FAR_RADIUS, for the basis of
+    _far_table, with the data of its error estimate."""
+    coeffs: "np.ndarray"  # C, real: floats or mpf objects
+    gap: "np.ndarray"  # C from the coarser walk minus C, floats
+    modes: "np.ndarray"  # rows: error bounds of the solve along its singular vectors
+
+
+@lru_cache(maxsize=None)
+def _far_connection(s: int, p: int, dps) -> "_FarConnection | None":
+    """The real vector C with y = sum_k C_k phi_k, built once per (s, p) and
+    number type, or None when the walks at dps cannot reach the circle.
+
+    Both walks of transport at dps run from -XI_SEED along the axis to
+    -FAR_RADIUS and on along the upper half of the circle to FAR_RADIUS +
+    i0, through k >= 3 equally spaced points, and each gives, by least
+    squares over y, y', y'' at these points, a real C: y and the basis are
+    real on xi < 0, so Schwarz symmetry makes C real.  k is the least that
+    gives at least 2d real equations.  Each equation is scaled by its largest basis entry and each
+    column by its largest entry.  As in transport, the gap between the two
+    solutions estimates the error the walks carry in.  The solve's own
+    rounding moves the scaled solution x along the right singular vector v_i
+    of the scaled matrix by at most 2 eps sigma_max |x| / sigma_i, for eps
+    the unit roundoff: these are the rows of modes, in unscaled units."""
+    ar = _arith(dps)
+    tab = _far_table(s, p, dps)
+    d = len(_theta_polys(s, p)[0]) - 1
+    k = max(3, -(-(2 * d + 3) // 6))  # 6 (k - 1) + 3 equations
+    nodes = [complex(-FAR_RADIUS),
+             *(cmath.rect(FAR_RADIUS, math.pi * i / (k - 1)) for i in range(k - 2, 0, -1)),
+             complex(FAR_RADIUS)]
+    try:
+        walks = _walk_pair(s, p, [complex(-XI_SEED), *nodes], dps)
+    except (DivergenceError, OverflowError):
+        return None
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        b = _far_basis(tab, nodes, dps)[0]
+        rows, rhs = [], ([], [])
+        for i, xi in enumerate(nodes):
+            z = xi if dps is None else mp.mpc(xi)
+            for j in range(3):
+                wt = 1 / max(abs(v) for v in b[i, :, j])
+                rows += [[v.real * wt for v in b[i, :, j]], [v.imag * wt for v in b[i, :, j]]]
+                for walk, out in zip(walks, rhs):
+                    v = walk.states[i][j] * z**j / math.factorial(j) * wt
+                    out += [v.real, v.imag]
+        # the imaginary parts at -FAR_RADIUS are zero equations
+        keep = [i for i, row in enumerate(rows) if any(row)]
+        rhs = [[out[i] for i in keep] for out in rhs]
+        mat = np.array([rows[i] for i in keep], dtype=float if dps is None else object)
+        scale = np.array([max(abs(v) for v in mat[:, k]) for k in range(d)], dtype=mat.dtype)
+        mat = mat / scale
+        u, sv, vt = _jacobi_svd(mat.astype(float))
+        if dps is None:
+            sols = [(vt.T * ((u * np.array(out)[:, None]).sum(axis=0) / sv)).sum(axis=1)
+                    for out in rhs]
+        else:
+            q, r = mp.qr(mp.matrix(mat.tolist()), mode="skinny")
+            sols = [np.array(list(mp.lu_solve(r, q.T * mp.matrix(out))), dtype=object)
+                    for out in rhs]
+        coarse, fine = (sol / scale for sol in sols)
+        size = 2 * ar.eps * sv.max() * math.sqrt(sum(float(v) ** 2 for v in sols[1]))
+        modes = (size / sv)[:, None] * vt / scale.astype(float)
+    return _FarConnection(fine, (coarse - fine).astype(float), modes)
+
+
+def _far_values(s: int, p: int, conn: _FarConnection, xis: list, dps) -> list:
+    """[(z, rel_est)] at each xi of the closed upper half plane (xi > 0
+    standing for xi + i0): z = [y, y', y''] in complex doubles from the
+    connection, summed in the number type of _arith(dps), and rel_est the
+    largest relative error estimate of the three, which adds, for the sums
+    t_j = xi^j y^(j) / j!,
+    - the gap |sum_k gap_k phi_k| between the two walks' connections;
+    - the solve's rounding, sum_i |sum_k modes_ik phi_k|;
+    - the cancellation bound eta sum_k |C_k| |phi_k|, over the absolute
+      values of the terms, with eta = eps (2 + a |log x|) for eps the unit
+      roundoff and a the largest exponent: the rounding of the sums and of
+      a in x^a,
+    over |t_j|."""
+    ar = _arith(dps)
+    tab = _far_table(s, p, dps)
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        b, bb, xs, logs = _far_basis(tab, xis, dps)
+        g = cancel = 0
+        for k, c in enumerate(conn.coeffs):
+            c = float(c) if dps is None else c
+            g = g + c * b[:, k]
+            cancel = cancel + float(abs(c)) * bb[:, k]
+        bf = b.astype(complex)
+        est = (abs(sum(x * bf[:, k] for k, x in enumerate(conn.gap)))
+               + sum(abs(sum(x * bf[:, k] for k, x in enumerate(row))) for row in conn.modes)
+               + ar.eps * (2.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None]
+               * cancel)
+        rel = (est / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
+        x = np.array(xs, dtype=g.dtype)
+        z = np.stack([g[:, 0], -x * g[:, 1], 2 * x * x * g[:, 2]], axis=1).astype(complex)
+    return list(zip(z.tolist(), rel.tolist()))
+
+
 @dataclass(frozen=True)
 class ContinuationState:
     """Value and u-derivatives of G_p at the endpoint of a transport path."""
@@ -775,10 +1067,10 @@ class ContinuationState:
     u: complex
     side: str
     derivs: tuple  # (G, G', G'') with respect to u, the inputs of sigma
-    path: tuple  # xi-plane waypoints actually used
-    dps: "int | None"  # working digits of the Taylor walk; None for doubles
-    steps: int  # Taylor expansions of the walk; 0 for the series in the disk
-    rel_est: float  # two-walk disagreement; _SERIES_TOL for the series
+    path: tuple  # xi-plane waypoints actually used; (inf, xi) for the far field
+    dps: "int | None"  # working digits of the walk or far connection; None for doubles
+    steps: int  # Taylor expansions of the walk; 0 for the series and the far field
+    rel_est: float  # two-walk gap or far-field estimate; _SERIES_TOL for the series
 
     @property
     def value(self) -> complex:
@@ -797,6 +1089,50 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
                              dps=dps, steps=steps, rel_est=rel_est)
 
 
+def _far_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
+    """The states at the targets us, at xis = us / zeta_c^2 with |xi| >=
+    FAR_RADIUS, from the expansion at infinity.  Targets below the axis, and
+    the cut's lower side, are summed at the conjugate xi and conjugated, so
+    the two sides are exact conjugates.  Three rungs serve each target
+    whose estimate (see _far_values) is at most tol/4, in turn: the
+    connection from the double walks, summed in doubles; the one from the
+    walks at _MP_RUNG_DPS digits, summed in doubles; and that one summed at
+    its own digits, where the terms cancel.  AccuracyError is raised for any
+    target all three miss, PathError if G itself falls below the double
+    range."""
+    xis = [complex(xi) for xi in xis]
+    flip = [xi.imag < 0.0 or (xi.imag == 0.0 and xi.real > 0.0 and side == "below")
+            for xi in xis]
+    upper = [complex(xi.real, abs(xi.imag)) for xi in xis]
+    done, todo, worst = {}, list(range(len(xis))), math.inf
+    for dps, sum_dps in ((None, None), (_MP_RUNG_DPS, None), (_MP_RUNG_DPS, _MP_RUNG_DPS)):
+        conn = _far_connection(s, p, dps)
+        if conn is None:
+            continue
+        left, worst = [], 0.0
+        for i, (z, rel) in zip(todo, _far_values(s, p, conn, [upper[i] for i in todo], sum_dps)):
+            if rel <= tol / 4:
+                done[i] = z, _Continued(None, None if dps is None else _arith(dps).digits, 0, rel)
+            else:
+                left.append(i)
+                worst = max(worst, rel)
+        if not left:
+            break
+        todo = left
+    else:
+        raise AccuracyError(
+            f"expansion at infinity of G_p for (s, p) = ({s}, {p}) misses tol = "
+            f"{tol:.1e} at {_MP_RUNG_DPS} digits: its estimate reads {worst:.1e}")
+    out = []
+    for i, (u, xi) in enumerate(zip(us, xis)):
+        z, run = done[i]
+        if z[0] == 0:
+            raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
+        z = [v.conjugate() for v in z] if flip[i] else z
+        out.append(_state(s, p, u, side, z, (complex(math.inf), xi), run))
+    return out
+
+
 def gp_continue(
     s: int,
     p: int,
@@ -804,17 +1140,20 @@ def gp_continue(
     side: str = "none",
     tol: float = CONTINUATION_TOL,
 ) -> ContinuationState:
-    """Continue G_p to u on the slit plane along the path of _waypoints.
+    """Continue G_p to u on the slit plane.
 
     side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
     'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
     the state is summed from the power series at 0 (_power_series, which
     also seeds every walk), because transport towards the singular point
-    u = 0 loses digits; u = 0 gives G = 1.  Elsewhere it comes from
-    the checked Taylor walk (see transport): within tol relative, or
-    AccuracyError.  Real u off the cut walks the real axis, so for every
-    side the imaginary parts are exactly zero; on the cut the state is that
-    of a one-node cut_trace.  A non-finite u raises DomainError.
+    u = 0 loses digits; u = 0 gives G = 1.  For |u| >= FAR_RADIUS zeta_c^2
+    it is summed from the expansion at infinity (_far_states), with no
+    Taylor steps and the path (inf, xi); G' and G'' that lie below the
+    double range there come out as 0.  In between it comes from the checked
+    Taylor walk along the path of _waypoints (see transport).  Each is
+    within tol relative, or AccuracyError.  Real u off the cut comes out
+    with imaginary parts exactly zero for every side; on the cut the state
+    is that of a one-node cut_trace.  A non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
     zc2 = float(thresholds(s).zeta_c) ** 2
@@ -823,6 +1162,8 @@ def gp_continue(
         raise DomainError(f"u must be finite, got {u}")
     xi_t = uc / zc2
     pts = _waypoints(xi_t, side)
+    if abs(xi_t) >= FAR_RADIUS:
+        return _far_states(s, p, [uc], [xi_t], side, tol)[0]
     if abs(xi_t) <= SERIES_RADIUS:
         taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
         z = [c * math.factorial(j) for j, c in enumerate(taylor)]
@@ -955,7 +1296,7 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 
     Orientation follows the edge-positive convention: rho(zeta_c^2) =
     (p/2pi)(s/(s-1))^{2p+1} > 0.  The jump (sigma(u + i0) - sigma(u - i0)) /
-    (2 pi i) needs one side only: the walk below the cut is the exact
+    (2 pi i) needs one side only: the state below the cut is the exact
     complex conjugate of the one above.
     """
     zc2 = float(thresholds(s).zeta_c) ** 2
@@ -965,26 +1306,28 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL):
-    """States along the cut at the given xi nodes (all > 1), in the order of
-    the nodes.
+    """States along the cut at the given xi nodes (all finite and > 1), in
+    the order of the nodes, so a single node gets gp_continue's state.
 
-    Two checked walks (see transport) take the route of _waypoints to xi_0 =
-    1 + DETOUR_OFFSET on the cut, then the real axis inward through the
-    nodes below xi_0 and outward through the rest, so a single node gets
-    gp_continue's state.  Walking back out from near the branch point would
-    carry its large high derivatives along: at (5, 10) on fig3's grid that
-    path lost 17 of 30 digits.
+    Nodes at xi >= FAR_RADIUS are summed from the expansion at infinity
+    (_far_states).  For the rest two checked walks (see transport) take the
+    route of _waypoints to xi_0 = 1 + DETOUR_OFFSET on the cut, then the real
+    axis inward through the nodes below xi_0 and outward through those up to
+    FAR_RADIUS.  Walking back out from near the branch point would carry its
+    large high derivatives along: at (5, 10) on fig3's grid that path lost
+    17 of 30 digits.
     """
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
-    if not all(x > 1.0 for x in nodes):
-        raise DomainError("cut_trace nodes must satisfy xi > 1")
+    if not all(1.0 < x < math.inf for x in nodes):
+        raise DomainError("cut_trace nodes must be finite and satisfy xi > 1")
     zc2 = float(thresholds(s).zeta_c) ** 2
     xi0 = 1.0 + DETOUR_OFFSET
     pts = _waypoints(complex(xi0), side)
-    states = {}
+    far = sorted({x for x in nodes if x >= FAR_RADIUS})
+    states = dict(zip(far, _far_states(s, p, [x * zc2 for x in far], far, side, tol)))
     for leg in (sorted({x for x in nodes if x < xi0}, reverse=True),
-                sorted({x for x in nodes if x >= xi0})):
+                sorted({x for x in nodes if xi0 <= x < FAR_RADIUS})):
         if leg:
             run = transport(s, p, pts, leg, tol, keep=3)
             states.update((xi, _state(s, p, xi * zc2, side, z,

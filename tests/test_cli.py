@@ -225,6 +225,22 @@ def test_continue_reports_the_walk_diagnostics(capsys):
     assert capsys.readouterr().out.splitlines()[-1].split(",")[-3:-1] == ["", "4"]
 
 
+@pytest.mark.parametrize("s,p,ratio,side,dps", [
+    (8, 16, "1000", "above", continuation._MP_RUNG_DPS + continuation.TAYLOR_GUARD_DPS),
+    (2, 1, "-1e100", "none", None),
+])
+def test_continue_on_a_far_target(capsys, s, p, ratio, side, dps):
+    # the walk outward raised AccuracyError at both; the expansion at infinity
+    # takes no Taylor steps and reports its connection's digits
+    args = ["continue", "--s", str(s), "--p", str(p), f"--u-ratio={ratio}", "--side", side]
+    assert run(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    row = dict(zip(payload["columns"], payload["rows"][0], strict=True))
+    assert row["steps"] == 0 and row["dps"] == dps
+    assert 0.0 <= float(row["rel_est"]) <= 1e-12 / 4
+    assert 0.0 < abs(complex(float(row["re_G"]), float(row["im_G"]))) < 1.0
+
+
 def test_jacobi_command(capsys):
     assert run(["jacobi", "--s", "2", "--p", "1", "--n", "4"]) == 0
     out = capsys.readouterr().out

@@ -397,11 +397,14 @@ def test_tiny_segment_is_walked():
 
 
 @pytest.mark.parametrize("xi", [-1e160, -1e300, 1e160j])
-def test_targets_beyond_the_double_range_are_path_errors(xi):
-    # |v|^2 overflowed in the segment guard, and past it the walk's step
-    # points do, within 0.5 s
-    with pytest.raises(PathError, match="overflows doubles"):
-        cont.gp_continue(2, 1, xi * ZC2_2, "none")
+def test_targets_beyond_the_double_range_of_the_walk(xi):
+    # the walk's step points left the double range on the way out and raised
+    # PathError; the expansion at infinity sums them in doubles, and G' and
+    # G'' there lie below the double range
+    st = cont.gp_continue(2, 1, xi * ZC2_2, "none")
+    (ref,) = _hyper_derivs(2, 1, xi, 1)
+    assert abs(st.value - ref) <= 1e-12 * abs(ref)
+    assert (st.dps, st.steps) == (None, 0) and st.path[0] == complex(math.inf)
 
 
 def test_finiteness_at_univalence_threshold():
@@ -743,8 +746,9 @@ def test_real_target_below_the_cut_stays_in_doubles():
        log_x=hst.floats(math.log10(cont.SERIES_RADIUS), 3.0))
 @example(s=8, k=15, log_x=math.log10(1.2))  # d = 16, the longest state
 def test_negative_targets_walk_the_axis(s, k, log_x):
-    # straight from -XI_SEED, so G_p comes out real for every side; the
-    # reference walks the detour through xi + 0.3i that these took before
+    # straight from -XI_SEED inside FAR_RADIUS and from the real expansion at
+    # infinity beyond it, so G_p comes out real for every side; the reference
+    # walks the detour through xi + 0.3i that these took before
     p = 1 + k % (2 * s)
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = -(10.0**log_x) * zc2
@@ -752,7 +756,8 @@ def test_negative_targets_walk_the_axis(s, k, log_x):
     if xi >= -cont.SERIES_RADIUS:  # rounding carried xi an ulp into the disk
         return
     st = cont.gp_continue(s, p, u, "none")
-    assert st.path == (-cont.XI_SEED, xi)
+    far = -xi >= cont.FAR_RADIUS
+    assert st.path == ((complex(math.inf), xi) if far else (-cont.XI_SEED, xi))
     assert all(d.imag == 0.0 for d in st.derivs)
     for side in ("above", "below"):
         assert cont.gp_continue(s, p, u, side).derivs == st.derivs
@@ -916,3 +921,65 @@ def test_resonant_fit_double_precision_keeps_b(s, p):
     # and 1.9e-9 at (3, 2) from its dps-40 value
     ref = cont.resonant_fit(s, p).B_fit
     assert abs(cont.resonant_fit(s, p, dps=17).B_fit - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("s,p,xi,side", [(8, 16, 1e3, "above"), (8, 1, 1e9, "above"),
+                                         (2, 1, -1e100, "none")])
+def test_far_targets_the_walk_missed(s, p, xi, side):
+    # the outward walk raised AccuracyError at each: at (8, 16) its 20-digit
+    # walks differed by 7.5e-13, and at -1e100 by 15 %
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    st = cont.gp_continue(s, p, xi * zc2, side)
+    x = st.u / zc2
+    ref = _hyper_derivs(s, p, x + 1e-30j if side == "above" else x, 3)
+    for j, (got, want) in enumerate(zip(st.derivs, ref, strict=True)):
+        assert abs(got - want / zc2**j) <= 1e-12 * abs(want / zc2**j)
+    assert st.steps == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15),
+       log_r=hst.floats(math.log10(cont.FAR_RADIUS), 100.0),
+       theta=hst.floats(-math.pi, math.pi, exclude_min=True), on_cut=hst.booleans())
+@example(s=8, k=15, log_r=3.0, theta=1.0, on_cut=True)  # d = 16, on the rung
+@example(s=5, k=9, log_r=math.log10(7.0), theta=math.pi, on_cut=False)
+def test_far_field_meets_tol_and_mirrors(s, k, log_r, theta, on_cut):
+    # the expansion at infinity: within tol of the 50-digit oracle or a typed
+    # error, and the two sides of the cut, or a target and its conjugate, are
+    # exact conjugates with the same diagnostics
+    p = 1 + k % (2 * s)
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    u = (complex(10.0**log_r) if on_cut else cmath.rect(10.0**log_r, theta)) * zc2
+    on_cut = u.imag == 0.0 and u.real > 0.0
+    if abs(u / zc2) < cont.FAR_RADIUS:  # rounding carried xi inside the circle
+        return
+    try:
+        if on_cut:
+            a, b = (cont.gp_continue(s, p, u, side) for side in ("above", "below"))
+        else:
+            a, b = (cont.gp_continue(s, p, v, "none") for v in (u, u.conjugate()))
+    except (AccuracyError, PathError):
+        return
+    assert all(y == x.conjugate() for x, y in zip(a.derivs, b.derivs, strict=True))
+    assert (b.dps, b.steps, b.rel_est) == (a.dps, a.steps, a.rel_est)
+    assert a.steps == 0 and 0.0 <= a.rel_est <= 1e-12 / 4
+    xi = u / zc2
+    (ref,) = _hyper_derivs(s, p, xi + 1e-30j if on_cut else xi, 1)
+    assert abs(a.value - ref) <= 1e-12 * abs(ref)
+
+
+def test_far_state_diagnostics():
+    # doubles at (3, 1); at (5, 10) the doubles connection is ill-conditioned
+    # and the estimate sends the target to the one at 30 digits
+    zc2 = {s: float(thresholds(s).zeta_c) ** 2 for s in (3, 5, 8)}
+    far = cont.gp_continue(3, 1, -1e3 * zc2[3], "none")
+    assert far.path == (complex(math.inf), far.u / zc2[3])
+    assert (far.dps, far.steps) == (None, 0) and 0.0 < far.rel_est <= 1e-12 / 4
+    rung = cont.gp_continue(5, 10, -7.0 * zc2[5], "none")
+    assert rung.dps == cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS
+    assert rung.steps == 0 and 0.0 < rung.rel_est <= 1e-12 / 4
+    # a one-node cut_trace gives gp_continue's state
+    st = cont.gp_continue(8, 16, 1e3 * zc2[8], "above")
+    (trace,) = cont.cut_trace(8, 16, [st.u.real / zc2[8]])
+    assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
+            == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
