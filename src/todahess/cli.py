@@ -550,7 +550,28 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """argv with each float flag of _FLAGS joined to a negative number that
+    follows it, as --flag=value: argparse takes a bare negative number in
+    exponent form, such as -1e100, for an option and then refuses the flag
+    for want of a value."""
+    flags = {"--" + k.replace("_", "-") for k, spec in _FLAGS.items() if spec.get("type") is float}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     pre = argparse.ArgumentParser(prog="todahess", add_help=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config

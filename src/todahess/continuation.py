@@ -49,8 +49,7 @@ from .errors import (
     DivergenceError,
     PathError,
 )
-from .maps import thresholds
-from .raney import _validate_sp, raney_step
+from .raney import _validate_sp, raney_step, zeta_c_value
 
 #: imaginary offset of the detour rectangle
 DETOUR_OFFSET = 0.3
@@ -127,7 +126,7 @@ def gp_series(s: int, p: int, u: complex):
     The value is exactly gp_continue(s, p, u).value, real for real u.
     """
     s, p = _validate_sp(s, p)
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    zc2 = zeta_c_value(s) ** 2
     if not cmath.isfinite(complex(u)):
         raise DomainError(f"u must be finite, got {u}")
     if abs(complex(u) / zc2) > SERIES_RADIUS:
@@ -289,8 +288,12 @@ def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
 
 
 def _fdot(u: list, v: list):
-    """sum_k u_k v_k for integers u and complex doubles or integers v."""
+    """sum_k u_k v_k, summed left to right."""
     return sum(map(operator.mul, u, v))
+
+
+#: (s, p) -> the rows of _recurrence_row drawn so far, rounded to doubles
+_FLOAT_ROWS: dict = {}
 
 
 def _recurrence_coeffs(s: int, p: int, centre: complex, head):
@@ -298,15 +301,40 @@ def _recurrence_coeffs(s: int, p: int, centre: complex, head):
     complex doubles, from the recurrence of _recurrence_row; head holds
     b_0..b_{d-1}.  Row N gives b_{N+d} = (centre beta . b - alpha . b) /
     (den lead (1 - centre)), for den the leading coefficient of
-    _theta_polys."""
+    _theta_polys.
+
+    The integer rows are rounded once to doubles and kept per (s, p), grown
+    as far as some expansion has drawn: int * complex rounds an integer the
+    same way, so the coefficients are those of the exact rows.  A row beyond
+    the double range raises OverflowError when it is first drawn, and
+    transport takes the fixed-point rung, which keeps the integers.
+    """
     b = list(head)
     yield from b
     inv = 1 / (_theta_polys(s, p)[0][-1] * (1 - centre))
+    rows = _FLOAT_ROWS.setdefault((s, p), [])
     for big_n in count():
-        alpha, beta, lead = _recurrence_row(s, p, big_n)
+        if big_n == len(rows):
+            alpha, beta, lead = _recurrence_row(s, p, big_n)
+            rows.append(([*map(float, alpha)], [*map(float, beta)], float(lead)))
+        alpha, beta, lead = rows[big_n]
         acc = centre * _fdot(beta, b[max(big_n - 1, 0):]) - _fdot(alpha, b[big_n:])
         b.append(acc * inv / lead)
         yield b[-1]
+
+
+@lru_cache(maxsize=None)
+def _falling_columns(n: int, d: int) -> tuple:
+    """cols[i][m] = m!/(m-i)! for m < n and i < d, as the double product m
+    (m-1) ... (m-i+1) rounded after each factor, the way _expand's check
+    forms it; _expand asks for n rounded up to a power of two."""
+    cols = [[] for _ in range(d)]
+    for m in range(n):
+        ff = 1.0
+        for i, col in enumerate(cols):
+            col.append(ff)
+            ff *= m - i
+    return tuple(map(tuple, cols))
 
 
 def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
@@ -320,27 +348,49 @@ def _expand(coeffs, tau_far, ratio: float, d: int, ar: _Arith) -> list:
     rule: the power series at 0 (_power_series) and each Taylor step of the
     walks.
 
+    No component passes before the value's own (i = 0) does, so until then
+    only the value's partial sum is carried.  When it passes, the
+    derivative sums are formed from the terms so far, left to right with the
+    products n!/(n-i)! of _falling_columns, which are the sums the term by
+    term check would hold; from then on every component is checked at each
+    term.  So the coefficients returned and the stop index are those of the
+    check on all components at every term.
+
     DivergenceError past the term budget: ratio <= 1/2 needs about 3.3
     terms per digit, plus the growth of n!/(n-d)!, and the budget is three
     times that; a ratio in (1/2, 1) needs log(1/2)/log(ratio) times more.
     """
     tol = ar.tol
     budget = int((10 * ar.digits + 20 * d) * math.log(0.5) / math.log(max(ratio, 0.5)))
-    out = []
-    sums = [0j] * d
-    pw = 1
+    out, terms, sums = [], [], None
+    value, pw = 0j, 1
     for n, b in enumerate(coeffs):
         out.append(b)
         t = complex(b * pw)
         pw *= tau_far
-        done = n >= 4 * d
-        ff = 1.0  # n!/(n-i)!
-        for i in range(min(d, n + 1)):
-            sums[i] += ff * t
-            q = ratio * (n + 1) / (n + 1 - i)
-            done = (done and q < 1.0
-                    and abs(t) * ff * q / (1.0 - q) <= tol * abs(sums[i]))
-            ff *= n - i
+        if sums is None:
+            terms.append(t)
+            # component i = 0 exactly as the check on all components forms it
+            value += 1.0 * t
+            q = ratio * (n + 1) / (n + 1)
+            done = (n >= 4 * d and q < 1.0
+                    and abs(t) * q / (1.0 - q) <= tol * abs(value))
+            if done:
+                cols = _falling_columns(1 << n.bit_length(), d)
+                sums = [value] + [_fdot(cols[i][i:], terms[i:]) for i in range(1, d)]
+                for i in range(1, d):
+                    ff, q = cols[i][n], ratio * (n + 1) / (n + 1 - i)
+                    done = (done and q < 1.0
+                            and abs(t) * ff * q / (1.0 - q) <= tol * abs(sums[i]))
+        else:
+            done = True
+            ff = 1.0  # n!/(n-i)!
+            for i in range(d):
+                sums[i] += ff * t
+                q = ratio * (n + 1) / (n + 1 - i)
+                done = (done and q < 1.0
+                        and abs(t) * ff * q / (1.0 - q) <= tol * abs(sums[i]))
+                ff *= n - i
         if done:
             return out
         if n >= budget:
@@ -605,6 +655,86 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
     return abs(a + min(max(lam, 0.0), 1.0) * v - z)
 
 
+class _Walked(NamedTuple):
+    """A walk up to its last centre, in the number type of its _Arith."""
+    states: list  # at each target passed: [y^(i)(xi) / i!] in doubles, or an _FxState
+    state: object  # the same at the last centre, where the next step expands
+    centre: complex
+    cx: object  # centre in the number type: a complex double or a point
+    steps: int
+    terms: int
+
+
+def _seeded(s: int, p: int, d: int, ar: _Arith, start) -> _Walked:
+    """A walk that has not stepped yet: the state at start from the power
+    series at 0."""
+    cx = complex(start) if ar.bits is None else _fx_point(start, ar.bits + _POINT_GUARD_BITS)
+    state, terms = _power_series(s, p, cx, d, ar)
+    return _Walked([], state, complex(start), cx, 0, terms)
+
+
+def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
+             reach: int) -> _Walked:
+    """walked carried on through targets by the steps that _taylor_walk
+    describes.  A target at the centre itself takes the state there with no
+    step: that is the join, where the walk to the cut always ends a step."""
+    pts = [complex(t) for t in targets]
+    if ar.bits is None:
+        step, ends = _double_step, pts
+    else:
+        step, ends = _fx_step, [_fx_point(t, ar.bits + _POINT_GUARD_BITS) for t in targets]
+    states = list(walked.states)
+    _, state, centre, cx, steps, terms = walked
+    k = 0
+    while k < len(pts):
+        if ends[k] == cx:
+            states.append(state)
+            k += 1
+            continue
+        rho = min(abs(centre), abs(1 - centre))
+        served = []
+        while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
+            served.append(k)
+            k += 1
+        if served:
+            nxt = pts[served[-1]]
+            far = max(abs(pts[j] - centre) for j in served)
+            at = [ends[j] for j in served]
+        else:
+            nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
+            if not cmath.isfinite(nxt):
+                raise PathError(f"the step from xi = {centre:.3g} towards "
+                                f"{pts[k]:.3g} overflows doubles; the walk "
+                                "cannot reach targets this far out")
+            far = abs(nxt - centre)
+            at = [nxt if ar.bits is None else _fx_point(nxt, ar.bits + _POINT_GUARD_BITS)]
+        reached, n = step(s, p, d, ar, state, cx, at, far, rho)
+        steps += 1
+        terms += n
+        if served:
+            states.extend(reached)
+        state, centre, cx = reached[-1], nxt, at[-1]
+    return _Walked(states, state, centre, cx, steps, terms)
+
+
+def _join_route() -> list:
+    """The cut's detour XI_SEED -> XI_SEED + ih -> 1 + h + ih -> 1 + h, h =
+    DETOUR_OFFSET, with which every route to the cut begins (_waypoints);
+    routes below the cut are mirrored onto it by transport."""
+    return _waypoints(complex(1.0 + DETOUR_OFFSET), "above")
+
+
+@lru_cache(maxsize=None)
+def _join_walk(s: int, p: int, dps, reach: int) -> _Walked:
+    """The walk along _join_route, which ends a step at its last corner,
+    the join 1 + DETOUR_OFFSET on the cut, kept per (s, p), number type and
+    reach: every walk that starts with that route continues from it."""
+    ar = _arith(dps)
+    d = len(_theta_polys(s, p)[0]) - 1
+    route = _join_route()
+    return _walk_on(s, p, d, ar, _seeded(s, p, d, ar, route[0]), route[1:], reach)
+
+
 def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from path[0]
     through the targets path[1:], in order: in fixed-point integers at dps +
@@ -625,57 +755,37 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     _SERIES_TOL in doubles (see _expand); dps is at most 250.  Non-finite
     targets raise DomainError, and a step point that leaves the double
     range (targets beyond about |xi| = 1e154) raises PathError.
+
+    A path that begins with _join_route, the detour of every route to the
+    cut, continues from _join_walk, so its walk ends a step at the join 1 +
+    DETOUR_OFFSET whether or not that walk is cached, and its steps and
+    terms count those of the detour.  A target at the join takes the
+    join's state.
     """
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
     corners = [complex(t) for t in path]
-    pts = corners[1:]
     if not all(cmath.isfinite(z) for z in corners):
         raise DomainError(f"continuation targets must be finite, got {path!r}")
     for a, b in zip(corners, corners[1:]):
         if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
             raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                             "singular point, 0 or 1")
-    centre = corners[0]
+    route = _join_route()
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        if dps is None:
-            step, ends, cx = _double_step, pts, centre
+        if [*path[:len(route)]] == route:
+            first, walked = len(route), _join_walk(s, p, dps, reach)
         else:
-            f = ar.bits + _POINT_GUARD_BITS
-            step, cx = _fx_step, _fx_point(path[0], f)
-            ends = [_fx_point(t, f) for t in path[1:]]
-        state, terms = _power_series(s, p, cx, d, ar)
-        steps, k, states = 0, 0, []
-        while k < len(pts):
-            rho = min(abs(centre), abs(1 - centre))
-            served = []
-            while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
-                served.append(k)
-                k += 1
-            if served:
-                nxt = pts[served[-1]]
-                far = max(abs(pts[j] - centre) for j in served)
-                at = [ends[j] for j in served]
-            else:
-                nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
-                if not cmath.isfinite(nxt):
-                    raise PathError(f"the step from xi = {centre:.3g} towards "
-                                    f"{pts[k]:.3g} overflows doubles; the walk "
-                                    "cannot reach targets this far out")
-                far = abs(nxt - centre)
-                at = [nxt if dps is None else _fx_point(nxt, f)]
-            reached, n = step(s, p, d, ar, state, cx, at, far, rho)
-            steps += 1
-            terms += n
-            if served:
-                states.extend(reached)
-            state, centre, cx = reached[-1], nxt, at[-1]
+            first, walked = 1, _seeded(s, p, d, ar, path[0])
+        walked = _walk_on(s, p, d, ar, walked, path[first:], reach)
         if dps is None:
             fact = [math.factorial(i) for i in range(d)]
-            states = [[x * g for x, g in zip(st, fact)] for st in states]
+            states = [[x * g for x, g in zip(st, fact)] for st in walked.states]
         else:
-            states = [_fx_values(st, f) for st in states]
-    return _TaylorWalk(states, steps, terms, None if dps is None else ar.digits)
+            f = ar.bits + _POINT_GUARD_BITS
+            states = [_fx_values(st, f) for st in walked.states]
+    return _TaylorWalk(states, walked.steps, walked.terms,
+                       None if dps is None else ar.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +821,10 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     The one place that imposes Schwarz symmetry: when the first non-real
     target lies below the axis, the walks run on the conjugate targets and
     return conjugated states, so conjugate paths give exact conjugates.
+    So every route to the cut, on either side, begins with the upper detour
+    of _join_route and continues from the walk to the join that
+    _join_walk keeps: each step of that detour is walked once per (s, p),
+    number type and reach.
 
     Two walks serve the targets within rho/2 and rho/3 of each centre.  The
     largest relative disagreement between them of any returned component
@@ -1081,7 +1195,7 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
            run: "_Continued | None" = None) -> ContinuationState:
     """State at u from the xi-derivatives z of y(xi) = G_p(zeta_c^2 xi),
     summed from the series when run is None."""
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    zc2 = zeta_c_value(s) ** 2
     derivs = tuple(z[j] / zc2**j for j in range(len(z)))
     dps, steps, rel_est = ((None, 0, _SERIES_TOL) if run is None
                            else (run.dps, run.steps, run.rel_est))
@@ -1156,7 +1270,7 @@ def gp_continue(
     is that of a one-node cut_trace.  A non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    zc2 = zeta_c_value(s) ** 2
     uc = complex(u)
     if not cmath.isfinite(uc):
         raise DomainError(f"u must be finite, got {u}")
@@ -1299,7 +1413,8 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     (2 pi i) needs one side only: the state below the cut is the exact
     complex conjugate of the one above.
     """
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    s, p = _validate_sp(s, p)
+    zc2 = zeta_c_value(s) ** 2
     if not u > zc2:
         raise DomainError(f"u must exceed zeta_c^2 = {zc2:.6g}")
     return sigma_cont(s, p, u, "above").imag / math.pi
@@ -1313,15 +1428,17 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     (_far_states).  For the rest two checked walks (see transport) take the
     route of _waypoints to xi_0 = 1 + DETOUR_OFFSET on the cut, then the real
     axis inward through the nodes below xi_0 and outward through those up to
-    FAR_RADIUS.  Walking back out from near the branch point would carry its
-    large high derivatives along: at (5, 10) on fig3's grid that path lost
-    17 of 30 digits.
+    FAR_RADIUS.  Both legs continue from the one walk to xi_0, which ends a
+    step there (_join_walk), so a node's state depends neither on the
+    order of the nodes nor on which call walked the detour first.  Walking back
+    out from near the branch point would carry its large high derivatives
+    along: at (5, 10) on fig3's grid that path lost 17 of 30 digits.
     """
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(1.0 < x < math.inf for x in nodes):
         raise DomainError("cut_trace nodes must be finite and satisfy xi > 1")
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    zc2 = zeta_c_value(s) ** 2
     xi0 = 1.0 + DETOUR_OFFSET
     pts = _waypoints(complex(xi0), side)
     far = sorted({x for x in nodes if x >= FAR_RADIUS})

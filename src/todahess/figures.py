@@ -20,6 +20,7 @@ from .continuation import cut_trace, edge_density_closed, sigma_from_state
 from .errors import DomainError
 from .gram import sigma_p
 from .maps import thresholds
+from .raney import zeta_c_value
 from .spectra import block_spectrum, compressed_remainder, log_scale
 from .tables import Table
 
@@ -161,7 +162,7 @@ def build_fig3(rec: FigureRecipe):
     sub = np.linspace(0.30, 0.96, 12)
     sup = np.geomspace(1.002, 4.0, 40)
     for s in rec.s_values:
-        zc2 = float(thresholds(s).zeta_c) ** 2
+        zc2 = zeta_c_value(s) ** 2
         for p in rec.p_values.get(s, (1, 2, s)):
             edge = edge_density_closed(s, p)
             for xr in sub:

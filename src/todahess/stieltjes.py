@@ -15,13 +15,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .continuation import cut_trace
 from .errors import ConditioningError, DomainError, PositivityError
 from .maps import thresholds
-from .raney import _at_least, _validate_sp, raney_table
+from .raney import _at_least, _validate_sp, raney_table, zeta_c_value
 
 
 @dataclass(frozen=True)
@@ -233,19 +234,47 @@ def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
     must lie in (0, 1): t >= T puts xi = 1/t_ratio <= 1 off the cut, and the
     trace raises DomainError.
     """
+    s, p = _validate_sp(s, p)
     t_ratio = np.asarray(t_ratio, dtype=np.float64)
     if not np.all(t_ratio > 0):
         raise DomainError("t must be > 0")
-    tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
+    tmax = 1.0 / zeta_c_value(s) ** 2
     xi = 1.0 / t_ratio
     im_g = np.array([st.value.imag for st in cut_trace(s, p, xi, side="above")])
     return im_g / (math.pi * (tmax / xi))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], as read-only arrays.  Newton's method runs on P_n from the
+    three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, from
+    the guesses cos(pi (i + 3/4) / (n + 1/2)), until no step exceeds 1e-16;
+    then w = 2 / ((1 - x^2) P_n'(x)^2), symmetrized and scaled to sum to 2.
+    It stands in for numpy.polynomial.legendre.leggauss, whose import cost
+    the first Perron op of a process 3 ms and 1 MB."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        dx = p1 / dp
+        x = x - dx
+        if np.all(np.abs(dx) <= 1e-16):
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x[::-1] - x) / 2, (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre_panels(a: float, b: float, n_panels: int, n_nodes: int):
-    """Log-spaced panels on [a, b] with Gauss-Legendre nodes per panel."""
+    """Log-spaced panels on [a, b] with the n_nodes-point Gauss-Legendre rule
+    of _gauss_legendre on each."""
     edges = np.geomspace(a, b, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -279,7 +308,8 @@ def perron_integrals(
     if not 0 < delta_rel < 0.5:
         raise DomainError("delta_rel must lie in (0, 0.5)")
     n_panels = _at_least("n_panels", n_panels, 1)
-    zc2 = float(thresholds(s).zeta_c) ** 2
+    s, p = _validate_sp(s, p)
+    zc2 = zeta_c_value(s) ** 2
     tmax = 1.0 / zc2
     xi_a = 1.0 / (1.0 - delta_rel)
     xi_b = 1.0 / delta_rel
@@ -300,7 +330,8 @@ ENDPOINT_EPS = tuple(np.geomspace(2e-3, 2e-2, 8))
 def perron_endpoint_exponent(s: int, p: int):
     """Log-log slope of varrho_p(t) against (T - t) near the right endpoint
     (the density vanishes quadratically there), over ENDPOINT_EPS."""
-    tmax = 1.0 / float(thresholds(s).zeta_c) ** 2
+    s, p = _validate_sp(s, p)
+    tmax = 1.0 / zeta_c_value(s) ** 2
     t_ratio = 1.0 - np.array(ENDPOINT_EPS)
     ts = tmax / (1.0 / t_ratio)  # the t values perron_density evaluates at
     rho = perron_density(s, p, t_ratio)

@@ -241,6 +241,23 @@ def test_continue_on_a_far_target(capsys, s, p, ratio, side, dps):
     assert 0.0 < abs(complex(float(row["re_G"]), float(row["im_G"]))) < 1.0
 
 
+@pytest.mark.parametrize("args,value,code", [
+    (["continue", "--s", "2", "--p", "1", "--format", "json", "--u-ratio"], "-1e100", 0),
+    (["continue", "--s", "2", "--p", "1", "--format", "json", "--u-ratio"], "-1.2", 0),
+    (["block", "--s", "3", "--n", "2", "--zeta-ratio"], "-1e-3", 2),
+], ids=["u-ratio-exponent", "u-ratio-decimal", "zeta-ratio-exponent"])
+def test_bare_negative_values_parse_as_attached_ones(capsys, args, value, code):
+    # argparse took a bare -1e100 for an option and refused the flag with
+    # "expected one argument"; both forms now reach the command
+    assert exit_code(args + [value]) == code
+    bare = capsys.readouterr()
+    assert exit_code([*args[:-1], f"{args[-1]}={value}"]) == code
+    attached = capsys.readouterr()
+    assert (bare.out, bare.err) == (attached.out, attached.err)
+    if code == 2:
+        assert "usage error: zeta must be finite and > 0" in bare.err
+
+
 def test_jacobi_command(capsys):
     assert run(["jacobi", "--s", "2", "--p", "1", "--n", "4"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 import numpy as np
@@ -170,6 +170,73 @@ def test_recurrence_row_matches_the_xi_derivative_form(s, k, big_n):
     assert p_poly[-1] == r_poly[-1] == _row_tables(s, p)[2]
     assert _order(s, p) == len(cont.hyp_params(s, p).reduced_upper)
     assert cont._recurrence_row(s, p, big_n) == _reference_row(s, p, big_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), big_n=hst.integers(0, 200))
+@example(s=8, k=15, big_n=200)  # d = 16, the longest row
+def test_float_rows_are_the_integer_rows_rounded(s, k, big_n):
+    # the double walk reads each integer row rounded once, as int * complex
+    # rounds it, so its coefficients are those of the exact rows
+    p = 1 + k % (2 * s)
+    d = _order(s, p)
+    list(islice(cont._recurrence_coeffs(s, p, 0.6 + 0.2j, [1j] * d), d + big_n + 1))
+    rows = cont._FLOAT_ROWS[(s, p)]
+    assert len(rows) > big_n
+    for n in range(big_n + 1):
+        alpha, beta, lead = cont._recurrence_row(s, p, n)
+        assert rows[n] == ([*map(float, alpha)], [*map(float, beta)], float(lead))
+
+
+def _reference_expand(coeffs, tau_far, ratio, d, ar):
+    """_expand as it was written before it carried the value's sum alone:
+    every component summed and checked at every term."""
+    tol = ar.tol
+    budget = int((10 * ar.digits + 20 * d) * math.log(0.5) / math.log(max(ratio, 0.5)))
+    out = []
+    sums = [0j] * d
+    pw = 1
+    for n, b in enumerate(coeffs):
+        out.append(b)
+        t = complex(b * pw)
+        pw *= tau_far
+        done = n >= 4 * d
+        ff = 1.0  # n!/(n-i)!
+        for i in range(min(d, n + 1)):
+            sums[i] += ff * t
+            q = ratio * (n + 1) / (n + 1 - i)
+            done = (done and q < 1.0
+                    and abs(t) * ff * q / (1.0 - q) <= tol * abs(sums[i]))
+            ff *= n - i
+        if done:
+            return out
+        if n >= budget:
+            raise DivergenceError("budget")
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=hst.integers(1, 16), ratio=hst.floats(0.0, 0.99, exclude_min=True),
+       decay=hst.floats(0.05, 1.0), tau=hst.complex_numbers(max_magnitude=2.0),
+       zs=hst.lists(hst.complex_numbers(max_magnitude=1e3), min_size=1, max_size=6),
+       dps=hst.sampled_from([None, 20]))
+@example(d=16, ratio=0.9, decay=1.0, tau=1.0, zs=[1 + 1j], dps=None)  # no tail: the budget
+@example(d=3, ratio=0.5, decay=0.5, tau=1.0, zs=[1.0, 0.0, -2.0], dps=20)
+def test_expand_stops_where_the_full_check_does(d, ratio, decay, tau, zs, dps):
+    # the value's sum alone until its tail passes, then every component:
+    # the same coefficients and stop index as checking all at every term
+    ar = cont._arith(dps)
+
+    def stream():
+        return (zs[n % len(zs)] * decay**n for n in count())
+
+    try:
+        want = _reference_expand(stream(), tau, ratio, d, ar)
+    except DivergenceError:
+        with pytest.raises(DivergenceError):
+            cont._expand(stream(), tau, ratio, d, ar)
+        return
+    got = cont._expand(stream(), tau, ratio, d, ar)
+    assert len(got) == len(want) and got == want
 
 
 def test_gp_series_values():
@@ -788,6 +855,55 @@ def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
     (trace,) = cont.cut_trace(s, p, [xi], side)
     assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
             == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
+
+
+def _cut_states(s, p, xis, cold):
+    """{xi: (derivs, steps, dps, rel_est)} of cut_trace over xis, and of
+    gp_continue and disc_density_rho at each xi above the cut, with the join
+    walks cleared before each call if cold."""
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    out = {}
+
+    def call(f, *args):
+        if cold:
+            cont._join_walk.cache_clear()
+        return f(*args)
+
+    for xi, st in zip(xis, call(cont.cut_trace, s, p, xis)):
+        out[xi, "trace"] = st.derivs, st.steps, st.dps, st.rel_est
+    for xi in xis:
+        st = call(cont.gp_continue, s, p, xi * zc2, "above")
+        out[xi, "continue"] = st.derivs, st.steps, st.dps, st.rel_est
+        out[xi, "rho"] = call(cont.disc_density_rho, s, p, xi * zc2)
+    return out
+
+
+@settings(max_examples=8, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), data=hst.data(),
+       xis=hst.lists(hst.floats(1.001, 3.9), min_size=1, max_size=4, unique=True))
+@example(s=3, k=1, data=None, xis=[1.3, 1.2, 2.0])  # a node at the join
+def test_cut_values_do_not_depend_on_call_order(s, k, data, xis):
+    # every walk to the cut continues from the join state, which a cold walk
+    # computes and a warm one reads: the same numbers either way, and in
+    # any order of the nodes
+    p = 1 + k % (2 * s)
+    cold = _cut_states(s, p, xis, cold=True)
+    assert _cut_states(s, p, xis, cold=False) == cold
+    shuffled = list(reversed(xis)) if data is None else data.draw(hst.permutations(xis))
+    assert _cut_states(s, p, shuffled, cold=False) == cold
+    assert _cut_states(s, p, shuffled, cold=True) == cold
+
+
+def test_join_walks_are_kept_per_reach_and_number_type():
+    # (8, 16) at 2.5 takes the fixed-point rung: two reaches in two number
+    # types, whatever else is continued to the cut at that (s, p)
+    zc2 = float(thresholds(8).zeta_c) ** 2
+    cont._join_walk.cache_clear()
+    assert cont.gp_continue(8, 16, 2.5 * zc2, "below").dps is not None
+    assert cont._join_walk.cache_info().currsize == 4
+    cont.cut_trace(8, 16, [1.01, 1.3, 2.5, 3.0], "above")
+    cont.disc_density_rho(8, 16, 1.7 * zc2)
+    assert cont._join_walk.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("s,p,xi,side", [(3, 4, 1 + 1e-7, "above"), (8, 16, -1.2, "none")])

@@ -1,5 +1,9 @@
 from fractions import Fraction
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,29 @@ def test_perron_mass_coarse_delta_recorded():
 def test_perron_endpoint_exponent():
     slope = st.perron_endpoint_exponent(2, 1)
     assert abs(slope - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_gauss_legendre_rule(n):
+    # Newton on the three-term recurrence in place of numpy's leggauss
+    x, w = st._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - ref_x) <= 1e-14 * np.abs(ref_x))
+    assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
+    assert abs(w.sum() - 2.0) <= 1e-15
+    for k in range(2 * n):  # exact on polynomials of degree 2n - 1
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**k) - exact) <= 1e-15
+
+
+def test_perron_op_imports_no_polynomial_module():
+    # numpy.polynomial cost the first Perron op of a process 3 ms and 1 MB
+    code = ("import sys; from todahess import stieltjes; "
+            "stieltjes.perron_integrals(2, 1, n_panels=2); "
+            "assert 'numpy.polynomial' not in sys.modules")
+    src = str(Path(st.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_quadrature_domain_guards():
