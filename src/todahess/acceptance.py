@@ -277,7 +277,12 @@ RESONANT_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1))
 
 
 def crit_11_resonant(pairs=RESONANT_PAIRS):
-    """|B_fit - closed form| / |closed| < 5%, extended precision."""
+    """|B_fit - closed form| / |closed| < 5%, extended precision.
+
+    Each pair whose basis at xi = 1 serves (its estimate at the join meets
+    CONTINUATION_TOL/4) also records B_basis, the log entry of the basis's
+    connection, and its distance to the closed form, not gated: the fit
+    stays the independent check on the walk."""
     ok = True
     info = {}
     for s, p in pairs:
@@ -289,12 +294,18 @@ def crit_11_resonant(pairs=RESONANT_PAIRS):
             "max_rel_residual": fit.max_rel_residual,
             "steps": fit.steps, "terms": fit.terms, "dps": fit.dps,
         }
+        join = cont._one_join(s, p)
+        if join is not None and join[1] <= cont.CONTINUATION_TOL / 4:
+            b = float(cont._one_connection(s, p).coeffs[-1])
+            info[f"{s},{p}"].update(B_basis=b, B_basis_rel=abs(b - closed) / abs(closed))
         ok &= rel < 0.05 and fit.B_fit < 0
     return ok, info
 
 
 def crit_12_edge_density():
-    """Taylor-walk rho extrapolated to the edge within 3% of the closed form."""
+    """rho extrapolated to the edge within 3% of the closed form; the four
+    values come from the basis at xi = 1 where its estimate serves them,
+    else from the Taylor walk."""
     ok = True
     info = {}
     eps = np.array([0.004, 0.008, 0.016, 0.032])

@@ -4,22 +4,29 @@ G_p(u) = sum_m R_{s,p}(m)^2 u^m converges for |u| < zeta_c^2 and extends to
 the slit plane C \\ [zeta_c^2, inf).  The coefficient ratio is rational in m,
 so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
-finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Three regions
+finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Four regions
 cover the slit plane, each target in one.  The power series at 0 is summed
 in one place, _power_series: it gives the values in the disk |xi| <=
-SERIES_RADIUS and seeds every walk at +-XI_SEED.  In the annulus out to
-|xi| = FAR_RADIUS, Taylor steps continue the solution along the one route
-rule, _waypoints: real targets walk the real axis, non-real ones detour
-around xi = 1.  Their recurrence is read straight from the reduced
-equation in theta form, P(theta) y = xi R(theta) y (_theta_polys,
-_recurrence_row).  Two walks with different step lengths, in complex
-doubles first and, if they disagree, in fixed-point integers at extended
-precision, bound the error (transport); mpmath numbers carry the inputs and
-results of the extended walks and the resonant fit's solve.  Beyond
-FAR_RADIUS, the Frobenius basis at xi = infinity, read from the same theta
-polynomials, is matched once per (s, p) to both walks on the circle and
-summed (_far_table, _far_connection, _far_values), on the same ladder of
-doubles, then extended precision, then AccuracyError.
+SERIES_RADIUS and seeds every walk at +-XI_SEED.  Around the branch point,
+0 < |xi - 1| <= ONE_RADIUS outside the disk, the Frobenius basis at xi = 1
+(d - 1 analytic solutions and one with a log(1 - xi) term), matched once
+per (s, p) to the power series at 0 with no walk, serves each target
+where its estimate meets tol/4 (_one_table, _one_connection, _one_values),
+and gives the double walks' state at the cut's join (_one_join).  In the
+rest of the annulus out to |xi| = FAR_RADIUS, and wherever the basis
+misses, Taylor steps continue the solution along the one route rule,
+_waypoints: real targets walk the real axis, non-real ones detour around
+xi = 1.  Their recurrence is read straight from the reduced equation in
+theta form, P(theta) y = xi R(theta) y (_theta_polys, _row), whose rows at
+centre 1 also give the basis at xi = 1.  Two walks with different step
+lengths, in complex doubles first and, if they disagree, in fixed-point
+integers at extended precision, bound the error (transport); mpmath
+numbers carry the inputs and results of the extended walks and the
+resonant fit's solve.  Beyond FAR_RADIUS, the Frobenius basis at xi =
+infinity, read from the same theta polynomials, is matched once per (s,
+p) to both walks on the circle and summed (_far_table, _far_connection,
+_far_values), on the same ladder of doubles, then extended precision,
+then AccuracyError.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -141,7 +148,7 @@ def gp_series(s: int, p: int, u: complex):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
@@ -254,8 +261,32 @@ def _theta_row(poly: tuple, n: int) -> list:
     return u
 
 
-@lru_cache(maxsize=None)
-def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
+class _Poly:
+    """A polynomial in N with integer coefficients, constant term first.
+    Passed to _row in place of the integer N, it makes every entry of the
+    row a _Poly."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = tuple(c)
+
+    def __add__(self, other):
+        a, b = sorted((self.c, other.c if isinstance(other, _Poly) else (other,)), key=len)
+        return _Poly(map(operator.add, b, (*a, *[0] * (len(b) - len(a)))))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        return _Poly(_poly_mul(self.c, other.c if isinstance(other, _Poly) else (other,)))
+
+    __rmul__ = __mul__
+
+
+def _row(s: int, p: int, big_n) -> tuple:
     """(alpha, beta, lead): the integer recurrence of row N = big_n.
 
     At a centre c write y = sum_n b_n tau^n, b_n = a_n c^n for the Taylor
@@ -275,6 +306,12 @@ def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
     the factor den.  As (1 + tau) theta = (theta - 1) (1 + tau), beta_r(N)
     is also [R(T - 1)]_{N,N+r} + [R(T - 1)]_{N,N+r+1}, so each row takes
     one Horner pass per polynomial (_theta_row).
+
+    The entries are polynomials in N, built by + and * alone, so big_n may
+    also be the _Poly N (the rows at centre 1, _one_polys); beta then
+    always holds the r = -1 entry.  Uncached: _recurrence_row keeps the integer
+    rows that the fixed-point rung reads, and _recurrence_coeffs keeps its
+    own rows in doubles.
     """
     p_poly, r_poly = _theta_polys(s, p)
     d = len(p_poly) - 1
@@ -285,6 +322,10 @@ def _recurrence_row(s: int, p: int, big_n: int) -> tuple:
     alpha = tuple(map(operator.mul, fall[:d], up))
     beta = tuple(fall[r] * (ur[r] + (big_n + r + 1) * ur[r + 1]) for r in range(d))
     return alpha, (ur[0], *beta) if big_n else beta, fall[d]
+
+
+#: the integer rows of _row, kept per (s, p, N) for the fixed-point rung
+_recurrence_row = lru_cache(maxsize=None)(_row)
 
 
 def _fdot(u: list, v: list):
@@ -303,11 +344,12 @@ def _recurrence_coeffs(s: int, p: int, centre: complex, head):
     (den lead (1 - centre)), for den the leading coefficient of
     _theta_polys.
 
-    The integer rows are rounded once to doubles and kept per (s, p), grown
-    as far as some expansion has drawn: int * complex rounds an integer the
-    same way, so the coefficients are those of the exact rows.  A row beyond
-    the double range raises OverflowError when it is first drawn, and
-    transport takes the fixed-point rung, which keeps the integers.
+    The integer rows of _row are rounded once to doubles and kept per (s,
+    p), grown as far as some expansion has drawn: int * complex rounds an
+    integer the same way, so the coefficients are those of the exact rows.
+    The integers themselves are not kept.  A row beyond the double range
+    raises OverflowError when it is first drawn, and transport takes the
+    fixed-point rung, which keeps the integers (_recurrence_row).
     """
     b = list(head)
     yield from b
@@ -315,7 +357,7 @@ def _recurrence_coeffs(s: int, p: int, centre: complex, head):
     rows = _FLOAT_ROWS.setdefault((s, p), [])
     for big_n in count():
         if big_n == len(rows):
-            alpha, beta, lead = _recurrence_row(s, p, big_n)
+            alpha, beta, lead = _row(s, p, big_n)
             rows.append(([*map(float, alpha)], [*map(float, beta)], float(lead)))
         alpha, beta, lead = rows[big_n]
         acc = centre * _fdot(beta, b[max(big_n - 1, 0):]) - _fdot(alpha, b[big_n:])
@@ -728,14 +770,17 @@ def _join_route() -> list:
 def _join_walk(s: int, p: int, dps, reach: int) -> _Walked:
     """The walk along _join_route, which ends a step at its last corner,
     the join 1 + DETOUR_OFFSET on the cut, kept per (s, p), number type and
-    reach: every walk that starts with that route continues from it."""
+    reach: every walk that starts with that route continues from it.  The
+    join state has a second source, the basis at xi = 1 (_one_join), from
+    which cut_trace's outward leg starts in doubles where that basis
+    serves; this walk serves the rest."""
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
     route = _join_route()
     return _walk_on(s, p, d, ar, _seeded(s, p, d, ar, route[0]), route[1:], reach)
 
 
-def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
+def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from path[0]
     through the targets path[1:], in order: in fixed-point integers at dps +
     TAYLOR_GUARD_DPS digits, returned as mpmath numbers, or in Python complex
@@ -760,20 +805,26 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     cut, continues from _join_walk, so its walk ends a step at the join 1 +
     DETOUR_OFFSET whether or not that walk is cached, and its steps and
     terms count those of the detour.  A target at the join takes the
-    join's state.
+    join's state.  The join state of the basis at xi = 1 (_one_join) may be
+    passed as join, in doubles, for a path [1, 1 + DETOUR_OFFSET, ...]: the
+    walk then continues from it, with no steps before it, and the segment
+    from 1 is not checked.
     """
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
     corners = [complex(t) for t in path]
     if not all(cmath.isfinite(z) for z in corners):
         raise DomainError(f"continuation targets must be finite, got {path!r}")
-    for a, b in zip(corners, corners[1:]):
+    skip = join is not None
+    for a, b in zip(corners[skip:], corners[skip + 1:]):
         if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
             raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                             "singular point, 0 or 1")
     route = _join_route()
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        if [*path[:len(route)]] == route:
+        if skip:
+            first, walked = 2, join
+        elif [*path[:len(route)]] == route:
             first, walked = len(route), _join_walk(s, p, dps, reach)
         else:
             first, walked = 1, _seeded(s, p, d, ar, path[0])
@@ -803,10 +854,10 @@ class _Continued(NamedTuple):
     rel_est: float  # largest relative disagreement of the accepted walks
 
 
-def _walk_pair(s: int, p: int, targets, dps) -> list:
+def _walk_pair(s: int, p: int, targets, dps, join=None) -> list:
     """The two walks behind every checked value, serving the targets within
     rho/2 and within rho/3 of each centre (see _taylor_walk)."""
-    return [_taylor_walk(s, p, targets, dps, reach) for reach in (2, 3)]
+    return [_taylor_walk(s, p, targets, dps, reach, join) for reach in (2, 3)]
 
 
 def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
@@ -816,7 +867,8 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     cut_trace.  The _Continued holds (y, y', ...) at each node, the first
     keep components (all d for None), within tol relative, and the walk's
     diagnostics.  path starts at +XI_SEED or -XI_SEED, the seed points of
-    every route, and nodes is not empty, or PathError.
+    every route, or is [1, 1 + DETOUR_OFFSET], and nodes is not empty, or
+    PathError.
 
     The one place that imposes Schwarz symmetry: when the first non-real
     target lies below the axis, the walks run on the conjugate targets and
@@ -833,18 +885,29 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     _MP_RUNG_DPS digits if the doubles disagree or exhaust their term
     budget; the rho/3 walk's states are returned.  Raises AccuracyError when
     the fixed-point walks disagree too.
+
+    The path [1, 1 + DETOUR_OFFSET] starts both walks at the join state of
+    the basis at xi = 1 (_one_join), above the cut, in place of the detour:
+    their gap plus the join's estimate is then the estimate, and there is no
+    fixed-point rung.  PathError where (s, p) has no such basis.
     """
     s, p = _validate_sp(s, p)
-    if len(path) == 0 or len(nodes) == 0 or complex(path[0]) not in (XI_SEED, -XI_SEED):
-        raise PathError(f"paths must go from xi = +-{XI_SEED} to at least one node")
+    start = complex(path[0]) if len(path) else None
+    if len(nodes) == 0 or start not in (XI_SEED, -XI_SEED, 1.0):
+        raise PathError(f"paths must go from xi = +-{XI_SEED}, or 1, to at least one node")
+    join = _one_join(s, p) if start == 1.0 else None
+    if start == 1.0 and (join is None or [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]):
+        raise PathError(f"the path from the basis at xi = 1 is [1, {1.0 + DETOUR_OFFSET}], "
+                        f"and (s, p) = ({s}, {p}) needs a basis there")
+    extra = 0.0 if join is None else join[1]
     targets = [complex(t) for t in (*path, *nodes)]
     mirror = next((t.imag < 0 for t in targets if t.imag), False)
     if mirror:
         targets = [t.conjugate() for t in targets]
     why = ""
-    for dps in (None, _MP_RUNG_DPS):
+    for dps in (None,) if join else (None, _MP_RUNG_DPS):
         try:
-            coarse, fine = _walk_pair(s, p, targets, dps)
+            coarse, fine = _walk_pair(s, p, targets, dps, join and join[0])
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -852,15 +915,16 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
                 zip(coarse.states[len(path) - 1:], fine.states[len(path) - 1:])]
         gaps = [float(abs(x - y) / max(abs(y), 1e-300))
                 for a, b in kept for x, y in zip(a, b)]
-        if all(g <= tol / 4 for g in gaps):
+        if all(g + extra <= tol / 4 for g in gaps):
             states = [np.array([complex(x) for x in b]) for _, b in kept]
             if mirror:
                 states = [z.conjugate() for z in states]
-            return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0))
+            return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0) + extra)
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
+    where = f"from xi = 1, whose join is {extra:.1e} off," if join else f"at {_MP_RUNG_DPS} digits"
     raise AccuracyError(
         f"continuation of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} "
-        f"at {_MP_RUNG_DPS} digits: {why}"
+        f"{where}: {why}"
     )
 
 
@@ -893,6 +957,17 @@ def _waypoints(xi_t: complex, side: str) -> list:
         x = re if im else 1.0 + DETOUR_OFFSET
         pts = [complex(XI_SEED), complex(XI_SEED, h), complex(x, h), complex(x, im), xi_t]
     return [pt for i, pt in enumerate(pts) if i == 0 or pt != pts[i - 1]]
+
+
+def _mirrored(xis: list, side: str) -> tuple:
+    """(flip, upper) for the complex targets xis: whether each lies below the
+    axis or on the cut's lower side (real xi > 1, side 'below'), and each
+    moved to the closed upper half plane.  The expansions at infinity and at
+    xi = 1 sum every target at its upper point and conjugate the flipped
+    ones, so the two sides are exact conjugates."""
+    flip = [xi.imag < 0.0 or (xi.imag == 0.0 and xi.real > 1.0 and side == "below")
+            for xi in xis]
+    return flip, [complex(xi.real, abs(xi.imag)) for xi in xis]
 
 
 # ---------------------------------------------------------------------------
@@ -1172,6 +1247,301 @@ def _far_values(s: int, p: int, conn: _FarConnection, xis: list, dps) -> list:
     return list(zip(z.tolist(), rel.tolist()))
 
 
+# ---------------------------------------------------------------------------
+# Expansion at the branch point
+
+
+#: gp_continue and cut_trace sum the targets with |xi - 1| <= ONE_RADIUS and
+#: |xi| > SERIES_RADIUS from the local basis at xi = 1 where its estimate
+#: meets tol/4
+ONE_RADIUS = 0.5
+#: (points, radius, reach): the basis at xi = 1 is matched to the power
+#: series at 0 at this many points of the arc |xi - 1| = radius, |xi| <=
+#: reach, in the closed upper half plane
+_ONE_ARC = (5, 0.45, 0.79)
+
+
+@lru_cache(maxsize=None)
+def _one_polys(s: int, p: int) -> tuple:
+    """The recurrence at centre 1 as integer polynomials in N, constant term
+    first: entry r + 1 is alpha_r(N) - beta_r(N) of _row, which multiplies
+    b_{N+r}, r = -1..d-1; the r = d term vanishes at centre 1.  Entry d,
+    c_{d-1}(N), is the indicial polynomial at xi = 1 of n = N + d - 1, with
+    the roots 0, ..., d - 2 and 2."""
+    alpha, beta, _ = _row(s, p, _Poly((0, 1)))
+    return (beta[0] * -1).c, *(x.c for x in map(operator.sub, alpha, beta[1:]))
+
+
+def _one_row(s: int, p: int, big_n: int) -> tuple:
+    """(c, dc): row N = big_n of _one_polys and its N-derivative, the row
+    of the Frobenius e-derivative, as integers for any integer N."""
+    c, dc = [], []
+    for q in _one_polys(s, p):
+        v = dv = 0
+        for a in reversed(q):
+            dv = dv * big_n + v
+            v = v * big_n + a
+        c.append(v)
+        dc.append(dv)
+    return c, dc
+
+
+def _shifted(series: "np.ndarray", nd: int) -> "np.ndarray":
+    """out[m, j, k] = C(m + j, j) series[m + j, k], j < nd: the coefficient
+    of tau^m in the j-th derivative over j! of the series in column k."""
+    n = len(series)
+    out = np.zeros((n, nd, series.shape[1]))
+    for j in range(nd):
+        binom = np.array([math.comb(m + j, j) for m in range(n - j)], dtype=float)
+        out[:n - j, j] = binom[:, None] * series[j:]
+    return out
+
+
+class _OneTable(NamedTuple):
+    """The local basis at xi = 1 as power series in tau = xi - 1: column k <
+    d - 1 of series holds the Taylor coefficients of the analytic solution
+    phi_k, and columns d - 1 and d those of u and v in the solution psi = u
+    + log(1 - xi) v; shifted is _shifted(series, 3)."""
+    series: "np.ndarray"  # [n, d + 1]
+    shifted: "np.ndarray"  # [n, 3, d + 1]
+
+
+@lru_cache(maxsize=None)
+def _one_table(s: int, p: int) -> _OneTable:
+    """The local basis at xi = 1 in doubles.
+
+    Row N of _one_row reads sum_r c_r(N) w_{N+r} = 0 for the coefficients
+    w_n of a solution, and fixes w_{N+d-1} for N >= 0.  The d - 1 analytic
+    solutions are canonical, phi_k = tau^k + O(tau^(d-1)).  For the log
+    solution, L[log(1 - xi) v] = log(1 - xi) L[v] + L'[v], whose rows are
+    the N-derivatives dc and run from N = -(d - 1); so psi solves the
+    equation when v does, the rows N < 0 of L'[v] vanish, and L[u] =
+    -L'[v].  The rows N < 0 give v_0 = v_1 = 0 and v_3, ..., v_{d-2},
+    exactly, from v_2 = 1, which the row of the double root 2 leaves free;
+    u has no tau^k term for k <= d - 2.  For d = 3 the roots are 0, 1 and
+    2, so row 0 is a constraint, c_0(0) w_0 + c_1(0) w_1 = -(L'[v])_0, that
+    leaves w_2 free: the analytic solutions are then phi_0 = -c_1(0)/c_0(0)
+    + tau + O(tau^3) and v itself, and u = -c'_2(0)/c_0(0) + O(tau^3).
+
+    Each exact row is rounded once to doubles.  Terms are drawn until the
+    last two terms at |tau| = ONE_RADIUS of every series and of its first
+    two derivatives are below _SERIES_TOL of their largest; DivergenceError
+    past 2000, and ArithmeticError if some other row N >= 0 has c_{d-1}(N)
+    = 0.
+    """
+    d = len(_theta_polys(s, p)[0]) - 1
+    c, dc = _one_row(s, p, 0)
+    if c[d] == 0:  # n = d - 1 is an indicial root: d = 3
+        cols = [[-c[2] / c[1], 1.0, 0.0], [0.0, 0.0, 1.0],
+                [-dc[3] / c[1], 0.0, 0.0], [0.0, 0.0, 1.0]]
+    else:
+        v = [Fraction(0), Fraction(0), Fraction(1)]
+        for n in range(3, d - 1):
+            _, dc = _one_row(s, p, n - d + 1)
+            v.append(-_fdot(dc[d - n:d], v) / dc[d])
+        cols = [[float(k == j) for k in range(d - 1)] for j in range(d - 1)]
+        cols += [[0.0] * (d - 1), [*map(float, v)]]
+    iu, iv = d - 1, d
+    top, quiet = [0.0] * (3 * (d + 1)), 0
+    for big_n in count():
+        n = big_n + d - 1  # the coefficient row N fixes
+        if n < len(cols[0]):
+            continue  # d = 3, row 0: a constraint the heads meet
+        if n > 2000:
+            raise DivergenceError("the series at xi = 1 need more than 2000 terms")
+        c, dc = _one_row(s, p, big_n)
+        if c[d] == 0:
+            raise ArithmeticError(f"row {big_n} at xi = 1 fixes no coefficient")
+        c, dc = [*map(float, c)], [*map(float, dc)]
+        lo, clo = max(big_n - 1, 0), max(1 - big_n, 0)
+        for k in (*range(d - 1), iv, iu):  # v before u, whose rows read it
+            acc = _fdot(c[clo:d], cols[k][lo:])
+            if k == iu:
+                acc += _fdot(dc[clo:], cols[iv][lo:])
+            cols[k].append(-acc / c[d])
+        # C(n, j) ONE_RADIUS^(n-j) |w_n| for j < 3
+        size = [f * abs(col[n]) for f in (math.comb(n, j) * ONE_RADIUS ** (n - j)
+                                          for j in range(3)) for col in cols]
+        top = [*map(max, top, size)]
+        small = all(x <= _SERIES_TOL * t for x, t in zip(size, top))
+        quiet = quiet + 1 if n >= 2 * d and small else 0
+        if quiet == 2:
+            break
+    series = np.array(cols).T
+    return _OneTable(series, _shifted(series, 3))
+
+
+def _one_basis(tab: _OneTable, xis: list, nd: int) -> tuple:
+    """(b, bb): b[i, j, k] = phi_k^(j)(xi) / j! at xi = xis[i], j < nd, for
+    the d basis functions of tab, the analytic phi_k for k < d - 1 and psi
+    for k = d - 1, and bounds bb >= |b| from the absolute values of the
+    terms.  Each xi lies in the closed upper half plane, xi > 1 standing
+    for xi + i0: the principal log(1 - xi) is log(xi - 1) - i pi on the
+    cut.  With L_0 = log(1 - xi) and L_k = (-1)^(k-1) / (k tau^k), the k-th
+    derivative of log(1 - xi) over k!, psi^(j) / j! = u^(j) / j! + sum_{k
+    <= j} L_k v^(j-k) / (j - k)!."""
+    shifted = tab.shifted if nd == 3 else _shifted(tab.series, nd)
+    d = shifted.shape[2] - 1
+    xis = [complex(xi) for xi in xis]
+    tau = np.array(xis)[:, None, None] - 1.0
+    at = np.abs(tau)
+    sums = np.zeros((len(xis), nd, d + 1), dtype=complex)
+    bounds = np.zeros(sums.shape)
+    for row in shifted[::-1, :nd]:
+        sums = sums * tau + row
+        bounds = bounds * at + np.abs(row)
+    logs = np.array([[complex(math.log(xi.real - 1.0), -math.pi)
+                      if xi.imag == 0.0 and xi.real > 1.0 else cmath.log(1.0 - xi)]
+                     + [(-1) ** (k - 1) / (k * (xi - 1.0) ** k) for k in range(1, nd)]
+                     for xi in xis])
+    psi, psi_b = sums[:, :, d - 1].copy(), bounds[:, :, d - 1].copy()
+    for j in range(nd):
+        for k in range(j + 1):
+            psi[:, j] += logs[:, k] * sums[:, j - k, d]
+            psi_b[:, j] += np.abs(logs[:, k]) * bounds[:, j - k, d]
+    return (np.concatenate([sums[:, :, :d - 1], psi[:, :, None]], axis=2),
+            np.concatenate([bounds[:, :, :d - 1], psi_b[:, :, None]], axis=2))
+
+
+class _OneConnection(NamedTuple):
+    """y = sum_k coeffs[k] phi_k near xi = 1, for the basis of _one_table,
+    with the data of its error estimate."""
+    coeffs: "np.ndarray"  # C_1, real; the entry of psi is B(zeta_c^2)
+    gap: "np.ndarray"  # C_1 from the alternate arc points minus C_1
+    cov: "np.ndarray"  # noise^2 times (A^T A)^-1 in unscaled units
+
+
+@lru_cache(maxsize=None)
+def _one_connection(s: int, p: int) -> "_OneConnection | None":
+    """The real vector C_1 with y = sum_k C_1k phi_k, matched once per (s, p)
+    to the power series at 0 (_power_series), with no walk; None when the
+    alternate points below give fewer equations than unknowns, or when the
+    least squares is singular to working precision.
+
+    The points are 1 - r e^(-it) of the arc of _ONE_ARC, equally spaced in
+    t from 0 to where |xi| = reach.  y and the basis are real on (0, 1), so
+    Schwarz symmetry makes C_1 real, and y, y' and y'' at the points give
+    real equations A C_1 = y for it.  Each equation is scaled by its largest
+    basis entry and each column by its largest entry, and the least squares
+    is solved by numpy's lstsq, with its pseudo-inverse.  For the estimate
+    (see _one_values), the same solve over the points 0, 2, 4, ... gives
+    gap, and cov is noise^2 (A^T A)^-1, for noise = |r| sqrt(m / (m - d)) +
+    2 eps sigma_max |x|, a bound on the data's error in the m scaled
+    equations: the fit residual r sees m - d of its m directions, and the
+    second term is the solve's own rounding of the scaled solution x."""
+    tab = _one_table(s, p)
+    d = tab.series.shape[1] - 1
+    k, radius, reach = _ONE_ARC
+    t_max = math.acos((1.0 + radius**2 - reach**2) / (2.0 * radius))
+    pts = [1.0 - radius * cmath.exp(-1j * t_max * i / (k - 1)) for i in range(k)]
+    pts[0] = complex(1.0 - radius)
+    ar = _arith(None)
+    b = _one_basis(tab, pts, 3)[0]
+    rows, rhs, alt = [], [], []
+    for i, xi in enumerate(pts):
+        taylor = _power_series(s, p, xi, 3, ar)[0]
+        for j in range(3):
+            wt = 1.0 / np.abs(b[i, j]).max()
+            for part in (np.real, np.imag):
+                if np.any(part(b[i, j])):  # the imaginary parts at 1 - r are zero
+                    rows.append(part(b[i, j]) * wt)
+                    rhs.append(float(part(taylor[j])) * wt)
+                    alt.append(i % 2 == 0)
+    mat, rhs, alt = np.array(rows), np.array(rhs), np.array(alt)
+    if alt.sum() < d:
+        return None
+    scale = np.abs(mat).max(axis=0)
+    mat = mat / scale
+    m = len(rhs)
+    pinv, _, rank, sv = np.linalg.lstsq(mat, np.eye(m), rcond=None)
+    if rank < d:
+        return None
+    x = (pinv * rhs).sum(axis=1)
+    x_alt = np.linalg.lstsq(mat[alt], rhs[alt], rcond=None)[0]
+    resid = (mat * x).sum(axis=1) - rhs
+    noise = (math.sqrt(float((resid * resid).sum()) * m / (m - d))
+             + 2 * ar.eps * sv[0] * math.sqrt(float((x * x).sum())))
+    pinv = pinv / scale[:, None]
+    cov = noise**2 * (pinv[:, None, :] * pinv[None, :, :]).sum(axis=2)
+    return _OneConnection(x / scale, (x_alt - x) / scale, cov)
+
+
+def _one_values(s: int, p: int, conn: _OneConnection, xis: list, nd: int = 3) -> list:
+    """[(z, rel_est)] at each xi of the closed upper half plane (xi > 1
+    standing for xi + i0): z = [y^(j)(xi) / j! for j < nd] in complex
+    doubles from the connection, and rel_est the largest relative error
+    estimate of them, which adds, for each component with basis row b,
+    - the cancellation bound 2 eps sum_k |C_k| |b_k|, over the absolute
+      values of the terms;
+    - the gap |sum_k gap_k b_k| between the two solves;
+    - the noise of the solve, (Re b^T cov Re b + Im b^T cov Im b)^(1/2):
+      an error e in the scaled data moves C_1 by A^+ e, and |c . A^+ e| <=
+      |e| (c^T (A^T A)^-1 c)^(1/2) for real c,
+    over the component's own size."""
+    b, bb = _one_basis(_one_table(s, p), xis, nd)
+    g = (b * conn.coeffs).sum(axis=2)
+    noise = sum(((part[..., None, :] * conn.cov).sum(axis=3) * part).sum(axis=2)
+                for part in (b.real, b.imag))
+    est = (2.0 * 2.0**-53 * (bb * np.abs(conn.coeffs)).sum(axis=2)
+           + np.abs((b * conn.gap).sum(axis=2)) + np.sqrt(noise))
+    rel = (est / np.maximum(np.abs(g), 1e-300)).max(axis=1)
+    return list(zip(g.tolist(), rel.tolist()))
+
+
+def _one_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
+    """The states at the targets us, at xis = us / zeta_c^2 with 0 < |xi - 1|
+    <= ONE_RADIUS, from the basis at xi = 1, with steps = 0, dps = None and
+    the path (1, xi); None for each target whose estimate (see _one_values)
+    exceeds tol/4, which then takes the route it took without the basis.
+    Targets below the axis, and the cut's lower side, are summed at the
+    conjugate xi and conjugated, so the two sides are exact conjugates."""
+    conn = _one_connection(s, p) if xis else None
+    if conn is None:
+        return [None] * len(xis)
+    xis = [complex(xi) for xi in xis]
+    flip, upper = _mirrored(xis, side)
+    out = []
+    for u, xi, f, (z, rel) in zip(us, xis, flip, _one_values(s, p, conn, upper)):
+        if not rel <= tol / 4:
+            out.append(None)
+            continue
+        z = [v * math.factorial(j) for j, v in enumerate(z)]
+        z = [v.conjugate() for v in z] if f else z
+        out.append(_state(s, p, u, side, z, (complex(1.0), xi), _Continued(None, None, 0, rel)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _one_join(s: int, p: int) -> "tuple | None":
+    """(walked, rel_est): the double walks' state at the join 1 +
+    DETOUR_OFFSET + i0, all d components summed from the basis at xi = 1,
+    as a _Walked that has taken no step, and the largest relative estimate
+    of its components (see _one_values); None without a connection."""
+    conn = _one_connection(s, p)
+    if conn is None:
+        return None
+    xj = complex(1.0 + DETOUR_OFFSET)
+    ((z, rel),) = _one_values(s, p, conn, [xj], len(conn.coeffs))
+    state = [complex(v) for v in z]
+    return _Walked([state], state, xj, xj, 0, 0), rel
+
+
+def _one_leg(s: int, p: int, leg: list, side: str, tol: float) -> "_Continued | None":
+    """The states at the cut nodes leg, ascending from 1 + DETOUR_OFFSET to
+    below FAR_RADIUS, on side, from transport along [1, 1 + DETOUR_OFFSET]:
+    its double walks start at the basis's join state (_one_join) in place of
+    the detour, and steps counts the steps from the join.  None where the
+    join's estimate, or that plus the walks' gap, exceeds tol/4."""
+    join = _one_join(s, p)
+    if join is None or not join[1] <= tol / 4:
+        return None
+    try:
+        run = transport(s, p, [1.0, 1.0 + DETOUR_OFFSET], leg, tol, keep=3)
+    except AccuracyError:
+        return None
+    return run._replace(states=[z.conjugate() for z in run.states]) if side == "below" else run
+
+
 @dataclass(frozen=True)
 class ContinuationState:
     """Value and u-derivatives of G_p at the endpoint of a transport path."""
@@ -1214,10 +1584,10 @@ def _far_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> l
     its own digits, where the terms cancel.  AccuracyError is raised for any
     target all three miss, PathError if G itself falls below the double
     range."""
+    if not xis:
+        return []
     xis = [complex(xi) for xi in xis]
-    flip = [xi.imag < 0.0 or (xi.imag == 0.0 and xi.real > 0.0 and side == "below")
-            for xi in xis]
-    upper = [complex(xi.real, abs(xi.imag)) for xi in xis]
+    flip, upper = _mirrored(xis, side)
     done, todo, worst = {}, list(range(len(xis))), math.inf
     for dps, sum_dps in ((None, None), (_MP_RUNG_DPS, None), (_MP_RUNG_DPS, _MP_RUNG_DPS)):
         conn = _far_connection(s, p, dps)
@@ -1263,11 +1633,15 @@ def gp_continue(
     u = 0 loses digits; u = 0 gives G = 1.  For |u| >= FAR_RADIUS zeta_c^2
     it is summed from the expansion at infinity (_far_states), with no
     Taylor steps and the path (inf, xi); G' and G'' that lie below the
-    double range there come out as 0.  In between it comes from the checked
-    Taylor walk along the path of _waypoints (see transport).  Each is
-    within tol relative, or AccuracyError.  Real u off the cut comes out
-    with imaginary parts exactly zero for every side; on the cut the state
-    is that of a one-node cut_trace.  A non-finite u raises DomainError.
+    double range there come out as 0.  For 0 < |xi - 1| <= ONE_RADIUS it is
+    summed from the basis at xi = 1 (_one_states), with no Taylor steps and
+    the path (1, xi), where that basis's estimate meets tol/4.  Otherwise it
+    comes from the checked Taylor walk along the path of _waypoints (see
+    transport).  Each is within tol relative, or AccuracyError.  Real u off
+    the cut comes out with imaginary parts exactly zero for every side; on
+    the cut the state is that of a one-node cut_trace.  xi = 1 itself, and
+    a target within 1e-9 of it that the basis misses, raise PathError; a
+    non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
     zc2 = zeta_c_value(s) ** 2
@@ -1276,12 +1650,18 @@ def gp_continue(
         raise DomainError(f"u must be finite, got {u}")
     xi_t = uc / zc2
     pts = _waypoints(xi_t, side)
+    if xi_t.imag == 0.0 and xi_t.real > 1.0:
+        return _cut_states(s, p, [uc], [xi_t.real], side, tol)[0]
     if abs(xi_t) >= FAR_RADIUS:
         return _far_states(s, p, [uc], [xi_t], side, tol)[0]
     if abs(xi_t) <= SERIES_RADIUS:
         taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
         z = [c * math.factorial(j) for j, c in enumerate(taylor)]
         return _state(s, p, uc, side, z, (xi_t,))
+    if 0.0 < abs(xi_t - 1.0) <= ONE_RADIUS:
+        (st,) = _one_states(s, p, [uc], [xi_t], side, tol)
+        if st is not None:
+            return st
     run = transport(s, p, pts[:-1], pts[-1:], tol, keep=3)
     return _state(s, p, uc, side, run.states[0], tuple(pts), run)
 
@@ -1411,7 +1791,11 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     Orientation follows the edge-positive convention: rho(zeta_c^2) =
     (p/2pi)(s/(s-1))^{2p+1} > 0.  The jump (sigma(u + i0) - sigma(u - i0)) /
     (2 pi i) needs one side only: the state below the cut is the exact
-    complex conjugate of the one above.
+    complex conjugate of the one above.  Next to the edge, u <= (1 +
+    ONE_RADIUS) zeta_c^2, the state comes from the basis at xi = 1 where
+    its estimate meets the tolerance, so rho is also defined within 1e-9
+    of the edge there; further out, the walk along the cut starts from that
+    basis's join state where it serves (see cut_trace).
     """
     s, p = _validate_sp(s, p)
     zc2 = zeta_c_value(s) ** 2
@@ -1425,29 +1809,51 @@ def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL
     the order of the nodes, so a single node gets gp_continue's state.
 
     Nodes at xi >= FAR_RADIUS are summed from the expansion at infinity
-    (_far_states).  For the rest two checked walks (see transport) take the
-    route of _waypoints to xi_0 = 1 + DETOUR_OFFSET on the cut, then the real
-    axis inward through the nodes below xi_0 and outward through those up to
-    FAR_RADIUS.  Both legs continue from the one walk to xi_0, which ends a
-    step there (_join_walk), so a node's state depends neither on the
-    order of the nodes nor on which call walked the detour first.  Walking back
-    out from near the branch point would carry its large high derivatives
-    along: at (5, 10) on fig3's grid that path lost 17 of 30 digits.
+    (_far_states), and nodes with xi - 1 <= ONE_RADIUS from the basis at
+    xi = 1 where its estimate meets tol/4 (_one_states).  For the rest two
+    checked walks take the route of _waypoints to xi_0 = 1 + DETOUR_OFFSET
+    on the cut, then the real axis inward through the nodes below xi_0 and
+    outward through those up to FAR_RADIUS (see transport).  Both legs
+    continue from the one walk to xi_0, which ends a step there
+    (_join_walk), so a node's state depends neither on the order of the
+    nodes nor on which call walked the detour first.  The outward leg
+    starts instead from the basis's state at xi_0 (_one_leg), with the path
+    (1, xi_0, xi), where the join's estimate plus the two walks' gap meets
+    tol/4.  Walking back out from near the branch point would carry its
+    large high derivatives along: at (5, 10) on fig3's grid that path lost
+    17 of 30 digits.
     """
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(1.0 < x < math.inf for x in nodes):
         raise DomainError("cut_trace nodes must be finite and satisfy xi > 1")
     zc2 = zeta_c_value(s) ** 2
+    return _cut_states(s, p, [x * zc2 for x in nodes], nodes, side, tol)
+
+
+def _cut_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
+    """The states at the targets us on the cut, at the xis = us / zeta_c^2 >
+    1 (floats), by the rule of cut_trace."""
+    at = dict(zip(xis, us))
     xi0 = 1.0 + DETOUR_OFFSET
     pts = _waypoints(complex(xi0), side)
-    far = sorted({x for x in nodes if x >= FAR_RADIUS})
-    states = dict(zip(far, _far_states(s, p, [x * zc2 for x in far], far, side, tol)))
-    for leg in (sorted({x for x in nodes if x < xi0}, reverse=True),
-                sorted({x for x in nodes if xi0 <= x < FAR_RADIUS})):
-        if leg:
+    far = sorted({x for x in xis if x >= FAR_RADIUS})
+    states = dict(zip(far, _far_states(s, p, [at[x] for x in far], far, side, tol)))
+    near = sorted({x for x in xis if x - 1.0 <= ONE_RADIUS})
+    states.update((x, st) for x, st in
+                  zip(near, _one_states(s, p, [at[x] for x in near], near, side, tol))
+                  if st is not None)
+    inward = sorted({x for x in xis if x < xi0} - states.keys(), reverse=True)
+    outward = sorted({x for x in xis if xi0 <= x < FAR_RADIUS} - states.keys())
+    for leg in (inward, outward):
+        if not leg:
+            continue
+        run = _one_leg(s, p, leg, side, tol) if leg[0] >= xi0 else None
+        if run is None:
             run = transport(s, p, pts, leg, tol, keep=3)
-            states.update((xi, _state(s, p, xi * zc2, side, z,
-                                      tuple(_waypoints(complex(xi), side)), run))
-                          for xi, z in zip(leg, run.states))
-    return [states[xi] for xi in nodes]
+            paths = [tuple(_waypoints(complex(x), side)) for x in leg]
+        else:
+            paths = [(complex(1.0), complex(xi0), complex(x)) for x in leg]
+        states.update((x, _state(s, p, at[x], side, z, path, run))
+                      for x, z, path in zip(leg, run.states, paths))
+    return [states[x] for x in xis]

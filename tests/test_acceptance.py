@@ -55,6 +55,17 @@ def test_criterion_11_reports_fit_diagnostics():
     assert rec["dps"] == 40 + continuation.TAYLOR_GUARD_DPS
 
 
+def test_criterion_11_reports_the_basis_log_entry():
+    # the basis at xi = 1 serves (3, 1) and (3, 2) in doubles, not (5, 1)
+    passed, details = acceptance.crit_11_resonant(pairs=((3, 1), (3, 2), (5, 1)))
+    assert passed
+    for key in ("3,1", "3,2"):
+        rec = details[key]
+        assert rec["B_basis_rel"] == abs(rec["B_basis"] - rec["B_closed"]) / abs(rec["B_closed"])
+        assert rec["B_basis_rel"] < 1e-13
+    assert "B_basis" not in details["5,1"]
+
+
 def test_criterion_15_reports_walk_diagnostics():
     # zeta_univ^2 lies at xi = 16 (s = 2) and 11.4 (s = 3), beyond
     # FAR_RADIUS: the expansion at infinity serves it, with no Taylor steps

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from todahess import continuation as cont
+from todahess import _kernels, gram
 from todahess import stieltjes as st_mod
 from todahess.errors import (
     AccuracyError,
@@ -765,9 +766,12 @@ def test_walk_at_20_digits_matches_hypergeometric_at_large_s(xi):
 
 
 def _assert_matches_walk(st, dps, tol=1e-12):
-    """G, G', G'' of st within tol relative of a dps-digit walk on st.path."""
+    """G, G', G'' of st within tol relative of a dps-digit walk along the
+    route of _waypoints to its target, which a state served from the basis
+    at xi = 1 does not walk."""
     zc2 = float(thresholds(st.s).zeta_c) ** 2
-    ref = cont._taylor_walk(st.s, st.p, st.path, dps).states[-1]
+    path = cont._waypoints(st.path[-1], st.side)
+    ref = cont._taylor_walk(st.s, st.p, path, dps).states[-1]
     for j, got in enumerate(st.derivs):
         want = complex(ref[j]) / zc2**j
         assert abs(got - want) <= tol * abs(want)
@@ -784,8 +788,9 @@ def test_disc_density_rho_is_one_lateral_value(s, p, eps):
        side=hst.sampled_from(["none", "above", "below"]))
 @example(s=8, k=15, log_w=-8.0, side="below")  # d = 16, the longest state
 def test_real_targets_below_the_cut_walk_the_axis(s, k, log_w, side):
-    # straight from XI_SEED, so G_p comes out real on either side; the
-    # reference walks the detour through xi + 0.3i that these took before
+    # straight from XI_SEED, or from the basis at xi = 1 where its estimate
+    # meets tol/4, so G_p comes out real on either side; the reference walks
+    # the detour through xi + 0.3i that these took before
     p = 1 + k % (2 * s)
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = (1.0 - 10.0**log_w) * zc2
@@ -793,7 +798,8 @@ def test_real_targets_below_the_cut_walk_the_axis(s, k, log_w, side):
     if xi <= cont.SERIES_RADIUS:  # rounding carried xi an ulp into the disk
         return
     st = cont.gp_continue(s, p, u, side)
-    assert st.path == (cont.XI_SEED, xi)
+    assert st.path in ((cont.XI_SEED, xi), (1.0, xi))
+    assert st.steps > 0 if st.path[0] == cont.XI_SEED else st.steps == 0
     assert all(d.imag == 0.0 for d in st.derivs)
     ref = cont._taylor_walk(s, p, [cont.XI_SEED, cont.XI_SEED + 0.3j, xi + 0.3j, xi],
                             40).states[-1]
@@ -845,13 +851,18 @@ def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = x * zc2
     xi = u / zc2  # the xi that gp_continue walks to, an ulp from x at most
-    if xi - 1.0 < 1e-9:  # both keep the walk 1e-9 away from the branch point
-        with pytest.raises(PathError):
-            cont.gp_continue(s, p, u, side)
-        with pytest.raises(PathError):
-            cont.cut_trace(s, p, [xi], side)
-        return
-    st = cont.gp_continue(s, p, u, side)
+    if xi - 1.0 < 1e-9:
+        # both keep the walk 1e-9 away from the branch point; only the basis
+        # at xi = 1 serves there, where its estimate meets tol/4
+        try:
+            st = cont.gp_continue(s, p, u, side)
+        except PathError:
+            with pytest.raises(PathError):
+                cont.cut_trace(s, p, [xi], side)
+            return
+        assert st.path == (1.0, xi) and st.steps == 0
+    else:
+        st = cont.gp_continue(s, p, u, side)
     (trace,) = cont.cut_trace(s, p, [xi], side)
     assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
             == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
@@ -860,13 +871,14 @@ def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
 def _cut_states(s, p, xis, cold):
     """{xi: (derivs, steps, dps, rel_est)} of cut_trace over xis, and of
     gp_continue and disc_density_rho at each xi above the cut, with the join
-    walks cleared before each call if cold."""
+    walks and the basis at xi = 1 cleared before each call if cold."""
     zc2 = float(thresholds(s).zeta_c) ** 2
     out = {}
 
     def call(f, *args):
         if cold:
             cont._join_walk.cache_clear()
+            _clear_one_caches()
         return f(*args)
 
     for xi, st in zip(xis, call(cont.cut_trace, s, p, xis)):
@@ -986,7 +998,8 @@ def test_continue_inside_old_exclusion_disk():
 
 @pytest.mark.parametrize("s,p,eps,dps", [
     (2, 1, (1e-5, 1e-7), None),
-    (3, 2, (1e-5, 1e-7, 1e-8), cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS),
+    # the walk took the fixed-point rung here; the basis at xi = 1 serves
+    (3, 2, (1e-5, 1e-7, 1e-8), None),
 ])
 def test_cut_values_inside_the_old_exclusion_disk(s, p, eps, dps):
     # cut_trace, perron_density and disc_density_rho refused xi < 1 + 1e-4
@@ -995,7 +1008,7 @@ def test_cut_values_inside_the_old_exclusion_disk(s, p, eps, dps):
     xi = 1.0 / t_ratio  # the nodes perron_density continues to
     states = cont.cut_trace(s, p, xi)
     assert [st.dps for st in states] == [dps] * len(eps)
-    path = states[0].path[:-1]
+    path = cont._waypoints(complex(xi[0]), "above")[:-1]
     ref = cont._taylor_walk(s, p, [*path, *xi], 40).states[len(path) - 1:]
     for st, want in zip(states, ref):
         for j, got in enumerate(st.derivs):
@@ -1099,3 +1112,259 @@ def test_far_state_diagnostics():
     (trace,) = cont.cut_trace(8, 16, [st.u.real / zc2[8]])
     assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
             == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
+
+
+def test_double_walks_keep_no_integer_rows():
+    # the double walk rounds the rows of the uncached builder once and keeps
+    # only the doubles; the integer cache is the fixed-point rung's
+    cont._recurrence_row.cache_clear()
+    st = cont.gp_continue(3, 2, -3.0 * ZC2_3, "none")
+    assert st.dps is None and st.steps > 0
+    assert cont._recurrence_row.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# The local basis at xi = 1
+
+
+def _clear_one_caches():
+    for f in (cont._one_polys, cont._one_table, cont._one_connection, cont._one_join):
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_one_rows_lead_with_the_indicial_polynomial(s):
+    # c_{d-1}(N) at centre 1, in n = N + d - 1, is K n (n - 1) ... (n - d + 2)
+    # (n - 2): 2 is a double root for d >= 4, and for d = 3 row 0 has none
+    for p in range(1, 2 * s + 1):
+        d = _order(s, p)
+        lead = cont._one_polys(s, p)[d]
+        assert len(lead) == d + 1  # degree d in N
+        k = lead[-1]
+        for n in range(-3, 3 * d):
+            want = k * (n - 2) * math.prod(n - j for j in range(d - 1))
+            assert cont._one_row(s, p, n - d + 1)[0][d] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), big_n=hst.integers(-16, 300))
+@example(s=8, k=15, big_n=-15)  # d = 16, the first Frobenius row
+@example(s=2, k=0, big_n=0)
+def test_one_rows_and_their_derivatives(s, k, big_n):
+    # c_r(N) = alpha_r(N) - beta_r(N) of the second form, and dc_r/dN is the
+    # exact Newton-series derivative sum_k (-1)^(k+1) Delta^k c_r(N) / k over
+    # more differences than the degree
+    p = 1 + k % (2 * s)
+    d = _order(s, p)
+    c, dc = cont._one_row(s, p, big_n)
+    if big_n:
+        alpha, beta, _ = _reference_row(s, p, big_n)
+        assert c == [-beta[0], *map(operator.sub, alpha, beta[1:])]
+    deg = max(map(len, cont._one_polys(s, p)))
+    vals = [cont._one_row(s, p, big_n + i)[0] for i in range(deg + 2)]
+    for r in range(d + 1):
+        diffs, col = [], [v[r] for v in vals]
+        while len(col) > 1:
+            col = [b - a for a, b in zip(col, col[1:])]
+            diffs.append(col[0])
+        assert dc[r] == sum(Fraction((-1) ** i, i + 1) * x for i, x in enumerate(diffs))
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (8, 16)])
+def test_one_table_is_canonical(s, p):
+    # phi_k = tau^k + O(tau^(d-1)), u = O(tau^(d-1)) and v = tau^2 + ...,
+    # except that for d = 3 row 0 ties w_0 to w_1; every column solves the
+    # recurrence, u with L'[v] on the right
+    d = _order(s, p)
+    series = cont._one_table(s, p).series
+    assert series.shape[1] == d + 1
+    head = series[:d - 1]
+    if d == 3:
+        c, dc = cont._one_row(s, p, 0)
+        assert c[d] == 0
+        assert head[:, 0].tolist() == [-c[2] / c[1], 1.0]
+        assert head[:, 1].tolist() == [0.0, 0.0] and series[2, 1] == 1.0
+        assert head[:, 2].tolist() == [-dc[3] / c[1], 0.0]
+    else:
+        assert np.array_equal(head[:, :d - 1], np.eye(d - 1))
+        assert not head[:, d - 1].any()
+    assert series[:3, d].tolist() == [0.0, 0.0, 1.0]
+    for big_n in range(len(series) - d):
+        c, dc = cont._one_row(s, p, big_n)
+        window = series[max(big_n - 1, 0):big_n + d]
+        cc, dd = c[max(1 - big_n, 0):], dc[max(1 - big_n, 0):]
+        rows = [sum(float(x) * w[k] for x, w in zip(cc, window)) for k in range(d + 1)]
+        rows[d - 1] += sum(float(x) * w[d] for x, w in zip(dd, window))
+        size = [sum(abs(float(x) * w[k]) for x, w in zip(cc, window)) for k in range(d + 1)]
+        size[d - 1] += sum(abs(float(x) * w[d]) for x, w in zip(dd, window))
+        assert all(abs(r) <= 1e-13 * m for r, m in zip(rows, size))
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_one_log_entry_is_the_branch_coefficient(s, p):
+    # the coefficient of psi = u + log(1 - xi) (tau^2 + ...) is B(zeta_c^2)
+    b = cont._one_connection(s, p).coeffs[-1]
+    closed = cont.B_closed_form(s, p).value
+    assert abs(b - closed) <= 1e-13 * abs(closed)
+
+
+@pytest.mark.parametrize("s,p,xi", [(3, 1, 1.2), (3, 2, 1 + 1e-6), (2, 1, 1.4 + 0.3j),
+                                    (3, 2, 0.99 - 0.2j), (2, 3, 1.1)])
+def test_one_states_are_exact_conjugates(s, p, xi):
+    zc2 = cont.zeta_c_value(s) ** 2
+    u = complex(xi) * zc2
+    if u.imag:
+        a, b = (cont.gp_continue(s, p, v, "none") for v in (u, u.conjugate()))
+    else:
+        a, b = (cont.gp_continue(s, p, u.real, side) for side in ("above", "below"))
+    assert a.path[0] == 1.0 and (a.steps, a.dps) == (0, None)
+    assert all(y == x.conjugate() for x, y in zip(a.derivs, b.derivs, strict=True))
+    assert (b.dps, b.steps, b.rel_est) == (a.dps, a.steps, a.rel_est)
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 1)])
+def test_one_node_cut_trace_is_gp_continue_at_basis_nodes(s, p):
+    # basis-served nodes, nodes walked from the basis's join state, and
+    # nodes on the route without the basis give one state either way
+    zc2 = cont.zeta_c_value(s) ** 2
+    seen = set()
+    for x in (1 + 1e-9, 1.001, 1.3, 1.45, 1.7, 3.0):
+        st = cont.gp_continue(s, p, x * zc2, "above")
+        xi = st.u.real / zc2
+        (trace,) = cont.cut_trace(s, p, [xi], "above")
+        assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
+                == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
+        seen.add(len(st.path) if st.path[0] == 1.0 else 0)
+    # the basis misses tol/4 at (5, 1) in doubles, and nothing changes there
+    assert seen == ({0} if (s, p) == (5, 1) else {2, 3})
+
+
+@settings(max_examples=6, deadline=None)
+@given(s=hst.sampled_from([2, 3]), k=hst.integers(0, 5), data=hst.data(),
+       xis=hst.lists(hst.floats(1.0 + 1e-9, 3.9), min_size=1, max_size=4, unique=True))
+def test_basis_values_do_not_depend_on_cache_or_order(s, k, data, xis):
+    p = 1 + k % (2 * s)
+    zc2 = cont.zeta_c_value(s) ** 2
+    us = [x * zc2 for x in xis] + [(0.99 + 0.1j) * zc2, 0.995 * zc2]
+
+    def states(order, cold):
+        if cold:
+            _clear_one_caches()
+        trace = dict(zip(order, cont.cut_trace(s, p, order)))
+        out = [(st.derivs, st.path, st.rel_est) for st in (trace[x] for x in xis)]
+        for u in us:
+            if cold:
+                _clear_one_caches()
+            st = cont.gp_continue(s, p, u, "above" if u.imag == 0 and u.real > zc2 else "none")
+            out.append((st.derivs, st.path, st.rel_est))
+        return out
+
+    cold = states(xis, True)
+    assert states(xis, False) == cold
+    shuffled = data.draw(hst.permutations(xis))
+    assert states(shuffled, True) == cold
+    assert states(shuffled, False) == cold
+
+
+def _walk_oracle(s, p, xi, side):
+    """G, G', G'' at xi from the 40-digit walk along the route of _waypoints,
+    or from mpmath.hyper at 40 digits where |xi| >= 1.1, where its series at
+    infinity converges fast enough."""
+    zc2 = cont.zeta_c_value(s) ** 2
+    if abs(xi) >= 1.1:
+        lateral = 0.0 if xi.imag else 1e-30 if side == "above" else -1e-30
+        ref = _hyper_derivs(s, p, xi + lateral * 1j, 3)
+    else:
+        ref = cont._taylor_walk(s, p, cont._waypoints(complex(xi), side), 40).states[-1][:3]
+    return [complex(z) / zc2**j for j, z in enumerate(ref)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), log_r=hst.floats(-8.0, math.log10(0.5)),
+       theta=hst.floats(-math.pi, math.pi), kind=hst.sampled_from(["cut", "below", "off"]),
+       side=hst.sampled_from(["above", "below"]))
+@example(s=3, k=1, log_r=-3.0, theta=0.0, kind="cut", side="above")
+@example(s=3, k=0, log_r=math.log10(0.5), theta=0.0, kind="cut", side="below")
+@example(s=2, k=0, log_r=-6.0, theta=0.0, kind="below", side="above")
+@example(s=4, k=3, log_r=-1.0, theta=2.0, kind="off", side="above")  # not served
+def test_basis_estimate_is_a_bound(s, k, log_r, theta, kind, side):
+    # each target with |xi - 1| <= ONE_RADIUS is served from the basis with
+    # rel_est between the true error and tol/4, or walks the route it walked
+    # without the basis, to the same bits; a cut state walked from the
+    # basis's join state also bounds its error
+    p = 1 + k % (2 * s)
+    zc2 = cont.zeta_c_value(s) ** 2
+    r = 10.0**log_r
+    xi = {"cut": complex(1 + r), "below": complex(1 - r), "off": 1 + cmath.rect(r, theta)}[kind]
+    if kind == "off" and (abs(xi) <= cont.SERIES_RADIUS or xi.imag == 0):
+        return
+    if kind == "below" and xi.real <= cont.SERIES_RADIUS:
+        return
+    side = side if kind == "cut" else "none"
+    u = xi * zc2 if xi.imag else xi.real * zc2
+    st = cont.gp_continue(s, p, u, side)
+    xi = complex(st.u) / zc2
+    if st.path[0] == 1.0:
+        assert st.rel_est <= 1e-12 / 4
+        err = max(abs(g - w) / abs(w) for g, w in zip(st.derivs, _walk_oracle(s, p, xi, side)))
+        assert err <= st.rel_est
+        return
+    pts = cont._waypoints(xi, side)
+    run = cont.transport(s, p, pts[:-1], pts[-1:], keep=3)
+    want = cont._state(s, p, st.u, side, run.states[0], tuple(pts), run)
+    assert st.path == want.path and st.derivs == want.derivs
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 1), (3, 2)])
+def test_cut_walks_from_the_basis_join_bound_their_error(s, p):
+    zc2 = cont.zeta_c_value(s) ** 2
+    xis = [1.6, 2.2, 3.1, 3.9]
+    states = cont.cut_trace(s, p, xis, "below")
+    for xi, st in zip(xis, states):
+        assert st.path == (1.0, 1.0 + cont.DETOUR_OFFSET, xi) and st.dps is None
+        err = max(abs(g - w) / abs(w) for g, w in
+                  zip(st.derivs, _walk_oracle(s, p, complex(xi), "below")))
+        assert err <= st.rel_est <= 1e-12 / 4
+
+
+# ---------------------------------------------------------------------------
+# Regressions near the branch point: PathError before the basis at xi = 1
+
+
+def _sigma_block(s, p, zeta):
+    """sigma_p(zeta^2) as the weighted block's (0,0) entry times w_0^2."""
+    blk = gram.weighted_block(s, zeta, p, 1.0, 16)
+    return blk.matrix[0, 0] * blk.weights[0] ** 2
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-14])
+def test_sigma_cont_next_to_the_threshold_matches_the_block(gap):
+    # sigma ~ (2 s^2 B / p) log(1 - xi), so sigma'(xi) ~ 2 s^2 |B| / (p (1 - xi)):
+    # the block sums at its exact (1 - gap)^2 and the continuation at xi =
+    # fl(fl(zeta^2) / zeta_c^2), and that input's conditioning moves sigma by
+    # 1.8e-10, 2.4e-8 and 1.5e-4 relative here
+    s, p = 3, 1
+    zeta = float(thresholds(s).zeta_c) * (1.0 - gap)
+    xi = zeta * zeta / cont.zeta_c_value(s) ** 2
+    xi_block = (1 - _kernels.eta_gap(s, zeta)) ** 2
+    slope = 2 * s * s * abs(cont.B_closed_form(s, p).value) / (p * (1.0 - xi))
+    cond = slope * float(abs(Fraction(xi) - xi_block))
+    got = cont.sigma_cont(s, p, zeta * zeta)
+    want = _sigma_block(s, p, zeta)
+    assert got.imag == 0.0
+    assert abs(got.real - want) <= 1e-9 * abs(want) + 2 * cond
+
+
+def test_density_next_to_the_edge():
+    # rho at (1 + 1e-10) zeta_c^2 is the edge density to O(1e-10 log)
+    s, p = 3, 1
+    rho = cont.disc_density_rho(s, p, (1 + 1e-10) * cont.zeta_c_value(s) ** 2)
+    edge = cont.edge_density_closed(s, p)
+    assert abs(rho - edge) <= 1e-9 * edge
+
+
+def test_the_branch_point_itself_is_a_path_error():
+    zc2 = cont.zeta_c_value(3) ** 2
+    for side in ("above", "below"):
+        with pytest.raises(PathError):
+            cont.gp_continue(3, 1, zc2, side)
