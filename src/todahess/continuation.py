@@ -23,10 +23,11 @@ lengths, in complex doubles first and, if they disagree, in fixed-point
 integers at extended precision, bound the error (transport); mpmath
 numbers carry the inputs and results of the extended walks and the
 resonant fit's solve.  Beyond FAR_RADIUS, the Frobenius basis at xi =
-infinity, read from the same theta polynomials, is matched once per (s,
-p) to both walks on the circle and summed (_far_table, _far_connection,
-_far_values), on the same ladder of doubles, then extended precision,
-then AccuracyError.
+infinity, read from the same theta polynomials, is summed with its exact
+connection coefficients, the gamma-function products of DLMF 16.8.8
+computed once per (s, p) (_far_table, _far_connection, _far_values), in
+doubles, then at extended precision where the terms cancel, then
+AccuracyError; no walk feeds it.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -39,6 +40,7 @@ import cmath
 import math
 import numbers
 import operator
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -843,7 +845,8 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _Taylo
 # Continuation along detour paths
 
 
-#: caller's digits of the fixed-point walks, used when the double walks disagree
+#: caller's digits of the fixed-point walks, used when the double walks
+#: disagree, and of the expansion at infinity where the doubles cancel
 _MP_RUNG_DPS = 20
 
 
@@ -852,12 +855,6 @@ class _Continued(NamedTuple):
     dps: "int | None"  # working digits of the accepted walks; None for doubles
     steps: int  # Taylor expansions of the returned walk
     rel_est: float  # largest relative disagreement of the accepted walks
-
-
-def _walk_pair(s: int, p: int, targets, dps, join=None) -> list:
-    """The two walks behind every checked value, serving the targets within
-    rho/2 and within rho/3 of each centre (see _taylor_walk)."""
-    return [_taylor_walk(s, p, targets, dps, reach, join) for reach in (2, 3)]
 
 
 def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
@@ -907,7 +904,8 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     why = ""
     for dps in (None,) if join else (None, _MP_RUNG_DPS):
         try:
-            coarse, fine = _walk_pair(s, p, targets, dps, join and join[0])
+            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join and join[0])
+                            for reach in (2, 3)]
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -975,7 +973,7 @@ def _mirrored(xis: list, side: str) -> tuple:
 
 
 #: gp_continue and cut_trace sum every |xi| >= FAR_RADIUS from the expansion
-#: at infinity, which is matched to the walk on this circle
+#: at infinity
 FAR_RADIUS = 4.0
 
 
@@ -1119,131 +1117,81 @@ def _far_basis(tab: _FarTable, xis: list, dps) -> tuple:
     return np.stack(b, axis=1), np.stack(bb, axis=1), xs, logs
 
 
-def _jacobi_svd(a: "np.ndarray") -> tuple:
-    """(u, sv, vt) with a = u diag(sv) vt, for a real m x n matrix a, m >=
-    n, by one-sided Jacobi rotations of its columns (Demmel & Veselic, SIAM
-    J. Matrix Anal. Appl. 13, 1992).  It resolves the small singular values
-    to high relative accuracy, and in numpy's elementwise operations alone
-    it touches no LAPACK routine the rest of the package does not."""
-    a = np.array(a, dtype=float)
-    n = a.shape[1]
-    v = np.eye(n)
-    for _ in range(60):
-        turned = False
-        for i, j in combinations(range(n), 2):
-            alpha, beta = (a[:, i] * a[:, i]).sum(), (a[:, j] * a[:, j]).sum()
-            gamma = (a[:, i] * a[:, j]).sum()
-            if abs(gamma) <= 1e-16 * math.sqrt(alpha * beta):
-                continue
-            turned = True
-            zeta = (beta - alpha) / (2.0 * gamma)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.hypot(1.0, t)
-            for m in (a, v):
-                x, y = m[:, i].copy(), m[:, j].copy()
-                m[:, i], m[:, j] = c * x - c * t * y, c * t * x + c * y
-        if not turned:
-            break
-    sv = np.sqrt((a * a).sum(axis=0))
-    return a / sv, sv, v.T
-
-
-class _FarConnection(NamedTuple):
-    """y = sum_k coeffs[k] phi_k on |xi| >= FAR_RADIUS, for the basis of
-    _far_table, with the data of its error estimate."""
-    coeffs: "np.ndarray"  # C, real: floats or mpf objects
-    gap: "np.ndarray"  # C from the coarser walk minus C, floats
-    modes: "np.ndarray"  # rows: error bounds of the solve along its singular vectors
-
-
 @lru_cache(maxsize=None)
-def _far_connection(s: int, p: int, dps) -> "_FarConnection | None":
-    """The real vector C with y = sum_k C_k phi_k, built once per (s, p) and
-    number type, or None when the walks at dps cannot reach the circle.
+def _far_connection(s: int, p: int, dps) -> "np.ndarray":
+    """The real vector C with y = sum_k C_k phi_k on |xi| >= FAR_RADIUS, for
+    the basis phi_k of _far_table, in the order of its columns: floats for
+    dps None, else mpf objects at _arith(dps).digits.  It is the connection
+    formula of DLMF 16.8.8 (Slater 1966; Luke 1969, ch. 5) over the reduced
+    parameters a_k, b_l of hyp_params.  A simple exponent a_j has
 
-    Both walks of transport at dps run from -XI_SEED along the axis to
-    -FAR_RADIUS and on along the upper half of the circle to FAR_RADIUS +
-    i0, through k >= 3 equally spaced points, and each gives, by least
-    squares over y, y', y'' at these points, a real C: y and the basis are
-    real on xi < 0, so Schwarz symmetry makes C real.  k is the least that
-    gives at least 2d real equations.  Each equation is scaled by its largest basis entry and each
-    column by its largest entry.  As in transport, the gap between the two
-    solutions estimates the error the walks carry in.  The solve's own
-    rounding moves the scaled solution x along the right singular vector v_i
-    of the scaled matrix by at most 2 eps sigma_max |x| / sigma_i, for eps
-    the unit roundoff: these are the rows of modes, in unscaled units."""
-    ar = _arith(dps)
-    tab = _far_table(s, p, dps)
-    d = len(_theta_polys(s, p)[0]) - 1
-    k = max(3, -(-(2 * d + 3) // 6))  # 6 (k - 1) + 3 equations
-    nodes = [complex(-FAR_RADIUS),
-             *(cmath.rect(FAR_RADIUS, math.pi * i / (k - 1)) for i in range(k - 2, 0, -1)),
-             complex(FAR_RADIUS)]
-    try:
-        walks = _walk_pair(s, p, [complex(-XI_SEED), *nodes], dps)
-    except (DivergenceError, OverflowError):
-        return None
-    with nullcontext() if dps is None else mp.workdps(ar.digits):
-        b = _far_basis(tab, nodes, dps)[0]
-        rows, rhs = [], ([], [])
-        for i, xi in enumerate(nodes):
-            z = xi if dps is None else mp.mpc(xi)
-            for j in range(3):
-                wt = 1 / max(abs(v) for v in b[i, :, j])
-                rows += [[v.real * wt for v in b[i, :, j]], [v.imag * wt for v in b[i, :, j]]]
-                for walk, out in zip(walks, rhs):
-                    v = walk.states[i][j] * z**j / math.factorial(j) * wt
-                    out += [v.real, v.imag]
-        # the imaginary parts at -FAR_RADIUS are zero equations
-        keep = [i for i, row in enumerate(rows) if any(row)]
-        rhs = [[out[i] for i in keep] for out in rhs]
-        mat = np.array([rows[i] for i in keep], dtype=float if dps is None else object)
-        scale = np.array([max(abs(v) for v in mat[:, k]) for k in range(d)], dtype=mat.dtype)
-        mat = mat / scale
-        u, sv, vt = _jacobi_svd(mat.astype(float))
-        if dps is None:
-            sols = [(vt.T * ((u * np.array(out)[:, None]).sum(axis=0) / sv)).sum(axis=1)
-                    for out in rhs]
-        else:
-            q, r = mp.qr(mp.matrix(mat.tolist()), mode="skinny")
-            sols = [np.array(list(mp.lu_solve(r, q.T * mp.matrix(out))), dtype=object)
-                    for out in rhs]
-        coarse, fine = (sol / scale for sol in sols)
-        size = 2 * ar.eps * sv.max() * math.sqrt(sum(float(v) ** 2 for v in sols[1]))
-        modes = (size / sv)[:, None] * vt / scale.astype(float)
-    return _FarConnection(fine, (coarse - fine).astype(float), modes)
+        C_j = prod_l Gamma(b_l) prod_{k != j} Gamma(a_k - a_j)
+              / (prod_{k != j} Gamma(a_k) prod_l Gamma(b_l - a_j)).
+
+    A double exponent a is the confluent limit of splitting it into a -+ e,
+    which moves the equation only at O(e^2).  With H(e) the product above
+    over the k outside the pair at a_j = a + e, and Phi(e) = H(e) / Gamma(a
+    - e), the log partner has the coefficient -Phi(0) and the solution
+    -Phi'(0) - 2 gamma Phi(0), for Euler's gamma.  Phi' comes from digamma
+    terms, and from the derivative (-1)^n n! of 1/Gamma at -n, where b_l - a
+    = -n makes a factor of Phi vanish.
+
+    The vector is computed once per (s, p) at the extended rung's digits plus
+    ten guard digits, so each C_k is good to one unit of _arith(dps).eps,
+    and the doubles are those numbers rounded."""
+    if dps is None:
+        return _far_connection(s, p, _MP_RUNG_DPS).astype(float)
+    hp = hyp_params(s, p)
+    ups, lows = Counter(hp.reduced_upper), Counter(hp.reduced_lower)
+    coeffs = []
+    with mp.workdps(_arith(dps).digits + 10):
+        gam = {a: mp.gamma(mp.mpf(a.numerator) / a.denominator) for a in ups.keys() | lows.keys()}
+        const = mp.fprod(gam[b] ** n for b, n in lows.items()) / mp.fprod(
+            gam[a] ** n for a, n in ups.items())
+        for a, m in sorted(ups.items()):
+            # Phi(e) = const Gamma(a)^m prod Gamma(z - e)^n over these (z, n)
+            factors = [(ak - a, n) for ak, n in ups.items() if ak != a]
+            factors += [(b - a, -n) for b, n in lows.items()] + [(a, -1)] * (m - 1)
+            zeros = [(z, n) for z, n in factors if z.denominator == 1 and z <= 0]
+            rest = [(mp.mpf(z.numerator) / z.denominator, n) for z, n in factors
+                    if (z, n) not in zeros]
+            phi = const * gam[a] ** m * mp.fprod(mp.gamma(z) ** n for z, n in rest)
+            order = -sum(n for _, n in zeros)
+            if order:  # 1/Gamma(-k - e) = (-1)^(k+1) k! e + O(e^2)
+                k = int(-zeros[0][0])
+                dphi = phi * (-1) ** (k + 1) * mp.factorial(k) if order == 1 else mp.mpf(0)
+                phi = mp.mpf(0)
+            else:
+                dphi = -phi * mp.fsum(n * mp.digamma(z) for z, n in rest) if m == 2 else mp.mpf(0)
+            coeffs += [-dphi - 2 * mp.euler * phi, -phi] if m == 2 else [phi]
+    with mp.workdps(_arith(dps).digits):
+        return np.array([+c for c in coeffs], dtype=object)
 
 
-def _far_values(s: int, p: int, conn: _FarConnection, xis: list, dps) -> list:
+def _far_values(s: int, p: int, xis: list, dps) -> list:
     """[(z, rel_est)] at each xi of the closed upper half plane (xi > 0
     standing for xi + i0): z = [y, y', y''] in complex doubles from the
-    connection, summed in the number type of _arith(dps), and rel_est the
-    largest relative error estimate of the three, which adds, for the sums
-    t_j = xi^j y^(j) / j!,
-    - the gap |sum_k gap_k phi_k| between the two walks' connections;
-    - the solve's rounding, sum_i |sum_k modes_ik phi_k|;
-    - the cancellation bound eta sum_k |C_k| |phi_k|, over the absolute
-      values of the terms, with eta = eps (2 + a |log x|) for eps the unit
-      roundoff and a the largest exponent: the rounding of the sums and of
-      a in x^a,
-    over |t_j|."""
+    connection of _far_connection, summed in the number type of _arith(dps),
+    and rel_est the largest relative error bound of the three.  For the sums
+    t_j = xi^j y^(j) / j! it is the cancellation bound eta sum_k |C_k|
+    |phi_k| over |t_j|, over the absolute values of the terms, with eta =
+    eps (3 + a |log x|) for eps the unit roundoff and a the largest
+    exponent: the rounding of C, of the sums and of a in x^a.  Summed at
+    extended precision, the rounding of z to doubles is added."""
     ar = _arith(dps)
     tab = _far_table(s, p, dps)
     with nullcontext() if dps is None else mp.workdps(ar.digits):
         b, bb, xs, logs = _far_basis(tab, xis, dps)
         g = cancel = 0
-        for k, c in enumerate(conn.coeffs):
-            c = float(c) if dps is None else c
+        for k, c in enumerate(_far_connection(s, p, dps)):
             g = g + c * b[:, k]
             cancel = cancel + float(abs(c)) * bb[:, k]
-        bf = b.astype(complex)
-        est = (abs(sum(x * bf[:, k] for k, x in enumerate(conn.gap)))
-               + sum(abs(sum(x * bf[:, k] for k, x in enumerate(row))) for row in conn.modes)
-               + ar.eps * (2.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None]
-               * cancel)
+        est = ar.eps * (3.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None] * cancel
         rel = (est / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
         x = np.array(xs, dtype=g.dtype)
         z = np.stack([g[:, 0], -x * g[:, 1], 2 * x * x * g[:, 2]], axis=1).astype(complex)
+    if dps is not None:
+        rel = rel + 2.0**-53
     return list(zip(z.tolist(), rel.tolist()))
 
 
@@ -1552,9 +1500,10 @@ class ContinuationState:
     side: str
     derivs: tuple  # (G, G', G'') with respect to u, the inputs of sigma
     path: tuple  # xi-plane waypoints actually used; (inf, xi) for the far field
-    dps: "int | None"  # working digits of the walk or far connection; None for doubles
+    dps: "int | None"  # working digits of the walk or far-field sum; None for doubles
     steps: int  # Taylor expansions of the walk; 0 for the series and the far field
-    rel_est: float  # two-walk gap or far-field estimate; _SERIES_TOL for the series
+    rel_est: float  # two-walk gap, basis estimate or far-field cancellation bound;
+    # _SERIES_TOL for the series
 
     @property
     def value(self) -> complex:
@@ -1577,24 +1526,20 @@ def _far_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> l
     """The states at the targets us, at xis = us / zeta_c^2 with |xi| >=
     FAR_RADIUS, from the expansion at infinity.  Targets below the axis, and
     the cut's lower side, are summed at the conjugate xi and conjugated, so
-    the two sides are exact conjugates.  Three rungs serve each target
-    whose estimate (see _far_values) is at most tol/4, in turn: the
-    connection from the double walks, summed in doubles; the one from the
-    walks at _MP_RUNG_DPS digits, summed in doubles; and that one summed at
-    its own digits, where the terms cancel.  AccuracyError is raised for any
-    target all three miss, PathError if G itself falls below the double
-    range."""
+    the two sides are exact conjugates.  Two rungs serve each target whose
+    estimate (see _far_values) is at most tol/4, in turn: the connection of
+    _far_connection rounded to doubles and summed in doubles, then summed at
+    the digits of the walks at _MP_RUNG_DPS, where the terms cancel.
+    AccuracyError is raised for any target both miss, PathError if G itself
+    falls below the double range."""
     if not xis:
         return []
     xis = [complex(xi) for xi in xis]
     flip, upper = _mirrored(xis, side)
     done, todo, worst = {}, list(range(len(xis))), math.inf
-    for dps, sum_dps in ((None, None), (_MP_RUNG_DPS, None), (_MP_RUNG_DPS, _MP_RUNG_DPS)):
-        conn = _far_connection(s, p, dps)
-        if conn is None:
-            continue
+    for dps in (None, _MP_RUNG_DPS):
         left, worst = [], 0.0
-        for i, (z, rel) in zip(todo, _far_values(s, p, conn, [upper[i] for i in todo], sum_dps)):
+        for i, (z, rel) in zip(todo, _far_values(s, p, [upper[i] for i in todo], dps)):
             if rel <= tol / 4:
                 done[i] = z, _Continued(None, None if dps is None else _arith(dps).digits, 0, rel)
             else:
@@ -1631,8 +1576,9 @@ def gp_continue(
     the state is summed from the power series at 0 (_power_series, which
     also seeds every walk), because transport towards the singular point
     u = 0 loses digits; u = 0 gives G = 1.  For |u| >= FAR_RADIUS zeta_c^2
-    it is summed from the expansion at infinity (_far_states), with no
-    Taylor steps and the path (inf, xi); G' and G'' that lie below the
+    it is summed from the expansion at infinity with its exact connection
+    (_far_states), with no Taylor steps and the path (inf, xi), and the
+    estimate is the sum's cancellation bound; G' and G'' that lie below the
     double range there come out as 0.  For 0 < |xi - 1| <= ONE_RADIUS it is
     summed from the basis at xi = 1 (_one_states), with no Taylor steps and
     the path (1, xi), where that basis's estimate meets tol/4.  Otherwise it

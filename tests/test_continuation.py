@@ -1,6 +1,7 @@
 import cmath
 import math
 import operator
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
@@ -700,12 +701,12 @@ def test_taylor_walk_complex_path():
         cont._taylor_walk(2, 1, [cont.XI_SEED, 0.3j, -0.3j], 30)  # meets xi = 0
 
 
-def _hyper_derivs(s, p, xi, n):
+def _hyper_derivs(s, p, xi, n, dps=50):
     """y, y', ... y^(n-1) of y(xi) = G_p(zeta_c^2 xi) from mpmath's
-    hypergeometric function at 50 digits, with the reduced parameters:
+    hypergeometric function at dps digits, with the reduced parameters:
     d/dxi pFq(a; b; xi) = (prod a / prod b) pFq(a + 1; b + 1; xi)."""
     hp = cont.hyp_params(s, p)
-    with mp.workdps(50):
+    with mp.workdps(dps):
         a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
         b_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_lower]
         out, fac = [], mp.mpf(1)
@@ -1098,8 +1099,9 @@ def test_far_field_meets_tol_and_mirrors(s, k, log_r, theta, on_cut):
 
 
 def test_far_state_diagnostics():
-    # doubles at (3, 1); at (5, 10) the doubles connection is ill-conditioned
-    # and the estimate sends the target to the one at 30 digits
+    # doubles at (3, 1); at (5, 10) the terms of the doubles sum cancel (its
+    # bound reads 3.9e-10) and the estimate sends the target to the sum at 30
+    # digits
     zc2 = {s: float(thresholds(s).zeta_c) ** 2 for s in (3, 5, 8)}
     far = cont.gp_continue(3, 1, -1e3 * zc2[3], "none")
     assert far.path == (complex(math.inf), far.u / zc2[3])
@@ -1112,6 +1114,75 @@ def test_far_state_diagnostics():
     (trace,) = cont.cut_trace(8, 16, [st.u.real / zc2[8]])
     assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
             == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
+
+
+def _assert_far_matches_hypergeometric(s, p, xi, side, n=3):
+    """gp_continue at u = xi zeta_c^2 from the expansion at infinity: its
+    first n derivatives within 1e-12 of the 40-digit oracle, and a rel_est
+    within tol/4 that bounds the error of G."""
+    zc2 = float(thresholds(s).zeta_c) ** 2
+    st = cont.gp_continue(s, p, xi * zc2, side)
+    assert st.path[0] == complex(math.inf) and st.steps == 0
+    x = st.u / zc2
+    ref = _hyper_derivs(s, p, x + 1e-35j if side == "above" else x, n, dps=40)
+    for j, want in enumerate(ref):
+        assert abs(st.derivs[j] - want / zc2**j) <= 1e-12 * abs(want / zc2**j)
+    assert abs(st.value - ref[0]) <= st.rel_est * abs(ref[0])
+    assert st.rel_est <= 1e-12 / 4
+
+
+@pytest.mark.parametrize("s,p,xi,side", [(12, 5, 1e3, "above"), (12, 5, -1e6, "none"),
+                                         (12, 24, -6.0, "none"), (14, 7, -6.0, "none")])
+def test_far_field_beyond_s_8(s, p, xi, side):
+    # the connection matched to two walks on |xi| = 4 served (12, 5) at 1e3
+    # above 3.6e-13 off in G and 2.9e-12 in G', with rel_est 3.1e-16, and
+    # raised AccuracyError at -1e6, and for (12, 24) and (14, 7) at -6
+    _assert_far_matches_hypergeometric(s, p, xi, side)
+
+
+def test_far_field_at_s_40_in_bounded_time():
+    # d = 78: the matched connection spent 19-25 s on its walks and then
+    # raised AccuracyError; the closed form takes 0.8 s cold on a 2-core VM.
+    # G alone is checked, since each oracle term costs seconds here
+    t0 = time.perf_counter()
+    cont.gp_continue(40, 1, -10.0 * float(thresholds(40).zeta_c) ** 2, "none")
+    assert time.perf_counter() - t0 < 5.0
+    _assert_far_matches_hypergeometric(40, 1, -10.0, "none", n=1)
+
+
+def _far_sum_gap(s, p, xi, side):
+    """Largest relative gap of t_j = xi^j y^(j) / j!, j < 3, at xi between the
+    expansion at infinity summed at the extended rung's digits and a 40-digit
+    walk along the route of _waypoints.  The walk knows nothing of the
+    connection formula, unlike mpmath's hyper off the unit disk."""
+    dps = cont._MP_RUNG_DPS
+    walked = cont._taylor_walk(s, p, cont._waypoints(xi, side), 40).states[-1]
+    tab, conn = cont._far_table(s, p, dps), cont._far_connection(s, p, dps)
+    with mp.workdps(40):
+        b = cont._far_basis(tab, [xi], dps)[0][0]
+        gaps = []
+        for j in range(3):
+            want = walked[j] * mp.mpc(xi) ** j / math.factorial(j)
+            got = mp.fsum(c * b[k, j] for k, c in enumerate(conn))
+            gaps.append(float(abs(got - want) / abs(want)))
+    return max(gaps)
+
+
+@settings(max_examples=6, deadline=None)
+@given(s=hst.integers(2, 16), k=hst.integers(0, 31), theta=hst.floats(0.0, math.pi))
+@example(s=5, k=9, theta=math.pi)  # (5, 10): 1/Gamma(b - a) vanishes at b - a = -1
+@example(s=5, k=9, theta=0.0)
+@example(s=2, k=0, theta=math.pi / 2)
+@example(s=16, k=31, theta=math.pi)  # d = 32, the largest gap measured: 3.5e-24
+def test_far_connection_matches_a_40_digit_walk(s, k, theta):
+    # the closed-form connection against the walk on the circle |xi| =
+    # FAR_RADIUS, on the cut's upper side (theta = 0), on the negative axis
+    # (theta = pi) and between; the sum carries 30 digits, and its terms
+    # cancel by up to 1e8 at (16, 32)
+    p = 1 + k % (2 * s)
+    r = cont.FAR_RADIUS
+    xi = {0.0: complex(r), math.pi: complex(-r)}.get(theta, cmath.rect(r, theta))
+    assert _far_sum_gap(s, p, xi, "above" if theta == 0.0 else "none") <= 1e-20
 
 
 def test_double_walks_keep_no_integer_rows():
