@@ -5,14 +5,19 @@ the slit plane C \\ [zeta_c^2, inf).  The coefficient ratio is rational in m,
 so G_p is a generalized hypergeometric function; after cancelling common
 upper/lower parameters the reduced equation has order q_p + 1 and its only
 finite singular points are xi = 0, 1 in xi = u / zeta_c^2.  Four regions
-cover the slit plane, each target in one.  The power series at 0 is summed
-in one place, _power_series: it gives the values in the disk |xi| <=
-SERIES_RADIUS and seeds every walk at +-XI_SEED.  Around the branch point,
-0 < |xi - 1| <= ONE_RADIUS outside the disk, the Frobenius basis at xi = 1
-(d - 1 analytic solutions and one with a log(1 - xi) term), matched once
-per (s, p) to the power series at 0 with no walk, serves each target
-where its estimate meets tol/4 (_one_table, _one_connection, _one_values),
-and gives the double walks' state at the cut's join (_one_join).  In the
+cover the slit plane, and one router, _continued, sends each target of
+gp_continue and cut_trace to one of them; it is also the one place that
+imposes Schwarz symmetry: every target is served at its point in the
+closed upper half plane, the cut's upper side standing for its lower one,
+and the states of the targets it moved there are conjugated.  The power
+series at 0 is summed in one place, _power_series: it gives the values in
+the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Around
+the branch point, 0 < |xi - 1| <= ONE_RADIUS outside the disk, the
+Frobenius basis at xi = 1 (d - 1 analytic solutions and one with a log(1
+- xi) term), matched once per (s, p) to the power series at 0 with no
+walk, serves each target where its estimate meets tol/4 (_one_table,
+_one_connection, _one_values), and gives the double walks' state at the
+cut's join (_one_join).  In the
 rest of the annulus out to |xi| = FAR_RADIUS, and wherever the basis
 misses, Taylor steps continue the solution along the one route rule,
 _waypoints: real targets walk the real axis, non-real ones detour around
@@ -41,7 +46,7 @@ import math
 import numbers
 import operator
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -478,8 +483,8 @@ def _shift(coeffs: list, tau, d: int) -> list:
 # about f bits, so its powers keep their relative precision.  The
 # coefficients of one expansion are pairs of integer mantissas that share
 # one exponent.  Every rounding floors, so a path and its mirror image
-# give conjugates only up to rounding; transport walks every checked path in
-# the upper half plane to keep conjugate paths exact conjugates.
+# give conjugates only up to rounding; _continued walks every route in the
+# upper half plane and conjugates, so conjugate targets get exact conjugates.
 
 
 def _shl(x: int, n: int) -> int:
@@ -763,9 +768,8 @@ def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
 
 def _join_route() -> list:
     """The cut's detour XI_SEED -> XI_SEED + ih -> 1 + h + ih -> 1 + h, h =
-    DETOUR_OFFSET, with which every route to the cut begins (_waypoints);
-    routes below the cut are mirrored onto it by transport."""
-    return _waypoints(complex(1.0 + DETOUR_OFFSET), "above")
+    DETOUR_OFFSET, with which every route to the cut begins (_waypoints)."""
+    return _waypoints(complex(1.0 + DETOUR_OFFSET))
 
 
 @lru_cache(maxsize=None)
@@ -774,8 +778,8 @@ def _join_walk(s: int, p: int, dps, reach: int) -> _Walked:
     the join 1 + DETOUR_OFFSET on the cut, kept per (s, p), number type and
     reach: every walk that starts with that route continues from it.  The
     join state has a second source, the basis at xi = 1 (_one_join), from
-    which cut_trace's outward leg starts in doubles where that basis
-    serves; this walk serves the rest."""
+    which the cut's outward leg starts in doubles where that basis serves
+    (see _continued); this walk serves the rest."""
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
     route = _join_route()
@@ -791,13 +795,12 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _Taylo
     The path is the polygon path[0] -> path[1] -> ...: it starts in the
     disk of the power series at 0, which gives the seed state (a route
     starts at +-XI_SEED), may be complex, and must keep 1e-9 away from
-    xi = 0 and 1; transport, not the walk, mirrors lower paths.  Each step
-    re-expands y at the current centre c from the recurrence of
-    _recurrence_row and evaluates it at every following target within
-    rho/reach of c, where rho = min(|c|, |1 - c|) is the distance to the
-    nearer singular point.  The next centre is the last of those targets
-    or, if there is none, the point rho/reach further along the path; these
-    choices are made in doubles in either number type.  Each expansion
+    xi = 0 and 1.  Each step re-expands y at the current centre c from the
+    recurrence of _recurrence_row and evaluates it at every following
+    target within rho/reach of c, where rho = min(|c|, |1 - c|) is the
+    distance to the nearer singular point.  The next centre is the last of
+    those targets or, if there is none, the point rho/reach further along
+    the path; these choices are made in doubles in either number type.  Each expansion
     stops once its geometric tail is below 10^-(dps+6) relative, or
     _SERIES_TOL in doubles (see _expand); dps is at most 250.  Non-finite
     targets raise DomainError, and a step point that leaves the double
@@ -865,23 +868,19 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     keep components (all d for None), within tol relative, and the walk's
     diagnostics.  path starts at +XI_SEED or -XI_SEED, the seed points of
     every route, or is [1, 1 + DETOUR_OFFSET], and nodes is not empty, or
-    PathError.
-
-    The one place that imposes Schwarz symmetry: when the first non-real
-    target lies below the axis, the walks run on the conjugate targets and
-    return conjugated states, so conjugate paths give exact conjugates.
-    So every route to the cut, on either side, begins with the upper detour
-    of _join_route and continues from the walk to the join that
-    _join_walk keeps: each step of that detour is walked once per (s, p),
-    number type and reach.
+    PathError.  It walks the path it is given, on either side of the axis;
+    _continued gives it the routes of the upper half plane only, so a route
+    to the cut that begins with _join_route continues from the walk to the
+    join that _join_walk keeps.
 
     Two walks serve the targets within rho/2 and rho/3 of each centre.  The
     largest relative disagreement between them of any returned component
     estimates the error, measured to be low by up to 2x, so it must not
     exceed tol/4.  The walks run in complex doubles, and again at
     _MP_RUNG_DPS digits if the doubles disagree or exhaust their term
-    budget; the rho/3 walk's states are returned.  Raises AccuracyError when
-    the fixed-point walks disagree too.
+    budget; the rho/3 walk's states are returned, and there the estimate
+    adds 2^-53 for their rounding to doubles.  Raises AccuracyError when the
+    fixed-point walks disagree too.
 
     The path [1, 1 + DETOUR_OFFSET] starts both walks at the join state of
     the basis at xi = 1 (_one_join), above the cut, in place of the detour:
@@ -898,9 +897,6 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
                         f"and (s, p) = ({s}, {p}) needs a basis there")
     extra = 0.0 if join is None else join[1]
     targets = [complex(t) for t in (*path, *nodes)]
-    mirror = next((t.imag < 0 for t in targets if t.imag), False)
-    if mirror:
-        targets = [t.conjugate() for t in targets]
     why = ""
     for dps in (None,) if join else (None, _MP_RUNG_DPS):
         try:
@@ -915,9 +911,9 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
                 for a, b in kept for x, y in zip(a, b)]
         if all(g + extra <= tol / 4 for g in gaps):
             states = [np.array([complex(x) for x in b]) for _, b in kept]
-            if mirror:
-                states = [z.conjugate() for z in states]
-            return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0) + extra)
+            rounding = 0.0 if dps is None else 2.0**-53
+            return _Continued(states, fine.dps, fine.steps,
+                              max(gaps, default=0.0) + extra + rounding)
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
     where = f"from xi = 1, whose join is {extra:.1e} off," if join else f"at {_MP_RUNG_DPS} digits"
     raise AccuracyError(
@@ -926,46 +922,24 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     )
 
 
-def _waypoints(xi_t: complex, side: str) -> list:
-    """Corners of the route to xi_t, the one rule that picks a walk's path.
-    A real target walks the real axis: off the cut from +-XI_SEED on its
-    side of 0, so G_p comes out exactly real, and on the cut from 1 + h,
-    reached by the detour XI_SEED -> XI_SEED + ih -> 1 + h + ih.  A
-    non-real target takes the detour XI_SEED -> XI_SEED + ih -> Re xi_t +
-    ih -> xi_t.  h = DETOUR_OFFSET on the side of xi_t, or of side on the
-    cut: PathError for side 'none' there or a target across it, and
-    DomainError for another side."""
+def _waypoints(xi_t: complex) -> list:
+    """Corners of the route to xi_t in the closed upper half plane, the one
+    rule that picks a walk's path; a real xi_t >= 1 stands for the cut's
+    upper side.  A real target below 1 walks the real axis from +-XI_SEED
+    on its side of 0, so G_p comes out exactly real, and one on the cut
+    walks it from 1 + h, reached by the detour XI_SEED -> XI_SEED + ih -> 1
+    + h + ih.  A non-real target takes the detour XI_SEED -> XI_SEED + ih
+    -> Re xi_t + ih -> xi_t.  h = DETOUR_OFFSET."""
     re, im = xi_t.real, xi_t.imag
-    if side == "none":
-        if im == 0.0 and re >= 1.0:
-            raise PathError("target on the cut: pass side='above' or side='below'")
-        sigma = 1.0 if im >= 0 else -1.0
-    elif side in ("above", "below"):
-        sigma = 1.0 if side == "above" else -1.0
-        if im != 0.0 and math.copysign(1.0, im) != sigma:
-            raise PathError(f"target {xi_t} is on the opposite side of the cut")
-    else:
-        raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
     if im == 0.0 and re < 1.0:
         pts = [complex(math.copysign(XI_SEED, re)), xi_t]
     else:
-        h = sigma * DETOUR_OFFSET
+        h = DETOUR_OFFSET
         # leave the detour over Re xi_t, or over 1 + DETOUR_OFFSET to join
         # the cut; off the cut the corner complex(x, im) is xi_t itself
         x = re if im else 1.0 + DETOUR_OFFSET
         pts = [complex(XI_SEED), complex(XI_SEED, h), complex(x, h), complex(x, im), xi_t]
     return [pt for i, pt in enumerate(pts) if i == 0 or pt != pts[i - 1]]
-
-
-def _mirrored(xis: list, side: str) -> tuple:
-    """(flip, upper) for the complex targets xis: whether each lies below the
-    axis or on the cut's lower side (real xi > 1, side 'below'), and each
-    moved to the closed upper half plane.  The expansions at infinity and at
-    xi = 1 sum every target at its upper point and conjugate the flipped
-    ones, so the two sides are exact conjugates."""
-    flip = [xi.imag < 0.0 or (xi.imag == 0.0 and xi.real > 1.0 and side == "below")
-            for xi in xis]
-    return flip, [complex(xi.real, abs(xi.imag)) for xi in xis]
 
 
 # ---------------------------------------------------------------------------
@@ -1193,6 +1167,39 @@ def _far_values(s: int, p: int, xis: list, dps) -> list:
     if dps is not None:
         rel = rel + 2.0**-53
     return list(zip(z.tolist(), rel.tolist()))
+
+
+def _far_sums(s: int, p: int, xis: list, tol: float) -> list:
+    """[(z, run)] at the xis of the closed upper half plane with |xi| >=
+    FAR_RADIUS: z = [y, y', y''] from the expansion at infinity, and run its
+    diagnostics, with steps = 0.  Two rungs serve each target whose
+    estimate (see _far_values) is at most tol/4, in turn: the connection of
+    _far_connection rounded to doubles and summed in doubles, then summed
+    at the digits of the walks at _MP_RUNG_DPS, where the terms cancel.
+    AccuracyError is raised for any target both miss, PathError if G itself
+    falls below the double range."""
+    if not xis:
+        return []
+    done, todo = {}, list(range(len(xis)))
+    for dps in (None, _MP_RUNG_DPS):
+        left, worst = [], 0.0
+        for i, (z, rel) in zip(todo, _far_values(s, p, [xis[i] for i in todo], dps)):
+            if rel <= tol / 4:
+                done[i] = z, _Continued(None, None if dps is None else _arith(dps).digits, 0, rel)
+            else:
+                left.append(i)
+                worst = max(worst, rel)
+        if not left:
+            break
+        todo = left
+    else:
+        raise AccuracyError(
+            f"expansion at infinity of G_p for (s, p) = ({s}, {p}) misses tol = "
+            f"{tol:.1e} at {_MP_RUNG_DPS} digits: its estimate reads {worst:.1e}")
+    for i, xi in enumerate(xis):
+        if done[i][0][0] == 0:
+            raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
+    return [done[i] for i in range(len(xis))]
 
 
 # ---------------------------------------------------------------------------
@@ -1436,27 +1443,17 @@ def _one_values(s: int, p: int, conn: _OneConnection, xis: list, nd: int = 3) ->
     return list(zip(g.tolist(), rel.tolist()))
 
 
-def _one_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
-    """The states at the targets us, at xis = us / zeta_c^2 with 0 < |xi - 1|
-    <= ONE_RADIUS, from the basis at xi = 1, with steps = 0, dps = None and
-    the path (1, xi); None for each target whose estimate (see _one_values)
-    exceeds tol/4, which then takes the route it took without the basis.
-    Targets below the axis, and the cut's lower side, are summed at the
-    conjugate xi and conjugated, so the two sides are exact conjugates."""
+def _one_sums(s: int, p: int, xis: list, tol: float) -> list:
+    """[(z, run) or None] at the xis of the closed upper half plane with 0 <
+    |xi - 1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1, and
+    run its diagnostics, with steps = 0 and dps = None; None for each target
+    whose estimate (see _one_values) exceeds tol/4, and for every target
+    where (s, p) has no connection."""
     conn = _one_connection(s, p) if xis else None
     if conn is None:
         return [None] * len(xis)
-    xis = [complex(xi) for xi in xis]
-    flip, upper = _mirrored(xis, side)
-    out = []
-    for u, xi, f, (z, rel) in zip(us, xis, flip, _one_values(s, p, conn, upper)):
-        if not rel <= tol / 4:
-            out.append(None)
-            continue
-        z = [v * math.factorial(j) for j, v in enumerate(z)]
-        z = [v.conjugate() for v in z] if f else z
-        out.append(_state(s, p, u, side, z, (complex(1.0), xi), _Continued(None, None, 0, rel)))
-    return out
+    return [([v * math.factorial(j) for j, v in enumerate(z)], _Continued(None, None, 0, rel))
+            if rel <= tol / 4 else None for z, rel in _one_values(s, p, conn, xis)]
 
 
 @lru_cache(maxsize=None)
@@ -1474,22 +1471,6 @@ def _one_join(s: int, p: int) -> "tuple | None":
     return _Walked([state], state, xj, xj, 0, 0), rel
 
 
-def _one_leg(s: int, p: int, leg: list, side: str, tol: float) -> "_Continued | None":
-    """The states at the cut nodes leg, ascending from 1 + DETOUR_OFFSET to
-    below FAR_RADIUS, on side, from transport along [1, 1 + DETOUR_OFFSET]:
-    its double walks start at the basis's join state (_one_join) in place of
-    the detour, and steps counts the steps from the join.  None where the
-    join's estimate, or that plus the walks' gap, exceeds tol/4."""
-    join = _one_join(s, p)
-    if join is None or not join[1] <= tol / 4:
-        return None
-    try:
-        run = transport(s, p, [1.0, 1.0 + DETOUR_OFFSET], leg, tol, keep=3)
-    except AccuracyError:
-        return None
-    return run._replace(states=[z.conjugate() for z in run.states]) if side == "below" else run
-
-
 @dataclass(frozen=True)
 class ContinuationState:
     """Value and u-derivatives of G_p at the endpoint of a transport path."""
@@ -1499,7 +1480,9 @@ class ContinuationState:
     u: complex
     side: str
     derivs: tuple  # (G, G', G'') with respect to u, the inputs of sigma
-    path: tuple  # xi-plane waypoints actually used; (inf, xi) for the far field
+    path: tuple  # xi-plane corners: (xi,) for the series, the route's corners
+    # for a walk, (1, xi) for the basis at xi = 1, (1, 1.3, xi) for a leg from
+    # its join, and (inf, xi) for the far field
     dps: "int | None"  # working digits of the walk or far-field sum; None for doubles
     steps: int  # Taylor expansions of the walk; 0 for the series and the far field
     rel_est: float  # two-walk gap, basis estimate or far-field cancellation bound;
@@ -1522,43 +1505,88 @@ def _state(s: int, p: int, u: complex, side: str, z, path,
                              dps=dps, steps=steps, rel_est=rel_est)
 
 
-def _far_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
-    """The states at the targets us, at xis = us / zeta_c^2 with |xi| >=
-    FAR_RADIUS, from the expansion at infinity.  Targets below the axis, and
-    the cut's lower side, are summed at the conjugate xi and conjugated, so
-    the two sides are exact conjugates.  Two rungs serve each target whose
-    estimate (see _far_values) is at most tol/4, in turn: the connection of
-    _far_connection rounded to doubles and summed in doubles, then summed at
-    the digits of the walks at _MP_RUNG_DPS, where the terms cancel.
-    AccuracyError is raised for any target both miss, PathError if G itself
-    falls below the double range."""
-    if not xis:
-        return []
-    xis = [complex(xi) for xi in xis]
-    flip, upper = _mirrored(xis, side)
-    done, todo, worst = {}, list(range(len(xis))), math.inf
-    for dps in (None, _MP_RUNG_DPS):
-        left, worst = [], 0.0
-        for i, (z, rel) in zip(todo, _far_values(s, p, [upper[i] for i in todo], dps)):
-            if rel <= tol / 4:
-                done[i] = z, _Continued(None, None if dps is None else _arith(dps).digits, 0, rel)
-            else:
-                left.append(i)
-                worst = max(worst, rel)
-        if not left:
-            break
-        todo = left
-    else:
-        raise AccuracyError(
-            f"expansion at infinity of G_p for (s, p) = ({s}, {p}) misses tol = "
-            f"{tol:.1e} at {_MP_RUNG_DPS} digits: its estimate reads {worst:.1e}")
+def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
+    """The states at the targets us, at xis = us / zeta_c^2, on side: the
+    one rule that sends a target to its region, behind gp_continue and
+    cut_trace, and the one place that imposes Schwarz symmetry.
+
+    side must be 'above', 'below' or 'none', else DomainError whatever the
+    targets; a target on the cut needs 'above' or 'below', and a non-real
+    one 'none' or its own side, else PathError.  Each target is moved to the
+    closed upper half plane, the cut's upper side standing for its lower
+    one, and served there by the first of
+    - the power series at 0 for |xi| <= SERIES_RADIUS (_power_series): a
+      walk towards the singular point 0 loses digits;
+    - the expansion at infinity for |xi| >= FAR_RADIUS (_far_sums);
+    - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS, where its
+      estimate meets tol/4 (_one_sums);
+    - the checked walks of transport.  A target off the cut walks its route
+      of _waypoints.  Targets on the cut share the route to the join xi_0 =
+      1 + DETOUR_OFFSET, then walk the axis inward through those below xi_0
+      and outward through the rest.  Both legs continue from the one walk
+      to xi_0 (_join_walk), so a state depends neither on the other targets
+      nor on which call walked the detour first.  The outward leg starts
+      instead from the basis's state at xi_0 (_one_join) where the join's
+      estimate plus the two walks' gap meets tol/4: walking back out from
+      near the branch point would carry its large high derivatives along,
+      and at (5, 10) on fig3's grid that lost 17 of 30 digits.
+    The states and paths of the moved targets are conjugated, so a target
+    and its mirror image, or the cut's two sides, give exact conjugates with
+    the same diagnostics.
+    """
+    if side not in ("above", "below", "none"):
+        raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
+    flips, upper = [], []
+    for xi in map(complex, xis):
+        on_cut = xi.imag == 0.0 and xi.real >= 1.0
+        if on_cut and side == "none":
+            raise PathError("target on the cut: pass side='above' or side='below'")
+        if xi.imag and side != "none" and (xi.imag < 0.0) != (side == "below"):
+            raise PathError(f"target {xi} is on the opposite side of the cut")
+        flips.append(xi.imag < 0.0 or on_cut and side == "below")
+        upper.append(complex(xi.real, abs(xi.imag)))
+    todo = sorted(set(upper), key=lambda x: (x.real, x.imag))
+    got = {}  # upper xi -> (z, path, run); run is None for the series
+    for x in todo:
+        if abs(x) <= SERIES_RADIUS:
+            taylor, _ = _power_series(s, p, x, 3, _arith(None))
+            got[x] = [c * math.factorial(j) for j, c in enumerate(taylor)], (x,), None
+    far = [x for x in todo if abs(x) >= FAR_RADIUS]
+    got.update((x, (z, (complex(math.inf), x), run))
+               for x, (z, run) in zip(far, _far_sums(s, p, far, tol)))
+    near = [x for x in todo if x not in got and 0.0 < abs(x - 1.0) <= ONE_RADIUS]
+    for x, hit in zip(near, _one_sums(s, p, near, tol)):
+        if hit:
+            got[x] = hit[0], (complex(1.0), x), hit[1]
+    rest = [x for x in todo if x not in got]
+    for x in rest:
+        if x.imag or x.real < 1.0:
+            route = _waypoints(x)
+            run = transport(s, p, route[:-1], route[-1:], tol, keep=3)
+            got[x] = run.states[0], tuple(route), run
+    xi0 = 1.0 + DETOUR_OFFSET
+    inward = [x for x in reversed(rest) if x not in got and x.real < xi0]
+    outward = [x for x in rest if x not in got and x.real >= xi0]
+    for leg in (inward, outward):
+        if not leg:
+            continue
+        run, join = None, _one_join(s, p) if leg is outward else None
+        if join is not None and join[1] <= tol / 4:
+            with suppress(AccuracyError):
+                run = transport(s, p, [1.0, xi0], leg, tol, keep=3)
+        if run is None:
+            run = transport(s, p, _join_route(), leg, tol, keep=3)
+            paths = [tuple(_waypoints(x)) for x in leg]
+        else:
+            paths = [(complex(1.0), complex(xi0), x) for x in leg]
+        got.update((x, (z, path, run)) for x, z, path in zip(leg, run.states, paths))
     out = []
-    for i, (u, xi) in enumerate(zip(us, xis)):
-        z, run = done[i]
-        if z[0] == 0:
-            raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
-        z = [v.conjugate() for v in z] if flip[i] else z
-        out.append(_state(s, p, u, side, z, (complex(math.inf), xi), run))
+    for u, x, flip in zip(us, upper, flips):
+        z, path, run = got[x]
+        if flip:
+            z = [v.conjugate() for v in z]
+            path = tuple(c.conjugate() if c.imag else c for c in path)
+        out.append(_state(s, p, u, side, z, path, run))
     return out
 
 
@@ -1569,47 +1597,22 @@ def gp_continue(
     side: str = "none",
     tol: float = CONTINUATION_TOL,
 ) -> ContinuationState:
-    """Continue G_p to u on the slit plane.
+    """Continue G_p to u on the slit plane, within tol relative or
+    AccuracyError, from the source that _continued picks for u.
 
-    side selects the lateral boundary value for u on the cut [zeta_c^2, inf);
-    'none' is for targets off the cut.  For |u| <= SERIES_RADIUS zeta_c^2
-    the state is summed from the power series at 0 (_power_series, which
-    also seeds every walk), because transport towards the singular point
-    u = 0 loses digits; u = 0 gives G = 1.  For |u| >= FAR_RADIUS zeta_c^2
-    it is summed from the expansion at infinity with its exact connection
-    (_far_states), with no Taylor steps and the path (inf, xi), and the
-    estimate is the sum's cancellation bound; G' and G'' that lie below the
-    double range there come out as 0.  For 0 < |xi - 1| <= ONE_RADIUS it is
-    summed from the basis at xi = 1 (_one_states), with no Taylor steps and
-    the path (1, xi), where that basis's estimate meets tol/4.  Otherwise it
-    comes from the checked Taylor walk along the path of _waypoints (see
-    transport).  Each is within tol relative, or AccuracyError.  Real u off
-    the cut comes out with imaginary parts exactly zero for every side; on
-    the cut the state is that of a one-node cut_trace.  xi = 1 itself, and
-    a target within 1e-9 of it that the basis misses, raise PathError; a
-    non-finite u raises DomainError.
+    side selects the lateral boundary value for u on the cut [zeta_c^2,
+    inf); 'none' is for targets off the cut.  u = 0 gives G = 1; G' and G''
+    that lie below the double range far out come out as 0.  Real u off the
+    cut comes out with imaginary parts exactly zero for every side; on the
+    cut the state is that of a one-node cut_trace.  xi = 1 itself, and a
+    target within 1e-9 of it that the basis at xi = 1 misses, raise
+    PathError; a non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
-    zc2 = zeta_c_value(s) ** 2
     uc = complex(u)
     if not cmath.isfinite(uc):
         raise DomainError(f"u must be finite, got {u}")
-    xi_t = uc / zc2
-    pts = _waypoints(xi_t, side)
-    if xi_t.imag == 0.0 and xi_t.real > 1.0:
-        return _cut_states(s, p, [uc], [xi_t.real], side, tol)[0]
-    if abs(xi_t) >= FAR_RADIUS:
-        return _far_states(s, p, [uc], [xi_t], side, tol)[0]
-    if abs(xi_t) <= SERIES_RADIUS:
-        taylor, _ = _power_series(s, p, xi_t, 3, _arith(None))
-        z = [c * math.factorial(j) for j, c in enumerate(taylor)]
-        return _state(s, p, uc, side, z, (xi_t,))
-    if 0.0 < abs(xi_t - 1.0) <= ONE_RADIUS:
-        (st,) = _one_states(s, p, [uc], [xi_t], side, tol)
-        if st is not None:
-            return st
-    run = transport(s, p, pts[:-1], pts[-1:], tol, keep=3)
-    return _state(s, p, uc, side, run.states[0], tuple(pts), run)
+    return _continued(s, p, [uc], [uc / zeta_c_value(s) ** 2], side, tol)[0]
 
 
 def sigma_cont(s: int, p: int, u: complex, side: str = "none") -> complex:
@@ -1741,7 +1744,7 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     ONE_RADIUS) zeta_c^2, the state comes from the basis at xi = 1 where
     its estimate meets the tolerance, so rho is also defined within 1e-9
     of the edge there; further out, the walk along the cut starts from that
-    basis's join state where it serves (see cut_trace).
+    basis's join state where it serves (see _continued).
     """
     s, p = _validate_sp(s, p)
     zc2 = zeta_c_value(s) ** 2
@@ -1752,54 +1755,14 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL):
     """States along the cut at the given xi nodes (all finite and > 1), in
-    the order of the nodes, so a single node gets gp_continue's state.
-
-    Nodes at xi >= FAR_RADIUS are summed from the expansion at infinity
-    (_far_states), and nodes with xi - 1 <= ONE_RADIUS from the basis at
-    xi = 1 where its estimate meets tol/4 (_one_states).  For the rest two
-    checked walks take the route of _waypoints to xi_0 = 1 + DETOUR_OFFSET
-    on the cut, then the real axis inward through the nodes below xi_0 and
-    outward through those up to FAR_RADIUS (see transport).  Both legs
-    continue from the one walk to xi_0, which ends a step there
-    (_join_walk), so a node's state depends neither on the order of the
-    nodes nor on which call walked the detour first.  The outward leg
-    starts instead from the basis's state at xi_0 (_one_leg), with the path
-    (1, xi_0, xi), where the join's estimate plus the two walks' gap meets
-    tol/4.  Walking back out from near the branch point would carry its
-    large high derivatives along: at (5, 10) on fig3's grid that path lost
-    17 of 30 digits.
-    """
+    the order of the nodes, on side 'above' or 'below', from the sources
+    that _continued picks: a single node gets gp_continue's state, and a
+    node's state depends neither on the other nodes nor on their order."""
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(1.0 < x < math.inf for x in nodes):
         raise DomainError("cut_trace nodes must be finite and satisfy xi > 1")
+    if side == "none":  # the trace lies on the cut, even with no nodes
+        raise PathError("cut_trace runs on the cut: pass side='above' or side='below'")
     zc2 = zeta_c_value(s) ** 2
-    return _cut_states(s, p, [x * zc2 for x in nodes], nodes, side, tol)
-
-
-def _cut_states(s: int, p: int, us: list, xis: list, side: str, tol: float) -> list:
-    """The states at the targets us on the cut, at the xis = us / zeta_c^2 >
-    1 (floats), by the rule of cut_trace."""
-    at = dict(zip(xis, us))
-    xi0 = 1.0 + DETOUR_OFFSET
-    pts = _waypoints(complex(xi0), side)
-    far = sorted({x for x in xis if x >= FAR_RADIUS})
-    states = dict(zip(far, _far_states(s, p, [at[x] for x in far], far, side, tol)))
-    near = sorted({x for x in xis if x - 1.0 <= ONE_RADIUS})
-    states.update((x, st) for x, st in
-                  zip(near, _one_states(s, p, [at[x] for x in near], near, side, tol))
-                  if st is not None)
-    inward = sorted({x for x in xis if x < xi0} - states.keys(), reverse=True)
-    outward = sorted({x for x in xis if xi0 <= x < FAR_RADIUS} - states.keys())
-    for leg in (inward, outward):
-        if not leg:
-            continue
-        run = _one_leg(s, p, leg, side, tol) if leg[0] >= xi0 else None
-        if run is None:
-            run = transport(s, p, pts, leg, tol, keep=3)
-            paths = [tuple(_waypoints(complex(x), side)) for x in leg]
-        else:
-            paths = [(complex(1.0), complex(xi0), complex(x)) for x in leg]
-        states.update((x, _state(s, p, at[x], side, z, path, run))
-                      for x, z, path in zip(leg, run.states, paths))
-    return [states[x] for x in xis]
+    return _continued(s, p, [x * zc2 for x in nodes], nodes, side, tol)

@@ -230,7 +230,8 @@ def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
     T = 1/zc^2.
 
     One cut_trace supplies every point: the expansion at infinity those
-    with t_ratio <= 1/FAR_RADIUS, the walks along the cut the rest.  t_ratio
+    with t_ratio <= 1/FAR_RADIUS, the basis at xi = 1 those next to the edge
+    where its estimate serves, and the walks along the cut the rest.  t_ratio
     must lie in (0, 1): t >= T puts xi = 1/t_ratio <= 1 off the cut, and the
     trace raises DomainError.
     """

@@ -319,14 +319,17 @@ def test_sides_agree_inside_disk():
 
 
 def test_schwarz_reflection():
-    # _continue walks the lower target as the mirror of the upper one, in
-    # doubles and on the rung, which (8, 16) takes here
+    # the lower target is served at its mirror image and conjugated: walked
+    # in doubles and on the rung, which (8, 16) takes here, summed from the
+    # power series at 0.3 + 0.4i, and from the basis at xi = 1 below the axis
     for s, p, xi, dps in ((3, 1, 1.5 + 0.2j, None),
-                          (8, 16, 3 + 0.5j, cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS)):
+                          (8, 16, 3 + 0.5j, cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS),
+                          (3, 1, 0.3 + 0.4j, None), (3, 2, 0.99 - 0.2j, None)):
         u = float(thresholds(s).zeta_c) ** 2 * xi
         a = cont.gp_continue(s, p, u, "none")
         b = cont.gp_continue(s, p, u.conjugate(), "none")
         assert all(y == x.conjugate() for x, y in zip(a.derivs, b.derivs, strict=True))
+        assert all(y == x.conjugate() for x, y in zip(a.path, b.path, strict=True))
         assert (b.dps, b.steps, b.rel_est) == (a.dps, a.steps, a.rel_est)
         assert a.dps == dps
 
@@ -436,6 +439,8 @@ def test_cut_trace_schwarz_symmetry(s, data, xis):
     for a, b in zip(above, below):
         assert len(a.derivs) == len(b.derivs)
         assert all(y == x.conjugate() for x, y in zip(a.derivs, b.derivs))
+        assert all(y == x.conjugate() for x, y in zip(a.path, b.path, strict=True))
+        assert (b.dps, b.steps, b.rel_est) == (a.dps, a.steps, a.rel_est)
 
 
 def test_path_errors():
@@ -449,6 +454,8 @@ def test_path_errors():
         cont.transport(2, 1, [], [0.8])
     with pytest.raises(PathError):
         cont.transport(2, 1, [cont.XI_SEED], [])  # and go somewhere
+    with pytest.raises(PathError):
+        cont.cut_trace(3, 1, [], "none")  # the side is checked without nodes
 
 
 def test_side_none_is_a_domain_error():
@@ -456,6 +463,8 @@ def test_side_none_is_a_domain_error():
         cont.gp_continue(2, 1, 0.5 * ZC2_2, None)
     with pytest.raises(DomainError):
         cont.sigma_cont(3, 1, -2.0 * ZC2_3, None)
+    with pytest.raises(DomainError):
+        cont.cut_trace(3, 1, [], "bogus")  # checked before any node
 
 
 def test_tiny_segment_is_walked():
@@ -701,10 +710,10 @@ def test_taylor_walk_complex_path():
         cont._taylor_walk(2, 1, [cont.XI_SEED, 0.3j, -0.3j], 30)  # meets xi = 0
 
 
-def _hyper_derivs(s, p, xi, n, dps=50):
+def _hyper_mp(s, p, xi, n, dps):
     """y, y', ... y^(n-1) of y(xi) = G_p(zeta_c^2 xi) from mpmath's
-    hypergeometric function at dps digits, with the reduced parameters:
-    d/dxi pFq(a; b; xi) = (prod a / prod b) pFq(a + 1; b + 1; xi)."""
+    hypergeometric function at dps digits, as mpc numbers, with the reduced
+    parameters: d/dxi pFq(a; b; xi) = (prod a / prod b) pFq(a + 1; b + 1; xi)."""
     hp = cont.hyp_params(s, p)
     with mp.workdps(dps):
         a_list = [mp.mpf(f.numerator) / f.denominator for f in hp.reduced_upper]
@@ -712,9 +721,14 @@ def _hyper_derivs(s, p, xi, n, dps=50):
         out, fac = [], mp.mpf(1)
         for k in range(n):
             shifted = mp.hyper([a + k for a in a_list], [b + k for b in b_list], mp.mpc(xi))
-            out.append(complex(fac * shifted))
+            out.append(fac * shifted)
             fac *= mp.fprod(a + k for a in a_list) / mp.fprod(b + k for b in b_list)
     return out
+
+
+def _hyper_derivs(s, p, xi, n, dps=50):
+    """_hyper_mp rounded to complex doubles."""
+    return [complex(z) for z in _hyper_mp(s, p, xi, n, dps)]
 
 
 #: largest relative gap of G, G', G'' between a 20-digit and a 40-digit
@@ -740,11 +754,11 @@ def _walk_gap(s, p, path):
 @example(s=8, k=15, r=abs(-1.2 + 0.2j), theta=cmath.phase(-1.2 + 0.2j), on_cut=False)
 @example(s=8, k=15, r=abs(3 + 0.5j), theta=cmath.phase(3 + 0.5j), on_cut=False)
 def test_walk_at_20_digits_matches_40_digits(s, k, r, theta, on_cut):
-    # the fixed-point rung on gp_continue's paths, off the disk and on the cut
+    # the fixed-point rung on gp_continue's paths, off the disk and on the
+    # cut; a target below the axis walks the route of its mirror image
     p = 1 + k % (2 * s)
     xi = complex(r) if on_cut else cmath.rect(r, theta)
-    side = "above" if xi.imag == 0.0 and xi.real > 1.0 else "none"
-    assert _walk_gap(s, p, cont._waypoints(xi, side)) <= WALK_GAP_BOUND
+    assert _walk_gap(s, p, cont._waypoints(complex(xi.real, abs(xi.imag)))) <= WALK_GAP_BOUND
 
 
 # on the cut, each with the gap the mpmath rung reached there rounded up to
@@ -754,24 +768,38 @@ def test_walk_at_20_digits_matches_40_digits(s, k, r, theta, on_cut):
 @pytest.mark.parametrize("s,p,xi,bound", [(6, 3, 1.2, 1e-25), (8, 2, 4.0, 1e-21),
                                           (6, 1, 4.5, 1e-23)])
 def test_walk_at_20_digits_keeps_the_precision_of_the_mpmath_rung(s, p, xi, bound):
-    assert _walk_gap(s, p, cont._waypoints(complex(xi), "above")) <= bound
+    assert _walk_gap(s, p, cont._waypoints(complex(xi))) <= bound
 
 
 @pytest.mark.parametrize("xi", [-1.2 + 0.2j, 3 + 0.5j])
 def test_walk_at_20_digits_matches_hypergeometric_at_large_s(xi):
     # (8, 16), where the double walks disagree and the rung serves
-    path = cont._waypoints(complex(xi), "none")
+    path = cont._waypoints(complex(xi))
     state = cont._taylor_walk(8, 16, path, 20).states[-1]
     for got, want in zip(state, _hyper_derivs(8, 16, xi, 3)):
         assert abs(complex(got) - want) <= 1e-15 * abs(want)
 
 
+# off the axis at (6, 3), and at (8, 16), where the double walks disagree:
+# the rung reported only its two walks' gap, 1.5e-25, 2.5e-22 and 1.0e-17,
+# and its states rounded to doubles were 6.2e-17, 6.8e-17 and 4.3e-17 off
+@pytest.mark.parametrize("s,p,xi", [(6, 3, 2 + 1j), (8, 16, 3 + 0.5j), (8, 16, -1.2 + 0.2j)])
+def test_rung_estimate_bounds_the_rounding_to_doubles(s, p, xi):
+    pts = cont._waypoints(complex(xi))
+    run = cont.transport(s, p, pts[:-1], pts[-1:], keep=3)
+    assert run.dps == cont._MP_RUNG_DPS + cont.TAYLOR_GUARD_DPS
+    ref = _hyper_mp(s, p, xi, 3, 40)
+    with mp.workdps(40):
+        err = max(abs(z - w) / abs(w) for z, w in zip(run.states[0], ref, strict=True))
+    assert err <= run.rel_est
+
+
 def _assert_matches_walk(st, dps, tol=1e-12):
-    """G, G', G'' of st within tol relative of a dps-digit walk along the
-    route of _waypoints to its target, which a state served from the basis
-    at xi = 1 does not walk."""
+    """G, G', G'' of st, in the closed upper half plane, within tol relative
+    of a dps-digit walk along the route of _waypoints to its target, which a
+    state served from the basis at xi = 1 does not walk."""
     zc2 = float(thresholds(st.s).zeta_c) ** 2
-    path = cont._waypoints(st.path[-1], st.side)
+    path = cont._waypoints(st.path[-1])
     ref = cont._taylor_walk(st.s, st.p, path, dps).states[-1]
     for j, got in enumerate(st.derivs):
         want = complex(ref[j]) / zc2**j
@@ -1009,7 +1037,7 @@ def test_cut_values_inside_the_old_exclusion_disk(s, p, eps, dps):
     xi = 1.0 / t_ratio  # the nodes perron_density continues to
     states = cont.cut_trace(s, p, xi)
     assert [st.dps for st in states] == [dps] * len(eps)
-    path = cont._waypoints(complex(xi[0]), "above")[:-1]
+    path = cont._waypoints(complex(xi[0]))[:-1]
     ref = cont._taylor_walk(s, p, [*path, *xi], 40).states[len(path) - 1:]
     for st, want in zip(states, ref):
         for j, got in enumerate(st.derivs):
@@ -1150,13 +1178,13 @@ def test_far_field_at_s_40_in_bounded_time():
     _assert_far_matches_hypergeometric(40, 1, -10.0, "none", n=1)
 
 
-def _far_sum_gap(s, p, xi, side):
+def _far_sum_gap(s, p, xi):
     """Largest relative gap of t_j = xi^j y^(j) / j!, j < 3, at xi between the
     expansion at infinity summed at the extended rung's digits and a 40-digit
     walk along the route of _waypoints.  The walk knows nothing of the
     connection formula, unlike mpmath's hyper off the unit disk."""
     dps = cont._MP_RUNG_DPS
-    walked = cont._taylor_walk(s, p, cont._waypoints(xi, side), 40).states[-1]
+    walked = cont._taylor_walk(s, p, cont._waypoints(xi), 40).states[-1]
     tab, conn = cont._far_table(s, p, dps), cont._far_connection(s, p, dps)
     with mp.workdps(40):
         b = cont._far_basis(tab, [xi], dps)[0][0]
@@ -1182,7 +1210,7 @@ def test_far_connection_matches_a_40_digit_walk(s, k, theta):
     p = 1 + k % (2 * s)
     r = cont.FAR_RADIUS
     xi = {0.0: complex(r), math.pi: complex(-r)}.get(theta, cmath.rect(r, theta))
-    assert _far_sum_gap(s, p, xi, "above" if theta == 0.0 else "none") <= 1e-20
+    assert _far_sum_gap(s, p, xi) <= 1e-20
 
 
 def test_double_walks_keep_no_integer_rows():
@@ -1346,7 +1374,11 @@ def _walk_oracle(s, p, xi, side):
         lateral = 0.0 if xi.imag else 1e-30 if side == "above" else -1e-30
         ref = _hyper_derivs(s, p, xi + lateral * 1j, 3)
     else:
-        ref = cont._taylor_walk(s, p, cont._waypoints(complex(xi), side), 40).states[-1][:3]
+        # below the axis, the mirror image of the upper point's route
+        route = cont._waypoints(complex(xi.real, abs(xi.imag)))
+        if xi.imag < 0 or side == "below":
+            route = [z.conjugate() for z in route]
+        ref = cont._taylor_walk(s, p, route, 40).states[-1][:3]
     return [complex(z) / zc2**j for j, z in enumerate(ref)]
 
 
@@ -1380,9 +1412,13 @@ def test_basis_estimate_is_a_bound(s, k, log_r, theta, kind, side):
         err = max(abs(g - w) / abs(w) for g, w in zip(st.derivs, _walk_oracle(s, p, xi, side)))
         assert err <= st.rel_est
         return
-    pts = cont._waypoints(xi, side)
+    # a target below the axis, or below the cut, walks its mirror image
+    pts = cont._waypoints(complex(xi.real, abs(xi.imag)))
     run = cont.transport(s, p, pts[:-1], pts[-1:], keep=3)
-    want = cont._state(s, p, st.u, side, run.states[0], tuple(pts), run)
+    z = run.states[0]
+    if xi.imag < 0 or side == "below":
+        pts, z = [c.conjugate() for c in pts], z.conjugate()
+    want = cont._state(s, p, st.u, side, z, tuple(pts), run)
     assert st.path == want.path and st.derivs == want.derivs
 
 
