@@ -14,20 +14,22 @@ series at 0 is summed in one place, _power_series: it gives the values in
 the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Around
 the branch point, 0 < |xi - 1| <= ONE_RADIUS outside the disk, the
 Frobenius basis at xi = 1 (d - 1 analytic solutions and one with a log(1
-- xi) term), matched once per (s, p) to the power series at 0 with no
-walk, serves each target where its estimate meets tol/4 (_one_table,
-_one_connection, _one_values), and gives the double walks' state at the
-cut's join (_one_join).  In the
-rest of the annulus out to |xi| = FAR_RADIUS, and wherever the basis
-misses, Taylor steps continue the solution along the one route rule,
+- xi) term) is built in fixed point from exact rows and matched once per
+(s, p) to the power series at 0 by the square Wronskian system at one
+ordinary point, with no walk (_one_table, _one_connection).  Rounded to
+doubles, it serves each target where its estimate meets tol/4
+(_one_values) and gives the double walks' state at the cut's join
+(_one_join); at extended precision it gives the resonant fit its values.
+In the rest of the annulus out to |xi| = FAR_RADIUS, and wherever the
+basis misses, Taylor steps continue the solution along the one route rule,
 _waypoints: real targets walk the real axis, non-real ones detour around
 xi = 1.  Their recurrence is read straight from the reduced equation in
 theta form, P(theta) y = xi R(theta) y (_theta_polys, _row), whose rows at
 centre 1 also give the basis at xi = 1.  Two walks with different step
 lengths, in complex doubles first and, if they disagree, in fixed-point
 integers at extended precision, bound the error (transport); mpmath
-numbers carry the inputs and results of the extended walks and the
-resonant fit's solve.  Beyond FAR_RADIUS, the Frobenius basis at xi =
+numbers carry the inputs and results of the extended walks and sums and
+the resonant fit's solve.  Beyond FAR_RADIUS, the Frobenius basis at xi =
 infinity, read from the same theta polynomials, is summed with its exact
 connection coefficients, the gamma-function products of DLMF 16.8.8
 computed once per (s, p) (_far_table, _far_connection, _far_values), in
@@ -778,7 +780,7 @@ def _join_walk(s: int, p: int, dps, reach: int) -> _Walked:
     the join 1 + DETOUR_OFFSET on the cut, kept per (s, p), number type and
     reach: every walk that starts with that route continues from it.  The
     join state has a second source, the basis at xi = 1 (_one_join), from
-    which the cut's outward leg starts in doubles where that basis serves
+    which the cut's outward leg starts in doubles where its estimate serves
     (see _continued); this walk serves the rest."""
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
@@ -879,23 +881,22 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     exceed tol/4.  The walks run in complex doubles, and again at
     _MP_RUNG_DPS digits if the doubles disagree or exhaust their term
     budget; the rho/3 walk's states are returned, and there the estimate
-    adds 2^-53 for their rounding to doubles.  Raises AccuracyError when the
-    fixed-point walks disagree too.
+    and the test against tol/4 add 2^-53 for their rounding to doubles.
+    Raises AccuracyError when the fixed-point walks disagree too.
 
     The path [1, 1 + DETOUR_OFFSET] starts both walks at the join state of
     the basis at xi = 1 (_one_join), above the cut, in place of the detour:
     their gap plus the join's estimate is then the estimate, and there is no
-    fixed-point rung.  PathError where (s, p) has no such basis.
+    fixed-point rung.
     """
     s, p = _validate_sp(s, p)
     start = complex(path[0]) if len(path) else None
     if len(nodes) == 0 or start not in (XI_SEED, -XI_SEED, 1.0):
         raise PathError(f"paths must go from xi = +-{XI_SEED}, or 1, to at least one node")
     join = _one_join(s, p) if start == 1.0 else None
-    if start == 1.0 and (join is None or [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]):
-        raise PathError(f"the path from the basis at xi = 1 is [1, {1.0 + DETOUR_OFFSET}], "
-                        f"and (s, p) = ({s}, {p}) needs a basis there")
-    extra = 0.0 if join is None else join[1]
+    if join and [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]:
+        raise PathError(f"the path from the basis at xi = 1 is [1, {1.0 + DETOUR_OFFSET}]")
+    extra = join[1] if join else 0.0
     targets = [complex(t) for t in (*path, *nodes)]
     why = ""
     for dps in (None,) if join else (None, _MP_RUNG_DPS):
@@ -909,13 +910,14 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
                 zip(coarse.states[len(path) - 1:], fine.states[len(path) - 1:])]
         gaps = [float(abs(x - y) / max(abs(y), 1e-300))
                 for a, b in kept for x, y in zip(a, b)]
-        if all(g + extra <= tol / 4 for g in gaps):
+        rounding = 0.0 if dps is None else 2.0**-53
+        if all(g + extra + rounding <= tol / 4 for g in gaps):
             states = [np.array([complex(x) for x in b]) for _, b in kept]
-            rounding = 0.0 if dps is None else 2.0**-53
             return _Continued(states, fine.dps, fine.steps,
                               max(gaps, default=0.0) + extra + rounding)
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
-    where = f"from xi = 1, whose join is {extra:.1e} off," if join else f"at {_MP_RUNG_DPS} digits"
+    where = (f"from xi = 1, whose join is {extra:.1e} off," if join
+             else f"at {_arith(_MP_RUNG_DPS).digits} digits")
     raise AccuracyError(
         f"continuation of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} "
         f"{where}: {why}"
@@ -1195,7 +1197,7 @@ def _far_sums(s: int, p: int, xis: list, tol: float) -> list:
     else:
         raise AccuracyError(
             f"expansion at infinity of G_p for (s, p) = ({s}, {p}) misses tol = "
-            f"{tol:.1e} at {_MP_RUNG_DPS} digits: its estimate reads {worst:.1e}")
+            f"{tol:.1e} at {_arith(_MP_RUNG_DPS).digits} digits: its estimate reads {worst:.1e}")
     for i, xi in enumerate(xis):
         if done[i][0][0] == 0:
             raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
@@ -1210,10 +1212,11 @@ def _far_sums(s: int, p: int, xis: list, tol: float) -> list:
 #: |xi| > SERIES_RADIUS from the local basis at xi = 1 where its estimate
 #: meets tol/4
 ONE_RADIUS = 0.5
-#: (points, radius, reach): the basis at xi = 1 is matched to the power
-#: series at 0 at this many points of the arc |xi - 1| = radius, |xi| <=
-#: reach, in the closed upper half plane
-_ONE_ARC = (5, 0.45, 0.79)
+#: the ordinary point at which the basis at xi = 1 is matched to the series at 0
+_ONE_MATCH = 0.7
+#: caller's digits of the basis at xi = 1 that the doubles round: those of
+#: resonant_fit's default, so the fit and the router share one build
+_ONE_DPS = 40
 
 
 @lru_cache(maxsize=None)
@@ -1253,17 +1256,19 @@ def _shifted(series: "np.ndarray", nd: int) -> "np.ndarray":
 
 
 class _OneTable(NamedTuple):
-    """The local basis at xi = 1 as power series in tau = xi - 1: column k <
-    d - 1 of series holds the Taylor coefficients of the analytic solution
-    phi_k, and columns d - 1 and d those of u and v in the solution psi = u
-    + log(1 - xi) v; shifted is _shifted(series, 3)."""
-    series: "np.ndarray"  # [n, d + 1]
-    shifted: "np.ndarray"  # [n, 3, d + 1]
+    """The local basis at xi = 1 as power series in tau = xi - 1, in fixed
+    point: cols[k] holds the mantissas at 2^-f of the Taylor coefficients of
+    the analytic solution phi_k for k < d - 1, and cols[d - 1] and cols[d]
+    those of u and v in the solution psi = u + log(1 - xi) v."""
+    cols: tuple
+    f: int
+    rows: int  # the leading rows that serve |tau| <= ONE_RADIUS in doubles
 
 
 @lru_cache(maxsize=None)
-def _one_table(s: int, p: int) -> _OneTable:
-    """The local basis at xi = 1 in doubles.
+def _one_table(s: int, p: int, dps: int) -> _OneTable:
+    """The local basis at xi = 1 in the fixed point of _arith(dps), at the
+    scale 2^-f of its points, f = bits + _POINT_GUARD_BITS.
 
     Row N of _one_row reads sum_r c_r(N) w_{N+r} = 0 for the coefficients
     w_n of a solution, and fixes w_{N+d-1} for N >= 0.  The d - 1 analytic
@@ -1278,26 +1283,31 @@ def _one_table(s: int, p: int) -> _OneTable:
     leaves w_2 free: the analytic solutions are then phi_0 = -c_1(0)/c_0(0)
     + tau + O(tau^3) and v itself, and u = -c'_2(0)/c_0(0) + O(tau^3).
 
-    Each exact row is rounded once to doubles.  Terms are drawn until the
-    last two terms at |tau| = ONE_RADIUS of every series and of its first
-    two derivatives are below _SERIES_TOL of their largest; DivergenceError
-    past 2000, and ArithmeticError if some other row N >= 0 has c_{d-1}(N)
-    = 0.
+    Each head is exact and floored to 2^-f, and each row's exact integer sum
+    is divided once, floored.  Terms are drawn until, in two rows running,
+    the term of the largest series in its derivative nd - 1 over (nd - 1)!
+    at |tau| = r is below tol of the largest such term, for (r, nd, tol) =
+    (ONE_RADIUS, 3, _SERIES_TOL), which fixes rows, and (1 - _ONE_MATCH, d,
+    ar.tol), which serves the match; DivergenceError past 2000, and
+    ArithmeticError if some other row N >= 0 has c_{d-1}(N) = 0.
     """
+    ar = _arith(dps)
+    f = ar.bits + _POINT_GUARD_BITS
     d = len(_theta_polys(s, p)[0]) - 1
     c, dc = _one_row(s, p, 0)
     if c[d] == 0:  # n = d - 1 is an indicial root: d = 3
-        cols = [[-c[2] / c[1], 1.0, 0.0], [0.0, 0.0, 1.0],
-                [-dc[3] / c[1], 0.0, 0.0], [0.0, 0.0, 1.0]]
+        heads = [[Fraction(-c[2], c[1]), 1, 0], [0, 0, 1], [Fraction(-dc[3], c[1]), 0, 0],
+                 [0, 0, 1]]
     else:
         v = [Fraction(0), Fraction(0), Fraction(1)]
         for n in range(3, d - 1):
             _, dc = _one_row(s, p, n - d + 1)
             v.append(-_fdot(dc[d - n:d], v) / dc[d])
-        cols = [[float(k == j) for k in range(d - 1)] for j in range(d - 1)]
-        cols += [[0.0] * (d - 1), [*map(float, v)]]
+        heads = [[int(k == j) for k in range(d - 1)] for j in range(d - 1)] + [[0] * (d - 1), v]
+    cols = [[(Fraction(x).numerator << f) // Fraction(x).denominator for x in h] for h in heads]
     iu, iv = d - 1, d
-    top, quiet = [0.0] * (3 * (d + 1)), 0
+    rules = ((ONE_RADIUS, 3, _SERIES_TOL), (1.0 - _ONE_MATCH, d, ar.tol))
+    top, quiet, stops = [0.0, 0.0], [0, 0], [None, None]
     for big_n in count():
         n = big_n + d - 1  # the coefficient row N fixes
         if n < len(cols[0]):
@@ -1307,166 +1317,174 @@ def _one_table(s: int, p: int) -> _OneTable:
         c, dc = _one_row(s, p, big_n)
         if c[d] == 0:
             raise ArithmeticError(f"row {big_n} at xi = 1 fixes no coefficient")
-        c, dc = [*map(float, c)], [*map(float, dc)]
         lo, clo = max(big_n - 1, 0), max(1 - big_n, 0)
         for k in (*range(d - 1), iv, iu):  # v before u, whose rows read it
             acc = _fdot(c[clo:d], cols[k][lo:])
             if k == iu:
                 acc += _fdot(dc[clo:], cols[iv][lo:])
-            cols[k].append(-acc / c[d])
-        # C(n, j) ONE_RADIUS^(n-j) |w_n| for j < 3
-        size = [f * abs(col[n]) for f in (math.comb(n, j) * ONE_RADIUS ** (n - j)
-                                          for j in range(3)) for col in cols]
-        top = [*map(max, top, size)]
-        small = all(x <= _SERIES_TOL * t for x, t in zip(size, top))
-        quiet = quiet + 1 if n >= 2 * d and small else 0
-        if quiet == 2:
-            break
-    series = np.array(cols).T
-    return _OneTable(series, _shifted(series, 3))
+            cols[k].append(-acc // c[d])
+        mag = math.ldexp(max(abs(col[n]) for col in cols), -f)
+        for i, (r, nd, tol) in enumerate(rules):
+            size = math.comb(n, nd - 1) * r ** (n - nd + 1) * mag
+            top[i] = max(top[i], size)
+            quiet[i] = quiet[i] + 1 if n >= 2 * d and size <= tol * top[i] else 0
+            if quiet[i] == 2 and stops[i] is None:
+                stops[i] = n + 1
+        if None not in stops:
+            return _OneTable(tuple(cols), f, stops[0])
 
 
-def _one_basis(tab: _OneTable, xis: list, nd: int) -> tuple:
-    """(b, bb): b[i, j, k] = phi_k^(j)(xi) / j! at xi = xis[i], j < nd, for
-    the d basis functions of tab, the analytic phi_k for k < d - 1 and psi
-    for k = d - 1, and bounds bb >= |b| from the absolute values of the
-    terms.  Each xi lies in the closed upper half plane, xi > 1 standing
-    for xi + i0: the principal log(1 - xi) is log(xi - 1) - i pi on the
-    cut.  With L_0 = log(1 - xi) and L_k = (-1)^(k-1) / (k tau^k), the k-th
-    derivative of log(1 - xi) over k!, psi^(j) / j! = u^(j) / j! + sum_{k
-    <= j} L_k v^(j-k) / (j - k)!."""
-    shifted = tab.shifted if nd == 3 else _shifted(tab.series, nd)
-    d = shifted.shape[2] - 1
-    xis = [complex(xi) for xi in xis]
-    tau = np.array(xis)[:, None, None] - 1.0
-    at = np.abs(tau)
-    sums = np.zeros((len(xis), nd, d + 1), dtype=complex)
-    bounds = np.zeros(sums.shape)
-    for row in shifted[::-1, :nd]:
-        sums = sums * tau + row
-        bounds = bounds * at + np.abs(row)
-    logs = np.array([[complex(math.log(xi.real - 1.0), -math.pi)
-                      if xi.imag == 0.0 and xi.real > 1.0 else cmath.log(1.0 - xi)]
-                     + [(-1) ** (k - 1) / (k * (xi - 1.0) ** k) for k in range(1, nd)]
-                     for xi in xis])
-    psi, psi_b = sums[:, :, d - 1].copy(), bounds[:, :, d - 1].copy()
-    for j in range(nd):
-        for k in range(j + 1):
-            psi[:, j] += logs[:, k] * sums[:, j - k, d]
-            psi_b[:, j] += np.abs(logs[:, k]) * bounds[:, j - k, d]
-    return (np.concatenate([sums[:, :, :d - 1], psi[:, :, None]], axis=2),
-            np.concatenate([bounds[:, :, :d - 1], psi_b[:, :, None]], axis=2))
+def _fx_solve(a: list, b: list, f: int) -> list:
+    """x with a x = b for the square matrix a and the vector b, mantissas at
+    2^-f, by Gaussian elimination with partial pivoting; each product is
+    floored back to 2^-f."""
+    n = len(b)
+    a = [[*row, bi] for row, bi in zip(a, b)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        a[k], a[piv] = a[piv], a[k]
+        for row in a[k + 1:]:
+            m = (row[k] << f) // a[k][k]
+            for j in range(k + 1, n + 1):
+                row[j] -= (m * a[k][j]) >> f
+    x = [0] * n
+    for k in reversed(range(n)):
+        x[k] = ((a[k][n] << f) - _fdot(a[k][k + 1:n], x[k + 1:])) // a[k][k]
+    return x
+
+
+def _one_logs(xi, nd: int, mod) -> list:
+    """[L_0, ..., L_{nd-1}]: L_0 = log(1 - xi), xi > 1 standing for xi + i0,
+    where it is log(xi - 1) - i pi, and L_k = (-1)^(k-1) / (k tau^k), the
+    k-th derivative of log(1 - xi) over k!, in the numbers of mod (cmath or
+    mpmath)."""
+    tau = xi - 1
+    on_cut = xi.imag == 0 and xi.real > 1
+    logs = [mod.log(tau.real) - 1j * mod.pi if on_cut else mod.log(-tau)]
+    return logs + [(-1) ** (k - 1) / (k * tau**k) for k in range(1, nd)]
 
 
 class _OneConnection(NamedTuple):
-    """y = sum_k coeffs[k] phi_k near xi = 1, for the basis of _one_table,
-    with the data of its error estimate."""
+    """y = sum_k coeffs[k] phi_k near xi = 1 for the basis of _one_table, as
+    y = a + log(1 - xi) v: the columns of a and v hold the coefficients of
+    the two series, the table's columns times C_1."""
     coeffs: "np.ndarray"  # C_1, real; the entry of psi is B(zeta_c^2)
-    gap: "np.ndarray"  # C_1 from the alternate arc points minus C_1
-    cov: "np.ndarray"  # noise^2 times (A^T A)^-1 in unscaled units
+    series: object  # [rows, 2] doubles, or the two lists of mantissas at 2^-f
+    f: int  # the table's scale
+    rows: int  # the table's leading rows that serve doubles (_OneTable.rows)
+    terms: int  # the table's coefficients and the series' terms at the match point
 
 
 @lru_cache(maxsize=None)
-def _one_connection(s: int, p: int) -> "_OneConnection | None":
+def _one_connection(s: int, p: int, dps=None) -> _OneConnection:
     """The real vector C_1 with y = sum_k C_1k phi_k, matched once per (s, p)
-    to the power series at 0 (_power_series), with no walk; None when the
-    alternate points below give fewer equations than unknowns, or when the
-    least squares is singular to working precision.
+    and dps to the power series at 0, with no walk, and the series a and v
+    it gives: in the fixed point of _one_table(s, p, dps), or for dps None
+    those at _ONE_DPS rounded to doubles, in the table's leading rows, with
+    C_1 as floats.
 
-    The points are 1 - r e^(-it) of the arc of _ONE_ARC, equally spaced in
-    t from 0 to where |xi| = reach.  y and the basis are real on (0, 1), so
-    Schwarz symmetry makes C_1 real, and y, y' and y'' at the points give
-    real equations A C_1 = y for it.  Each equation is scaled by its largest
-    basis entry and each column by its largest entry, and the least squares
-    is solved by numpy's lstsq, with its pseudo-inverse.  For the estimate
-    (see _one_values), the same solve over the points 0, 2, 4, ... gives
-    gap, and cov is noise^2 (A^T A)^-1, for noise = |r| sqrt(m / (m - d)) +
-    2 eps sigma_max |x|, a bound on the data's error in the m scaled
-    equations: the fit residual r sees m - d of its m directions, and the
-    second term is the solve's own rounding of the scaled solution x."""
-    tab = _one_table(s, p)
-    d = tab.series.shape[1] - 1
-    k, radius, reach = _ONE_ARC
-    t_max = math.acos((1.0 + radius**2 - reach**2) / (2.0 * radius))
-    pts = [1.0 - radius * cmath.exp(-1j * t_max * i / (k - 1)) for i in range(k)]
-    pts[0] = complex(1.0 - radius)
-    ar = _arith(None)
-    b = _one_basis(tab, pts, 3)[0]
-    rows, rhs, alt = [], [], []
-    for i, xi in enumerate(pts):
-        taylor = _power_series(s, p, xi, 3, ar)[0]
-        for j in range(3):
-            wt = 1.0 / np.abs(b[i, j]).max()
-            for part in (np.real, np.imag):
-                if np.any(part(b[i, j])):  # the imaginary parts at 1 - r are zero
-                    rows.append(part(b[i, j]) * wt)
-                    rhs.append(float(part(taylor[j])) * wt)
-                    alt.append(i % 2 == 0)
-    mat, rhs, alt = np.array(rows), np.array(rhs), np.array(alt)
-    if alt.sum() < d:
-        return None
-    scale = np.abs(mat).max(axis=0)
-    mat = mat / scale
-    m = len(rhs)
-    pinv, _, rank, sv = np.linalg.lstsq(mat, np.eye(m), rcond=None)
-    if rank < d:
-        return None
-    x = (pinv * rhs).sum(axis=1)
-    x_alt = np.linalg.lstsq(mat[alt], rhs[alt], rcond=None)[0]
-    resid = (mat * x).sum(axis=1) - rhs
-    noise = (math.sqrt(float((resid * resid).sum()) * m / (m - d))
-             + 2 * ar.eps * sv[0] * math.sqrt(float((x * x).sum())))
-    pinv = pinv / scale[:, None]
-    cov = noise**2 * (pinv[:, None, :] * pinv[None, :, :]).sum(axis=2)
-    return _OneConnection(x / scale, (x_alt - x) / scale, cov)
+    At the real ordinary point xi_0 = _ONE_MATCH the square system W C_1 =
+    Y holds, for Y_j = y^(j)(xi_0) / j! from _power_series and the
+    Wronskian rows W_jk = phi_k^(j)(xi_0) / j!, j < d, the table's columns
+    shifted to tau_0 = xi_0 - 1 by _fx_shift, with psi^(j) / j! = u^(j) / j!
+    + sum_{k <= j} L_k v^(j-k) / (j-k)! (_one_logs).  y and the basis are
+    real on (0, 1), so C_1 is real; _fx_solve solves for it."""
+    if dps is None:
+        ext = _one_connection(s, p, _ONE_DPS)
+        series = np.ldexp(np.array([m[:ext.rows] for m in ext.series], dtype=float).T, -ext.f)
+        return ext._replace(coeffs=ext.coeffs.astype(float), series=series)
+    tab = _one_table(s, p, dps)
+    f, d = tab.f, len(tab.cols) - 1
+    ar = _arith(dps)
+    x0 = _fx_point(_ONE_MATCH, f)
+    state, terms = _power_series(s, p, x0, d, ar)
+    rhs = [re << f - state.exp for re, _ in state.mants]
+    t = x0[0] - (1 << f)  # tau_0 at 2^-f
+    w = [[re for re, _ in _fx_shift(col, [0] * len(col), (t, 0), d, f)] for col in tab.cols]
+    with mp.workprec(f + 16):  # L_0 = log(-tau_0), and L_k of _one_logs exactly
+        logs = [int(mp.ldexp(mp.log(mp.mpf((-t, -f))), f))]
+    logs += [((-1) ** (k - 1) << f * (k + 1)) // (k * t**k) for k in range(1, d)]
+    u, v = w[d - 1], w[d]
+    psi = [u[j] + (_fdot(logs[:j + 1], v[j::-1]) >> f) for j in range(d)]
+    coeffs = _fx_solve([[*row, x] for row, x in zip(zip(*w[:d - 1]), psi)], rhs, f)
+    a = [_fdot(coeffs, row) >> f for row in zip(*tab.cols[:d])]
+    v = [coeffs[-1] * x >> f for x in tab.cols[d]]
+    with mp.workdps(ar.digits):
+        coeffs = np.array([mp.mpf((c, -f)) for c in coeffs], dtype=object)
+    return _OneConnection(coeffs, (a, v), f, tab.rows, terms + len(tab.cols[0]))
 
 
-def _one_values(s: int, p: int, conn: _OneConnection, xis: list, nd: int = 3) -> list:
+def _one_values(s: int, p: int, xis: list, nd: int = 3, dps=None) -> list:
     """[(z, rel_est)] at each xi of the closed upper half plane (xi > 1
-    standing for xi + i0): z = [y^(j)(xi) / j! for j < nd] in complex
-    doubles from the connection, and rel_est the largest relative error
-    estimate of them, which adds, for each component with basis row b,
-    - the cancellation bound 2 eps sum_k |C_k| |b_k|, over the absolute
-      values of the terms;
-    - the gap |sum_k gap_k b_k| between the two solves;
-    - the noise of the solve, (Re b^T cov Re b + Im b^T cov Im b)^(1/2):
-      an error e in the scaled data moves C_1 by A^+ e, and |c . A^+ e| <=
-      |e| (c^T (A^T A)^-1 c)^(1/2) for real c,
-    over the component's own size."""
-    b, bb = _one_basis(_one_table(s, p), xis, nd)
-    g = (b * conn.coeffs).sum(axis=2)
-    noise = sum(((part[..., None, :] * conn.cov).sum(axis=3) * part).sum(axis=2)
-                for part in (b.real, b.imag))
-    est = (2.0 * 2.0**-53 * (bb * np.abs(conn.coeffs)).sum(axis=2)
-           + np.abs((b * conn.gap).sum(axis=2)) + np.sqrt(noise))
-    rel = (est / np.maximum(np.abs(g), 1e-300)).max(axis=1)
+    standing for xi + i0): z = [y^(j)(xi) / j! for j < nd] from y = a +
+    log(1 - xi) v of _one_connection(s, p, dps), summed in the number type
+    of _arith(dps), complex doubles or fixed point returned as mpc numbers,
+    so that y^(j) / j! = a^(j) / j! + sum_{k <= j} L_k v^(j-k) / (j-k)!
+    (_one_logs).  rel_est is the largest relative cancellation bound of
+    the components, 4 eps sum |terms| / |z_j| over the absolute values of
+    the terms, for eps the unit roundoff: the rounding of the sums, of a
+    and v to the number type, and of the state's scaling by zeta_c^(2j).
+    A fixed-point sum stops at the row where the terms fall below ar.tol of
+    the largest."""
+    ar = _arith(dps)
+    conn = _one_connection(s, p, dps)
+    series, f = conn.series, conn.f
+    if dps is not None:
+        series = np.ldexp(np.array(series, dtype=float).T, -f)
+    rows = _shifted(series, nd)
+    size = np.abs(rows)
+    at = np.abs(np.array([complex(xi) - 1.0 for xi in xis]))[:, None, None]
+    bounds = np.zeros((len(xis), nd, 2))
+    for row in size[::-1]:
+        bounds = bounds * at + row
+    if dps is None:
+        xis = [complex(xi) for xi in xis]
+        tau = np.array(xis)[:, None, None] - 1.0
+        sums = np.zeros(bounds.shape, dtype=complex)
+        for row in rows[::-1]:
+            sums = sums * tau + row
+        logs = np.array([_one_logs(xi, nd, cmath) for xi in xis])
+    else:
+        top, pw = size.max(axis=(1, 2)), np.arange(len(size))
+        with mp.workdps(ar.digits):
+            sums, logs = [], []
+            for xi, r in zip(map(mp.mpmathify, xis), at[:, 0, 0]):
+                terms = top * r**pw
+                n = max(int(np.nonzero(terms > ar.tol * terms.max())[0][-1]) + 1, nd)
+                sigma = _fx_point(xi - 1, f)
+                sums.append([[mp.mpc(mp.mpf((re, -f)), mp.mpf((im, -f))) for re, im in
+                              _fx_shift(m[:n], [0] * n, sigma, nd, f)] for m in conn.series])
+                logs.append(_one_logs(xi, nd, mp))
+            sums = np.array(sums, dtype=object).transpose(0, 2, 1)
+            logs = np.array(logs, dtype=object)
+    g, gb = sums[:, :, 0].copy(), bounds[:, :, 0].copy()
+    for j in range(nd):
+        for k in range(j + 1):
+            g[:, j] += logs[:, k] * sums[:, j - k, 1]
+            gb[:, j] += np.abs(logs[:, k]).astype(float) * bounds[:, j - k, 1]
+    rel = (4.0 * ar.eps * gb / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
     return list(zip(g.tolist(), rel.tolist()))
 
 
 def _one_sums(s: int, p: int, xis: list, tol: float) -> list:
     """[(z, run) or None] at the xis of the closed upper half plane with 0 <
-    |xi - 1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1, and
-    run its diagnostics, with steps = 0 and dps = None; None for each target
-    whose estimate (see _one_values) exceeds tol/4, and for every target
-    where (s, p) has no connection."""
-    conn = _one_connection(s, p) if xis else None
-    if conn is None:
-        return [None] * len(xis)
+    |xi - 1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1 in
+    doubles, and run its diagnostics, with steps = 0 and dps = None; None
+    for each target whose estimate (see _one_values) exceeds tol/4."""
+    if not xis:
+        return []
     return [([v * math.factorial(j) for j, v in enumerate(z)], _Continued(None, None, 0, rel))
-            if rel <= tol / 4 else None for z, rel in _one_values(s, p, conn, xis)]
+            if rel <= tol / 4 else None for z, rel in _one_values(s, p, xis)]
 
 
 @lru_cache(maxsize=None)
-def _one_join(s: int, p: int) -> "tuple | None":
+def _one_join(s: int, p: int) -> tuple:
     """(walked, rel_est): the double walks' state at the join 1 +
     DETOUR_OFFSET + i0, all d components summed from the basis at xi = 1,
     as a _Walked that has taken no step, and the largest relative estimate
-    of its components (see _one_values); None without a connection."""
-    conn = _one_connection(s, p)
-    if conn is None:
-        return None
+    of its components (see _one_values)."""
     xj = complex(1.0 + DETOUR_OFFSET)
-    ((z, rel),) = _one_values(s, p, conn, [xj], len(conn.coeffs))
+    ((z, rel),) = _one_values(s, p, [xj], len(_theta_polys(s, p)[0]) - 1)
     state = [complex(v) for v in z]
     return _Walked([state], state, xj, xj, 0, 0), rel
 
@@ -1485,7 +1503,7 @@ class ContinuationState:
     # its join, and (inf, xi) for the far field
     dps: "int | None"  # working digits of the walk or far-field sum; None for doubles
     steps: int  # Taylor expansions of the walk; 0 for the series and the far field
-    rel_est: float  # two-walk gap, basis estimate or far-field cancellation bound;
+    rel_est: float  # two-walk gap, or the basis's or far field's cancellation bound;
     # _SERIES_TOL for the series
 
     @property
@@ -1570,8 +1588,8 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
     for leg in (inward, outward):
         if not leg:
             continue
-        run, join = None, _one_join(s, p) if leg is outward else None
-        if join is not None and join[1] <= tol / 4:
+        run = None
+        if leg is outward and _one_join(s, p)[1] <= tol / 4:
             with suppress(AccuracyError):
                 run = transport(s, p, [1.0, xi0], leg, tol, keep=3)
         if run is None:
@@ -1666,8 +1684,9 @@ class ResonantCoefficients:
     B_fit: float
     coeffs: tuple  # (a0, a1, a2, a3, b2, b3)
     max_rel_residual: float
-    steps: int  # Taylor-step expansions behind the node values
-    terms: int  # Taylor coefficients summed, seed series included
+    steps: int  # Taylor-step expansions behind the node values: 0, none walks
+    terms: int  # coefficients behind them: the basis table at xi = 1 and the
+    # power series at 0 that matched it
     dps: int  # working precision of those values, decimal digits
 
 
@@ -1677,11 +1696,14 @@ def resonant_fit(
     """Fit the resonant local model to extended-precision values of G_p.
 
     w = 1 - u/zeta_c^2 runs over eps_grid (default: 24 log-spaced points in
-    [1.5e-3, 6e-2]).  One Taylor-step walk gives G_p at every node, at
-    dps + TAYLOR_GUARD_DPS digits; the least-squares solve runs at dps
-    digits (an integer from 15 to 250).  The w^3 and w^3 log w columns absorb
-    the next-order analytic background so the w^2 log w coefficient lands
-    within a few percent of the closed form.
+    [1.5e-3, 6e-2]).  G_p at every node is summed from the basis at xi = 1
+    and its connection, built and matched once per (s, p) and dps in fixed
+    point at dps + TAYLOR_GUARD_DPS digits (_one_values), with no walk; at
+    the default dps the doubles of gp_continue round the same build.  The
+    least-squares solve runs at dps digits (an integer from 15 to 250).
+    The w^3 and w^3 log w columns absorb the next-order analytic background
+    so the w^2 log w coefficient lands within a few percent of the closed
+    form.
     """
     s, p = _validate_sp(s, p)
     if isinstance(dps, bool) or not isinstance(dps, numbers.Integral) or dps < 15:
@@ -1697,9 +1719,7 @@ def resonant_fit(
                                 "too ill-conditioned to separate w^2 log w")
     with mp.workdps(dps):
         ws = [mp.mpf(eps) for eps in eps_grid]
-        # ascending xi = 1 - w: one walk towards the branch point
-        walk = _taylor_walk(s, p, [XI_SEED, *(1 - w for w in reversed(ws))], dps)
-        rhs = [st[0].real for st in reversed(walk.states)]
+        rhs = [z[0].real for z, _ in _one_values(s, p, [1 - w for w in ws], 1, dps)]
         rows = []
         for w in ws:
             lw = mp.log(w)
@@ -1719,9 +1739,9 @@ def resonant_fit(
         B_fit=coeffs[4],
         coeffs=coeffs,
         max_rel_residual=float(rel),
-        steps=walk.steps,
-        terms=walk.terms,
-        dps=walk.dps,
+        steps=0,
+        terms=_one_connection(s, p, dps).terms,
+        dps=_arith(dps).digits,
     )
 
 

@@ -51,19 +51,18 @@ def test_criterion_11_reports_fit_diagnostics():
     assert passed
     rec = details["2,1"]
     assert 0 < rec["max_rel_residual"] < 1e-6
-    assert 0 < rec["steps"] < rec["terms"]
+    assert rec["steps"] == 0 < rec["terms"]
     assert rec["dps"] == 40 + continuation.TAYLOR_GUARD_DPS
 
 
 def test_criterion_11_reports_the_basis_log_entry():
-    # the basis at xi = 1 serves (3, 1) and (3, 2) in doubles, not (5, 1)
+    # every pair has the extended connection at xi = 1, (5, 1) too
     passed, details = acceptance.crit_11_resonant(pairs=((3, 1), (3, 2), (5, 1)))
     assert passed
-    for key in ("3,1", "3,2"):
+    for key in ("3,1", "3,2", "5,1"):
         rec = details[key]
         assert rec["B_basis_rel"] == abs(rec["B_basis"] - rec["B_closed"]) / abs(rec["B_closed"])
         assert rec["B_basis_rel"] < 1e-13
-    assert "B_basis" not in details["5,1"]
 
 
 def test_criterion_15_reports_walk_diagnostics():

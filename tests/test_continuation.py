@@ -563,7 +563,7 @@ def test_resonant_fit_coefficients_unchanged(nodes):
     for got, want in zip(fit.coeffs, FIT_32[nodes], strict=True):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert fit.dps == 40 + cont.TAYLOR_GUARD_DPS
-    assert 0 < fit.steps < fit.terms
+    assert fit.steps == 0 < fit.terms  # summed from the basis at xi = 1, with no walk
 
 
 @pytest.mark.parametrize("dps", [0, 5, 14, 20.5, True, "40", 251])
@@ -794,6 +794,24 @@ def test_rung_estimate_bounds_the_rounding_to_doubles(s, p, xi):
     assert err <= run.rel_est
 
 
+def test_rung_meets_its_own_acceptance_test():
+    # the rung's estimate adds 2^-53 for the rounding to doubles, and the
+    # acceptance test adds it too: tol/4 = 1e-16 lies below 2^-53
+    zc2 = cont.zeta_c_value(6) ** 2
+    assert cont.gp_continue(6, 3, (2 + 1j) * zc2, tol=4e-15).dps is not None
+    with pytest.raises(AccuracyError):
+        cont.gp_continue(6, 3, (2 + 1j) * zc2, tol=4e-16)
+
+
+@pytest.mark.parametrize("s,p,xi,tol", [(6, 3, 2 + 1j, 4e-16), (5, 10, -7.0, 2e-16)])
+def test_rung_errors_report_the_working_digits(s, p, xi, tol):
+    # the walk's rung and the far field's both work at _arith(20).digits,
+    # the dps their states report
+    digits = cont._arith(cont._MP_RUNG_DPS).digits
+    with pytest.raises(AccuracyError, match=f"at {digits} digits"):
+        cont.gp_continue(s, p, xi * cont.zeta_c_value(s) ** 2, tol=tol)
+
+
 def _assert_matches_walk(st, dps, tol=1e-12):
     """G, G', G'' of st, in the closed upper half plane, within tol relative
     of a dps-digit walk along the route of _waypoints to its target, which a
@@ -838,9 +856,14 @@ def test_real_targets_below_the_cut_walk_the_axis(s, k, log_w, side):
 
 
 def test_real_target_below_the_cut_stays_in_doubles():
-    # (8, 16) at u = 0.985 zeta_c^2: the detour took the rung and 16 steps
+    # (8, 16) at u = 0.985 zeta_c^2: the detour took the rung and 16 steps,
+    # and the axis walks it in 9 double steps; the basis at xi = 1 serves it
+    # in doubles with none
     st = cont.gp_continue(8, 16, 0.985 * float(thresholds(8).zeta_c) ** 2, "none")
-    assert st.dps is None and st.steps == 9
+    assert st.dps is None and st.steps == 0 and st.path[0] == 1.0
+    xi = st.path[-1]
+    run = cont.transport(8, 16, [cont.XI_SEED], [xi], keep=3)
+    assert run.dps is None and run.steps == 9
 
 
 @settings(max_examples=15, deadline=None)
@@ -1275,7 +1298,8 @@ def test_one_table_is_canonical(s, p):
     # except that for d = 3 row 0 ties w_0 to w_1; every column solves the
     # recurrence, u with L'[v] on the right
     d = _order(s, p)
-    series = cont._one_table(s, p).series
+    tab = cont._one_table(s, p, cont._ONE_DPS)
+    series = np.ldexp(np.array(tab.cols, dtype=float).T, -tab.f)
     assert series.shape[1] == d + 1
     head = series[:d - 1]
     if d == 3:
@@ -1307,6 +1331,32 @@ def test_one_log_entry_is_the_branch_coefficient(s, p):
     assert abs(b - closed) <= 1e-13 * abs(closed)
 
 
+@settings(max_examples=20, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15))
+@example(s=8, k=15)  # d = 16
+@example(s=5, k=0)
+def test_extended_log_entry_is_the_branch_coefficient(s, k):
+    # the log entry of C_1, matched at _ONE_DPS + 10 digits, against the closed form
+    p = 1 + k % (2 * s)
+    b = cont._one_connection(s, p, cont._ONE_DPS).coeffs[-1]
+    closed = cont.B_closed_form(s, p).rational
+    with mp.workdps(50):
+        want = mp.mpf(closed.numerator) / closed.denominator / mp.pi
+        assert abs(b - want) <= 1e-20 * abs(want)
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 2), (5, 1), (6, 3)])
+def test_fit_values_from_the_basis_match_the_walk(s, p):
+    # resonant_fit's node values on its default grid, summed from the basis at
+    # xi = 1, against the 40-digit walk along the axis, their oracle
+    with mp.workdps(40):
+        xis = [1 - mp.mpf(w) for w in np.geomspace(1.5e-3, 6e-2, 24)]
+        got = [z[0] for z, _ in cont._one_values(s, p, xis, 1, 40)]
+        walk = cont._taylor_walk(s, p, [cont.XI_SEED, *reversed(xis)], 40)
+        for g, st in zip(got, reversed(walk.states), strict=True):
+            assert g.imag == 0 and abs(g - st[0]) <= 1e-37 * abs(st[0])
+
+
 @pytest.mark.parametrize("s,p,xi", [(3, 1, 1.2), (3, 2, 1 + 1e-6), (2, 1, 1.4 + 0.3j),
                                     (3, 2, 0.99 - 0.2j), (2, 3, 1.1)])
 def test_one_states_are_exact_conjugates(s, p, xi):
@@ -1334,8 +1384,7 @@ def test_one_node_cut_trace_is_gp_continue_at_basis_nodes(s, p):
         assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
                 == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
         seen.add(len(st.path) if st.path[0] == 1.0 else 0)
-    # the basis misses tol/4 at (5, 1) in doubles, and nothing changes there
-    assert seen == ({0} if (s, p) == (5, 1) else {2, 3})
+    assert seen == {2, 3}
 
 
 @settings(max_examples=6, deadline=None)
@@ -1444,30 +1493,50 @@ def _sigma_block(s, p, zeta):
     return blk.matrix[0, 0] * blk.weights[0] ** 2
 
 
-@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-14])
-def test_sigma_cont_next_to_the_threshold_matches_the_block(gap):
+def _sigma_next_to_the_threshold_matches_the_block(s, p, gap):
     # sigma ~ (2 s^2 B / p) log(1 - xi), so sigma'(xi) ~ 2 s^2 |B| / (p (1 - xi)):
     # the block sums at its exact (1 - gap)^2 and the continuation at xi =
     # fl(fl(zeta^2) / zeta_c^2), and that input's conditioning moves sigma by
-    # 1.8e-10, 2.4e-8 and 1.5e-4 relative here
-    s, p = 3, 1
+    # 1.8e-10, 2.4e-8 and 1.5e-4 relative at (3, 1)
     zeta = float(thresholds(s).zeta_c) * (1.0 - gap)
     xi = zeta * zeta / cont.zeta_c_value(s) ** 2
     xi_block = (1 - _kernels.eta_gap(s, zeta)) ** 2
     slope = 2 * s * s * abs(cont.B_closed_form(s, p).value) / (p * (1.0 - xi))
     cond = slope * float(abs(Fraction(xi) - xi_block))
     got = cont.sigma_cont(s, p, zeta * zeta)
-    want = _sigma_block(s, p, zeta)
+    # a block has sectors p <= s; sigma_p is its one-column Gram product
+    want = _sigma_block(s, p, zeta) if p <= s else sigma_p(s, p, zeta)
     assert got.imag == 0.0
     assert abs(got.real - want) <= 1e-9 * abs(want) + 2 * cond
 
 
-def test_density_next_to_the_edge():
+@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-14])
+def test_sigma_cont_next_to_the_threshold_matches_the_block(gap):
+    _sigma_next_to_the_threshold_matches_the_block(3, 1, gap)
+
+
+# PathError at 1e-10 and 1e-14 before the basis at xi = 1 served every pair
+@pytest.mark.parametrize("s,p", [(4, 1), (5, 1), (3, 6)])
+@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-14])
+def test_sigma_cont_next_to_the_threshold_matches_the_block_at_more_pairs(s, p, gap):
+    _sigma_next_to_the_threshold_matches_the_block(s, p, gap)
+
+
+def _density_next_to_the_edge(s, p):
     # rho at (1 + 1e-10) zeta_c^2 is the edge density to O(1e-10 log)
-    s, p = 3, 1
     rho = cont.disc_density_rho(s, p, (1 + 1e-10) * cont.zeta_c_value(s) ** 2)
     edge = cont.edge_density_closed(s, p)
     assert abs(rho - edge) <= 1e-9 * edge
+
+
+def test_density_next_to_the_edge():
+    _density_next_to_the_edge(3, 1)
+
+
+# PathError before the basis at xi = 1 served every pair
+@pytest.mark.parametrize("s,p", [(4, 1), (5, 1), (3, 6)])
+def test_density_next_to_the_edge_at_more_pairs(s, p):
+    _density_next_to_the_edge(s, p)
 
 
 def test_the_branch_point_itself_is_a_path_error():
