@@ -16,25 +16,27 @@ the branch point, 0 < |xi - 1| <= ONE_RADIUS outside the disk, the
 Frobenius basis at xi = 1 (d - 1 analytic solutions and one with a log(1
 - xi) term) is built in fixed point from exact rows and matched once per
 (s, p) to the power series at 0 by the square Wronskian system at one
-ordinary point, with no walk (_one_table, _one_connection).  Rounded to
-doubles, it serves each target where its estimate meets tol/4
-(_one_values) and gives the double walks' state at the cut's join
-(_one_join); at extended precision it gives the resonant fit its values.
-In the rest of the annulus out to |xi| = FAR_RADIUS, and wherever the
-basis misses, Taylor steps continue the solution along the one route rule,
-_waypoints: real targets walk the real axis, non-real ones detour around
-xi = 1.  Their recurrence is read straight from the reduced equation in
-theta form, P(theta) y = xi R(theta) y (_theta_polys, _row), whose rows at
-centre 1 also give the basis at xi = 1.  Two walks with different step
-lengths, in complex doubles first and, if they disagree, in fixed-point
-integers at extended precision, bound the error (transport); mpmath
-numbers carry the inputs and results of the extended walks and sums and
-the resonant fit's solve.  Beyond FAR_RADIUS, the Frobenius basis at xi =
-infinity, read from the same theta polynomials, is summed with its exact
-connection coefficients, the gamma-function products of DLMF 16.8.8
-computed once per (s, p) (_far_table, _far_connection, _far_values), in
-doubles, then at extended precision where the terms cancel, then
-AccuracyError; no walk feeds it.
+ordinary point, with no walk (_one_table, _one_connection).  It serves
+every target there, rounded to doubles where its estimate meets tol/4 and
+summed at extended precision where it does not (_one_values, _one_sums),
+gives the walks along the cut their state at the join 1 + DETOUR_OFFSET in
+either number type (_one_join), and gives the resonant fit its values.  In
+the rest of the annulus out to |xi| = FAR_RADIUS, Taylor steps continue
+the solution: a target off the cut along the one route rule, _waypoints
+(real targets walk the real axis, non-real ones detour around xi = 1),
+and the targets on the cut outward from the join.  Their recurrence is
+read straight from the reduced equation in theta form, P(theta) y = xi
+R(theta) y (_theta_polys, _row), whose rows at centre 1 also give the
+basis at xi = 1.  Two walks with different step lengths, in complex
+doubles first and, if they disagree, in fixed-point integers at extended
+precision, bound the error (transport); mpmath numbers carry the inputs
+and results of the extended walks and sums and the resonant fit's solve.
+Beyond FAR_RADIUS, the Frobenius basis at xi = infinity, read from the same
+theta polynomials, is summed with its exact connection coefficients, the
+gamma-function products of DLMF 16.8.8 computed once per (s, p)
+(_far_table, _far_connection, _far_values); no walk feeds it.  Both local
+bases climb one ladder of rungs (_ladder): doubles, then extended
+precision where the terms cancel, then AccuracyError.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -48,7 +50,7 @@ import math
 import numbers
 import operator
 from collections import Counter
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -727,8 +729,7 @@ def _seeded(s: int, p: int, d: int, ar: _Arith, start) -> _Walked:
 def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
              reach: int) -> _Walked:
     """walked carried on through targets by the steps that _taylor_walk
-    describes.  A target at the centre itself takes the state there with no
-    step: that is the join, where the walk to the cut always ends a step."""
+    describes."""
     pts = [complex(t) for t in targets]
     if ar.bits is None:
         step, ends = _double_step, pts
@@ -738,10 +739,6 @@ def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
     _, state, centre, cx, steps, terms = walked
     k = 0
     while k < len(pts):
-        if ends[k] == cx:
-            states.append(state)
-            k += 1
-            continue
         rho = min(abs(centre), abs(1 - centre))
         served = []
         while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
@@ -768,26 +765,6 @@ def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
     return _Walked(states, state, centre, cx, steps, terms)
 
 
-def _join_route() -> list:
-    """The cut's detour XI_SEED -> XI_SEED + ih -> 1 + h + ih -> 1 + h, h =
-    DETOUR_OFFSET, with which every route to the cut begins (_waypoints)."""
-    return _waypoints(complex(1.0 + DETOUR_OFFSET))
-
-
-@lru_cache(maxsize=None)
-def _join_walk(s: int, p: int, dps, reach: int) -> _Walked:
-    """The walk along _join_route, which ends a step at its last corner,
-    the join 1 + DETOUR_OFFSET on the cut, kept per (s, p), number type and
-    reach: every walk that starts with that route continues from it.  The
-    join state has a second source, the basis at xi = 1 (_one_join), from
-    which the cut's outward leg starts in doubles where its estimate serves
-    (see _continued); this walk serves the rest."""
-    ar = _arith(dps)
-    d = len(_theta_polys(s, p)[0]) - 1
-    route = _join_route()
-    return _walk_on(s, p, d, ar, _seeded(s, p, d, ar, route[0]), route[1:], reach)
-
-
 def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from path[0]
     through the targets path[1:], in order: in fixed-point integers at dps +
@@ -808,14 +785,10 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _Taylo
     targets raise DomainError, and a step point that leaves the double
     range (targets beyond about |xi| = 1e154) raises PathError.
 
-    A path that begins with _join_route, the detour of every route to the
-    cut, continues from _join_walk, so its walk ends a step at the join 1 +
-    DETOUR_OFFSET whether or not that walk is cached, and its steps and
-    terms count those of the detour.  A target at the join takes the
-    join's state.  The join state of the basis at xi = 1 (_one_join) may be
-    passed as join, in doubles, for a path [1, 1 + DETOUR_OFFSET, ...]: the
-    walk then continues from it, with no steps before it, and the segment
-    from 1 is not checked.
+    The join state of the basis at xi = 1 in the number type of dps
+    (_one_join) may be passed as join, for a path [1, 1 + DETOUR_OFFSET,
+    ...]: the walk then continues from it, with no steps before it, and the
+    segment from 1 is not checked.
     """
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
@@ -827,15 +800,9 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _Taylo
         if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
             raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                             "singular point, 0 or 1")
-    route = _join_route()
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        if skip:
-            first, walked = 2, join
-        elif [*path[:len(route)]] == route:
-            first, walked = len(route), _join_walk(s, p, dps, reach)
-        else:
-            first, walked = 1, _seeded(s, p, d, ar, path[0])
-        walked = _walk_on(s, p, d, ar, walked, path[first:], reach)
+        walked = join if skip else _seeded(s, p, d, ar, path[0])
+        walked = _walk_on(s, p, d, ar, walked, path[1 + skip:], reach)
         if dps is None:
             fact = [math.factorial(i) for i in range(d)]
             states = [[x * g for x, g in zip(st, fact)] for st in walked.states]
@@ -871,9 +838,7 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     diagnostics.  path starts at +XI_SEED or -XI_SEED, the seed points of
     every route, or is [1, 1 + DETOUR_OFFSET], and nodes is not empty, or
     PathError.  It walks the path it is given, on either side of the axis;
-    _continued gives it the routes of the upper half plane only, so a route
-    to the cut that begins with _join_route continues from the walk to the
-    join that _join_walk keeps.
+    _continued gives it the routes of the upper half plane only.
 
     Two walks serve the targets within rho/2 and rho/3 of each centre.  The
     largest relative disagreement between them of any returned component
@@ -884,25 +849,26 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     and the test against tol/4 add 2^-53 for their rounding to doubles.
     Raises AccuracyError when the fixed-point walks disagree too.
 
-    The path [1, 1 + DETOUR_OFFSET] starts both walks at the join state of
-    the basis at xi = 1 (_one_join), above the cut, in place of the detour:
-    their gap plus the join's estimate is then the estimate, and there is no
-    fixed-point rung.
+    The path [1, 1 + DETOUR_OFFSET] starts both walks of each rung at the
+    join state of the basis at xi = 1 (_one_join) in the rung's number
+    type, above the cut: the join's estimate is then added to the estimate.
+    The doubles rung is skipped when the join's own estimate exceeds tol/4.
     """
     s, p = _validate_sp(s, p)
     start = complex(path[0]) if len(path) else None
     if len(nodes) == 0 or start not in (XI_SEED, -XI_SEED, 1.0):
         raise PathError(f"paths must go from xi = +-{XI_SEED}, or 1, to at least one node")
-    join = _one_join(s, p) if start == 1.0 else None
-    if join and [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]:
+    if start == 1.0 and [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]:
         raise PathError(f"the path from the basis at xi = 1 is [1, {1.0 + DETOUR_OFFSET}]")
-    extra = join[1] if join else 0.0
     targets = [complex(t) for t in (*path, *nodes)]
     why = ""
-    for dps in (None,) if join else (None, _MP_RUNG_DPS):
+    for dps in (None, _MP_RUNG_DPS):
+        join, extra = _one_join(s, p, dps) if start == 1.0 else (None, 0.0)
+        if extra > tol / 4:
+            why = f"the basis's join state is {extra:.1e} off"
+            continue
         try:
-            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join and join[0])
-                            for reach in (2, 3)]
+            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join) for reach in (2, 3)]
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -916,11 +882,9 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
             return _Continued(states, fine.dps, fine.steps,
                               max(gaps, default=0.0) + extra + rounding)
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
-    where = (f"from xi = 1, whose join is {extra:.1e} off," if join
-             else f"at {_arith(_MP_RUNG_DPS).digits} digits")
     raise AccuracyError(
         f"continuation of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} "
-        f"{where}: {why}"
+        f"at {_arith(_MP_RUNG_DPS).digits} digits: {why}"
     )
 
 
@@ -930,7 +894,9 @@ def _waypoints(xi_t: complex) -> list:
     upper side.  A real target below 1 walks the real axis from +-XI_SEED
     on its side of 0, so G_p comes out exactly real, and one on the cut
     walks it from 1 + h, reached by the detour XI_SEED -> XI_SEED + ih -> 1
-    + h + ih.  A non-real target takes the detour XI_SEED -> XI_SEED + ih
+    + h + ih: the router starts the cut from the basis's join state at 1 +
+    h instead, and the tests' extended walks take this route as the
+    oracle.  A non-real target takes the detour XI_SEED -> XI_SEED + ih
     -> Re xi_t + ih -> xi_t.  h = DETOUR_OFFSET."""
     re, im = xi_t.real, xi_t.imag
     if im == 0.0 and re < 1.0:
@@ -1171,51 +1137,55 @@ def _far_values(s: int, p: int, xis: list, dps) -> list:
     return list(zip(z.tolist(), rel.tolist()))
 
 
+def _ladder(s: int, p: int, values, xis: list, rung: int, tol: float, what: str) -> list:
+    """[(z, run)] at xis from a local expansion, whose values(xis, dps)
+    gives [(z, rel_est)] summed in the number type of _arith(dps), with run
+    the diagnostics of each and steps = 0: the one ladder of rungs of the
+    expansions.  Each target is served by the first rung whose estimate is
+    at most tol/4: the sums in doubles, then those at the caller's digits
+    rung, whose estimate covers the rounding of z to doubles.  AccuracyError
+    names what and the rung's working digits for any target both miss."""
+    done = {}
+    for dps in (None, rung):
+        todo = [i for i in range(len(xis)) if i not in done]
+        if not todo:
+            break
+        got = values([xis[i] for i in todo], dps)
+        done.update((i, (z, _Continued(None, dps and _arith(dps).digits, 0, rel)))
+                    for i, (z, rel) in zip(todo, got) if rel <= tol / 4)
+    if len(done) < len(xis):
+        worst = max(rel for i, (_, rel) in zip(todo, got) if i not in done)
+        raise AccuracyError(
+            f"{what} of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} at "
+            f"{_arith(rung).digits} digits: its estimate reads {worst:.1e}")
+    return [done[i] for i in range(len(xis))]
+
+
 def _far_sums(s: int, p: int, xis: list, tol: float) -> list:
     """[(z, run)] at the xis of the closed upper half plane with |xi| >=
-    FAR_RADIUS: z = [y, y', y''] from the expansion at infinity, and run its
-    diagnostics, with steps = 0.  Two rungs serve each target whose
-    estimate (see _far_values) is at most tol/4, in turn: the connection of
-    _far_connection rounded to doubles and summed in doubles, then summed
-    at the digits of the walks at _MP_RUNG_DPS, where the terms cancel.
-    AccuracyError is raised for any target both miss, PathError if G itself
-    falls below the double range."""
-    if not xis:
-        return []
-    done, todo = {}, list(range(len(xis)))
-    for dps in (None, _MP_RUNG_DPS):
-        left, worst = [], 0.0
-        for i, (z, rel) in zip(todo, _far_values(s, p, [xis[i] for i in todo], dps)):
-            if rel <= tol / 4:
-                done[i] = z, _Continued(None, None if dps is None else _arith(dps).digits, 0, rel)
-            else:
-                left.append(i)
-                worst = max(worst, rel)
-        if not left:
-            break
-        todo = left
-    else:
-        raise AccuracyError(
-            f"expansion at infinity of G_p for (s, p) = ({s}, {p}) misses tol = "
-            f"{tol:.1e} at {_arith(_MP_RUNG_DPS).digits} digits: its estimate reads {worst:.1e}")
-    for i, xi in enumerate(xis):
-        if done[i][0][0] == 0:
+    FAR_RADIUS: z = [y, y', y''] from the expansion at infinity (_far_values)
+    on the rungs of _ladder, the second at the walks' _MP_RUNG_DPS; PathError
+    if G itself falls below the double range."""
+    done = _ladder(s, p, lambda xs, dps: _far_values(s, p, xs, dps), xis, _MP_RUNG_DPS, tol,
+                   "expansion at infinity")
+    for xi, (z, _) in zip(xis, done):
+        if z[0] == 0:
             raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
-    return [done[i] for i in range(len(xis))]
+    return done
 
 
 # ---------------------------------------------------------------------------
 # Expansion at the branch point
 
 
-#: gp_continue and cut_trace sum the targets with |xi - 1| <= ONE_RADIUS and
-#: |xi| > SERIES_RADIUS from the local basis at xi = 1 where its estimate
-#: meets tol/4
+#: gp_continue and cut_trace sum the targets with 0 < |xi - 1| <= ONE_RADIUS
+#: and |xi| > SERIES_RADIUS from the local basis at xi = 1
 ONE_RADIUS = 0.5
 #: the ordinary point at which the basis at xi = 1 is matched to the series at 0
 _ONE_MATCH = 0.7
-#: caller's digits of the basis at xi = 1 that the doubles round: those of
-#: resonant_fit's default, so the fit and the router share one build
+#: caller's digits of the basis at xi = 1 that the doubles round, and of its
+#: extended rung and fixed-point join: those of resonant_fit's default, so
+#: the fit and the router share one build
 _ONE_DPS = 40
 
 
@@ -1425,7 +1395,8 @@ def _one_values(s: int, p: int, xis: list, nd: int = 3, dps=None) -> list:
     the terms, for eps the unit roundoff: the rounding of the sums, of a
     and v to the number type, and of the state's scaling by zeta_c^(2j).
     A fixed-point sum stops at the row where the terms fall below ar.tol of
-    the largest."""
+    the largest, and the combination with the L_k runs at its digits, not
+    at the caller's."""
     ar = _arith(dps)
     conn = _one_connection(s, p, dps)
     series, f = conn.series, conn.f
@@ -1437,16 +1408,16 @@ def _one_values(s: int, p: int, xis: list, nd: int = 3, dps=None) -> list:
     bounds = np.zeros((len(xis), nd, 2))
     for row in size[::-1]:
         bounds = bounds * at + row
-    if dps is None:
-        xis = [complex(xi) for xi in xis]
-        tau = np.array(xis)[:, None, None] - 1.0
-        sums = np.zeros(bounds.shape, dtype=complex)
-        for row in rows[::-1]:
-            sums = sums * tau + row
-        logs = np.array([_one_logs(xi, nd, cmath) for xi in xis])
-    else:
-        top, pw = size.max(axis=(1, 2)), np.arange(len(size))
-        with mp.workdps(ar.digits):
+    with nullcontext() if dps is None else mp.workdps(ar.digits):
+        if dps is None:
+            xis = [complex(xi) for xi in xis]
+            tau = np.array(xis)[:, None, None] - 1.0
+            sums = np.zeros(bounds.shape, dtype=complex)
+            for row in rows[::-1]:
+                sums = sums * tau + row
+            logs = np.array([_one_logs(xi, nd, cmath) for xi in xis])
+        else:
+            top, pw = size.max(axis=(1, 2)), np.arange(len(size))
             sums, logs = [], []
             for xi, r in zip(map(mp.mpmathify, xis), at[:, 0, 0]):
                 terms = top * r**pw
@@ -1457,36 +1428,51 @@ def _one_values(s: int, p: int, xis: list, nd: int = 3, dps=None) -> list:
                 logs.append(_one_logs(xi, nd, mp))
             sums = np.array(sums, dtype=object).transpose(0, 2, 1)
             logs = np.array(logs, dtype=object)
-    g, gb = sums[:, :, 0].copy(), bounds[:, :, 0].copy()
-    for j in range(nd):
-        for k in range(j + 1):
-            g[:, j] += logs[:, k] * sums[:, j - k, 1]
-            gb[:, j] += np.abs(logs[:, k]).astype(float) * bounds[:, j - k, 1]
+        g, gb = sums[:, :, 0].copy(), bounds[:, :, 0].copy()
+        for j in range(nd):
+            for k in range(j + 1):
+                g[:, j] += logs[:, k] * sums[:, j - k, 1]
+                gb[:, j] += np.abs(logs[:, k]).astype(float) * bounds[:, j - k, 1]
     rel = (4.0 * ar.eps * gb / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
     return list(zip(g.tolist(), rel.tolist()))
 
 
 def _one_sums(s: int, p: int, xis: list, tol: float) -> list:
-    """[(z, run) or None] at the xis of the closed upper half plane with 0 <
-    |xi - 1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1 in
-    doubles, and run its diagnostics, with steps = 0 and dps = None; None
-    for each target whose estimate (see _one_values) exceeds tol/4."""
-    if not xis:
-        return []
-    return [([v * math.factorial(j) for j, v in enumerate(z)], _Continued(None, None, 0, rel))
-            if rel <= tol / 4 else None for z, rel in _one_values(s, p, xis)]
+    """[(z, run)] at the xis of the closed upper half plane with 0 < |xi -
+    1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1 (_one_values)
+    on the rungs of _ladder, the second the _ONE_DPS build summed at its
+    digits, whose estimate adds 2^-53 for the rounding to doubles."""
+    def values(xs, dps):
+        return [([complex(v) * math.factorial(j) for j, v in enumerate(z)],
+                 rel if dps is None else rel + 2.0**-53)
+                for z, rel in _one_values(s, p, xs, 3, dps)]
+
+    return _ladder(s, p, values, xis, _ONE_DPS, tol, "basis at xi = 1")
 
 
 @lru_cache(maxsize=None)
-def _one_join(s: int, p: int) -> tuple:
-    """(walked, rel_est): the double walks' state at the join 1 +
-    DETOUR_OFFSET + i0, all d components summed from the basis at xi = 1,
-    as a _Walked that has taken no step, and the largest relative estimate
-    of its components (see _one_values)."""
+def _one_join(s: int, p: int, dps=None) -> tuple:
+    """(walked, rel_est): the walks' state at the cut's join 1 +
+    DETOUR_OFFSET + i0 in the number type of _arith(dps), all d components
+    summed from the basis at xi = 1, as a _Walked that has taken no step,
+    and the largest relative estimate of its components (see _one_values).
+    The doubles sum the basis rounded to doubles.  In fixed point the
+    _ONE_DPS build is summed at its digits and rounded into the walk's
+    fixed point, with the shared exponent that _fx_head sets."""
     xj = complex(1.0 + DETOUR_OFFSET)
-    ((z, rel),) = _one_values(s, p, [xj], len(_theta_polys(s, p)[0]) - 1)
-    state = [complex(v) for v in z]
-    return _Walked([state], state, xj, xj, 0, 0), rel
+    d = len(_theta_polys(s, p)[0]) - 1
+    ((z, rel),) = _one_values(s, p, [xj], d, None if dps is None else _ONE_DPS)
+    if dps is None:
+        state = [complex(v) for v in z]
+        return _Walked([state], state, xj, xj, 0, 0), rel
+    ar = _arith(dps)
+    f, e = ar.bits + _POINT_GUARD_BITS, _one_connection(s, p, _ONE_DPS).f
+    cx = _fx_point(xj, f)
+    with mp.workdps(_arith(_ONE_DPS).digits):  # y^(i) / i! g^i at 2^-e, g = xj
+        raw = _FxState([_fx_point(v * mp.mpf(xj.real) ** i, e) for i, v in enumerate(z)],
+                      e, cx, 0)
+    state = _FxState(*_fx_head(raw, cx, 0, ar, f), cx, 0)
+    return _Walked([state], state, xj, cx, 0, 0), rel
 
 
 @dataclass(frozen=True)
@@ -1501,7 +1487,8 @@ class ContinuationState:
     path: tuple  # xi-plane corners: (xi,) for the series, the route's corners
     # for a walk, (1, xi) for the basis at xi = 1, (1, 1.3, xi) for a leg from
     # its join, and (inf, xi) for the far field
-    dps: "int | None"  # working digits of the walk or far-field sum; None for doubles
+    dps: "int | None"  # working digits of the walk or of the far field's or the
+    # basis's extended sum (30, 30 and 50); None for doubles
     steps: int  # Taylor expansions of the walk; 0 for the series and the far field
     rel_est: float  # two-walk gap, or the basis's or far field's cancellation bound;
     # _SERIES_TOL for the series
@@ -1536,18 +1523,13 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
     - the power series at 0 for |xi| <= SERIES_RADIUS (_power_series): a
       walk towards the singular point 0 loses digits;
     - the expansion at infinity for |xi| >= FAR_RADIUS (_far_sums);
-    - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS, where its
-      estimate meets tol/4 (_one_sums);
+    - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS (_one_sums);
     - the checked walks of transport.  A target off the cut walks its route
-      of _waypoints.  Targets on the cut share the route to the join xi_0 =
-      1 + DETOUR_OFFSET, then walk the axis inward through those below xi_0
-      and outward through the rest.  Both legs continue from the one walk
-      to xi_0 (_join_walk), so a state depends neither on the other targets
-      nor on which call walked the detour first.  The outward leg starts
-      instead from the basis's state at xi_0 (_one_join) where the join's
-      estimate plus the two walks' gap meets tol/4: walking back out from
-      near the branch point would carry its large high derivatives along,
-      and at (5, 10) on fig3's grid that lost 17 of 30 digits.
+      of _waypoints.  The targets on the cut form one leg outward along the
+      cut from the join xi_0 = 1 + DETOUR_OFFSET, which starts from the
+      basis's state there (_one_join) in the number type of each rung, so a
+      state does not depend on which call built the basis first.  xi = 1
+      itself raises PathError there, as the leg's segment meets it.
     The states and paths of the moved targets are conjugated, so a target
     and its mirror image, or the cut's two sides, give exact conjugates with
     the same diagnostics.
@@ -1573,31 +1555,22 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
     got.update((x, (z, (complex(math.inf), x), run))
                for x, (z, run) in zip(far, _far_sums(s, p, far, tol)))
     near = [x for x in todo if x not in got and 0.0 < abs(x - 1.0) <= ONE_RADIUS]
-    for x, hit in zip(near, _one_sums(s, p, near, tol)):
-        if hit:
-            got[x] = hit[0], (complex(1.0), x), hit[1]
-    rest = [x for x in todo if x not in got]
-    for x in rest:
+    got.update((x, (z, (complex(1.0), x), run))
+               for x, (z, run) in zip(near, _one_sums(s, p, near, tol)))
+    cut = []
+    for x in todo:
+        if x in got:
+            continue
         if x.imag or x.real < 1.0:
             route = _waypoints(x)
             run = transport(s, p, route[:-1], route[-1:], tol, keep=3)
             got[x] = run.states[0], tuple(route), run
-    xi0 = 1.0 + DETOUR_OFFSET
-    inward = [x for x in reversed(rest) if x not in got and x.real < xi0]
-    outward = [x for x in rest if x not in got and x.real >= xi0]
-    for leg in (inward, outward):
-        if not leg:
-            continue
-        run = None
-        if leg is outward and _one_join(s, p)[1] <= tol / 4:
-            with suppress(AccuracyError):
-                run = transport(s, p, [1.0, xi0], leg, tol, keep=3)
-        if run is None:
-            run = transport(s, p, _join_route(), leg, tol, keep=3)
-            paths = [tuple(_waypoints(x)) for x in leg]
         else:
-            paths = [(complex(1.0), complex(xi0), x) for x in leg]
-        got.update((x, (z, path, run)) for x, z, path in zip(leg, run.states, paths))
+            cut.append(x)
+    if cut:
+        xi0 = complex(1.0 + DETOUR_OFFSET)
+        run = transport(s, p, [1.0, xi0], cut, tol, keep=3)
+        got.update((x, (z, (complex(1.0), xi0, x), run)) for x, z in zip(cut, run.states))
     out = []
     for u, x, flip in zip(us, upper, flips):
         z, path, run = got[x]
@@ -1622,8 +1595,7 @@ def gp_continue(
     inf); 'none' is for targets off the cut.  u = 0 gives G = 1; G' and G''
     that lie below the double range far out come out as 0.  Real u off the
     cut comes out with imaginary parts exactly zero for every side; on the
-    cut the state is that of a one-node cut_trace.  xi = 1 itself, and a
-    target within 1e-9 of it that the basis at xi = 1 misses, raise
+    cut the state is that of a one-node cut_trace.  xi = 1 itself raises
     PathError; a non-finite u raises DomainError.
     """
     s, p = _validate_sp(s, p)
@@ -1761,10 +1733,9 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     (p/2pi)(s/(s-1))^{2p+1} > 0.  The jump (sigma(u + i0) - sigma(u - i0)) /
     (2 pi i) needs one side only: the state below the cut is the exact
     complex conjugate of the one above.  Next to the edge, u <= (1 +
-    ONE_RADIUS) zeta_c^2, the state comes from the basis at xi = 1 where
-    its estimate meets the tolerance, so rho is also defined within 1e-9
-    of the edge there; further out, the walk along the cut starts from that
-    basis's join state where it serves (see _continued).
+    ONE_RADIUS) zeta_c^2, the state comes from the basis at xi = 1, so rho
+    is defined up to the edge itself; further out, the walk along the cut
+    starts from that basis's join state (see _continued).
     """
     s, p = _validate_sp(s, p)
     zc2 = zeta_c_value(s) ** 2

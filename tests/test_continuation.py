@@ -813,14 +813,17 @@ def test_rung_errors_report_the_working_digits(s, p, xi, tol):
 
 
 def _assert_matches_walk(st, dps, tol=1e-12):
-    """G, G', G'' of st, in the closed upper half plane, within tol relative
-    of a dps-digit walk along the route of _waypoints to its target, which a
-    state served from the basis at xi = 1 does not walk."""
+    """G, G', G'' of st, in the closed upper half plane or below the cut,
+    within tol relative of a dps-digit walk along the route of _waypoints to
+    its target, conjugated below the cut, which a state served from the
+    basis at xi = 1 does not walk."""
     zc2 = float(thresholds(st.s).zeta_c) ** 2
     path = cont._waypoints(st.path[-1])
     ref = cont._taylor_walk(st.s, st.p, path, dps).states[-1]
     for j, got in enumerate(st.derivs):
         want = complex(ref[j]) / zc2**j
+        if st.side == "below":
+            want = want.conjugate()
         assert abs(got - want) <= tol * abs(want)
 
 
@@ -898,14 +901,13 @@ def test_negative_targets_walk_the_axis(s, k, log_x):
        side=hst.sampled_from(["above", "below"]))
 @example(s=3, k=0, x=1.3, side="above")  # the corner where the cut route joins the axis
 def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
-    # one route to the cut: the detour to 1 + DETOUR_OFFSET, then the axis
+    # one source per cut point: the basis at xi = 1, or the leg from its join
     p = 1 + k % (2 * s)
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = x * zc2
     xi = u / zc2  # the xi that gp_continue walks to, an ulp from x at most
     if xi - 1.0 < 1e-9:
-        # both keep the walk 1e-9 away from the branch point; only the basis
-        # at xi = 1 serves there, where its estimate meets tol/4
+        # only the basis at xi = 1 serves there; xi = 1 itself is a PathError
         try:
             st = cont.gp_continue(s, p, u, side)
         except PathError:
@@ -922,14 +924,13 @@ def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
 
 def _cut_states(s, p, xis, cold):
     """{xi: (derivs, steps, dps, rel_est)} of cut_trace over xis, and of
-    gp_continue and disc_density_rho at each xi above the cut, with the join
-    walks and the basis at xi = 1 cleared before each call if cold."""
+    gp_continue and disc_density_rho at each xi above the cut, with the basis
+    at xi = 1 and its join states cleared before each call if cold."""
     zc2 = float(thresholds(s).zeta_c) ** 2
     out = {}
 
     def call(f, *args):
         if cold:
-            cont._join_walk.cache_clear()
             _clear_one_caches()
         return f(*args)
 
@@ -947,9 +948,9 @@ def _cut_states(s, p, xis, cold):
        xis=hst.lists(hst.floats(1.001, 3.9), min_size=1, max_size=4, unique=True))
 @example(s=3, k=1, data=None, xis=[1.3, 1.2, 2.0])  # a node at the join
 def test_cut_values_do_not_depend_on_call_order(s, k, data, xis):
-    # every walk to the cut continues from the join state, which a cold walk
-    # computes and a warm one reads: the same numbers either way, and in
-    # any order of the nodes
+    # every walk along the cut continues from the basis's join state, which
+    # a cold call computes and a warm one reads: the same numbers either
+    # way, and in any order of the nodes
     p = 1 + k % (2 * s)
     cold = _cut_states(s, p, xis, cold=True)
     assert _cut_states(s, p, xis, cold=False) == cold
@@ -958,16 +959,33 @@ def test_cut_values_do_not_depend_on_call_order(s, k, data, xis):
     assert _cut_states(s, p, shuffled, cold=True) == cold
 
 
-def test_join_walks_are_kept_per_reach_and_number_type():
-    # (8, 16) at 2.5 takes the fixed-point rung: two reaches in two number
-    # types, whatever else is continued to the cut at that (s, p)
-    zc2 = float(thresholds(8).zeta_c) ** 2
-    cont._join_walk.cache_clear()
-    assert cont.gp_continue(8, 16, 2.5 * zc2, "below").dps is not None
-    assert cont._join_walk.cache_info().currsize == 4
-    cont.cut_trace(8, 16, [1.01, 1.3, 2.5, 3.0], "above")
-    cont.disc_density_rho(8, 16, 1.7 * zc2)
-    assert cont._join_walk.cache_info().currsize == 4
+@pytest.mark.parametrize("s,p,side", [(8, 16, "below"), (5, 10, "above")])
+def test_cut_rung_walks_from_the_basis_join(s, p, side):
+    # the doubles from the join disagree here, so the 30-digit rung starts
+    # from the basis's join state, rounded into its fixed point
+    zc2 = cont.zeta_c_value(s) ** 2
+    st = cont.gp_continue(s, p, 2.5 * zc2, side)
+    xi = st.u.real / zc2
+    assert st.dps == cont._arith(cont._MP_RUNG_DPS).digits
+    assert st.path == (1.0, 1.0 + cont.DETOUR_OFFSET, xi)
+    _assert_matches_walk(st, 40, tol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 4e-16])
+@pytest.mark.parametrize("s,p,xi", [(3, 2, 1.004), (5, 10, 1.45)])
+def test_basis_rung_serves_where_its_doubles_miss(s, p, xi, tol):
+    # the basis in doubles misses tol/4 here; its 50-digit build serves with
+    # no walk, and its estimate adds 2^-53, which tol/4 = 1e-16 lies below
+    zc2 = cont.zeta_c_value(s) ** 2
+    if tol < 2.0**-51:
+        with pytest.raises(AccuracyError, match=f"at {cont._arith(cont._ONE_DPS).digits} digits"):
+            cont.gp_continue(s, p, xi * zc2, "above", tol=tol)
+        return
+    st = cont.gp_continue(s, p, xi * zc2, "above", tol=tol)
+    assert st.path == (1.0, st.u.real / zc2) and st.steps == 0
+    assert st.dps == cont._arith(cont._ONE_DPS).digits
+    assert st.rel_est <= tol / 4
+    _assert_matches_walk(st, 40, tol=st.rel_est)
 
 
 @pytest.mark.parametrize("s,p,xi,side", [(3, 4, 1 + 1e-7, "above"), (8, 16, -1.2, "none")])
@@ -1357,6 +1375,19 @@ def test_fit_values_from_the_basis_match_the_walk(s, p):
             assert g.imag == 0 and abs(g - st[0]) <= 1e-37 * abs(st[0])
 
 
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 2), (5, 1)])
+def test_extended_basis_values_keep_their_digits_in_any_context(s, p):
+    # a + sum_k L_k v is combined at the build's digits, not the caller's:
+    # with no context, at 15 digits, it was 5.5e-17 off at (3, 2) on the cut
+    xis = [1.3, 1.2]
+    got = cont._one_values(s, p, xis, 3, 40)
+    for xi, (z, _) in zip(xis, got):
+        walk = cont._taylor_walk(s, p, cont._waypoints(complex(xi)), 40).states[-1]
+        with mp.workdps(40):
+            for j, (g, w) in enumerate(zip(z, walk)):
+                assert abs(g * math.factorial(j) - w) <= 1e-37 * abs(w)
+
+
 @pytest.mark.parametrize("s,p,xi", [(3, 1, 1.2), (3, 2, 1 + 1e-6), (2, 1, 1.4 + 0.3j),
                                     (3, 2, 0.99 - 0.2j), (2, 3, 1.1)])
 def test_one_states_are_exact_conjugates(s, p, xi):
@@ -1540,7 +1571,14 @@ def test_density_next_to_the_edge_at_more_pairs(s, p):
 
 
 def test_the_branch_point_itself_is_a_path_error():
-    zc2 = cont.zeta_c_value(3) ** 2
-    for side in ("above", "below"):
-        with pytest.raises(PathError):
-            cont.gp_continue(3, 1, zc2, side)
+    # xi = 1 is no target of the basis, and the leg from the join meets it;
+    # cut_trace refuses it as off the cut before it routes any node
+    for s, p in [(3, 1), (5, 10), (8, 16)]:
+        zc2 = cont.zeta_c_value(s) ** 2
+        for side in ("above", "below"):
+            with pytest.raises(PathError):
+                cont.gp_continue(s, p, zc2, side)
+            with pytest.raises(PathError):
+                cont.gp_continue(s, p, zc2, side, tol=1e-15)
+            with pytest.raises(DomainError):
+                cont.cut_trace(s, p, [1.0], side)
