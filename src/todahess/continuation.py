@@ -11,32 +11,34 @@ imposes Schwarz symmetry: every target is served at its point in the
 closed upper half plane, the cut's upper side standing for its lower one,
 and the states of the targets it moved there are conjugated.  The power
 series at 0 is summed in one place, _power_series: it gives the values in
-the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  Around
-the branch point, 0 < |xi - 1| <= ONE_RADIUS outside the disk, the
-Frobenius basis at xi = 1 (d - 1 analytic solutions and one with a log(1
-- xi) term) is built in fixed point from exact rows and matched once per
-(s, p) to the power series at 0 by the square Wronskian system at one
-ordinary point, with no walk (_one_table, _one_connection).  It serves
-every target there, rounded to doubles where its estimate meets tol/4 and
-summed at extended precision where it does not (_one_values, _one_sums),
-gives the walks along the cut their state at the join 1 + DETOUR_OFFSET in
-either number type (_one_join), and gives the resonant fit its values.  In
-the rest of the annulus out to |xi| = FAR_RADIUS, Taylor steps continue
-the solution: a target off the cut along the one route rule, _waypoints
-(real targets walk the real axis, non-real ones detour around xi = 1),
-and the targets on the cut outward from the join.  Their recurrence is
-read straight from the reduced equation in theta form, P(theta) y = xi
-R(theta) y (_theta_polys, _row), whose rows at centre 1 also give the
-basis at xi = 1.  Two walks with different step lengths, in complex
-doubles first and, if they disagree, in fixed-point integers at extended
-precision, bound the error (transport); mpmath numbers carry the inputs
-and results of the extended walks and sums and the resonant fit's solve.
-Beyond FAR_RADIUS, the Frobenius basis at xi = infinity, read from the same
-theta polynomials, is summed with its exact connection coefficients, the
+the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  The
+two other singular points have local Frobenius bases, written in one form,
+_Local: basis functions x^a (w(x) + log v(x)) over shared rows, one power
+series per derivative j, in x = -1/xi at infinity and x = tau = xi - 1 at
+xi = 1.  Beyond FAR_RADIUS the basis at infinity, read from the theta
+polynomials below, is summed with its exact connection coefficients, the
 gamma-function products of DLMF 16.8.8 computed once per (s, p)
-(_far_table, _far_connection, _far_values); no walk feeds it.  Both local
-bases climb one ladder of rungs (_ladder): doubles, then extended
-precision where the terms cancel, then AccuracyError.
+(_far_table, _far_connection).  Around the branch point, 0 < |xi - 1| <=
+ONE_RADIUS outside the disk, the basis at xi = 1 (d - 1 analytic solutions
+and one with a log(1 - xi) term) is built in fixed point from exact rows
+and matched once per (s, p) to the power series at 0 by the square
+Wronskian system at one ordinary point, with no walk (_one_table,
+_one_connection); folded with that connection into y = a + log(1 - xi) v,
+its rows carry tau^max(j-2, 0) y^(j) / j!, so no power of 1/tau is formed
+(_one_rows, _one_local).  One evaluator sums either table (_local_values),
+and both climb one ladder of rungs (_ladder): doubles, then extended
+precision where the terms cancel, then AccuracyError.  The basis at xi = 1
+also gives the walks along the cut their state at the join 1 +
+DETOUR_OFFSET in either number type (_one_join) and the resonant fit its
+values.  Elsewhere out to |xi| = FAR_RADIUS, Taylor steps continue the
+solution: a target off the cut along the route rule _waypoints, and the
+cut outward from the join.  Their recurrence is read straight from the
+reduced equation in theta form, P(theta) y = xi R(theta) y (_theta_polys,
+_row), whose rows at centre 1 also give the basis at xi = 1.  Two walks
+with different step lengths, in complex doubles first and, if they
+disagree, in fixed-point integers at extended precision, bound the error
+(transport); mpmath numbers carry the inputs and results of the extended
+walks and sums and the resonant fit's solve.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -224,7 +226,10 @@ class _Arith(NamedTuple):
 
 def _arith(dps) -> _Arith:
     """Python complex doubles for dps=None, else fixed-point integers for a
-    caller's dps, carried at dps + TAYLOR_GUARD_DPS digits (at most 250)."""
+    caller's dps, carried at dps + TAYLOR_GUARD_DPS digits (at most 250):
+    the number types of the walks' rungs and of the local bases' sums,
+    whose extended rows are mantissas at 2^-f, f = bits + _POINT_GUARD_BITS
+    (_Local)."""
     if dps is None:
         return _Arith(16, _SERIES_TOL, None)
     if dps > 250:
@@ -849,10 +854,12 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     and the test against tol/4 add 2^-53 for their rounding to doubles.
     Raises AccuracyError when the fixed-point walks disagree too.
 
-    The path [1, 1 + DETOUR_OFFSET] starts both walks of each rung at the
+    The path [1, 1 + DETOUR_OFFSET] starts the walks of each rung at the
     join state of the basis at xi = 1 (_one_join) in the rung's number
-    type, above the cut: the join's estimate is then added to the estimate.
-    The doubles rung is skipped when the join's own estimate exceeds tol/4.
+    type, above the cut, and the rho/3 walk's join estimate is added to the
+    estimate.  In doubles the rho/2 walk starts from the basis summed in
+    doubles, so the gap also holds how the steps carry the join's error,
+    which two walks from one state would not show.
     """
     s, p = _validate_sp(s, p)
     start = complex(path[0]) if len(path) else None
@@ -863,12 +870,15 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     targets = [complex(t) for t in (*path, *nodes)]
     why = ""
     for dps in (None, _MP_RUNG_DPS):
-        join, extra = _one_join(s, p, dps) if start == 1.0 else (None, 0.0)
+        joins = ([_one_join(s, p, dps, dps is None and reach == 2) for reach in (2, 3)]
+                 if start == 1.0 else [(None, 0.0)] * 2)
+        extra = joins[1][1]
         if extra > tol / 4:
             why = f"the basis's join state is {extra:.1e} off"
             continue
         try:
-            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join) for reach in (2, 3)]
+            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join)
+                            for reach, (join, _) in zip((2, 3), joins)]
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -911,7 +921,145 @@ def _waypoints(xi_t: complex) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Expansion at infinity
+# Local expansions at xi = infinity and xi = 1
+
+
+class _Local(NamedTuple):
+    """A local basis at centre (infinity or 1) in x = -1/xi or tau = xi - 1:
+    function k is x^a (w + log v) for funcs[k] = (a, column of w, column of
+    v or None), log being log x at infinity and log(1 - xi) at 1; rows[n,
+    col, j] is the x^n coefficient of a column's j-th derivative over j!
+    times xi^j at infinity, tau^max(j-2, 0) at 1; y = sum_k coeffs[k] phi_k.
+    Floats, or for an extended rung integer mantissas at 2^-f."""
+    centre: complex
+    funcs: tuple
+    rows: "np.ndarray"  # [n, col, j]
+    sizes: "np.ndarray"  # |rows| as floats
+    coeffs: object
+    amax: float  # the largest exponent
+    radius: float  # the |x| that the stop rule drew the rows for
+    eps: float  # unit roundoff of the number type
+    f: "int | None"  # the scale of fixed-point rows; None for floats
+
+
+def _local_basis(tab: _Local, xis: list) -> tuple:
+    """(b, bb, x, log): b[i, k, j] is row j of function k at xi = xis[i] in
+    the closed upper half plane, xi > 1 (xi > 0 at infinity) standing for
+    xi + i0, with log(1 - xi) and log x = -log(-xi) principal, so both bases
+    are cut where G_p is; bb[0] >= |b| from the absolute terms, and bb[1]
+    the tail beyond the last row where |x| > tab.radius.  Doubles take one
+    Horner pass over rows and sizes; fixed-point rows are dotted with the
+    powers of x at 2^-f up to the rows whose terms reach eps of the largest,
+    and become mpc numbers at f bits for x^a and the log partner."""
+    fx = tab.f is not None
+    mod, dt = (mp, object) if fx else (cmath, complex)
+    inf = cmath.isinf(tab.centre)
+    with mp.workprec(tab.f) if fx else nullcontext():
+        xs, logs = [], []
+        for xi in xis:
+            z = mp.mpc(xi) if fx else complex(xi)
+            w = z if inf else z - 1  # log(1 - xi) = log(-w), log x = -log(-w)
+            lg = mod.log(w.real) - 1j * mod.pi if w.imag == 0 and w.real > 0 else mod.log(-w)
+            xs.append(-1 / z if inf else w)
+            logs.append(-lg if inf else lg)
+        x = np.array(xs, dtype=dt)[:, None, None]
+        ax = np.abs(x).astype(float)
+        n, shape = len(tab.sizes), (len(xs),) + tab.sizes.shape[1:]
+        # the geometric tail of the last row, the radius of convergence being 1
+        tail = np.where(ax > tab.radius, tab.sizes[-1] * ax ** n / (1.0 - ax), 0.0)
+        if fx:
+            f = tab.f
+            pa = ax.reshape(-1, 1) ** np.arange(n)
+            bound = (pa @ tab.sizes.reshape(n, -1)).reshape(shape)
+            top = tab.sizes.max(axis=(1, 2)) * pa.max(axis=0)
+            m = int(np.nonzero(top > tab.eps * top.max())[0][-1]) + 1
+            pw = np.array([[(_shl(r, f - e), _shl(i, f - e)) for r, i, e in
+                            _fl_powers(_fl(*_fx_point(v, f), f, f), m, f)] for v in xs],
+                          dtype=object)  # x^0 .. x^(m-1) at 2^-f
+            rows = tab.rows[:m].reshape(m, -1)
+            re, im = ((pw[:, :, i] @ rows).reshape(shape) >> f if pw[:, :, i].any() else 0
+                      for i in (0, 1))
+            sums = np.frompyfunc(lambda a, b: mp.mpc(mp.mpf((a, -f)), mp.mpf((b, -f))), 2, 1)(
+                re, im)
+        else:
+            sums = bound = 0
+            for row, size in zip(tab.rows[::-1], tab.sizes[::-1]):
+                sums = sums * x + row
+                bound = bound * ax + size
+        bounds = np.stack([bound, tail])
+        log = np.array(logs, dtype=dt)[:, None]
+        abs_log = np.abs(log).astype(float)
+        b, bb = [], []
+        for a, w, v in tab.funcs:
+            val, bnd = sums[:, w], bounds[:, :, w]
+            if v is not None:
+                val, bnd = val + log * sums[:, v], bnd + abs_log * bounds[:, :, v]
+            if a:
+                xa = np.array([mod.exp(a * lg) for lg in logs], dtype=dt)[:, None]
+                val, bnd = xa * val, np.abs(xa).astype(float) * bnd
+            b.append(val)
+            bb.append(bnd)
+    return np.stack(b, axis=1), np.stack(bb, axis=2), xs, logs
+
+
+def _local_values(tab: _Local, xis: list) -> list:
+    """[(z, rel_est)] at each xi (see _local_basis), the one evaluator of
+    both local bases: z = [y^(j)(xi) / j!] in tab's number type (mpc for
+    fixed point), the rows t_j = sum_k C_k phi_k with their per-j factor
+    divided out, (-x)^j t_j at infinity and t_j / tau^max(j-2, 0) at 1.
+    rel_est is the largest over j of the cancellation bound eta sum_k |C_k|
+    |phi_k| over |t_j|, eta = eps (3 + a |log x|) for the unit roundoff eps
+    and the largest exponent a (the rounding of C, of the sums and of a in
+    x^a), plus the tail's bound."""
+    b, bb, xs, logs = _local_basis(tab, xis)
+    with mp.workprec(tab.f) if tab.f is not None else nullcontext():
+        g = cancel = 0
+        for k, c in enumerate(tab.coeffs):
+            g = g + c * b[:, k]
+            cancel = cancel + float(abs(c)) * bb[:, :, k]
+        eta = tab.eps * (3.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None]
+        rel = ((eta * cancel[0] + cancel[1]) / np.maximum(np.abs(g).astype(float), 1e-300)).max(
+            axis=1)
+        x, z = np.array(xs, dtype=g.dtype), [g[:, 0]]
+        for j in range(1, g.shape[1]):
+            if cmath.isinf(tab.centre):
+                pw = -x if j == 1 else pw * -x
+                z.append(pw * g[:, j])
+            else:
+                z.append(g[:, j] if j < 3 else g[:, j] / x ** (j - 2))
+    return list(zip(np.stack(z, axis=1).tolist(), rel.tolist()))
+
+
+def _ladder(s: int, p: int, table, xis: list, rung: int, tol: float, what: str) -> list:
+    """[(z, run)] at xis from the _Local table(s, p, dps) in the number type
+    of _arith(dps): z = [y, y', y''] in complex doubles and run its
+    diagnostics, steps = 0.  The one ladder of rungs of the expansions: a
+    target takes the first rung whose estimate is at most tol/4, doubles,
+    then the rung's digits, whose estimate adds 2^-53 for the rounding to
+    doubles; AccuracyError names what and those digits if both miss, and
+    PathError follows where G falls below the double range."""
+    done = {}
+    for dps in (None, rung):
+        todo = [i for i in range(len(xis)) if i not in done]
+        if not todo:
+            break
+        got = [(z, rel if dps is None else rel + 2.0**-53)
+               for z, rel in _local_values(table(s, p, dps), [xis[i] for i in todo])]
+        # times j! where it is not 1: a product with 1 can flip a zero's sign
+        done.update((i, ([complex(v) * math.factorial(j) if j > 1 else complex(v)
+                          for j, v in enumerate(z)],
+                         _Continued(None, dps and _arith(dps).digits, 0, rel)))
+                    for i, (z, rel) in zip(todo, got) if rel <= tol / 4)
+    if len(done) < len(xis):
+        worst = max(rel for i, (_, rel) in zip(todo, got) if i not in done)
+        raise AccuracyError(
+            f"{what} of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} at "
+            f"{_arith(rung).digits} digits: its estimate reads {worst:.1e}")
+    out = [done[i] for i in range(len(xis))]
+    for xi, (z, _) in zip(xis, out):
+        if z[0] == 0:
+            raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
+    return out
 
 
 #: gp_continue and cut_trace sum every |xi| >= FAR_RADIUS from the expansion
@@ -932,23 +1080,14 @@ def _theta_at(poly: tuple, num: int, q: int) -> tuple:
     return v, dv
 
 
-class _FarTable(NamedTuple):
-    """The local basis at xi = infinity as series in x = -1/xi: per distinct
-    exponent a, the solution x^a sum_n c_n x^n and, for a double exponent,
-    its log partner.  coeffs[n, col, j] is the coefficient of x^n in
-    xi^j y^(j) / j! of the series col: w_n = c_n F_j(n + a) for the solution,
-    dw_n = d/de [c_n(e) F_j(n + a + e)] at e = 0 for the log partner, whose
-    x^a log x sum_n w_n x^n part _far_basis adds."""
-    exps: tuple  # (a in the number type, column of w, column of dw or None)
-    coeffs: "np.ndarray"  # [n, col, j], floats or mpf objects
-    sizes: "np.ndarray"  # |coeffs| as floats
-    amax: float  # the largest exponent
-
-
 @lru_cache(maxsize=None)
-def _far_table(s: int, p: int, dps) -> _FarTable:
-    """The local basis at infinity in the number type of _arith(dps), with
-    the rows xi^j y^(j) / j! for j < 3.
+def _far_table(s: int, p: int, dps) -> _Local:
+    """The local basis at infinity with its connection (_far_connection),
+    in the number type of _arith(dps), with the rows xi^j y^(j) / j! for
+    j < 3: per distinct exponent a, the solution x^a sum_n w_n x^n, w_n =
+    c_n F_j(n + a), and for a double exponent its log partner x^a (sum_n
+    dw_n x^n + log x sum_n w_n x^n), dw_n = d/de [c_n(e) F_j(n + a + e)] at
+    e = 0.
 
     In x = -1/xi, xi d/dxi = -x d/dx, so the reduced equation P(theta) y =
     xi R(theta) y of _theta_polys reads R(-theta_x) y + x P(-theta_x) y = 0
@@ -960,11 +1099,13 @@ def _far_table(s: int, p: int, dps) -> _FarTable:
     roots, each simple or double, and no two of them differ by an integer
     (else ArithmeticError).  So with nu = a + e the step never divides by
     zero, and c_n(e) is carried with its e-derivative (Frobenius): each exact
-    rational step ratio and its e-derivative is rounded once.  Since
-    xi^j d^j/dxi^j x^m = (-1)^j m (m+1) ... (m+j-1) x^m, the row j of c_n
-    x^(n+nu) carries F_j(n+nu) = (-1)^j C(n+nu+j-1, j).  Terms are drawn until
-    every series has, at |x| = 1/FAR_RADIUS, fallen by half from the term
-    before and below ar.tol of its largest term; DivergenceError past 2000.
+    rational step ratio and its e-derivative is rounded once, to doubles or
+    to mpf numbers at the extended digits, which are then floored once to
+    mantissas at 2^-f.  Since xi^j d^j/dxi^j x^m = (-1)^j m (m+1) ...
+    (m+j-1) x^m, the row j of c_n x^(n+nu) carries F_j(n+nu) = (-1)^j
+    C(n+nu+j-1, j).  Terms are drawn until every series has, at |x| =
+    1/FAR_RADIUS, fallen by half from the term before and below ar.tol of
+    its largest term; DivergenceError past 2000.
     """
     ar = _arith(dps)
     p_poly, r_poly = _theta_polys(s, p)
@@ -979,16 +1120,18 @@ def _far_table(s: int, p: int, dps) -> _FarTable:
         return num / den if dps is None else mp.mpf(num) / den
 
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        layout, col = [], 0
+        funcs, layout, col = [], [], 0
         for a in exps:
             double = ups.count(a) == 2
-            layout.append((rat(a.numerator, a.denominator), col, col + 1 if double else None))
+            an = rat(a.numerator, a.denominator)
+            layout.append(double)
+            funcs += [(an, col, None)] + [(an, col + 1, col)] * double
             col += 1 + double
         pairs = [(rat(1, 1), rat(0, 1)) for _ in exps]  # (c_n, dc_n/de)
         rows, sizes, top, last = [], [], None, None
         for n in count():
             row = []
-            for a, (c, dc), (_, _, log_col) in zip(exps, pairs, layout):
+            for a, (c, dc), double in zip(exps, pairs, layout):
                 num, q = a.numerator, a.denominator
                 f, df = rat(1, 1), rat(0, 1)  # F_j(n + a + e) and its e-derivative
                 w, dw = [], []
@@ -998,7 +1141,7 @@ def _far_table(s: int, p: int, dps) -> _FarTable:
                     g = rat(-((n + j) * q + num), (j + 1) * q)
                     f, df = f * g, df * g - f / (j + 1)
                 row.append(w)
-                if log_col is not None:
+                if double:
                     row.append(dw)
             rows.append(row)
             sizes.append([[float(abs(v)) for v in ser] for ser in row])
@@ -1017,52 +1160,18 @@ def _far_table(s: int, p: int, dps) -> _FarTable:
                 r = rat(-pv, rv)
                 dr = rat(q * (pd * rv - pv * rd), rv * rv)
                 pairs[k] = (c * r, dc * r + c * dr)
-        coeffs = np.array(rows, dtype=float if dps is None else object)
-    return _FarTable(tuple(layout), coeffs, np.array(sizes), float(max(exps)))
-
-
-def _far_basis(tab: _FarTable, xis: list, dps) -> tuple:
-    """(b, B, x, log x): b[i, k, j] = xi^j phi_k^(j)(xi) / j! for the d basis
-    functions phi_k of tab at each xi = xis[i], j < 3, bounds B >= |b|
-    from the absolute values of the terms, and the lists of x = -1/xi and
-    log x, in tab's number type.  Each xi lies in the closed upper half
-    plane, xi > 0 standing for xi + i0: log x = -log(-xi) on principal
-    branches, so the basis is cut along xi > 0, where G_p is, and log x =
-    -log xi + i pi on the cut."""
-    mod, dt = (cmath, complex) if dps is None else (mp, object)
-    xs, logs, powers = [], [], []
-    for xi in xis:
-        z = complex(xi) if dps is None else mp.mpc(xi)
-        log_x = (-mod.log(z.real) + 1j * mod.pi if xi.imag == 0.0 and xi.real > 0.0
-                 else -mod.log(-z))
-        xs.append(-1 / z)
-        logs.append(log_x)
-        powers.append([mod.exp(a * log_x) for a, _, _ in tab.exps])
-    x = np.array(xs, dtype=dt)[:, None, None]
-    ax = np.abs(x).astype(float)
-    sums = np.zeros((len(xs),) + tab.coeffs.shape[1:], dtype=dt)
-    bounds = np.zeros(sums.shape)
-    for row, size in zip(tab.coeffs[::-1], tab.sizes[::-1]):
-        sums = sums * x + row
-        bounds = bounds * ax + size
-    log_x = np.array(logs, dtype=dt)[:, None]
-    abs_log = np.abs(log_x).astype(float)
-    b, bb = [], []
-    for e, (_, col, log_col) in enumerate(tab.exps):
-        xa = np.array([pw[e] for pw in powers], dtype=dt)[:, None]
-        b.append(xa * sums[:, col])
-        abs_xa = np.abs(xa).astype(float)
-        bb.append(abs_xa * bounds[:, col])
-        if log_col is not None:
-            b.append(xa * (sums[:, log_col] + log_x * sums[:, col]))
-            bb.append(abs_xa * (bounds[:, log_col] + abs_log * bounds[:, col]))
-    return np.stack(b, axis=1), np.stack(bb, axis=1), xs, logs
+    scale = None if dps is None else ar.bits + _POINT_GUARD_BITS
+    coeffs = np.array(rows if dps is None else
+                      [[[int(mp.ldexp(v, scale)) for v in ser] for ser in row] for row in rows],
+                      dtype=float if dps is None else object)
+    return _Local(complex(math.inf), tuple(funcs), coeffs, np.array(sizes),
+                  _far_connection(s, p, dps), float(max(exps)), 1.0 / FAR_RADIUS, ar.eps, scale)
 
 
 @lru_cache(maxsize=None)
 def _far_connection(s: int, p: int, dps) -> "np.ndarray":
     """The real vector C with y = sum_k C_k phi_k on |xi| >= FAR_RADIUS, for
-    the basis phi_k of _far_table, in the order of its columns: floats for
+    the basis phi_k of _far_table, in the order of its functions: floats for
     dps None, else mpf objects at _arith(dps).digits.  It is the connection
     formula of DLMF 16.8.8 (Slater 1966; Luke 1969, ch. 5) over the reduced
     parameters a_k, b_l of hyp_params.  A simple exponent a_j has
@@ -1110,74 +1219,6 @@ def _far_connection(s: int, p: int, dps) -> "np.ndarray":
         return np.array([+c for c in coeffs], dtype=object)
 
 
-def _far_values(s: int, p: int, xis: list, dps) -> list:
-    """[(z, rel_est)] at each xi of the closed upper half plane (xi > 0
-    standing for xi + i0): z = [y, y', y''] in complex doubles from the
-    connection of _far_connection, summed in the number type of _arith(dps),
-    and rel_est the largest relative error bound of the three.  For the sums
-    t_j = xi^j y^(j) / j! it is the cancellation bound eta sum_k |C_k|
-    |phi_k| over |t_j|, over the absolute values of the terms, with eta =
-    eps (3 + a |log x|) for eps the unit roundoff and a the largest
-    exponent: the rounding of C, of the sums and of a in x^a.  Summed at
-    extended precision, the rounding of z to doubles is added."""
-    ar = _arith(dps)
-    tab = _far_table(s, p, dps)
-    with nullcontext() if dps is None else mp.workdps(ar.digits):
-        b, bb, xs, logs = _far_basis(tab, xis, dps)
-        g = cancel = 0
-        for k, c in enumerate(_far_connection(s, p, dps)):
-            g = g + c * b[:, k]
-            cancel = cancel + float(abs(c)) * bb[:, k]
-        est = ar.eps * (3.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None] * cancel
-        rel = (est / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
-        x = np.array(xs, dtype=g.dtype)
-        z = np.stack([g[:, 0], -x * g[:, 1], 2 * x * x * g[:, 2]], axis=1).astype(complex)
-    if dps is not None:
-        rel = rel + 2.0**-53
-    return list(zip(z.tolist(), rel.tolist()))
-
-
-def _ladder(s: int, p: int, values, xis: list, rung: int, tol: float, what: str) -> list:
-    """[(z, run)] at xis from a local expansion, whose values(xis, dps)
-    gives [(z, rel_est)] summed in the number type of _arith(dps), with run
-    the diagnostics of each and steps = 0: the one ladder of rungs of the
-    expansions.  Each target is served by the first rung whose estimate is
-    at most tol/4: the sums in doubles, then those at the caller's digits
-    rung, whose estimate covers the rounding of z to doubles.  AccuracyError
-    names what and the rung's working digits for any target both miss."""
-    done = {}
-    for dps in (None, rung):
-        todo = [i for i in range(len(xis)) if i not in done]
-        if not todo:
-            break
-        got = values([xis[i] for i in todo], dps)
-        done.update((i, (z, _Continued(None, dps and _arith(dps).digits, 0, rel)))
-                    for i, (z, rel) in zip(todo, got) if rel <= tol / 4)
-    if len(done) < len(xis):
-        worst = max(rel for i, (_, rel) in zip(todo, got) if i not in done)
-        raise AccuracyError(
-            f"{what} of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} at "
-            f"{_arith(rung).digits} digits: its estimate reads {worst:.1e}")
-    return [done[i] for i in range(len(xis))]
-
-
-def _far_sums(s: int, p: int, xis: list, tol: float) -> list:
-    """[(z, run)] at the xis of the closed upper half plane with |xi| >=
-    FAR_RADIUS: z = [y, y', y''] from the expansion at infinity (_far_values)
-    on the rungs of _ladder, the second at the walks' _MP_RUNG_DPS; PathError
-    if G itself falls below the double range."""
-    done = _ladder(s, p, lambda xs, dps: _far_values(s, p, xs, dps), xis, _MP_RUNG_DPS, tol,
-                   "expansion at infinity")
-    for xi, (z, _) in zip(xis, done):
-        if z[0] == 0:
-            raise PathError(f"G_p at xi = {xi:.3g} lies below the double range")
-    return done
-
-
-# ---------------------------------------------------------------------------
-# Expansion at the branch point
-
-
 #: gp_continue and cut_trace sum the targets with 0 < |xi - 1| <= ONE_RADIUS
 #: and |xi| > SERIES_RADIUS from the local basis at xi = 1
 ONE_RADIUS = 0.5
@@ -1212,17 +1253,6 @@ def _one_row(s: int, p: int, big_n: int) -> tuple:
         c.append(v)
         dc.append(dv)
     return c, dc
-
-
-def _shifted(series: "np.ndarray", nd: int) -> "np.ndarray":
-    """out[m, j, k] = C(m + j, j) series[m + j, k], j < nd: the coefficient
-    of tau^m in the j-th derivative over j! of the series in column k."""
-    n = len(series)
-    out = np.zeros((n, nd, series.shape[1]))
-    for j in range(nd):
-        binom = np.array([math.comb(m + j, j) for m in range(n - j)], dtype=float)
-        out[:n - j, j] = binom[:, None] * series[j:]
-    return out
 
 
 class _OneTable(NamedTuple):
@@ -1304,6 +1334,35 @@ def _one_table(s: int, p: int, dps: int) -> _OneTable:
             return _OneTable(tuple(cols), f, stops[0])
 
 
+def _one_rows(cols, nd: int, logs: dict) -> "np.ndarray":
+    """rows[m, k, j]: the tau^m coefficient of tau^e_j w^(j) / j!, e_j =
+    max(j - 2, 0), j < nd, for the series w = cols[k] at xi = 1 (mantissas
+    at 2^-f).  A column with the log partner v = cols[logs[k]] stands for y
+    = w + log(1 - xi) v, less the log term that v's own row carries:
+
+        y^(j) / j! = w^(j) / j! + log(1 - xi) v^(j) / j!
+                     + sum_{k=1}^{j} (-1)^(k-1) / (k tau^k) v^(j-k) / (j-k)!,
+
+    a power series since v = O(tau^2): its row has C(N, j) w_N [m >= e_j] +
+    h_j(N) v_N at N = m + min(j, 2), h_j(N) = sum_k (-1)^(k-1) C(N, j-k) /
+    k, exact and floored once, so no power of 1/tau is formed."""
+    ser = np.array(cols, dtype=object).T
+    n = len(ser) - min(nd - 1, 2)
+    out = np.empty((n, len(cols), nd), dtype=object)
+    comb = np.array([[math.comb(big_n, i) for i in range(nd)] for big_n in range(len(ser))],
+                    dtype=object)
+    for j in range(nd):
+        e, lo = max(j - 2, 0), min(j, 2)
+        den = math.lcm(*range(1, j + 1))
+        b = comb[lo:lo + n]
+        row = np.where(np.arange(n) >= e, b[:, j] * den, 0)[:, None] * ser[lo:lo + n]
+        h = sum((-1) ** (k - 1) * den // k * b[:, j - k] for k in range(1, j + 1))
+        for k, v in logs.items():
+            row[:, k] += h * ser[lo:lo + n, v]
+        out[:, :, j] = row // den if den > 1 else row
+    return out
+
+
 def _fx_solve(a: list, b: list, f: int) -> list:
     """x with a x = b for the square matrix a and the vector b, mantissas at
     2^-f, by Gaussian elimination with partial pivoting; each product is
@@ -1323,154 +1382,85 @@ def _fx_solve(a: list, b: list, f: int) -> list:
     return x
 
 
-def _one_logs(xi, nd: int, mod) -> list:
-    """[L_0, ..., L_{nd-1}]: L_0 = log(1 - xi), xi > 1 standing for xi + i0,
-    where it is log(xi - 1) - i pi, and L_k = (-1)^(k-1) / (k tau^k), the
-    k-th derivative of log(1 - xi) over k!, in the numbers of mod (cmath or
-    mpmath)."""
-    tau = xi - 1
-    on_cut = xi.imag == 0 and xi.real > 1
-    logs = [mod.log(tau.real) - 1j * mod.pi if on_cut else mod.log(-tau)]
-    return logs + [(-1) ** (k - 1) / (k * tau**k) for k in range(1, nd)]
-
-
 class _OneConnection(NamedTuple):
     """y = sum_k coeffs[k] phi_k near xi = 1 for the basis of _one_table, as
-    y = a + log(1 - xi) v: the columns of a and v hold the coefficients of
-    the two series, the table's columns times C_1."""
-    coeffs: "np.ndarray"  # C_1, real; the entry of psi is B(zeta_c^2)
-    series: object  # [rows, 2] doubles, or the two lists of mantissas at 2^-f
+    y = a + log(1 - xi) v: series holds the mantissas at 2^-f of the
+    coefficients of a and v, the table's columns times C_1."""
+    coeffs: "np.ndarray"  # C_1, real mpf numbers; the entry of psi is B(zeta_c^2)
+    series: tuple  # (a, v)
     f: int  # the table's scale
-    rows: int  # the table's leading rows that serve doubles (_OneTable.rows)
     terms: int  # the table's coefficients and the series' terms at the match point
 
 
 @lru_cache(maxsize=None)
-def _one_connection(s: int, p: int, dps=None) -> _OneConnection:
+def _one_connection(s: int, p: int, dps: int) -> _OneConnection:
     """The real vector C_1 with y = sum_k C_1k phi_k, matched once per (s, p)
     and dps to the power series at 0, with no walk, and the series a and v
-    it gives: in the fixed point of _one_table(s, p, dps), or for dps None
-    those at _ONE_DPS rounded to doubles, in the table's leading rows, with
-    C_1 as floats.
+    it gives, in the fixed point of _one_table(s, p, dps).
 
     At the real ordinary point xi_0 = _ONE_MATCH the square system W C_1 =
-    Y holds, for Y_j = y^(j)(xi_0) / j! from _power_series and the
-    Wronskian rows W_jk = phi_k^(j)(xi_0) / j!, j < d, the table's columns
-    shifted to tau_0 = xi_0 - 1 by _fx_shift, with psi^(j) / j! = u^(j) / j!
-    + sum_{k <= j} L_k v^(j-k) / (j-k)! (_one_logs).  y and the basis are
-    real on (0, 1), so C_1 is real; _fx_solve solves for it."""
-    if dps is None:
-        ext = _one_connection(s, p, _ONE_DPS)
-        series = np.ldexp(np.array([m[:ext.rows] for m in ext.series], dtype=float).T, -ext.f)
-        return ext._replace(coeffs=ext.coeffs.astype(float), series=series)
+    Y holds, for Y_j = tau_0^e_j y^(j)(xi_0) / j! from _power_series and
+    the Wronskian rows W_jk, the rows j of phi_k at tau_0 = xi_0 - 1
+    (_one_rows, summed by _local_basis).  y and the basis are real on (0,
+    1), so C_1 is real; _fx_solve solves for it."""
     tab = _one_table(s, p, dps)
     f, d = tab.f, len(tab.cols) - 1
     ar = _arith(dps)
     x0 = _fx_point(_ONE_MATCH, f)
     state, terms = _power_series(s, p, x0, d, ar)
-    rhs = [re << f - state.exp for re, _ in state.mants]
     t = x0[0] - (1 << f)  # tau_0 at 2^-f
-    w = [[re for re, _ in _fx_shift(col, [0] * len(col), (t, 0), d, f)] for col in tab.cols]
-    with mp.workprec(f + 16):  # L_0 = log(-tau_0), and L_k of _one_logs exactly
-        logs = [int(mp.ldexp(mp.log(mp.mpf((-t, -f))), f))]
-    logs += [((-1) ** (k - 1) << f * (k + 1)) // (k * t**k) for k in range(1, d)]
-    u, v = w[d - 1], w[d]
-    psi = [u[j] + (_fdot(logs[:j + 1], v[j::-1]) >> f) for j in range(d)]
-    coeffs = _fx_solve([[*row, x] for row, x in zip(zip(*w[:d - 1]), psi)], rhs, f)
+    rhs = [(re << f - state.exp) * t ** max(j - 2, 0) >> f * max(j - 2, 0)
+           for j, (re, _) in enumerate(state.mants)]
+    rows = _one_rows(tab.cols, d, {d - 1: d})
+    funcs = tuple((0, k, None) for k in range(d - 1)) + ((0, d - 1, d),)
+    basis = _Local(complex(1.0), funcs, rows, np.ldexp(np.abs(rows).astype(float), -f), None,
+                   0.0, 1.0 - _ONE_MATCH, ar.eps, f)
+    w = _local_basis(basis, [_ONE_MATCH])[0][0]
+    coeffs = _fx_solve([[int(mp.ldexp(x.real, f)) for x in row] for row in w.T], rhs, f)
     a = [_fdot(coeffs, row) >> f for row in zip(*tab.cols[:d])]
     v = [coeffs[-1] * x >> f for x in tab.cols[d]]
     with mp.workdps(ar.digits):
         coeffs = np.array([mp.mpf((c, -f)) for c in coeffs], dtype=object)
-    return _OneConnection(coeffs, (a, v), f, tab.rows, terms + len(tab.cols[0]))
-
-
-def _one_values(s: int, p: int, xis: list, nd: int = 3, dps=None) -> list:
-    """[(z, rel_est)] at each xi of the closed upper half plane (xi > 1
-    standing for xi + i0): z = [y^(j)(xi) / j! for j < nd] from y = a +
-    log(1 - xi) v of _one_connection(s, p, dps), summed in the number type
-    of _arith(dps), complex doubles or fixed point returned as mpc numbers,
-    so that y^(j) / j! = a^(j) / j! + sum_{k <= j} L_k v^(j-k) / (j-k)!
-    (_one_logs).  rel_est is the largest relative cancellation bound of
-    the components, 4 eps sum |terms| / |z_j| over the absolute values of
-    the terms, for eps the unit roundoff: the rounding of the sums, of a
-    and v to the number type, and of the state's scaling by zeta_c^(2j).
-    A fixed-point sum stops at the row where the terms fall below ar.tol of
-    the largest, and the combination with the L_k runs at its digits, not
-    at the caller's."""
-    ar = _arith(dps)
-    conn = _one_connection(s, p, dps)
-    series, f = conn.series, conn.f
-    if dps is not None:
-        series = np.ldexp(np.array(series, dtype=float).T, -f)
-    rows = _shifted(series, nd)
-    size = np.abs(rows)
-    at = np.abs(np.array([complex(xi) - 1.0 for xi in xis]))[:, None, None]
-    bounds = np.zeros((len(xis), nd, 2))
-    for row in size[::-1]:
-        bounds = bounds * at + row
-    with nullcontext() if dps is None else mp.workdps(ar.digits):
-        if dps is None:
-            xis = [complex(xi) for xi in xis]
-            tau = np.array(xis)[:, None, None] - 1.0
-            sums = np.zeros(bounds.shape, dtype=complex)
-            for row in rows[::-1]:
-                sums = sums * tau + row
-            logs = np.array([_one_logs(xi, nd, cmath) for xi in xis])
-        else:
-            top, pw = size.max(axis=(1, 2)), np.arange(len(size))
-            sums, logs = [], []
-            for xi, r in zip(map(mp.mpmathify, xis), at[:, 0, 0]):
-                terms = top * r**pw
-                n = max(int(np.nonzero(terms > ar.tol * terms.max())[0][-1]) + 1, nd)
-                sigma = _fx_point(xi - 1, f)
-                sums.append([[mp.mpc(mp.mpf((re, -f)), mp.mpf((im, -f))) for re, im in
-                              _fx_shift(m[:n], [0] * n, sigma, nd, f)] for m in conn.series])
-                logs.append(_one_logs(xi, nd, mp))
-            sums = np.array(sums, dtype=object).transpose(0, 2, 1)
-            logs = np.array(logs, dtype=object)
-        g, gb = sums[:, :, 0].copy(), bounds[:, :, 0].copy()
-        for j in range(nd):
-            for k in range(j + 1):
-                g[:, j] += logs[:, k] * sums[:, j - k, 1]
-                gb[:, j] += np.abs(logs[:, k]).astype(float) * bounds[:, j - k, 1]
-    rel = (4.0 * ar.eps * gb / np.maximum(np.abs(g).astype(float), 1e-300)).max(axis=1)
-    return list(zip(g.tolist(), rel.tolist()))
-
-
-def _one_sums(s: int, p: int, xis: list, tol: float) -> list:
-    """[(z, run)] at the xis of the closed upper half plane with 0 < |xi -
-    1| <= ONE_RADIUS: z = [y, y', y''] from the basis at xi = 1 (_one_values)
-    on the rungs of _ladder, the second the _ONE_DPS build summed at its
-    digits, whose estimate adds 2^-53 for the rounding to doubles."""
-    def values(xs, dps):
-        return [([complex(v) * math.factorial(j) for j, v in enumerate(z)],
-                 rel if dps is None else rel + 2.0**-53)
-                for z, rel in _one_values(s, p, xs, 3, dps)]
-
-    return _ladder(s, p, values, xis, _ONE_DPS, tol, "basis at xi = 1")
+    return _OneConnection(coeffs, (a, v), f, terms + len(tab.cols[0]))
 
 
 @lru_cache(maxsize=None)
-def _one_join(s: int, p: int, dps=None) -> tuple:
+def _one_local(s: int, p: int, dps, nd: int) -> _Local:
+    """The basis at xi = 1 folded by C_1 into y = a + log(1 - xi) v
+    (_one_connection), as its rows j < nd: in the fixed point of dps, served
+    to |tau| = 1 - _ONE_MATCH, or for dps None the _ONE_DPS build's leading
+    rows rounded to doubles, served to ONE_RADIUS."""
+    ext = dps is not None
+    conn = _one_connection(s, p, dps if ext else _ONE_DPS)
+    rows = _one_rows(conn.series, nd, {0: 1})[:None if ext else _one_table(s, p, _ONE_DPS).rows]
+    floats = np.ldexp(rows.astype(float), -conn.f)
+    return _Local(complex(1.0), ((0, 0, 1),), rows if ext else floats, np.abs(floats), (1,),
+                  0.0, 1.0 - _ONE_MATCH if ext else ONE_RADIUS, _arith(dps).eps,
+                  conn.f if ext else None)
+
+
+@lru_cache(maxsize=None)
+def _one_join(s: int, p: int, dps=None, rough: bool = False) -> tuple:
     """(walked, rel_est): the walks' state at the cut's join 1 +
     DETOUR_OFFSET + i0 in the number type of _arith(dps), all d components
-    summed from the basis at xi = 1, as a _Walked that has taken no step,
-    and the largest relative estimate of its components (see _one_values).
-    The doubles sum the basis rounded to doubles.  In fixed point the
-    _ONE_DPS build is summed at its digits and rounded into the walk's
-    fixed point, with the shared exponent that _fx_head sets."""
+    of the _ONE_DPS build of the basis at xi = 1 summed at its digits, as a
+    _Walked that has taken no step, and the largest relative estimate of its
+    components (_local_values).  The doubles round the sums, and their
+    estimate adds 2^-53, or if rough sum the basis rounded to doubles; in
+    fixed point the sums are rounded into the walk's fixed point, with the
+    shared exponent that _fx_head sets."""
     xj = complex(1.0 + DETOUR_OFFSET)
     d = len(_theta_polys(s, p)[0]) - 1
-    ((z, rel),) = _one_values(s, p, [xj], d, None if dps is None else _ONE_DPS)
+    ((z, rel),) = _local_values(_one_local(s, p, None if rough else _ONE_DPS, d), [xj])
     if dps is None:
         state = [complex(v) for v in z]
-        return _Walked([state], state, xj, xj, 0, 0), rel
+        return _Walked([state], state, xj, xj, 0, 0), rel if rough else rel + 2.0**-53
     ar = _arith(dps)
     f, e = ar.bits + _POINT_GUARD_BITS, _one_connection(s, p, _ONE_DPS).f
     cx = _fx_point(xj, f)
     with mp.workdps(_arith(_ONE_DPS).digits):  # y^(i) / i! g^i at 2^-e, g = xj
         raw = _FxState([_fx_point(v * mp.mpf(xj.real) ** i, e) for i, v in enumerate(z)],
-                      e, cx, 0)
+                       e, cx, 0)
     state = _FxState(*_fx_head(raw, cx, 0, ar, f), cx, 0)
     return _Walked([state], state, xj, cx, 0, 0), rel
 
@@ -1522,8 +1512,10 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
     one, and served there by the first of
     - the power series at 0 for |xi| <= SERIES_RADIUS (_power_series): a
       walk towards the singular point 0 loses digits;
-    - the expansion at infinity for |xi| >= FAR_RADIUS (_far_sums);
-    - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS (_one_sums);
+    - the expansion at infinity for |xi| >= FAR_RADIUS;
+    - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS; these two are one
+      ordered tuple of (region, path head, table, rung digits), summed by
+      _local_values on the rungs of _ladder;
     - the checked walks of transport.  A target off the cut walks its route
       of _waypoints.  The targets on the cut form one leg outward along the
       cut from the join xi_0 = 1 + DETOUR_OFFSET, which starts from the
@@ -1551,12 +1543,14 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
         if abs(x) <= SERIES_RADIUS:
             taylor, _ = _power_series(s, p, x, 3, _arith(None))
             got[x] = [c * math.factorial(j) for j, c in enumerate(taylor)], (x,), None
-    far = [x for x in todo if abs(x) >= FAR_RADIUS]
-    got.update((x, (z, (complex(math.inf), x), run))
-               for x, (z, run) in zip(far, _far_sums(s, p, far, tol)))
-    near = [x for x in todo if x not in got and 0.0 < abs(x - 1.0) <= ONE_RADIUS]
-    got.update((x, (z, (complex(1.0), x), run))
-               for x, (z, run) in zip(near, _one_sums(s, p, near, tol)))
+    for inside, head, table, rung, what in (
+            (lambda x: abs(x) >= FAR_RADIUS, complex(math.inf), _far_table, _MP_RUNG_DPS,
+             "expansion at infinity"),
+            (lambda x: 0.0 < abs(x - 1.0) <= ONE_RADIUS, complex(1.0),
+             lambda s, p, dps: _one_local(s, p, dps, 3), _ONE_DPS, "basis at xi = 1")):
+        mine = [x for x in todo if x not in got and inside(x)]
+        got.update((x, (z, (head, x), run))
+                   for x, (z, run) in zip(mine, _ladder(s, p, table, mine, rung, tol, what)))
     cut = []
     for x in todo:
         if x in got:
@@ -1670,7 +1664,7 @@ def resonant_fit(
     w = 1 - u/zeta_c^2 runs over eps_grid (default: 24 log-spaced points in
     [1.5e-3, 6e-2]).  G_p at every node is summed from the basis at xi = 1
     and its connection, built and matched once per (s, p) and dps in fixed
-    point at dps + TAYLOR_GUARD_DPS digits (_one_values), with no walk; at
+    point at dps + TAYLOR_GUARD_DPS digits (_one_local), with no walk; at
     the default dps the doubles of gp_continue round the same build.  The
     least-squares solve runs at dps digits (an integer from 15 to 250).
     The w^3 and w^3 log w columns absorb the next-order analytic background
@@ -1691,7 +1685,7 @@ def resonant_fit(
                                 "too ill-conditioned to separate w^2 log w")
     with mp.workdps(dps):
         ws = [mp.mpf(eps) for eps in eps_grid]
-        rhs = [z[0].real for z, _ in _one_values(s, p, [1 - w for w in ws], 1, dps)]
+        rhs = [z[0].real for z, _ in _local_values(_one_local(s, p, dps, 1), [1 - w for w in ws])]
         rows = []
         for w in ws:
             lw = mp.log(w)
@@ -1747,8 +1741,13 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL):
     """States along the cut at the given xi nodes (all finite and > 1), in
     the order of the nodes, on side 'above' or 'below', from the sources
-    that _continued picks: a single node gets gp_continue's state, and a
-    node's state depends neither on the other nodes nor on their order."""
+    that _continued picks.  The states do not depend on the order of the
+    nodes, which are sorted, and a single node gets gp_continue's state.
+    They do depend on the other nodes beyond the basis at xi = 1 and the
+    far field: one leg along the cut from the join serves all of them, on
+    one rung and with one rel_est, the largest of its nodes, and its steps
+    pass through every node, so another node can move a node's rung, its
+    rel_est, and its values by rounding."""
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(1.0 < x < math.inf for x in nodes):

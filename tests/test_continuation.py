@@ -1220,19 +1220,16 @@ def test_far_field_at_s_40_in_bounded_time():
 
 
 def _far_sum_gap(s, p, xi):
-    """Largest relative gap of t_j = xi^j y^(j) / j!, j < 3, at xi between the
+    """Largest relative gap of y^(j) / j!, j < 3, at xi between the
     expansion at infinity summed at the extended rung's digits and a 40-digit
     walk along the route of _waypoints.  The walk knows nothing of the
     connection formula, unlike mpmath's hyper off the unit disk."""
-    dps = cont._MP_RUNG_DPS
     walked = cont._taylor_walk(s, p, cont._waypoints(xi), 40).states[-1]
-    tab, conn = cont._far_table(s, p, dps), cont._far_connection(s, p, dps)
+    ((z, _),) = cont._local_values(cont._far_table(s, p, cont._MP_RUNG_DPS), [xi])
     with mp.workdps(40):
-        b = cont._far_basis(tab, [xi], dps)[0][0]
         gaps = []
-        for j in range(3):
-            want = walked[j] * mp.mpc(xi) ** j / math.factorial(j)
-            got = mp.fsum(c * b[k, j] for k, c in enumerate(conn))
+        for j, got in enumerate(z):
+            want = walked[j] / math.factorial(j)
             gaps.append(float(abs(got - want) / abs(want)))
     return max(gaps)
 
@@ -1268,7 +1265,8 @@ def test_double_walks_keep_no_integer_rows():
 
 
 def _clear_one_caches():
-    for f in (cont._one_polys, cont._one_table, cont._one_connection, cont._one_join):
+    for f in (cont._one_polys, cont._one_table, cont._one_connection, cont._one_local,
+              cont._one_join):
         f.cache_clear()
 
 
@@ -1344,7 +1342,7 @@ def test_one_table_is_canonical(s, p):
 @pytest.mark.parametrize("s,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_one_log_entry_is_the_branch_coefficient(s, p):
     # the coefficient of psi = u + log(1 - xi) (tau^2 + ...) is B(zeta_c^2)
-    b = cont._one_connection(s, p).coeffs[-1]
+    b = float(cont._one_connection(s, p, cont._ONE_DPS).coeffs[-1])
     closed = cont.B_closed_form(s, p).value
     assert abs(b - closed) <= 1e-13 * abs(closed)
 
@@ -1369,7 +1367,7 @@ def test_fit_values_from_the_basis_match_the_walk(s, p):
     # xi = 1, against the 40-digit walk along the axis, their oracle
     with mp.workdps(40):
         xis = [1 - mp.mpf(w) for w in np.geomspace(1.5e-3, 6e-2, 24)]
-        got = [z[0] for z, _ in cont._one_values(s, p, xis, 1, 40)]
+        got = [z[0] for z, _ in cont._local_values(cont._one_local(s, p, 40, 1), xis)]
         walk = cont._taylor_walk(s, p, [cont.XI_SEED, *reversed(xis)], 40)
         for g, st in zip(got, reversed(walk.states), strict=True):
             assert g.imag == 0 and abs(g - st[0]) <= 1e-37 * abs(st[0])
@@ -1377,10 +1375,10 @@ def test_fit_values_from_the_basis_match_the_walk(s, p):
 
 @pytest.mark.parametrize("s,p", [(2, 1), (3, 2), (5, 1)])
 def test_extended_basis_values_keep_their_digits_in_any_context(s, p):
-    # a + sum_k L_k v is combined at the build's digits, not the caller's:
-    # with no context, at 15 digits, it was 5.5e-17 off at (3, 2) on the cut
+    # the rows are summed at the build's digits, not the caller's: with no
+    # context, at 15 digits, they were once 5.5e-17 off at (3, 2) on the cut
     xis = [1.3, 1.2]
-    got = cont._one_values(s, p, xis, 3, 40)
+    got = cont._local_values(cont._one_local(s, p, 40, 3), xis)
     for xi, (z, _) in zip(xis, got):
         walk = cont._taylor_walk(s, p, cont._waypoints(complex(xi)), 40).states[-1]
         with mp.workdps(40):
@@ -1512,6 +1510,59 @@ def test_cut_walks_from_the_basis_join_bound_their_error(s, p):
         err = max(abs(g - w) / abs(w) for g, w in
                   zip(st.derivs, _walk_oracle(s, p, complex(xi), "below")))
         assert err <= st.rel_est <= 1e-12 / 4
+
+
+def _one_oracle(s, p, xi, nd=3):
+    """[y^(j)(xi) / j! for j < nd] from the _ONE_DPS series y = a + log(1 -
+    xi) v of the basis at xi = 1 folded by C_1, summed in mpmath at 60
+    digits at tau = xi - 1 taken as an mpc, with the exact Leibniz factors
+    L_k = (-1)^(k-1) / (k tau^k) of log(1 - xi) and the cut rule log(xi -
+    1) - i pi for xi > 1, the cut's upper side."""
+    conn = cont._one_connection(s, p, cont._ONE_DPS)
+    with mp.workdps(60):
+        tau = mp.mpc(xi) - 1
+        a, v = ([mp.ldexp(m, -conn.f) for m in ser] for ser in conn.series)
+
+        def deriv(c, j):
+            return mp.fsum(mp.binomial(n, j) * c[n] * tau ** (n - j) for n in range(j, len(c)))
+
+        xi = complex(xi)
+        logs = [mp.log(tau.real) - 1j * mp.pi if xi.imag == 0 and xi.real > 1 else mp.log(-tau)]
+        logs += [(-1) ** (k - 1) / (k * tau**k) for k in range(1, nd)]
+        return [deriv(a, j) + mp.fsum(logs[k] * deriv(v, j - k) for k in range(j + 1))
+                for j in range(nd)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+@pytest.mark.parametrize("s,p", [(3, 1), (5, 10)])
+def test_basis_next_to_the_branch_point_meets_its_estimate(s, p, tol):
+    # the sums once formed 1/tau^k: below |tau| = 1e-162 tau^2 underflowed
+    # to a ZeroDivisionError, and at tol = 1e-15 the 50-digit rung, whose
+    # fixed-point tau floors at 2^-f, left G'' 1.4e-1 off at 1 + 1e-70i with
+    # rel_est 1.1e-16
+    zc2 = cont.zeta_c_value(s) ** 2
+    for xi in [complex(1, 10.0**-k) for k in (50, 70, 150, 170, 300)] + [complex(1, -1e-200)]:
+        st = cont.gp_continue(s, p, xi * zc2, "none", tol)
+        assert st.path[0] == 1.0 and st.steps == 0 and st.rel_est <= tol / 4
+        want = _one_oracle(s, p, st.path[-1])
+        for j, got in enumerate(st.derivs):
+            w = complex(want[j]) * math.factorial(j) / zc2**j
+            assert abs(got - w) <= st.rel_est * abs(w)
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 6), (5, 10)])
+def test_extended_basis_estimate_bounds_its_truncation(s, p):
+    # the extended rows serve |tau| <= 1 - _ONE_MATCH = 0.3 to their tol, so
+    # the 50-digit sums out to ONE_RADIUS were 2.7e-30 to 7.2e-25 off these
+    # 60-digit walks while rel_est read 4.5e-48 to 9.3e-46; the estimate now
+    # adds the tail beyond the last row
+    tab = cont._one_local(s, p, cont._ONE_DPS, 3)
+    for xi in [complex(1.5), 1 + 0.5j, 1 + cmath.rect(0.5, 1.86)]:
+        walk = cont._taylor_walk(s, p, cont._waypoints(xi), 60).states[-1]
+        ((z, rel),) = cont._local_values(tab, [xi])
+        with mp.workdps(60):
+            for j, (g, w) in enumerate(zip(z, walk)):
+                assert abs(g * math.factorial(j) - w) <= rel * abs(w)
 
 
 # ---------------------------------------------------------------------------
