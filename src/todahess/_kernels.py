@@ -21,8 +21,9 @@ i >= M is
 where amp_j = s A_{s,p_j} / sqrt(p_j) (A from raney.amplitude; amp_j D_j is
 the spike entry d~_j for the weighted block) and the profile g_j, with
 g_j(0) = 1, does not depend on zeta.  g_j is interpolated at
-TAIL_DEGREE + 1 Chebyshev points t = M/i in [0, 1] (loggamma at 30 digits),
-so the tail is amp D eta^(-j-l) times a quadratic form in the moments
+TAIL_DEGREE + 1 Chebyshev points t = M/i in [0, 1] (in doubles, from the
+Stirling series of its Gamma functions), so the tail is amp D eta^(-j-l)
+times a quadratic form in the moments
 S_k = sum_{i>=M} eta^(2i) i^(-1) (M/i)^k.  Those follow from Euler-Maclaurin
 on the exponential integrals E_{k+1}(-M log eta^2), so no loop or array
 grows with 1/(1 - eta).  A block whose stop rule fires inside the head, or
@@ -35,7 +36,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import AccuracyError
@@ -52,8 +52,12 @@ _MIN_TERMS = 8
 #: cap on rows x N of one chunk; larger chunks raise the peak memory
 #: (measured on the benchmark) without saving time
 CHUNK_ELEMS = 8_192
-#: fewest rows summed directly before the tail is closed
-HEAD_MIN = 4_096
+#: fewest rows summed directly before the tail is closed.  At rows
+#: i = M/t >= 512 the truncated Stirling series of _row_profile errs by
+#: less than 1e-20, and at m = 512 _tail_moments matches direct sums
+#: within 7.1e-15 for lam <= 2e-2: the error of _expint_orders near
+#: z = lam m ~ 1, which its test bounds at 1e-14
+HEAD_MIN = 512
 #: degree of the polynomial interpolant of each column's profile g_j
 TAIL_DEGREE = 12
 #: times the head grows fourfold when the profile fit or row check misses
@@ -203,49 +207,73 @@ def _row_profile(s, q, n, m, degree):
     coefficients in t = m/i of the degree-`degree` interpolant of g_j at the
     Chebyshev points t_a = (1 - cos(pi a / degree)) / 2.  g_j(0) = 1; at
     t > 0, g_0 = q sqrt(i) Gamma(si+q+1) zeta_c^i / (Gamma(i+1)
-    Gamma((s-1)i+q+1) s A_{s,q}) from loggamma at 30 digits, and
-    g_j / g_{j-1} = (s-1)(i-j+1) / ((s-1)i+q+j).  None when the last
-    two Chebyshev coefficients of some g_j exceed _PROFILE_TOL.
+    Gamma((s-1)i+q+1) s A_{s,q}), and g_j / g_{j-1} = (s-1)(i-j+1) /
+    ((s-1)i+q+j).  None when the last two Chebyshev coefficients of some g_j
+    exceed _PROFILE_TOL.
+
+    g_0 is evaluated in doubles (_log_g0).  With a = si + q, b = (s-1)i + q and
+    the Stirling series log Gamma(z+1) = (z + 1/2) log z - z + log(2 pi)/2
+    + c(z), c(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5) (DLMF 5.11.1), the
+    terms in i log i, i, log i and the constants cancel exactly against
+    zeta_c^i = ((s-1)^(s-1) / s^s)^i and s A_{s,q} / q = s (s/(s-1))^q /
+    sqrt(2 pi s (s-1)), leaving
+
+        log g_0 = (a + 1/2) log1p(q/(si)) - (b + 1/2) log1p(q/((s-1)i))
+                  + c(a) - c(i) - c(b).
+
+    The nodes lie at i = m/t >= m >= HEAD_MIN, where the series' next term,
+    1/(1680 z^7), is below 1e-20.
     """
-    t = 0.5 - 0.5 * np.cos(np.pi * np.arange(degree + 1) / degree)
-    i, g0 = [], []  # the nodes t > 0 as rows i = m/t, and g_0 there
-    zc = thresholds(s).zeta_c
-    with mp.workdps(30):
-        # log(s A_{s,q} / q); the amplitudes themselves enter in doubles below
-        log_norm = (
-            mp.log(s) + q * mp.log(mp.mpf(s) / (s - 1)) - mp.log(2 * mp.pi * s * (s - 1)) / 2
-        )
-        log_zc = mp.log(zc.numerator) - mp.log(zc.denominator)
-        for ta in t[1:]:
-            x = m / mp.mpf(ta)
-            log_g = (
-                mp.log(x) / 2
-                + mp.loggamma(s * x + q + 1)
-                - mp.loggamma(x + 1)
-                - mp.loggamma((s - 1) * x + q + 1)
-                + x * log_zc
-                - log_norm
-            )
-            i.append(float(x))
-            g0.append(float(mp.exp(log_g)))
-    i = np.array(i)[:, None]
+    t, dct, vander = _cheb_nodes(degree)
+    x = m / t[1:]  # the nodes t > 0 as rows i = m/t
+    g0 = np.exp(_log_g0(s, q, x))
+    i = x[:, None]
     col = np.arange(1, n)
     step = (s - 1) * (i - col + 1) / ((s - 1) * i + q + col)
     g = np.ones((degree + 1, n))
     g[1:] = np.cumprod(np.column_stack([g0, step]), axis=1)
-    # Chebyshev coefficients from the values at the extrema (DCT-I)
-    w = np.ones(degree + 1)
-    w[[0, -1]] = 0.5
-    cos = np.cos(np.pi * np.outer(np.arange(degree + 1), np.arange(degree + 1)) / degree)
-    cheb = (2.0 / degree) * cos @ (w[:, None] * g)
+    cheb = dct @ g
     if np.any(np.abs(cheb[-2:]) > _PROFILE_TOL * np.abs(cheb[0])):
         return None
-    coef = np.linalg.solve(np.vander(t, increasing=True), g).T
+    coef = np.linalg.solve(vander, g).T
     p = q + s * np.arange(n)
     amp = np.array([s * amplitude(s, int(pj)) / math.sqrt(pj) for pj in p])
     for arr in (amp, coef):
         arr.setflags(write=False)  # shared by every caller through the cache
     return amp, coef
+
+
+@lru_cache(maxsize=4)
+def _cheb_nodes(degree):
+    """(t, dct, vander) for the Chebyshev extrema t_a = (1 - cos(pi a /
+    degree)) / 2: dct maps values at t to Chebyshev coefficients (DCT-I),
+    and vander is the increasing Vandermonde matrix of t."""
+    a = np.arange(degree + 1)
+    t = 0.5 - 0.5 * np.cos(np.pi * a / degree)
+    w = np.ones(degree + 1)
+    w[[0, -1]] = 0.5
+    dct = (2.0 / degree) * np.cos(np.pi * np.outer(a, a) / degree) * w
+    vander = np.vander(t, increasing=True)
+    for arr in (t, dct, vander):
+        arr.setflags(write=False)
+    return t, dct, vander
+
+
+def _log_g0(s, q, x):
+    """log g_0 at rows x >= HEAD_MIN, in doubles, by the closed form in
+    _row_profile."""
+
+    def c(z):
+        r = 1.0 / (z * z)
+        return (1 / 12 - r * (1 / 360 - r / 1260)) / z
+
+    a = s * x + q
+    b = (s - 1) * x + q
+    return (
+        (a + 0.5) * np.log1p(q / (s * x))
+        - (b + 0.5) * np.log1p(q / ((s - 1) * x))
+        + c(a) - c(x) - c(b)
+    )
 
 
 def _tail_moments(lam, m, k_max):
@@ -257,18 +285,21 @@ def _tail_moments(lam, m, k_max):
     P_n = sum_l C(n, l) z^(n-l) (k+1)(k+2)...(k+l) >= 0.
     """
     z = lam * m
-    ez = math.exp(-z)
-    out = _expint_orders(z, k_max + 1) + ez / (2 * m)
+    # w[l] = sum_r B_2r/(2r)! m^(-2r) C(2r-1, l) z^(2r-1-l), the weight of
+    # the rising product (k+1)...(k+l) summed over every P_{2r-1}
+    top = 2 * len(_EM_WEIGHTS)
+    w = [
+        sum(
+            wt * m ** (-2 * r) * math.comb(2 * r - 1, l) * z ** (2 * r - 1 - l)
+            for r, wt in enumerate(_EM_WEIGHTS, start=1)
+            if l < 2 * r
+        )
+        for l in range(top)
+    ]
     k = np.arange(k_max + 1, dtype=np.float64)
-    for r, wt in enumerate(_EM_WEIGHTS, start=1):
-        nd = 2 * r - 1
-        rising = np.ones_like(k)
-        poly = np.zeros_like(k)
-        for l in range(nd + 1):
-            poly += math.comb(nd, l) * z ** (nd - l) * rising
-            rising = rising * (k + l + 1)
-        out += wt * m ** (-2 * r) * ez * poly
-    return out
+    rising = np.cumprod(np.vstack([np.ones_like(k), k + np.arange(1, top)[:, None]]), axis=0)
+    ez = math.exp(-z)
+    return _expint_orders(z, k_max + 1) + ez / (2 * m) + ez * (np.array(w) @ rising)
 
 
 def _expint_orders(z, n_max):

@@ -195,6 +195,7 @@ def _cmd_block(args):
     tab = Table(
         "todahess.block.v1",
         ["s", "q", "beta", "N", "zeta", "j1", "j2", "value"],
+        meta={"rows": blk.rows, "tail": blk.tail},
     )
     for j1 in range(n):
         for j2 in range(j1, n):

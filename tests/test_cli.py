@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from todahess import cli, continuation, raney, stieltjes
+from todahess import _kernels, cli, continuation, gram, maps, raney, stieltjes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -192,6 +192,20 @@ def test_block_and_spectrum_commands(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 4
+
+
+def test_block_reports_its_series_diagnostics(capsys):
+    # 1e-8 below the threshold the tail is closed after the head
+    args = ["block", "--s", "3", "--n", "16", "--zeta-ratio", "0.99999999"]
+    assert run(args + ["--format", "json"]) == 0
+    t = json.loads(capsys.readouterr().out)
+    blk = gram.weighted_block(3, 0.99999999 * float(maps.thresholds(3).zeta_c), 1, 1.0, 16)
+    assert t["meta"] == {"rows": blk.rows, "tail": blk.tail}
+    assert blk.rows <= _kernels._head_rows(3, 1, 16) + _kernels.CHUNK_ELEMS // 16
+    assert 0 <= blk.tail < 1
+    assert run(args + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"# rows: {blk.rows}", f"# tail: {blk.tail}"]
 
 
 def test_continue_and_weyl_commands(capsys):

@@ -107,7 +107,7 @@ def head_bound(s, q, n):
 
 @settings(max_examples=15, deadline=None)
 @given(data=hst.data(), n=hst.integers(2, 24), beta=hst.floats(0.25, 2.0),
-       log_gap=hst.floats(math.log10(1e-5), math.log10(3e-3)))
+       log_gap=hst.floats(math.log10(1e-5), math.log10(1e-2)))
 def test_closed_block_matches_direct_sum(data, n, beta, log_gap):
     s = data.draw(hst.integers(2, 6), label="s")
     q = data.draw(hst.integers(1, s), label="q")
@@ -133,7 +133,7 @@ def test_block_at_1e_8_from_threshold():
     assert abs(mat[0, 0] - want) <= 1e-9 * want
 
 
-@pytest.mark.parametrize("eta", [0.9, 0.99])
+@pytest.mark.parametrize("eta", [0.8, 0.9])
 def test_block_inside_head_is_the_direct_sum(eta):
     s, q, beta, n = 3, 2, 1.0, 32
     zeta = eta * float(thresholds(s).zeta_c)
@@ -142,6 +142,18 @@ def test_block_inside_head_is_the_direct_sum(eta):
     assert np.array_equal(blk.matrix, ref.matrix)
     assert blk.rows == ref.rows < _kernels.HEAD_MIN
     assert 0 <= blk.tail <= gram.DEFAULT_TOL
+
+
+def test_block_past_the_head_matches_the_direct_sum():
+    # at eta = 0.99 the stop rule needs 1,816 rows; the tail closes at
+    # 1,560, the first chunk boundary past the head of 1,504 rows
+    s, q, beta, n = 3, 2, 1.0, 32
+    zeta = 0.99 * float(thresholds(s).zeta_c)
+    blk = gram.weighted_block(s, zeta, q, beta, n)
+    ref = direct_block(s, zeta, q, beta, n, gram.DEFAULT_TOL)
+    assert np.all(np.abs(blk.matrix - ref.matrix) <= 1e-12 * ref.matrix)
+    assert blk.rows <= head_bound(s, q, n) < ref.rows
+    assert 0 <= blk.tail < 1
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-8])
@@ -183,13 +195,42 @@ def test_small_tol_sums_directly():
 
 @pytest.mark.parametrize("lam", [2e-4, 2e-3, 2e-2])
 def test_tail_moments_match_a_direct_sum(lam):
-    m, k_max = 4096, 2 * _kernels.TAIL_DEGREE
-    i = np.arange(m, m + int(60 / lam), dtype=np.float64)
-    base = np.exp(-lam * i) / i
-    got = _kernels._tail_moments(lam, m, k_max)
-    for k in range(k_max + 1):
-        want = math.fsum(base * (m / i) ** k)
-        assert abs(got[k] - want) <= 2e-15 * want
+    # at the shortest head, z = lam m reaches 1, where _expint_orders is
+    # held to the 1e-14 of its own test
+    k_max = 2 * _kernels.TAIL_DEGREE
+    for m, rel in ((4096, 2e-15), (_kernels.HEAD_MIN, 1e-14)):
+        i = np.arange(m, m + int(60 / lam), dtype=np.float64)
+        base = np.exp(-lam * i) / i
+        got = _kernels._tail_moments(lam, m, k_max)
+        for k in range(k_max + 1):
+            want = math.fsum(base * (m / i) ** k)
+            assert abs(got[k] - want) <= rel * want
+
+
+def test_profile_g0_matches_loggamma():
+    # the closed form of _row_profile against the 30-digit loggamma
+    # expression it replaced, at rows i from HEAD_MIN to 5e7
+    rows = np.geomspace(_kernels.HEAD_MIN, 5e7, 25)
+    for s in range(2, 13):
+        zc = thresholds(s).zeta_c
+        for q in range(1, s + 1):
+            got = np.exp(_kernels._log_g0(s, q, rows))
+            with mp.workdps(30):
+                log_norm = (
+                    mp.log(s) + q * mp.log(mp.mpf(s) / (s - 1))
+                    - mp.log(2 * mp.pi * s * (s - 1)) / 2
+                )
+                log_zc = mp.log(zc.numerator) - mp.log(zc.denominator)
+                for x, g in zip(map(mp.mpf, rows), got):
+                    want = mp.exp(
+                        mp.log(x) / 2
+                        + mp.loggamma(s * x + q + 1)
+                        - mp.loggamma(x + 1)
+                        - mp.loggamma((s - 1) * x + q + 1)
+                        + x * log_zc
+                        - log_norm
+                    )
+                    assert abs(g - want) <= 1e-14 * want, (s, q, x)
 
 
 def test_expint_orders_match_mpmath():
