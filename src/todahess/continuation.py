@@ -15,30 +15,30 @@ the disk |xi| <= SERIES_RADIUS and seeds every walk at +-XI_SEED.  The
 two other singular points have local Frobenius bases, written in one form,
 _Local: basis functions x^a (w(x) + log v(x)) over shared rows, one power
 series per derivative j, in x = -1/xi at infinity and x = tau = xi - 1 at
-xi = 1.  Beyond FAR_RADIUS the basis at infinity, read from the theta
-polynomials below, is summed with its exact connection coefficients, the
-gamma-function products of DLMF 16.8.8 computed once per (s, p)
-(_far_table, _far_connection).  Around the branch point, 0 < |xi - 1| <=
-ONE_RADIUS outside the disk, the basis at xi = 1 (d - 1 analytic solutions
-and one with a log(1 - xi) term) is built in fixed point from exact rows
-and matched once per (s, p) to the power series at 0 by the square
-Wronskian system at one ordinary point, with no walk (_one_table,
-_one_connection); folded with that connection into y = a + log(1 - xi) v,
-its rows carry tau^max(j-2, 0) y^(j) / j!, so no power of 1/tau is formed
-(_one_rows, _one_local).  One evaluator sums either table (_local_values),
-and both climb one ladder of rungs (_ladder): doubles, then extended
-precision where the terms cancel, then AccuracyError.  The basis at xi = 1
-also gives the walks along the cut their state at the join 1 +
-DETOUR_OFFSET in either number type (_one_join) and the resonant fit its
-values.  Elsewhere out to |xi| = FAR_RADIUS, Taylor steps continue the
-solution: a target off the cut along the route rule _waypoints, and the
-cut outward from the join.  Their recurrence is read straight from the
-reduced equation in theta form, P(theta) y = xi R(theta) y (_theta_polys,
-_row), whose rows at centre 1 also give the basis at xi = 1.  Two walks
-with different step lengths, in complex doubles first and, if they
-disagree, in fixed-point integers at extended precision, bound the error
-(transport); mpmath numbers carry the inputs and results of the extended
-walks and sums and the resonant fit's solve.
+xi = 1.  Beyond FAR_RADIUS, and on the cut beyond 1 + ONE_RADIUS, the
+basis at infinity, read from the theta polynomials below, is summed with
+its exact connection coefficients, the gamma-function products of DLMF
+16.8.8 computed once per (s, p) (_far_table, _far_connection).  Around
+the branch point, 0 < |xi - 1| <= ONE_RADIUS outside the disk, the basis
+at xi = 1 (d - 1 analytic solutions and one with a log(1 - xi) term) is
+built in fixed point from exact rows and matched once per (s, p) to the
+power series at 0 by the square Wronskian system at one ordinary point,
+with no walk (_one_table, _one_connection); folded with that connection
+into y = a + log(1 - xi) v, its rows carry tau^max(j-2, 0) y^(j) / j!, so
+no power of 1/tau is formed (_one_rows, _one_local).  The two bases meet
+on the cut at xi = 1 + ONE_RADIUS, where both converge at the ratio
+0.62, so the whole cut is served with no walk.  One evaluator sums either
+table (_local_values), and both climb one ladder of rungs (_ladder):
+doubles, then extended precision where the terms cancel, then
+AccuracyError.  The basis at xi = 1 also gives the resonant fit its
+values.  Elsewhere off the cut out to |xi| = FAR_RADIUS, Taylor steps
+continue the solution along the route rule _waypoints.  Their recurrence
+is read straight from the reduced equation in theta form, P(theta) y = xi
+R(theta) y (_theta_polys, _row), whose rows at centre 1 also give the
+basis at xi = 1.  Two walks with different step lengths, in complex
+doubles first and, if they disagree, in fixed-point integers at extended
+precision, bound the error (transport); mpmath numbers carry the inputs
+and results of the extended walks and sums and the resonant fit's solve.
 
 The scalar Gram weights are recovered by the Euler operator
 sigma = (1/p) (p + s u d/du)^2 G_p, and the branch-cut jump of sigma gives
@@ -713,64 +713,7 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
     return abs(a + min(max(lam, 0.0), 1.0) * v - z)
 
 
-class _Walked(NamedTuple):
-    """A walk up to its last centre, in the number type of its _Arith."""
-    states: list  # at each target passed: [y^(i)(xi) / i!] in doubles, or an _FxState
-    state: object  # the same at the last centre, where the next step expands
-    centre: complex
-    cx: object  # centre in the number type: a complex double or a point
-    steps: int
-    terms: int
-
-
-def _seeded(s: int, p: int, d: int, ar: _Arith, start) -> _Walked:
-    """A walk that has not stepped yet: the state at start from the power
-    series at 0."""
-    cx = complex(start) if ar.bits is None else _fx_point(start, ar.bits + _POINT_GUARD_BITS)
-    state, terms = _power_series(s, p, cx, d, ar)
-    return _Walked([], state, complex(start), cx, 0, terms)
-
-
-def _walk_on(s: int, p: int, d: int, ar: _Arith, walked: _Walked, targets,
-             reach: int) -> _Walked:
-    """walked carried on through targets by the steps that _taylor_walk
-    describes."""
-    pts = [complex(t) for t in targets]
-    if ar.bits is None:
-        step, ends = _double_step, pts
-    else:
-        step, ends = _fx_step, [_fx_point(t, ar.bits + _POINT_GUARD_BITS) for t in targets]
-    states = list(walked.states)
-    _, state, centre, cx, steps, terms = walked
-    k = 0
-    while k < len(pts):
-        rho = min(abs(centre), abs(1 - centre))
-        served = []
-        while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
-            served.append(k)
-            k += 1
-        if served:
-            nxt = pts[served[-1]]
-            far = max(abs(pts[j] - centre) for j in served)
-            at = [ends[j] for j in served]
-        else:
-            nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
-            if not cmath.isfinite(nxt):
-                raise PathError(f"the step from xi = {centre:.3g} towards "
-                                f"{pts[k]:.3g} overflows doubles; the walk "
-                                "cannot reach targets this far out")
-            far = abs(nxt - centre)
-            at = [nxt if ar.bits is None else _fx_point(nxt, ar.bits + _POINT_GUARD_BITS)]
-        reached, n = step(s, p, d, ar, state, cx, at, far, rho)
-        steps += 1
-        terms += n
-        if served:
-            states.extend(reached)
-        state, centre, cx = reached[-1], nxt, at[-1]
-    return _Walked(states, state, centre, cx, steps, terms)
-
-
-def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _TaylorWalk:
+def _taylor_walk(s: int, p: int, path, dps, reach: int = 2) -> _TaylorWalk:
     """Carry (y, y', ..., y^(d-1)) of y(xi) = G_p(zeta_c^2 xi) from path[0]
     through the targets path[1:], in order: in fixed-point integers at dps +
     TAYLOR_GUARD_DPS digits, returned as mpmath numbers, or in Python complex
@@ -789,33 +732,54 @@ def _taylor_walk(s: int, p: int, path, dps, reach: int = 2, join=None) -> _Taylo
     _SERIES_TOL in doubles (see _expand); dps is at most 250.  Non-finite
     targets raise DomainError, and a step point that leaves the double
     range (targets beyond about |xi| = 1e154) raises PathError.
-
-    The join state of the basis at xi = 1 in the number type of dps
-    (_one_join) may be passed as join, for a path [1, 1 + DETOUR_OFFSET,
-    ...]: the walk then continues from it, with no steps before it, and the
-    segment from 1 is not checked.
     """
     ar = _arith(dps)
     d = len(_theta_polys(s, p)[0]) - 1
-    corners = [complex(t) for t in path]
-    if not all(cmath.isfinite(z) for z in corners):
+    pts = [complex(t) for t in path]
+    if not all(cmath.isfinite(z) for z in pts):
         raise DomainError(f"continuation targets must be finite, got {path!r}")
-    skip = join is not None
-    for a, b in zip(corners[skip:], corners[skip + 1:]):
+    for a, b in zip(pts, pts[1:]):
         if min(_segment_distance(a, b, z) for z in (0j, 1 + 0j)) < 1e-9:
             raise PathError(f"segment {a} -> {b} passes within 1e-9 of a "
                             "singular point, 0 or 1")
     with nullcontext() if dps is None else mp.workdps(ar.digits):
-        walked = join if skip else _seeded(s, p, d, ar, path[0])
-        walked = _walk_on(s, p, d, ar, walked, path[1 + skip:], reach)
         if dps is None:
-            fact = [math.factorial(i) for i in range(d)]
-            states = [[x * g for x, g in zip(st, fact)] for st in walked.states]
+            step, ends = _double_step, pts
         else:
             f = ar.bits + _POINT_GUARD_BITS
-            states = [_fx_values(st, f) for st in walked.states]
-    return _TaylorWalk(states, walked.steps, walked.terms,
-                       None if dps is None else ar.digits)
+            step, ends = _fx_step, [_fx_point(t, f) for t in path]
+        state, terms = _power_series(s, p, ends[0], d, ar)
+        centre, cx, states, steps, k = pts[0], ends[0], [], 0, 1
+        while k < len(pts):
+            rho = min(abs(centre), abs(1 - centre))
+            served = []
+            while k < len(pts) and abs(pts[k] - centre) <= rho / reach:
+                served.append(k)
+                k += 1
+            if served:
+                nxt = pts[served[-1]]
+                far = max(abs(pts[j] - centre) for j in served)
+                at = [ends[j] for j in served]
+            else:
+                nxt = centre + rho / reach * (pts[k] - centre) / abs(pts[k] - centre)
+                if not cmath.isfinite(nxt):
+                    raise PathError(f"the step from xi = {centre:.3g} towards "
+                                    f"{pts[k]:.3g} overflows doubles; the walk "
+                                    "cannot reach targets this far out")
+                far = abs(nxt - centre)
+                at = [nxt if dps is None else _fx_point(nxt, f)]
+            reached, n = step(s, p, d, ar, state, cx, at, far, rho)
+            steps += 1
+            terms += n
+            if served:
+                states.extend(reached)
+            state, centre, cx = reached[-1], nxt, at[-1]
+        if dps is None:
+            fact = [math.factorial(i) for i in range(d)]
+            states = [[x * g for x, g in zip(st, fact)] for st in states]
+        else:
+            states = [_fx_values(st, f) for st in states]
+    return _TaylorWalk(states, steps, terms, None if dps is None else ar.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -837,11 +801,11 @@ class _Continued(NamedTuple):
 def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
               keep=None) -> _Continued:
     """Carry y(xi) = G_p(zeta_c^2 xi) from path[0] along the corners path
-    and on through nodes, the one checked walk behind gp_continue and
-    cut_trace.  The _Continued holds (y, y', ...) at each node, the first
-    keep components (all d for None), within tol relative, and the walk's
-    diagnostics.  path starts at +XI_SEED or -XI_SEED, the seed points of
-    every route, or is [1, 1 + DETOUR_OFFSET], and nodes is not empty, or
+    and on through nodes: the one checked walk, behind gp_continue off the
+    cut where no local expansion serves.  The _Continued holds (y, y', ...)
+    at each node, the first keep components (all d for None), within tol
+    relative, and the walk's diagnostics.  path starts at +XI_SEED or
+    -XI_SEED, the seed points of every route, and nodes is not empty, or
     PathError.  It walks the path it is given, on either side of the axis;
     _continued gives it the routes of the upper half plane only.
 
@@ -853,32 +817,15 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
     budget; the rho/3 walk's states are returned, and there the estimate
     and the test against tol/4 add 2^-53 for their rounding to doubles.
     Raises AccuracyError when the fixed-point walks disagree too.
-
-    The path [1, 1 + DETOUR_OFFSET] starts the walks of each rung at the
-    join state of the basis at xi = 1 (_one_join) in the rung's number
-    type, above the cut, and the rho/3 walk's join estimate is added to the
-    estimate.  In doubles the rho/2 walk starts from the basis summed in
-    doubles, so the gap also holds how the steps carry the join's error,
-    which two walks from one state would not show.
     """
     s, p = _validate_sp(s, p)
-    start = complex(path[0]) if len(path) else None
-    if len(nodes) == 0 or start not in (XI_SEED, -XI_SEED, 1.0):
-        raise PathError(f"paths must go from xi = +-{XI_SEED}, or 1, to at least one node")
-    if start == 1.0 and [*map(complex, path)] != [1.0, 1.0 + DETOUR_OFFSET]:
-        raise PathError(f"the path from the basis at xi = 1 is [1, {1.0 + DETOUR_OFFSET}]")
+    if len(nodes) == 0 or not len(path) or complex(path[0]) not in (XI_SEED, -XI_SEED):
+        raise PathError(f"paths must go from xi = +-{XI_SEED} to at least one node")
     targets = [complex(t) for t in (*path, *nodes)]
     why = ""
     for dps in (None, _MP_RUNG_DPS):
-        joins = ([_one_join(s, p, dps, dps is None and reach == 2) for reach in (2, 3)]
-                 if start == 1.0 else [(None, 0.0)] * 2)
-        extra = joins[1][1]
-        if extra > tol / 4:
-            why = f"the basis's join state is {extra:.1e} off"
-            continue
         try:
-            coarse, fine = [_taylor_walk(s, p, targets, dps, reach, join)
-                            for reach, (join, _) in zip((2, 3), joins)]
+            coarse, fine = [_taylor_walk(s, p, targets, dps, reach) for reach in (2, 3)]
         except (DivergenceError, OverflowError) as exc:  # doubles may overflow
             why = str(exc)
             continue
@@ -887,10 +834,9 @@ def transport(s: int, p: int, path, nodes, tol: float = CONTINUATION_TOL,
         gaps = [float(abs(x - y) / max(abs(y), 1e-300))
                 for a, b in kept for x, y in zip(a, b)]
         rounding = 0.0 if dps is None else 2.0**-53
-        if all(g + extra + rounding <= tol / 4 for g in gaps):
+        if all(g + rounding <= tol / 4 for g in gaps):
             states = [np.array([complex(x) for x in b]) for _, b in kept]
-            return _Continued(states, fine.dps, fine.steps,
-                              max(gaps, default=0.0) + extra + rounding)
+            return _Continued(states, fine.dps, fine.steps, max(gaps, default=0.0) + rounding)
         why = f"the walks at rho/2 and rho/3 differ by {max(gaps):.1e} relative"
     raise AccuracyError(
         f"continuation of G_p for (s, p) = ({s}, {p}) misses tol = {tol:.1e} "
@@ -902,18 +848,18 @@ def _waypoints(xi_t: complex) -> list:
     """Corners of the route to xi_t in the closed upper half plane, the one
     rule that picks a walk's path; a real xi_t >= 1 stands for the cut's
     upper side.  A real target below 1 walks the real axis from +-XI_SEED
-    on its side of 0, so G_p comes out exactly real, and one on the cut
-    walks it from 1 + h, reached by the detour XI_SEED -> XI_SEED + ih -> 1
-    + h + ih: the router starts the cut from the basis's join state at 1 +
-    h instead, and the tests' extended walks take this route as the
-    oracle.  A non-real target takes the detour XI_SEED -> XI_SEED + ih
-    -> Re xi_t + ih -> xi_t.  h = DETOUR_OFFSET."""
+    on its side of 0, so G_p comes out exactly real.  One on the cut walks
+    it from 1 + h, reached by the detour XI_SEED -> XI_SEED + ih -> 1 + h +
+    ih; the router serves the whole cut from the two local bases, so only
+    the tests' extended walks take this route, as their oracle.  A non-real
+    target takes the detour XI_SEED -> XI_SEED + ih -> Re xi_t + ih ->
+    xi_t.  h = DETOUR_OFFSET."""
     re, im = xi_t.real, xi_t.imag
     if im == 0.0 and re < 1.0:
         pts = [complex(math.copysign(XI_SEED, re)), xi_t]
     else:
         h = DETOUR_OFFSET
-        # leave the detour over Re xi_t, or over 1 + DETOUR_OFFSET to join
+        # leave the detour over Re xi_t, or over 1 + DETOUR_OFFSET to reach
         # the cut; off the cut the corner complex(x, im) is xi_t itself
         x = re if im else 1.0 + DETOUR_OFFSET
         pts = [complex(XI_SEED), complex(XI_SEED, h), complex(x, h), complex(x, im), xi_t]
@@ -937,7 +883,6 @@ class _Local(NamedTuple):
     sizes: "np.ndarray"  # |rows| as floats
     coeffs: object
     amax: float  # the largest exponent
-    radius: float  # the |x| that the stop rule drew the rows for
     eps: float  # unit roundoff of the number type
     f: "int | None"  # the scale of fixed-point rows; None for floats
 
@@ -947,10 +892,11 @@ def _local_basis(tab: _Local, xis: list) -> tuple:
     the closed upper half plane, xi > 1 (xi > 0 at infinity) standing for
     xi + i0, with log(1 - xi) and log x = -log(-xi) principal, so both bases
     are cut where G_p is; bb[0] >= |b| from the absolute terms, and bb[1]
-    the tail beyond the last row where |x| > tab.radius.  Doubles take one
+    the geometric tail beyond the last row, at every |x|.  Doubles take one
     Horner pass over rows and sizes; fixed-point rows are dotted with the
-    powers of x at 2^-f up to the rows whose terms reach eps of the largest,
-    and become mpc numbers at f bits for x^a and the log partner."""
+    powers of x at 2^-f up to the rows whose terms at that x reach eps of
+    the largest, so each value depends on its own xi alone, and become mpc
+    numbers at f bits for x^a and the log partner."""
     fx = tab.f is not None
     mod, dt = (mp, object) if fx else (cmath, complex)
     inf = cmath.isinf(tab.centre)
@@ -966,16 +912,18 @@ def _local_basis(tab: _Local, xis: list) -> tuple:
         ax = np.abs(x).astype(float)
         n, shape = len(tab.sizes), (len(xs),) + tab.sizes.shape[1:]
         # the geometric tail of the last row, the radius of convergence being 1
-        tail = np.where(ax > tab.radius, tab.sizes[-1] * ax ** n / (1.0 - ax), 0.0)
+        tail = tab.sizes[-1] * ax ** n / (1.0 - ax)
         if fx:
             f = tab.f
             pa = ax.reshape(-1, 1) ** np.arange(n)
             bound = (pa @ tab.sizes.reshape(n, -1)).reshape(shape)
-            top = tab.sizes.max(axis=(1, 2)) * pa.max(axis=0)
-            m = int(np.nonzero(top > tab.eps * top.max())[0][-1]) + 1
-            pw = np.array([[(_shl(r, f - e), _shl(i, f - e)) for r, i, e in
-                            _fl_powers(_fl(*_fx_point(v, f), f, f), m, f)] for v in xs],
-                          dtype=object)  # x^0 .. x^(m-1) at 2^-f
+            top = tab.sizes.max(axis=(1, 2)) * pa
+            ms = [int(np.nonzero(t > tab.eps * t.max())[0][-1]) + 1 for t in top]
+            m = max(ms)
+            pw = np.zeros((len(xs), m, 2), dtype=object)  # x^0 .. x^(m_i-1) at 2^-f, then 0
+            for row, v, mi in zip(pw, xs, ms):
+                row[:mi] = [(_shl(r, f - e), _shl(i, f - e))
+                            for r, i, e in _fl_powers(_fl(*_fx_point(v, f), f, f), mi, f)]
             rows = tab.rows[:m].reshape(m, -1)
             re, im = ((pw[:, :, i] @ rows).reshape(shape) >> f if pw[:, :, i].any() else 0
                       for i in (0, 1))
@@ -1015,7 +963,7 @@ def _local_values(tab: _Local, xis: list) -> list:
     with mp.workprec(tab.f) if tab.f is not None else nullcontext():
         g = cancel = 0
         for k, c in enumerate(tab.coeffs):
-            g = g + c * b[:, k]
+            g = g + b[:, k] * c
             cancel = cancel + float(abs(c)) * bb[:, :, k]
         eta = tab.eps * (3.0 + tab.amax * np.array([float(abs(v)) for v in logs]))[:, None]
         rel = ((eta * cancel[0] + cancel[1]) / np.maximum(np.abs(g).astype(float), 1e-300)).max(
@@ -1062,8 +1010,10 @@ def _ladder(s: int, p: int, table, xis: list, rung: int, tol: float, what: str) 
     return out
 
 
-#: gp_continue and cut_trace sum every |xi| >= FAR_RADIUS from the expansion
-#: at infinity
+#: gp_continue and cut_trace sum every |xi| >= FAR_RADIUS, and the cut
+#: beyond the basis at xi = 1, from the expansion at infinity; off the cut
+#: it stays at 4, since 1 + ONE_RADIUS there sent targets such as xi = -3
+#: at (3, 2) to the 30-digit rung
 FAR_RADIUS = 4.0
 
 
@@ -1098,14 +1048,16 @@ def _far_table(s: int, p: int, dps) -> _Local:
     The indicial polynomial R(-nu) has the reduced upper parameters as
     roots, each simple or double, and no two of them differ by an integer
     (else ArithmeticError).  So with nu = a + e the step never divides by
-    zero, and c_n(e) is carried with its e-derivative (Frobenius): each exact
-    rational step ratio and its e-derivative is rounded once, to doubles or
-    to mpf numbers at the extended digits, which are then floored once to
-    mantissas at 2^-f.  Since xi^j d^j/dxi^j x^m = (-1)^j m (m+1) ...
-    (m+j-1) x^m, the row j of c_n x^(n+nu) carries F_j(n+nu) = (-1)^j
-    C(n+nu+j-1, j).  Terms are drawn until every series has, at |x| =
-    1/FAR_RADIUS, fallen by half from the term before and below ar.tol of
-    its largest term; DivergenceError past 2000.
+    zero, and c_n(e) is carried with its e-derivative (Frobenius).  Since
+    xi^j d^j/dxi^j x^m = (-1)^j m (m+1) ... (m+j-1) x^m, the row j of c_n
+    x^(n+nu) carries F_j(n+nu) = (-1)^j C(n+nu+j-1, j).  Each exact
+    rational factor num/den of these chains multiplies once: in doubles as
+    x (num / den), in fixed point as the floor x num // den of a mantissa x
+    at 2^-f, f = bits + _POINT_GUARD_BITS, and a product of two mantissas
+    is shifted back by f.  Terms are drawn until, in three rows running,
+    every series at |x| = 1 / (1 + ONE_RADIUS), where the table meets the
+    basis at xi = 1 on the cut, is below ar.tol of its largest term;
+    DivergenceError past 2000.
     """
     ar = _arith(dps)
     p_poly, r_poly = _theta_polys(s, p)
@@ -1115,62 +1067,61 @@ def _far_table(s: int, p: int, dps) -> _Local:
             or any((a - b).denominator == 1 for a, b in combinations(exps, 2))):
         raise ArithmeticError("the exponents at infinity are not simple or double "
                               "and apart by non-integers")
-
-    def rat(num: int, den: int):  # num / den, rounded once
-        return num / den if dps is None else mp.mpf(num) / den
-
-    with nullcontext() if dps is None else mp.workdps(ar.digits):
-        funcs, layout, col = [], [], 0
-        for a in exps:
-            double = ups.count(a) == 2
-            an = rat(a.numerator, a.denominator)
-            layout.append(double)
-            funcs += [(an, col, None)] + [(an, col + 1, col)] * double
-            col += 1 + double
-        pairs = [(rat(1, 1), rat(0, 1)) for _ in exps]  # (c_n, dc_n/de)
-        rows, sizes, top, last = [], [], None, None
-        for n in count():
-            row = []
-            for a, (c, dc), double in zip(exps, pairs, layout):
-                num, q = a.numerator, a.denominator
-                f, df = rat(1, 1), rat(0, 1)  # F_j(n + a + e) and its e-derivative
-                w, dw = [], []
-                for j in range(3):
-                    w.append(c * f)
-                    dw.append(dc * f + c * df)
-                    g = rat(-((n + j) * q + num), (j + 1) * q)
-                    f, df = f * g, df * g - f / (j + 1)
-                row.append(w)
-                if double:
-                    row.append(dw)
-            rows.append(row)
-            sizes.append([[float(abs(v)) for v in ser] for ser in row])
-            size = np.array(sizes[-1]) * FAR_RADIUS**-n
-            top = size if top is None else np.maximum(top, size)
-            if n and np.all((size <= ar.tol * top) & (size <= last / 2)):
-                break
-            if n == 2000:
-                raise DivergenceError("the series at infinity need more than 2000 terms")
-            last = size
-            for k, (a, (c, dc)) in enumerate(zip(exps, pairs)):
-                num, q = a.numerator, a.denominator
-                # c_{n+1} / c_n = -P(-(n+a+e)) / R(-(n+1+a+e)) and its e-derivative
-                pv, pd = _theta_at(p_poly, -(n * q + num), q)
-                rv, rd = _theta_at(r_poly, -((n + 1) * q + num), q)
-                r = rat(-pv, rv)
-                dr = rat(q * (pd * rv - pv * rd), rv * rv)
-                pairs[k] = (c * r, dc * r + c * dr)
     scale = None if dps is None else ar.bits + _POINT_GUARD_BITS
-    coeffs = np.array(rows if dps is None else
-                      [[[int(mp.ldexp(v, scale)) for v in ser] for ser in row] for row in rows],
-                      dtype=float if dps is None else object)
+    one = 1.0 if dps is None else 1 << scale
+
+    def rat(x, num, den):  # x num / den; the product x y is rat(x, y, one)
+        return x * (num / den) if dps is None else x * num // den
+
+    funcs, layout, col = [], [], 0
+    for a in exps:
+        double = ups.count(a) == 2
+        an = float(a) if dps is None else mp.fdiv(a.numerator, a.denominator, dps=ar.digits)
+        layout.append(double)
+        funcs += [(an, col, None)] + [(an, col + 1, col)] * double
+        col += 1 + double
+    pairs = [(one, 0) for _ in exps]  # (c_n, dc_n/de)
+    radius = 1.0 / (1.0 + ONE_RADIUS)
+    rows, sizes, top, quiet = [], [], None, 0
+    for n in count():
+        row = []
+        for a, (c, dc), double in zip(exps, pairs, layout):
+            num, q = a.numerator, a.denominator
+            f, df = one, 0  # F_j(n + a + e) and its e-derivative
+            w, dw = [], []
+            for j in range(3):
+                w.append(rat(c, f, one))
+                dw.append(rat(dc, f, one) + rat(c, df, one))
+                g = -((n + j) * q + num), (j + 1) * q
+                f, df = rat(f, *g), rat(df, *g) - rat(f, 1, j + 1)
+            row.append(w)
+            if double:
+                row.append(dw)
+        rows.append(row)
+        sizes.append([[abs(v) / one for v in ser] for ser in row])
+        terms = np.array(sizes[-1]) * radius**n
+        top = terms if top is None else np.maximum(top, terms)
+        quiet = quiet + 1 if np.all(terms <= ar.tol * top) else 0
+        if quiet == 3:
+            break
+        if n == 2000:
+            raise DivergenceError("the series at infinity need more than 2000 terms")
+        for k, (a, (c, dc)) in enumerate(zip(exps, pairs)):
+            num, q = a.numerator, a.denominator
+            # c_{n+1} / c_n = -P(-(n+a+e)) / R(-(n+1+a+e)) and its e-derivative
+            pv, pd = _theta_at(p_poly, -(n * q + num), q)
+            rv, rd = _theta_at(r_poly, -((n + 1) * q + num), q)
+            pairs[k] = (rat(c, -pv, rv),
+                        rat(dc, -pv, rv) + rat(c, q * (pd * rv - pv * rd), rv * rv))
+    coeffs = np.array(rows, dtype=float if dps is None else object)
     return _Local(complex(math.inf), tuple(funcs), coeffs, np.array(sizes),
-                  _far_connection(s, p, dps), float(max(exps)), 1.0 / FAR_RADIUS, ar.eps, scale)
+                  _far_connection(s, p, dps), float(max(exps)), ar.eps, scale)
 
 
 @lru_cache(maxsize=None)
 def _far_connection(s: int, p: int, dps) -> "np.ndarray":
-    """The real vector C with y = sum_k C_k phi_k on |xi| >= FAR_RADIUS, for
+    """The real vector C with y = sum_k C_k phi_k on the slit plane beyond
+    |xi| = 1, where the basis converges, for
     the basis phi_k of _far_table, in the order of its functions: floats for
     dps None, else mpf objects at _arith(dps).digits.  It is the connection
     formula of DLMF 16.8.8 (Slater 1966; Luke 1969, ch. 5) over the reduced
@@ -1220,13 +1171,15 @@ def _far_connection(s: int, p: int, dps) -> "np.ndarray":
 
 
 #: gp_continue and cut_trace sum the targets with 0 < |xi - 1| <= ONE_RADIUS
-#: and |xi| > SERIES_RADIUS from the local basis at xi = 1
-ONE_RADIUS = 0.5
+#: and |xi| > SERIES_RADIUS from the local basis at xi = 1, and the cut
+#: beyond it from the expansion at infinity: 1/(1 + r) = r, near 0.618, is
+#: where both converge alike on the cut
+ONE_RADIUS = 0.62
 #: the ordinary point at which the basis at xi = 1 is matched to the series at 0
 _ONE_MATCH = 0.7
 #: caller's digits of the basis at xi = 1 that the doubles round, and of its
-#: extended rung and fixed-point join: those of resonant_fit's default, so
-#: the fit and the router share one build
+#: extended rung: those of resonant_fit's default, so the fit and the router
+#: share one build
 _ONE_DPS = 40
 
 
@@ -1414,7 +1367,7 @@ def _one_connection(s: int, p: int, dps: int) -> _OneConnection:
     rows = _one_rows(tab.cols, d, {d - 1: d})
     funcs = tuple((0, k, None) for k in range(d - 1)) + ((0, d - 1, d),)
     basis = _Local(complex(1.0), funcs, rows, np.ldexp(np.abs(rows).astype(float), -f), None,
-                   0.0, 1.0 - _ONE_MATCH, ar.eps, f)
+                   0.0, ar.eps, f)
     w = _local_basis(basis, [_ONE_MATCH])[0][0]
     coeffs = _fx_solve([[int(mp.ldexp(x.real, f)) for x in row] for row in w.T], rhs, f)
     a = [_fdot(coeffs, row) >> f for row in zip(*tab.cols[:d])]
@@ -1427,42 +1380,16 @@ def _one_connection(s: int, p: int, dps: int) -> _OneConnection:
 @lru_cache(maxsize=None)
 def _one_local(s: int, p: int, dps, nd: int) -> _Local:
     """The basis at xi = 1 folded by C_1 into y = a + log(1 - xi) v
-    (_one_connection), as its rows j < nd: in the fixed point of dps, served
-    to |tau| = 1 - _ONE_MATCH, or for dps None the _ONE_DPS build's leading
-    rows rounded to doubles, served to ONE_RADIUS."""
+    (_one_connection), as its rows j < nd: in the fixed point of dps, drawn
+    for |tau| <= 1 - _ONE_MATCH, or for dps None the _ONE_DPS build's leading
+    rows rounded to doubles, drawn for ONE_RADIUS; beyond that radius the
+    estimate's tail bound covers what the rows leave out."""
     ext = dps is not None
     conn = _one_connection(s, p, dps if ext else _ONE_DPS)
     rows = _one_rows(conn.series, nd, {0: 1})[:None if ext else _one_table(s, p, _ONE_DPS).rows]
     floats = np.ldexp(rows.astype(float), -conn.f)
     return _Local(complex(1.0), ((0, 0, 1),), rows if ext else floats, np.abs(floats), (1,),
-                  0.0, 1.0 - _ONE_MATCH if ext else ONE_RADIUS, _arith(dps).eps,
-                  conn.f if ext else None)
-
-
-@lru_cache(maxsize=None)
-def _one_join(s: int, p: int, dps=None, rough: bool = False) -> tuple:
-    """(walked, rel_est): the walks' state at the cut's join 1 +
-    DETOUR_OFFSET + i0 in the number type of _arith(dps), all d components
-    of the _ONE_DPS build of the basis at xi = 1 summed at its digits, as a
-    _Walked that has taken no step, and the largest relative estimate of its
-    components (_local_values).  The doubles round the sums, and their
-    estimate adds 2^-53, or if rough sum the basis rounded to doubles; in
-    fixed point the sums are rounded into the walk's fixed point, with the
-    shared exponent that _fx_head sets."""
-    xj = complex(1.0 + DETOUR_OFFSET)
-    d = len(_theta_polys(s, p)[0]) - 1
-    ((z, rel),) = _local_values(_one_local(s, p, None if rough else _ONE_DPS, d), [xj])
-    if dps is None:
-        state = [complex(v) for v in z]
-        return _Walked([state], state, xj, xj, 0, 0), rel if rough else rel + 2.0**-53
-    ar = _arith(dps)
-    f, e = ar.bits + _POINT_GUARD_BITS, _one_connection(s, p, _ONE_DPS).f
-    cx = _fx_point(xj, f)
-    with mp.workdps(_arith(_ONE_DPS).digits):  # y^(i) / i! g^i at 2^-e, g = xj
-        raw = _FxState([_fx_point(v * mp.mpf(xj.real) ** i, e) for i, v in enumerate(z)],
-                       e, cx, 0)
-    state = _FxState(*_fx_head(raw, cx, 0, ar, f), cx, 0)
-    return _Walked([state], state, xj, cx, 0, 0), rel
+                  0.0, _arith(dps).eps, conn.f if ext else None)
 
 
 @dataclass(frozen=True)
@@ -1475,11 +1402,10 @@ class ContinuationState:
     side: str
     derivs: tuple  # (G, G', G'') with respect to u, the inputs of sigma
     path: tuple  # xi-plane corners: (xi,) for the series, the route's corners
-    # for a walk, (1, xi) for the basis at xi = 1, (1, 1.3, xi) for a leg from
-    # its join, and (inf, xi) for the far field
+    # for a walk, (1, xi) for the basis at xi = 1 and (inf, xi) for the far field
     dps: "int | None"  # working digits of the walk or of the far field's or the
     # basis's extended sum (30, 30 and 50); None for doubles
-    steps: int  # Taylor expansions of the walk; 0 for the series and the far field
+    steps: int  # Taylor expansions of the walk; 0 for the series and the local bases
     rel_est: float  # two-walk gap, or the basis's or far field's cancellation bound;
     # _SERIES_TOL for the series
 
@@ -1507,24 +1433,24 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
 
     side must be 'above', 'below' or 'none', else DomainError whatever the
     targets; a target on the cut needs 'above' or 'below', and a non-real
-    one 'none' or its own side, else PathError.  Each target is moved to the
+    one 'none' or its own side, else PathError, as is the branch point xi =
+    1 itself, before any target is served.  Each target is moved to the
     closed upper half plane, the cut's upper side standing for its lower
     one, and served there by the first of
     - the power series at 0 for |xi| <= SERIES_RADIUS (_power_series): a
       walk towards the singular point 0 loses digits;
-    - the expansion at infinity for |xi| >= FAR_RADIUS;
+    - the expansion at infinity for |xi| >= FAR_RADIUS, and on the cut
+      beyond the basis at xi = 1, xi - 1 > ONE_RADIUS;
     - the basis at xi = 1 for 0 < |xi - 1| <= ONE_RADIUS; these two are one
       ordered tuple of (region, path head, table, rung digits), summed by
-      _local_values on the rungs of _ladder;
-    - the checked walks of transport.  A target off the cut walks its route
-      of _waypoints.  The targets on the cut form one leg outward along the
-      cut from the join xi_0 = 1 + DETOUR_OFFSET, which starts from the
-      basis's state there (_one_join) in the number type of each rung, so a
-      state does not depend on which call built the basis first.  xi = 1
-      itself raises PathError there, as the leg's segment meets it.
-    The states and paths of the moved targets are conjugated, so a target
-    and its mirror image, or the cut's two sides, give exact conjugates with
-    the same diagnostics.
+      _local_values on the rungs of _ladder, so every point of the cut is
+      served with no walk;
+    - the checked walks of transport along the route of _waypoints, for
+      the targets off the cut that are left.
+    Each target's state depends on that target alone.  The states and
+    paths of the moved targets are conjugated, so a target and its mirror
+    image, or the cut's two sides, give exact conjugates with the same
+    diagnostics.
     """
     if side not in ("above", "below", "none"):
         raise DomainError(f"side must be 'above', 'below' or 'none', got {side!r}")
@@ -1535,6 +1461,9 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
             raise PathError("target on the cut: pass side='above' or side='below'")
         if xi.imag and side != "none" and (xi.imag < 0.0) != (side == "below"):
             raise PathError(f"target {xi} is on the opposite side of the cut")
+        if xi == 1.0:
+            raise PathError("xi = 1 is the branch point of G_p, where G_p'' is "
+                            "infinite; continue to a point next to it")
         flips.append(xi.imag < 0.0 or on_cut and side == "below")
         upper.append(complex(xi.real, abs(xi.imag)))
     todo = sorted(set(upper), key=lambda x: (x.real, x.imag))
@@ -1544,27 +1473,18 @@ def _continued(s: int, p: int, us: list, xis: list, side: str, tol: float) -> li
             taylor, _ = _power_series(s, p, x, 3, _arith(None))
             got[x] = [c * math.factorial(j) for j, c in enumerate(taylor)], (x,), None
     for inside, head, table, rung, what in (
-            (lambda x: abs(x) >= FAR_RADIUS, complex(math.inf), _far_table, _MP_RUNG_DPS,
-             "expansion at infinity"),
+            (lambda x: abs(x) >= FAR_RADIUS or x.imag == 0.0 and x.real - 1.0 > ONE_RADIUS,
+             complex(math.inf), _far_table, _MP_RUNG_DPS, "expansion at infinity"),
             (lambda x: 0.0 < abs(x - 1.0) <= ONE_RADIUS, complex(1.0),
              lambda s, p, dps: _one_local(s, p, dps, 3), _ONE_DPS, "basis at xi = 1")):
         mine = [x for x in todo if x not in got and inside(x)]
         got.update((x, (z, (head, x), run))
                    for x, (z, run) in zip(mine, _ladder(s, p, table, mine, rung, tol, what)))
-    cut = []
     for x in todo:
-        if x in got:
-            continue
-        if x.imag or x.real < 1.0:
+        if x not in got:
             route = _waypoints(x)
             run = transport(s, p, route[:-1], route[-1:], tol, keep=3)
             got[x] = run.states[0], tuple(route), run
-        else:
-            cut.append(x)
-    if cut:
-        xi0 = complex(1.0 + DETOUR_OFFSET)
-        run = transport(s, p, [1.0, xi0], cut, tol, keep=3)
-        got.update((x, (z, (complex(1.0), xi0, x), run)) for x, z in zip(cut, run.states))
     out = []
     for u, x, flip in zip(us, upper, flips):
         z, path, run = got[x]
@@ -1728,8 +1648,8 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
     (2 pi i) needs one side only: the state below the cut is the exact
     complex conjugate of the one above.  Next to the edge, u <= (1 +
     ONE_RADIUS) zeta_c^2, the state comes from the basis at xi = 1, so rho
-    is defined up to the edge itself; further out, the walk along the cut
-    starts from that basis's join state (see _continued).
+    is defined up to the edge itself; further out it comes from the
+    expansion at infinity (see _continued).
     """
     s, p = _validate_sp(s, p)
     zc2 = zeta_c_value(s) ** 2
@@ -1741,13 +1661,9 @@ def disc_density_rho(s: int, p: int, u: float) -> float:
 def cut_trace(s, p, xi_nodes, side: str = "above", tol: float = CONTINUATION_TOL):
     """States along the cut at the given xi nodes (all finite and > 1), in
     the order of the nodes, on side 'above' or 'below', from the sources
-    that _continued picks.  The states do not depend on the order of the
-    nodes, which are sorted, and a single node gets gp_continue's state.
-    They do depend on the other nodes beyond the basis at xi = 1 and the
-    far field: one leg along the cut from the join serves all of them, on
-    one rung and with one rel_est, the largest of its nodes, and its steps
-    pass through every node, so another node can move a node's rung, its
-    rel_est, and its values by rounding."""
+    that _continued picks: the basis at xi = 1 for xi - 1 <= ONE_RADIUS and
+    the expansion at infinity beyond, with no walk.  Each node's state is
+    gp_continue's at that node, whatever the other nodes and their order."""
     s, p = _validate_sp(s, p)
     nodes = [float(x) for x in xi_nodes]
     if not all(1.0 < x < math.inf for x in nodes):

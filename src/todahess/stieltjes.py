@@ -229,11 +229,10 @@ def perron_density(s: int, p: int, t_ratio) -> np.ndarray:
     """varrho_p(t) = (1/pi t) Im G_p(1/t + i0) at the array t = t_ratio T,
     T = 1/zc^2.
 
-    One cut_trace supplies every point: the expansion at infinity those
-    with t_ratio <= 1/FAR_RADIUS, the basis at xi = 1 those next to the edge
-    where its estimate serves, and the walks along the cut the rest.  t_ratio
-    must lie in (0, 1): t >= T puts xi = 1/t_ratio <= 1 off the cut, and the
-    trace raises DomainError.
+    One cut_trace supplies every point, with no walk: the basis at xi = 1
+    those with t_ratio >= 1/(1 + ONE_RADIUS), next to the edge, and the
+    expansion at infinity the rest.  t_ratio must lie in (0, 1): t >= T puts
+    xi = 1/t_ratio <= 1 off the cut, and the trace raises DomainError.
     """
     s, p = _validate_sp(s, p)
     t_ratio = np.asarray(t_ratio, dtype=np.float64)
@@ -301,10 +300,11 @@ def perron_integrals(
 
     Substituting t = T/xi turns them into (1/pi) int (T/xi)^n Im G(xi+i0)
     dxi/xi over xi in [1/(1-delta_rel), 1/delta_rel]; one cut_trace
-    supplies all the nodes, PERRON_NODES per panel, within PERRON_TOL.  The
-    panels are log-spaced, so most nodes lie beyond FAR_RADIUS, where the
-    trace sums the expansion at infinity instead of walking out to
-    1/delta_rel: at delta_rel = 1e-12 and 40 panels, 456 of 480.
+    supplies all the nodes, PERRON_NODES per panel, within PERRON_TOL, each
+    from one of the two local bases with no walk.  The panels are
+    log-spaced, so most nodes lie beyond xi = 1 + ONE_RADIUS, where the
+    trace sums the expansion at infinity: at delta_rel = 1e-12 and 40
+    panels, 473 of 480; the basis at xi = 1 serves the rest.
     """
     if not 0 < delta_rel < 0.5:
         raise DomainError("delta_rel must lie in (0, 0.5)")

@@ -899,9 +899,10 @@ def test_negative_targets_walk_the_axis(s, k, log_x):
 @settings(max_examples=15, deadline=None)
 @given(s=hst.integers(2, 8), k=hst.integers(0, 15), x=hst.floats(1.0, 6.0, exclude_min=True),
        side=hst.sampled_from(["above", "below"]))
-@example(s=3, k=0, x=1.3, side="above")  # the corner where the cut route joins the axis
+@example(s=3, k=0, x=1.62, side="above")  # where the two local bases meet
 def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
-    # one source per cut point: the basis at xi = 1, or the leg from its join
+    # one source per cut point: the basis at xi = 1, or the expansion at
+    # infinity beyond it
     p = 1 + k % (2 * s)
     zc2 = float(thresholds(s).zeta_c) ** 2
     u = x * zc2
@@ -922,53 +923,52 @@ def test_gp_continue_on_the_cut_is_a_one_node_cut_trace(s, k, x, side):
             == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
 
 
-def _cut_states(s, p, xis, cold):
-    """{xi: (derivs, steps, dps, rel_est)} of cut_trace over xis, and of
-    gp_continue and disc_density_rho at each xi above the cut, with the basis
-    at xi = 1 and its join states cleared before each call if cold."""
-    zc2 = float(thresholds(s).zeta_c) ** 2
+def _cut_states(s, p, us, cold):
+    """{xi: (derivs, path, steps, dps, rel_est)} of cut_trace over the xi =
+    u / zeta_c^2 of us, each asserted equal to gp_continue's state at u
+    above the cut, and {(u, 'rho'): disc_density_rho at u}, with both local
+    bases' caches cleared before each call if cold."""
+    zc2 = cont.zeta_c_value(s) ** 2
+    xis = [u / zc2 for u in us]
     out = {}
 
     def call(f, *args):
         if cold:
-            _clear_one_caches()
+            _clear_local_caches()
         return f(*args)
 
     for xi, st in zip(xis, call(cont.cut_trace, s, p, xis)):
-        out[xi, "trace"] = st.derivs, st.steps, st.dps, st.rel_est
-    for xi in xis:
-        st = call(cont.gp_continue, s, p, xi * zc2, "above")
-        out[xi, "continue"] = st.derivs, st.steps, st.dps, st.rel_est
-        out[xi, "rho"] = call(cont.disc_density_rho, s, p, xi * zc2)
+        out[xi] = st.derivs, st.path, st.steps, st.dps, st.rel_est
+    for xi, u in zip(xis, us):
+        st = call(cont.gp_continue, s, p, u, "above")
+        assert (st.derivs, st.path, st.steps, st.dps, st.rel_est) == out[xi]
+        out[u, "rho"] = call(cont.disc_density_rho, s, p, u)
     return out
 
 
 @settings(max_examples=8, deadline=None)
 @given(s=hst.integers(2, 8), k=hst.integers(0, 15), data=hst.data(),
-       xis=hst.lists(hst.floats(1.001, 3.9), min_size=1, max_size=4, unique=True))
-@example(s=3, k=1, data=None, xis=[1.3, 1.2, 2.0])  # a node at the join
-def test_cut_values_do_not_depend_on_call_order(s, k, data, xis):
-    # every walk along the cut continues from the basis's join state, which
-    # a cold call computes and a warm one reads: the same numbers either
-    # way, and in any order of the nodes
+       xs=hst.lists(hst.floats(1.0, 8.0, exclude_min=True), min_size=1, max_size=4))
+@example(s=3, k=1, data=None, xs=[1.3, 1.62, 1.2, 2.0])  # both bases and where they meet
+@example(s=5, k=9, data=None, xs=[1.1, 2.5, 1.61])  # (5, 10): the rungs of both
+def test_cut_trace_nodes_are_gp_continue_states(s, k, data, xs):
+    # every node of the cut is served from the basis at xi = 1 or from the
+    # expansion at infinity at that node alone: a cut_trace over any nodes,
+    # in any order, cold or warm, gives each node gp_continue's state there
     p = 1 + k % (2 * s)
-    cold = _cut_states(s, p, xis, cold=True)
-    assert _cut_states(s, p, xis, cold=False) == cold
-    shuffled = list(reversed(xis)) if data is None else data.draw(hst.permutations(xis))
+    zc2 = cont.zeta_c_value(s) ** 2
+    us = list(dict.fromkeys(x * zc2 for x in xs))
+    if any(u / zc2 == 1.0 for u in us):  # x rounded onto the branch point
+        return
+    cold = _cut_states(s, p, us, cold=True)
+    for u in us:
+        xi = u / zc2
+        _, path, steps, _, _ = cold[xi]
+        assert steps == 0 and path in ((1.0, xi), (complex(math.inf), xi))
+    assert _cut_states(s, p, us, cold=False) == cold
+    shuffled = list(reversed(us)) if data is None else data.draw(hst.permutations(us))
     assert _cut_states(s, p, shuffled, cold=False) == cold
     assert _cut_states(s, p, shuffled, cold=True) == cold
-
-
-@pytest.mark.parametrize("s,p,side", [(8, 16, "below"), (5, 10, "above")])
-def test_cut_rung_walks_from_the_basis_join(s, p, side):
-    # the doubles from the join disagree here, so the 30-digit rung starts
-    # from the basis's join state, rounded into its fixed point
-    zc2 = cont.zeta_c_value(s) ** 2
-    st = cont.gp_continue(s, p, 2.5 * zc2, side)
-    xi = st.u.real / zc2
-    assert st.dps == cont._arith(cont._MP_RUNG_DPS).digits
-    assert st.path == (1.0, 1.0 + cont.DETOUR_OFFSET, xi)
-    _assert_matches_walk(st, 40, tol=1e-15)
 
 
 @pytest.mark.parametrize("tol", [1e-15, 4e-16])
@@ -1264,9 +1264,9 @@ def test_double_walks_keep_no_integer_rows():
 # The local basis at xi = 1
 
 
-def _clear_one_caches():
+def _clear_local_caches():
     for f in (cont._one_polys, cont._one_table, cont._one_connection, cont._one_local,
-              cont._one_join):
+              cont._far_table, cont._far_connection):
         f.cache_clear()
 
 
@@ -1402,18 +1402,16 @@ def test_one_states_are_exact_conjugates(s, p, xi):
 
 @pytest.mark.parametrize("s,p", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 1)])
 def test_one_node_cut_trace_is_gp_continue_at_basis_nodes(s, p):
-    # basis-served nodes, nodes walked from the basis's join state, and
-    # nodes on the route without the basis give one state either way
+    # nodes served by the basis at xi = 1 and by the expansion at infinity
+    # give one state either way, and every path starts at 1 or infinity
     zc2 = cont.zeta_c_value(s) ** 2
-    seen = set()
     for x in (1 + 1e-9, 1.001, 1.3, 1.45, 1.7, 3.0):
         st = cont.gp_continue(s, p, x * zc2, "above")
         xi = st.u.real / zc2
         (trace,) = cont.cut_trace(s, p, [xi], "above")
         assert ((st.derivs, st.dps, st.steps, st.rel_est, st.path)
                 == (trace.derivs, trace.dps, trace.steps, trace.rel_est, trace.path))
-        seen.add(len(st.path) if st.path[0] == 1.0 else 0)
-    assert seen == {2, 3}
+        assert st.path in ((1.0, xi), (complex(math.inf), xi))
 
 
 @settings(max_examples=6, deadline=None)
@@ -1426,12 +1424,12 @@ def test_basis_values_do_not_depend_on_cache_or_order(s, k, data, xis):
 
     def states(order, cold):
         if cold:
-            _clear_one_caches()
+            _clear_local_caches()
         trace = dict(zip(order, cont.cut_trace(s, p, order)))
         out = [(st.derivs, st.path, st.rel_est) for st in (trace[x] for x in xis)]
         for u in us:
             if cold:
-                _clear_one_caches()
+                _clear_local_caches()
             st = cont.gp_continue(s, p, u, "above" if u.imag == 0 and u.real > zc2 else "none")
             out.append((st.derivs, st.path, st.rel_est))
         return out
@@ -1471,8 +1469,7 @@ def _walk_oracle(s, p, xi, side):
 def test_basis_estimate_is_a_bound(s, k, log_r, theta, kind, side):
     # each target with |xi - 1| <= ONE_RADIUS is served from the basis with
     # rel_est between the true error and tol/4, or walks the route it walked
-    # without the basis, to the same bits; a cut state walked from the
-    # basis's join state also bounds its error
+    # without the basis, to the same bits
     p = 1 + k % (2 * s)
     zc2 = cont.zeta_c_value(s) ** 2
     r = 10.0**log_r
@@ -1500,16 +1497,51 @@ def test_basis_estimate_is_a_bound(s, k, log_r, theta, kind, side):
     assert st.path == want.path and st.derivs == want.derivs
 
 
-@pytest.mark.parametrize("s,p", [(2, 1), (3, 1), (3, 2)])
-def test_cut_walks_from_the_basis_join_bound_their_error(s, p):
+@settings(max_examples=10, deadline=None)
+@given(s=hst.integers(2, 8), k=hst.integers(0, 15), x=hst.floats(1.0, 8.0, exclude_min=True),
+       side=hst.sampled_from(["above", "below"]))
+@example(s=3, k=5, x=1.6, side="above")  # (3, 6): the basis at its rim
+@example(s=5, k=9, x=1.62, side="below")  # (5, 10): the expansion at infinity at its rim
+@example(s=8, k=15, x=2.5, side="below")  # (8, 16): on the 30-digit rung
+def test_cut_is_served_by_the_two_local_bases(s, k, x, side):
+    # every point of the cut comes from the basis at xi = 1 or the expansion
+    # at infinity, with no walk, and within its estimate of the 40-digit
+    # oracle (mpmath.hyper for xi >= 1.1), or raises a typed error; within
+    # 1e-6 of xi = 1, where no walk reaches, the oracle is the basis's own
+    # series summed at 60 digits with the exact log factors
+    p = 1 + k % (2 * s)
     zc2 = cont.zeta_c_value(s) ** 2
-    xis = [1.6, 2.2, 3.1, 3.9]
-    states = cont.cut_trace(s, p, xis, "below")
-    for xi, st in zip(xis, states):
-        assert st.path == (1.0, 1.0 + cont.DETOUR_OFFSET, xi) and st.dps is None
-        err = max(abs(g - w) / abs(w) for g, w in
-                  zip(st.derivs, _walk_oracle(s, p, complex(xi), "below")))
-        assert err <= st.rel_est <= 1e-12 / 4
+    try:
+        st = cont.gp_continue(s, p, x * zc2, side)
+    except (AccuracyError, PathError):
+        return
+    xi = st.u.real / zc2
+    assert st.steps == 0 and st.path in ((1.0, xi), (complex(math.inf), xi))
+    assert st.rel_est <= 1e-12 / 4
+    if xi - 1.0 >= 1e-6:
+        want = _walk_oracle(s, p, complex(xi), side)
+    else:
+        want = [complex(w) * math.factorial(j) / zc2**j
+                for j, w in enumerate(_one_oracle(s, p, xi))]
+        want = [w.conjugate() for w in want] if side == "below" else want
+    err = max(abs(g - w) / abs(w) for g, w in zip(st.derivs, want, strict=True))
+    assert err <= st.rel_est
+
+
+@pytest.mark.parametrize("s,p", [(2, 1), (3, 2), (3, 6), (5, 10), (8, 16)])
+def test_the_two_local_bases_agree_where_both_converge(s, p):
+    # the basis at xi = 1, matched to the series at 0, and the expansion at
+    # infinity, with its closed-form connection, share no code past the
+    # theta polynomials; near xi = 1.6 both converge, on and off the cut,
+    # and in doubles and at their extended digits they agree within the sum
+    # of their estimates
+    for far_dps, one_dps in ((None, None), (cont._MP_RUNG_DPS, cont._ONE_DPS)):
+        far, one = cont._far_table(s, p, far_dps), cont._one_local(s, p, one_dps, 3)
+        for xi in (1.58, 1.6, 1.62, 1.6 + 0.05j, 1.59 + 0.1j):
+            ((za, ra),), ((zb, rb),) = (cont._local_values(t, [complex(xi)]) for t in (far, one))
+            with mp.workdps(60):
+                for a, b in zip(za, zb, strict=True):
+                    assert abs(a - b) <= (ra + rb) * abs(b)
 
 
 def _one_oracle(s, p, xi, nd=3):
@@ -1553,11 +1585,13 @@ def test_basis_next_to_the_branch_point_meets_its_estimate(s, p, tol):
 @pytest.mark.parametrize("s,p", [(2, 1), (3, 6), (5, 10)])
 def test_extended_basis_estimate_bounds_its_truncation(s, p):
     # the extended rows serve |tau| <= 1 - _ONE_MATCH = 0.3 to their tol, so
-    # the 50-digit sums out to ONE_RADIUS were 2.7e-30 to 7.2e-25 off these
+    # the 50-digit sums out to |tau| = 0.5 were 2.7e-30 to 7.2e-25 off these
     # 60-digit walks while rel_est read 4.5e-48 to 9.3e-46; the estimate now
-    # adds the tail beyond the last row
+    # adds the tail beyond the last row, out to ONE_RADIUS
     tab = cont._one_local(s, p, cont._ONE_DPS, 3)
-    for xi in [complex(1.5), 1 + 0.5j, 1 + cmath.rect(0.5, 1.86)]:
+    r = cont.ONE_RADIUS
+    for xi in [complex(1.5), 1 + 0.5j, 1 + cmath.rect(0.5, 1.86), complex(1 + r),
+               1 + cmath.rect(r, 2.2)]:
         walk = cont._taylor_walk(s, p, cont._waypoints(xi), 60).states[-1]
         ((z, rel),) = cont._local_values(tab, [xi])
         with mp.workdps(60):
@@ -1622,14 +1656,15 @@ def test_density_next_to_the_edge_at_more_pairs(s, p):
 
 
 def test_the_branch_point_itself_is_a_path_error():
-    # xi = 1 is no target of the basis, and the leg from the join meets it;
-    # cut_trace refuses it as off the cut before it routes any node
+    # xi = 1 is no target of the basis, and the router refuses it, naming
+    # the branch point, before it serves any target; cut_trace refuses it as
+    # off the cut
     for s, p in [(3, 1), (5, 10), (8, 16)]:
         zc2 = cont.zeta_c_value(s) ** 2
         for side in ("above", "below"):
-            with pytest.raises(PathError):
+            with pytest.raises(PathError, match="branch point"):
                 cont.gp_continue(s, p, zc2, side)
-            with pytest.raises(PathError):
+            with pytest.raises(PathError, match="branch point"):
                 cont.gp_continue(s, p, zc2, side, tol=1e-15)
             with pytest.raises(DomainError):
                 cont.cut_trace(s, p, [1.0], side)

@@ -293,7 +293,8 @@ def test_weyl_near_pole_errors():
 
 
 def test_perron_density_positive_interior():
-    # one transport along the cut; varrho >= 0 on 50 interior points
+    # every node from the basis at xi = 1 or the expansion at infinity, with
+    # no walk; varrho >= 0 on 50 interior points
     for p in (1, 2, 3):
         rho = st.perron_density(3, p, 1.0 / np.geomspace(1.01, 50.0, 50))
         assert np.all(rho >= -1e-9)
